@@ -9,20 +9,19 @@ from .engine import (MmcConfig, MmcResult, PlainMcResult, WeightTable,
                      log_bias_density, run_mmc, run_plain_mc, update_weights)
 from .errors import ConfigError, EvaluationError, SurrogateError
 from .gp import (EvaluationStore, KernelParams, LocalGP, QuadraticMean,
-                 build_local_surrogate, calibrate_amplitude,
-                 calibrate_lengthscales, fit_quadratic_mean, gp_posterior,
-                 kernel_eval, local_size, nearest_neighbors)
-from .mcmc import ChainState, ExactKernel, Proposal, StepRecord, mh_step, propose
+                 build_local_surrogate, calibrate_lengthscales,
+                 fit_quadratic_mean, kernel_eval, local_size)
+from .mcmc import (ChainState, ExactKernel, Proposal, StepRecord,
+                   metropolis_accept, mh_step, propose)
 from .problem import (EvalLedger, PerformanceModel, build_model, evaluate,
-                      gaussian_model, log_prior_density, register_model,
-                      registered_models, sample_prior)
+                      gaussian_model, log_prior_density, model_config_keys,
+                      register_model, registered_models, sample_prior)
 from .surrogate import (SurrogateKernel, SurrogateKernelConfig,
-                        misassignment_probability, surrogate_mh_step)
+                        fit_surrogate_kernel, misassignment_probability)
 from . import benchmarks
 from .benchmarks import (KLBasis, beam_eval, beam_model, interpolate_bilinear,
-                         kl_decompose, min_distance_eval, min_distance_model,
-                         pilot_output_range, poisson_kl_model, realize_field,
-                         solve_poisson)
+                         kl_decompose, min_distance_model, pilot_output_range,
+                         poisson_kl_model, realize_field, solve_poisson)
 from .harness import (ComparisonReport, RunConfig, compare_pdfs, parse_config,
                       read_histogram_csv, run_experiment)
 
@@ -34,17 +33,17 @@ __all__ = [
     "log_bias_density", "combined_probability", "update_weights",
     "estimate_pdf", "estimate_moments",
     "flatness_cv", "run_mmc", "run_plain_mc",
-    "ChainState", "Proposal", "StepRecord", "propose", "mh_step", "ExactKernel",
+    "ChainState", "Proposal", "StepRecord", "propose", "metropolis_accept",
+    "mh_step", "ExactKernel",
     "EvaluationStore", "KernelParams", "QuadraticMean", "LocalGP",
-    "kernel_eval", "local_size", "nearest_neighbors", "fit_quadratic_mean",
-    "gp_posterior", "calibrate_amplitude", "calibrate_lengthscales",
-    "build_local_surrogate",
+    "kernel_eval", "local_size", "fit_quadratic_mean",
+    "calibrate_lengthscales", "build_local_surrogate",
     "SurrogateKernelConfig", "SurrogateKernel", "misassignment_probability",
-    "surrogate_mh_step",
+    "fit_surrogate_kernel",
     "EvalLedger", "PerformanceModel", "evaluate", "log_prior_density",
     "sample_prior", "gaussian_model", "register_model", "build_model",
-    "registered_models",
-    "KLBasis", "min_distance_eval", "min_distance_model", "beam_eval",
+    "model_config_keys", "registered_models",
+    "KLBasis", "min_distance_model", "beam_eval",
     "beam_model", "kl_decompose", "realize_field", "solve_poisson",
     "interpolate_bilinear", "poisson_kl_model", "pilot_output_range",
     "RunConfig", "ComparisonReport", "parse_config", "run_experiment",

@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 from .problem import PerformanceModel, evaluate, gaussian_model, register_model, sample_prior
 
 __all__ = [
-    "min_distance_eval", "min_distance_model",
+    "min_distance_model",
     "beam_eval", "beam_model", "BEAM_LENGTH",
     "KLBasis", "kl_decompose", "realize_field", "solve_poisson",
     "interpolate_bilinear", "poisson_kl_model", "pilot_output_range",
@@ -42,13 +42,6 @@ RESIDUAL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------- min distance
-
-def min_distance_eval(x: np.ndarray, centers: np.ndarray) -> float:
-    """Squared Euclidean distance from x to the nearest center, minus one."""
-    x = np.asarray(x, dtype=float)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    return float(((centers - x) ** 2).sum(axis=1).min()) - 1.0
-
 
 def min_distance_model(dimension: int = 2,
                        centers: np.ndarray | None = None) -> PerformanceModel:
@@ -69,6 +62,12 @@ def min_distance_model(dimension: int = 2,
 
     return gaussian_model("min_distance", ev, np.zeros(dimension),
                           np.ones(dimension))
+
+
+def _parse_centers(raw: str) -> np.ndarray:
+    """Centers from config text, one point per group: "x1,y1 ; x2,y2"."""
+    return np.array([[float(v) for v in grp.split(",")]
+                     for grp in raw.split(";")])
 
 
 # ----------------------------------------------------------------------- beam
@@ -139,7 +138,8 @@ def kl_decompose(nodes: int, corr_delta: float, n_modes: int,
     with eigenvalue mu_a * mu_b. Modes are ordered by eigenvalue, descending,
     and the equal pairs (a, b) and (b, a) by (a, b). This fixes one basis
     inside every repeated eigenspace, so the basis, and the model built on
-    it, does not depend on the number of BLAS threads.
+    it, does not depend on the number of BLAS threads. A mode built from a
+    1-D eigenvalue <= 0 lies past the numerical rank and raises ValueError.
 
     With a cache directory, the decomposition is stored in an npz file keyed
     by the cache format, nodes, corr_delta and n_modes, and reused by later
@@ -178,7 +178,14 @@ def kl_decompose(nodes: int, corr_delta: float, n_modes: int,
             row *= -1.0
     a, b = np.divmod(np.arange(nodes * nodes), nodes)
     prod = mu[a] * mu[b]
-    top = np.lexsort((b, a, -prod))[:n_modes]
+    order = np.lexsort((b, a, -prod))
+    # past the numerical rank the 1-D eigenvalues are rounding noise, some
+    # of them negative, and so are the modes built from them
+    noise = (mu[a[order]] <= 0) | (mu[b[order]] <= 0)
+    if noise[:n_modes].any():
+        raise ValueError(f"{n_modes} modes exceed the numerical rank "
+                         f"({int(np.argmax(noise))} at {nodes} nodes)")
+    top = order[:n_modes]
     # grid flattened row-major over (x, y): entry i * nodes + j is (g_i, g_j)
     funcs = (phi[a[top], :, None] * phi[b[top], None, :]).reshape(n_modes, -1)
     basis = KLBasis(eigenvalues=prod[top], functions=funcs, nodes=nodes,
@@ -299,6 +306,12 @@ def pilot_output_range(model: PerformanceModel, seed: int, n: int = 1000,
     return lo - pad * span, hi + pad * span
 
 
-register_model("min_distance", min_distance_model)
-register_model("beam", beam_model)
-register_model("poisson_kl", poisson_kl_model)
+register_model("min_distance", min_distance_model,
+               {"dimension": ("dimension", int),
+                "centers": ("centers", _parse_centers)})
+register_model("beam", beam_model, {"e_mean": ("e_mean", float)})
+register_model("poisson_kl", poisson_kl_model,
+               {"grid_nodes": ("nodes", int),
+                "corr_delta": ("corr_delta", float),
+                "kl_modes": ("n_modes", int),
+                "kl_cache": ("cache_dir", str)})

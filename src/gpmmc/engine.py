@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,12 +61,12 @@ class MmcConfig:
     """Run parameters for the multicanonical iteration.
 
     burn_in defaults to a tenth of the per-iteration sample count and is
-    discarded at the start of every iteration.
+    discarded at the start of every iteration. The proposal belongs to the
+    step kernel.
     """
 
     iterations: int
     samples_per_iteration: int
-    proposal_scale: float | np.ndarray = 0.5
     burn_in: int | None = None
     seed: int = 0
 
@@ -308,19 +308,15 @@ def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
             state = ChainState(state.x, state.y, target(state.x, state.y))
 
         accepted = 0
-        for _ in range(burn):
-            state, rec = kernel.step(rng, state, target)
-            if on_step is not None:
-                on_step(step_index, rec)
-            step_index += 1
         ys = np.empty(n)
-        for t in range(n):
+        for t in range(-burn, n):  # t < 0: burn-in, discarded
             state, rec = kernel.step(rng, state, target)
             if on_step is not None:
                 on_step(step_index, rec)
             step_index += 1
-            accepted += rec.accepted
-            ys[t] = state.y
+            if t >= 0:
+                accepted += rec.accepted
+                ys[t] = state.y
 
         hist = tally(binning, ys)
         tables.append(weights)

@@ -40,9 +40,8 @@ from .errors import SurrogateError
 
 __all__ = [
     "EvaluationStore", "KernelParams", "QuadraticMean", "LocalGP",
-    "kernel_eval", "local_size", "nearest_neighbors", "fit_quadratic_mean",
-    "gp_posterior", "calibrate_amplitude", "calibrate_lengthscales",
-    "build_local_surrogate",
+    "kernel_eval", "local_size", "fit_quadratic_mean",
+    "calibrate_lengthscales", "build_local_surrogate",
 ]
 
 DUPLICATE_TOL = 1e-12
@@ -234,11 +233,6 @@ class EvaluationStore:
         return store
 
 
-def nearest_neighbors(store: EvaluationStore, x: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    return store.nearest(x, n)
-
-
 def _design(Z: np.ndarray, degree: int) -> np.ndarray:
     n, d = Z.shape
     if degree == 0:
@@ -358,14 +352,6 @@ def _chol_with_jitter(corr: np.ndarray,
         f"even with jitter {JITTER_MAX}")
 
 
-def calibrate_amplitude(residuals: np.ndarray, corr: np.ndarray) -> float:
-    """Closed-form amplitude a = r' C^{-1} r / n, floored at 1e-12."""
-    r = np.asarray(residuals, dtype=float)
-    L, _ = _chol_with_jitter(np.asarray(corr, dtype=float))
-    alpha = cho_solve((L, True), r, check_finite=False)
-    return max(float(r @ alpha) / r.size, AMPLITUDE_FLOOR)
-
-
 def _profile_loglik(X: np.ndarray, r: np.ndarray, lengths: np.ndarray,
                     p: int, corr: np.ndarray, work: np.ndarray) -> float:
     """Marginal log likelihood of the residuals with the amplitude profiled
@@ -450,10 +436,6 @@ class LocalGP:
         mu = float(self.mean(x)) + float(c @ self.alpha)
         var = self.params.a * (1.0 - float(c @ w))
         return mu, max(var, 0.0)
-
-
-def gp_posterior(gp: LocalGP, x: np.ndarray) -> tuple[float, float]:
-    return gp.posterior(x)
 
 
 def build_local_surrogate(store: EvaluationStore, x: np.ndarray,

@@ -12,83 +12,78 @@ A run writes into its output directory:
   steps.csv       per-step kernel log (only when step logging is on)
   store.csv       the exact-evaluation store (surrogate runs only)
 
-Config files are flat ``key = value`` text with ``#`` comments; see
-CONFIG_KEYS for the schema. Identical config and seed reproduce identical
-output files byte for byte, runtime_seconds aside.
+Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
+maps each run key to its parser; each model declares its own keys when it is
+registered (problem.register_model), and a key the config leaves out takes
+the default of the model's factory. Identical config and seed reproduce
+identical output files byte for byte, runtime_seconds aside.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .binning import Binning, Histogram
-from .engine import (MmcConfig, MmcResult, PlainMcResult, WeightTable,
-                     combined_probability, estimate_moments, run_mmc,
-                     run_plain_mc)
+from .engine import (MmcConfig, WeightTable, combined_probability,
+                     estimate_moments, run_mmc, run_plain_mc)
 from .errors import ConfigError
-from .gp import EvaluationStore, calibrate_lengthscales
 from .mcmc import ExactKernel, Proposal
-from .problem import EvalLedger, build_model, evaluate, sample_prior
-from .surrogate import SurrogateKernel, SurrogateKernelConfig
-from .benchmarks import pilot_output_range  # noqa: F401  (registers models)
+from .problem import (EvalLedger, build_model, model_config_keys,
+                      registered_models)
+from .surrogate import fit_surrogate_kernel
+from .benchmarks import pilot_output_range  # also registers the models
 
 __all__ = ["RunConfig", "parse_config", "run_experiment", "ComparisonReport",
            "compare_pdfs", "read_histogram_csv", "CONFIG_KEYS"]
 
-_INT = "int"
-_FLOAT = "float"
-_BOOL = "bool"
-_STR = "str"
-_VEC = "vector"
-_CENTERS = "centers"
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _vector(raw: str) -> float | np.ndarray:
+    parts = [float(p) for p in raw.split(",")]
+    return parts[0] if len(parts) == 1 else np.array(parts)
+
 
 CONFIG_KEYS = {
     # what to run
-    "model": _STR,                  # min_distance | beam | poisson_kl
-    "method": _STR,                 # mc | mmc | gpmmc
-    "seed": _INT,                   # required
-    "out": _STR,                    # output directory
+    "model": str,                   # a registered model name
+    "method": str,                  # mc | mmc | gpmmc
+    "seed": int,                    # required
+    "out": str,                     # output directory
     # output binning
-    "bins": _INT,
-    "range_lo": _FLOAT,
-    "range_hi": _FLOAT,
-    "range": _STR,                  # "auto": pilot-sample the output range
+    "bins": int,
+    "range_lo": float,
+    "range_hi": float,
+    "range": str,                   # "auto": pilot-sample the output range
     # sampling effort
-    "iterations": _INT,
-    "samples_per_iteration": _INT,
-    "burn_in": _INT,                # default: samples_per_iteration // 10
-    "proposal_scale": _VEC,         # scalar or one value per coordinate
-    "log_steps": _BOOL,
+    "iterations": int,
+    "samples_per_iteration": int,
+    "burn_in": int,                 # default: samples_per_iteration // 10
+    "proposal_scale": _vector,      # scalar or one value per coordinate
+    "log_steps": _bool,
     # surrogate policy (gpmmc)
-    "gamma": _FLOAT,
-    "beta_max": _FLOAT,
-    "kernel_p": _INT,
-    "initial_design": _INT,
-    # model parameters
-    "dimension": _INT,              # min_distance
-    "centers": _CENTERS,            # min_distance, "x1,y1 ; x2,y2"
-    "e_mean": _FLOAT,               # beam
-    "grid_nodes": _INT,             # poisson_kl
-    "corr_delta": _FLOAT,           # poisson_kl
-    "kl_modes": _INT,               # poisson_kl
-    "kl_cache": _STR,               # poisson_kl, directory for the basis file
-}
-
-_MODEL_KEYS = {
-    "min_distance": {"dimension", "centers"},
-    "beam": {"e_mean"},
-    "poisson_kl": {"grid_nodes", "corr_delta", "kl_modes", "kl_cache"},
+    "gamma": float,
+    "beta_max": float,
+    "kernel_p": int,
+    "initial_design": int,
 }
 
 
 @dataclass
 class RunConfig:
-    """Parsed, validated run description."""
+    """Parsed, validated run description. model_params holds the model
+    factory's keywords."""
 
     model: str
     method: str
@@ -116,26 +111,9 @@ class RunConfig:
             raise ConfigError("give range_lo and range_hi, or range = auto")
 
 
-def _convert(key: str, raw: str):
-    kind = CONFIG_KEYS[key]
+def _convert(key: str, raw: str, parse):
     try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _BOOL:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == _VEC:
-            parts = [float(p) for p in raw.split(",")]
-            return parts[0] if len(parts) == 1 else np.array(parts)
-        if kind == _CENTERS:
-            return np.array([[float(v) for v in grp.split(",")]
-                             for grp in raw.split(";")])
-        return raw
+        return parse(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
 
@@ -146,6 +124,9 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     overrides (already-typed values keyed like the file) win over the file;
     the CLI uses this for --seed, --out, and --log-steps.
     """
+    overrides = overrides or {}
+    known = set(CONFIG_KEYS).union(*(model_config_keys(m)
+                                     for m in registered_models()))
     values: dict = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -155,13 +136,19 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                known = ", ".join(sorted(CONFIG_KEYS))
+            if key not in known:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r} "
-                                  f"(known: {known})")
-            values[key] = _convert(key, raw)
-    if overrides:
-        values.update(overrides)
+                                  f"(known: {', '.join(sorted(known))})")
+            values[key] = raw
+    parsers = dict(CONFIG_KEYS)
+    model = overrides.get("model", values.get("model"))
+    if model is not None:
+        parsers.update((k, parse) for k, (_, parse)
+                       in model_config_keys(model).items())
+    # a key of another model stays text; _config_from_values rejects it
+    values = {k: _convert(k, v, parsers[k]) if k in parsers else v
+              for k, v in values.items()}
+    values.update(overrides)
     return _config_from_values(values, source=str(path))
 
 
@@ -170,44 +157,20 @@ def _config_from_values(values: dict, source: str) -> RunConfig:
                 "samples_per_iteration"):
         if req not in values:
             raise ConfigError(f"{source}: missing required key {req!r}")
-    auto = values.get("range") == "auto"
-    if "range" in values and not auto:
+    range_mode = values.pop("range", None)
+    if range_mode not in (None, "auto"):
         raise ConfigError(f"{source}: range must be 'auto' "
                           f"(or use range_lo / range_hi)")
-    model = values["model"]
-    allowed = _MODEL_KEYS.get(model, set())
+    model = values.pop("model")
+    model_keys = model_config_keys(model)
     model_params = {}
-    for key in list(values):
-        owner = next((m for m, ks in _MODEL_KEYS.items() if key in ks), None)
-        if owner is not None:
-            if key not in allowed:
-                raise ConfigError(f"{source}: key {key!r} does not apply to "
-                                  f"model {model!r}")
-            model_params[key] = values.pop(key)
-    kwargs = {k: v for k, v in values.items()
-              if k in ("seed", "bins", "iterations", "samples_per_iteration",
-                       "out", "range_lo", "range_hi", "burn_in",
-                       "proposal_scale", "log_steps", "gamma", "beta_max",
-                       "kernel_p", "initial_design")}
-    return RunConfig(model=model, method=values["method"], auto_range=auto,
-                     model_params=model_params, **kwargs)
-
-
-def _build_model_from_config(cfg: RunConfig):
-    p = dict(cfg.model_params)
-    if cfg.model == "min_distance":
-        return build_model("min_distance",
-                           dimension=p.get("dimension", 2),
-                           centers=p.get("centers"))
-    if cfg.model == "beam":
-        return build_model("beam", e_mean=p.get("e_mean", 2.9e7))
-    if cfg.model == "poisson_kl":
-        return build_model("poisson_kl",
-                           nodes=p.get("grid_nodes", 65),
-                           corr_delta=p.get("corr_delta", 0.6),
-                           n_modes=p.get("kl_modes", 10),
-                           cache_dir=p.get("kl_cache"))
-    return build_model(cfg.model, **p)
+    for key in [k for k in values if k not in CONFIG_KEYS]:
+        if key not in model_keys:
+            raise ConfigError(f"{source}: key {key!r} does not apply to "
+                              f"model {model!r}")
+        model_params[model_keys[key][0]] = values.pop(key)
+    return RunConfig(model=model, auto_range=range_mode == "auto",
+                     model_params=model_params, **values)
 
 
 def _proposal_for(cfg: RunConfig, dimension: int) -> Proposal:
@@ -302,7 +265,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    model = _build_model_from_config(cfg)
+    model = build_model(cfg.model, **cfg.model_params)
     ledger = EvalLedger()
     pilot_before = 0
     if cfg.auto_range:
@@ -337,28 +300,19 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
     else:
         mmc_cfg = MmcConfig(iterations=cfg.iterations,
                             samples_per_iteration=cfg.samples_per_iteration,
-                            proposal_scale=cfg.proposal_scale,
                             burn_in=cfg.burn_in, seed=cfg.seed)
         prop = _proposal_for(cfg, model.dimension)
         design_evals = 0
-        store = None
         if cfg.method == "mmc":
             kernel = ExactKernel(model, prop, ledger)
         else:
             if cfg.initial_design < 2:
                 raise ConfigError("gpmmc needs initial_design >= 2")
-            design_rng = np.random.default_rng([cfg.seed, 1])
-            store = EvaluationStore(model.dimension)
-            for x in sample_prior(model, design_rng, cfg.initial_design):
-                store.insert(x, evaluate(model, x, ledger))
+            kernel = fit_surrogate_kernel(
+                model, binning, cfg.seed, initial_design=cfg.initial_design,
+                gamma=cfg.gamma, beta_max=cfg.beta_max, p=cfg.kernel_p,
+                prop=prop, ledger=ledger)
             design_evals = cfg.initial_design
-            lengths = calibrate_lengthscales(store.points, store.values,
-                                             cfg.kernel_p)
-            sk_cfg = SurrogateKernelConfig(gamma=cfg.gamma,
-                                           beta_max=cfg.beta_max,
-                                           lengths=lengths, p=cfg.kernel_p,
-                                           prop=prop)
-            kernel = SurrogateKernel(model, store, binning, sk_cfg, ledger)
 
         step_file = None
         on_step = None
@@ -403,9 +357,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         summary["acceptance"] = result.acceptance
         summary["flatness"] = result.flatness
         summary["moments"] = result.moments
-        if store is not None:
-            store.save_csv(out / "store.csv")
-            summary["store_size"] = store.size
+        if cfg.method == "gpmmc":
+            kernel.store.save_csv(out / "store.csv")
+            summary["store_size"] = kernel.store.size
 
     if summary["true_evals"] != expected:
         raise RuntimeError(
@@ -433,13 +387,7 @@ class ComparisonReport:
     candidate_moments: dict
 
     def to_dict(self) -> dict:
-        return {
-            "compared_bins": self.compared_bins,
-            "max_rel_err": self.max_rel_err,
-            "avg_rel_err": self.avg_rel_err,
-            "baseline_moments": self.baseline_moments,
-            "candidate_moments": self.candidate_moments,
-        }
+        return asdict(self)
 
 
 def compare_pdfs(baseline_path: str | Path,

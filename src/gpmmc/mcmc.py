@@ -23,8 +23,8 @@ import numpy as np
 
 from .problem import EvalLedger, PerformanceModel, evaluate
 
-__all__ = ["ChainState", "Proposal", "StepRecord", "propose", "mh_step",
-           "ExactKernel"]
+__all__ = ["ChainState", "Proposal", "StepRecord", "propose",
+           "metropolis_accept", "mh_step", "ExactKernel"]
 
 Target = Callable[[np.ndarray, float], float]
 
@@ -74,20 +74,16 @@ def propose(rng: np.random.Generator, x: np.ndarray, prop: Proposal) -> np.ndarr
     return x + prop.scale * rng.standard_normal(x.size)
 
 
-def mh_step(rng: np.random.Generator, state: ChainState, target: Target,
-            model: PerformanceModel, prop: Proposal,
-            ledger: EvalLedger | None = None) -> ChainState:
-    """One Metropolis step with a true model evaluation at the candidate.
+def metropolis_accept(rng: np.random.Generator, state: ChainState,
+                      x_new: np.ndarray, y_new: float,
+                      log_q_new: float) -> ChainState:
+    """The accept decision of both step kernels, drawing RNG slot 3.
 
     Returns a new ChainState on acceptance and the input object unchanged on
     rejection, so callers can detect the decision by identity. Candidates
     whose target density is zero (log_q of -inf, e.g. output outside the
     binned range) are always rejected; the chain never occupies such a state.
     """
-    x_new = state.x + prop.scale * rng.standard_normal(state.x.size)
-    y_new = evaluate(model, x_new, ledger)
-    rng.random()  # refinement-gate slot, unused here; see module docstring
-    log_q_new = target(x_new, y_new)
     u = rng.random()
     if log_q_new == -math.inf:
         return state
@@ -95,6 +91,17 @@ def mh_step(rng: np.random.Generator, state: ChainState, target: Target,
     if u == 0.0 or math.log(u) < log_q_new - state.log_q:
         return ChainState(x=x_new, y=y_new, log_q=log_q_new)
     return state
+
+
+def mh_step(rng: np.random.Generator, state: ChainState, target: Target,
+            model: PerformanceModel, prop: Proposal,
+            ledger: EvalLedger | None = None) -> ChainState:
+    """One Metropolis step with a true model evaluation at the candidate;
+    see metropolis_accept for the decision and the return value."""
+    x_new = propose(rng, state.x, prop)
+    y_new = evaluate(model, x_new, ledger)
+    rng.random()  # refinement-gate slot, unused here; see module docstring
+    return metropolis_accept(rng, state, x_new, y_new, target(x_new, y_new))
 
 
 class ExactKernel:

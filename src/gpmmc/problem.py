@@ -11,8 +11,8 @@ several threads must serialize access themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "gaussian_model",
     "register_model",
     "build_model",
+    "model_config_keys",
     "registered_models",
 ]
 
@@ -60,11 +61,6 @@ class PerformanceModel:
         per instance so density ratios between points are exact.
     prior_sampler : callable
         (rng, n) -> (n, d) array of independent prior draws.
-    coordinate_scales : array or None
-        Per-coordinate characteristic scales (e.g. prior standard
-        deviations), informational only: nothing in the package reads them.
-        The surrogate measures locality in its kernel's own metric, scaled
-        by the calibrated lengthscales (see gp.EvaluationStore.nearest).
     """
 
     name: str
@@ -72,7 +68,6 @@ class PerformanceModel:
     eval_fn: Callable[[np.ndarray], float]
     log_prior_fn: Callable[[np.ndarray], float]
     prior_sampler: Callable[[np.random.Generator, int], np.ndarray]
-    coordinate_scales: np.ndarray | None = None
 
 
 def evaluate(model: PerformanceModel, x: np.ndarray,
@@ -140,21 +135,36 @@ def gaussian_model(name: str, eval_fn: Callable[[np.ndarray], float],
                             log_prior_fn=log_prior, prior_sampler=sampler)
 
 
-_REGISTRY: dict[str, Callable[..., PerformanceModel]] = {}
+# config-file key -> (factory keyword, parser of the key's text value)
+ConfigKeys = dict[str, tuple[str, Callable[[str], Any]]]
+
+_REGISTRY: dict[str, tuple[Callable[..., PerformanceModel], ConfigKeys]] = {}
 
 
-def register_model(name: str, factory: Callable[..., PerformanceModel]) -> None:
-    _REGISTRY[name] = factory
+def register_model(name: str, factory: Callable[..., PerformanceModel],
+                   config_keys: ConfigKeys) -> None:
+    """Make factory buildable by name. config_keys declares the config-file
+    keys the model takes, each as (factory keyword, parser); a key a config
+    leaves out takes the factory's default."""
+    _REGISTRY[name] = (factory, dict(config_keys))
+
+
+def _registered(name: str) -> tuple[Callable[..., PerformanceModel], ConfigKeys]:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        known = ", ".join(sorted(_REGISTRY)) or "(none)"
+        raise ConfigError(f"unknown model {name!r}; registered: {known}") from None
 
 
 def build_model(name: str, **params) -> PerformanceModel:
     """Instantiate a registered model by name with keyword parameters."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "(none)"
-        raise ConfigError(f"unknown model {name!r}; registered: {known}") from None
-    return factory(**params)
+    return _registered(name)[0](**params)
+
+
+def model_config_keys(name: str) -> ConfigKeys:
+    """The config keys a registered model declared; see register_model."""
+    return dict(_registered(name)[1])
 
 
 def registered_models() -> list[str]:

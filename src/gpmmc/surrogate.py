@@ -30,12 +30,14 @@ import numpy as np
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import EvaluationStore, build_local_surrogate, local_size
-from .mcmc import ChainState, Proposal, StepRecord, Target
-from .problem import EvalLedger, PerformanceModel, evaluate
+from .gp import (EvaluationStore, build_local_surrogate,
+                 calibrate_lengthscales, local_size)
+from .mcmc import (ChainState, Proposal, StepRecord, Target,
+                   metropolis_accept, propose)
+from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
 __all__ = ["SurrogateKernelConfig", "misassignment_probability",
-           "SurrogateKernel", "surrogate_mh_step"]
+           "SurrogateKernel", "fit_surrogate_kernel"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -122,51 +124,40 @@ class SurrogateKernel:
     def step(self, rng: np.random.Generator, state: ChainState,
              target: Target) -> tuple[ChainState, StepRecord]:
         cfg = self.config
-        x_new = state.x + cfg.prop.scale * rng.standard_normal(state.x.size)
-        mu = sigma = None
-        try:
-            gp = build_local_surrogate(self.store, x_new, cfg.lengths, cfg.p,
-                                       self.n_local)
-            mu, var = gp.posterior(x_new)
-            sigma = math.sqrt(var)
-            self.ledger.surrogate_evals += 1
-        except SurrogateError:
-            pass
-
-        gate = rng.random()
+        x_new = propose(rng, state.x, cfg.prop)
         beta = None
         used_surrogate = False
-        if gate < cfg.gamma:
-            y_new = evaluate(self.model, x_new, self.ledger)
-            self.store.insert(x_new, y_new)
+        # the gate comes first: building the local model draws no random
+        # numbers, so a step the gate refines needs no model at all
+        if rng.random() < cfg.gamma:
             self.refine_random += 1
-        elif mu is None:
+        else:
+            try:
+                gp = build_local_surrogate(self.store, x_new, cfg.lengths,
+                                           cfg.p, self.n_local)
+                mu, var = gp.posterior(x_new)
+            except SurrogateError:
+                self.refine_fallback += 1
+            else:
+                self.ledger.surrogate_evals += 1
+                beta, _ = misassignment_probability(mu, math.sqrt(var),
+                                                    self.binning)
+                used_surrogate = beta <= cfg.beta_max
+                if used_surrogate:
+                    self.surrogate_steps += 1
+                else:
+                    self.refine_beta += 1
+        if used_surrogate:
+            y_new = mu
+        else:
             y_new = evaluate(self.model, x_new, self.ledger)
             self.store.insert(x_new, y_new)
-            self.refine_fallback += 1
-        else:
-            beta, _ = misassignment_probability(mu, sigma, self.binning)
-            if beta > cfg.beta_max:
-                y_new = evaluate(self.model, x_new, self.ledger)
-                self.store.insert(x_new, y_new)
-                self.refine_beta += 1
-            else:
-                y_new = mu
-                used_surrogate = True
-                self.surrogate_steps += 1
 
-        log_q_new = target(x_new, y_new)
-        u = rng.random()
-        accepted = False
-        if log_q_new > -math.inf:
-            if u == 0.0 or math.log(u) < log_q_new - state.log_q:
-                accepted = True
+        new = metropolis_accept(rng, state, x_new, y_new, target(x_new, y_new))
         self.steps += 1
-        rec = StepRecord(used_surrogate=used_surrogate, beta=beta,
-                         refined=not used_surrogate, accepted=accepted)
-        if accepted:
-            return ChainState(x=x_new, y=y_new, log_q=log_q_new), rec
-        return state, rec
+        return new, StepRecord(used_surrogate=used_surrogate, beta=beta,
+                               refined=not used_surrogate,
+                               accepted=new is not state)
 
     def counters(self) -> dict:
         return {
@@ -178,8 +169,19 @@ class SurrogateKernel:
         }
 
 
-def surrogate_mh_step(rng: np.random.Generator, state: ChainState,
-                      target: Target,
-                      kernel: SurrogateKernel) -> tuple[ChainState, StepRecord]:
-    """One surrogate-gated Metropolis step; see SurrogateKernel.step."""
-    return kernel.step(rng, state, target)
+def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,
+                         initial_design: int, gamma: float, beta_max: float,
+                         p: int, prop: Proposal,
+                         ledger: EvalLedger) -> SurrogateKernel:
+    """Surrogate set-up of a run: evaluate initial_design prior draws from
+    the RNG stream [seed, 1] into a fresh store, calibrate the lengthscales
+    on them once, and return the kernel over that store. The design's true
+    evaluations are charged to ledger, which the kernel then keeps."""
+    rng = np.random.default_rng([seed, 1])
+    store = EvaluationStore(model.dimension)
+    for x in sample_prior(model, rng, initial_design):
+        store.insert(x, evaluate(model, x, ledger))
+    lengths = calibrate_lengthscales(store.points, store.values, p)
+    cfg = SurrogateKernelConfig(gamma=gamma, beta_max=beta_max,
+                                lengths=lengths, p=p, prop=prop)
+    return SurrogateKernel(model, store, binning, cfg, ledger)

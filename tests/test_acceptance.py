@@ -18,12 +18,10 @@ from gpmmc.benchmarks import (beam_model, interpolate_bilinear,
                               min_distance_model, poisson_kl_model,
                               solve_poisson)
 from gpmmc.engine import Binning, MmcConfig, run_mmc, run_plain_mc
-from gpmmc.gp import (EvaluationStore, build_local_surrogate,
-                      calibrate_lengthscales, local_size)
+from gpmmc.gp import EvaluationStore, build_local_surrogate, local_size
 from gpmmc.mcmc import ChainState, ExactKernel, Proposal
-from gpmmc.problem import (EvalLedger, evaluate, gaussian_model,
-                           log_prior_density, sample_prior)
-from gpmmc.surrogate import SurrogateKernel, SurrogateKernelConfig
+from gpmmc.problem import EvalLedger, gaussian_model, log_prior_density
+from gpmmc.surrogate import fit_surrogate_kernel
 
 
 def _check(number: int, ok: bool, detail: str) -> None:
@@ -38,21 +36,6 @@ def _phi(z: float) -> float:
 def _line_model():
     return gaussian_model("line_1d", lambda x: float(x[0]),
                           np.zeros(1), np.ones(1))
-
-
-def _fit_gpmmc_kernel(model, binning, seed, *, gamma, beta_max, kernel_p,
-                      initial_design, prop):
-    """Initial design, lengthscale calibration, and kernel, as the harness
-    wires them."""
-    ledger = EvalLedger()
-    design_rng = np.random.default_rng([seed, 1])
-    store = EvaluationStore(model.dimension)
-    for x in sample_prior(model, design_rng, initial_design):
-        store.insert(x, evaluate(model, x, ledger))
-    lengths = calibrate_lengthscales(store.points, store.values, kernel_p)
-    cfg = SurrogateKernelConfig(gamma=gamma, beta_max=beta_max,
-                                lengths=lengths, p=kernel_p, prop=prop)
-    return SurrogateKernel(model, store, binning, cfg, ledger), ledger
 
 
 # --------------------------------------------------------------- criterion 1
@@ -118,7 +101,7 @@ def test_flat_histogram_run_recovers_gaussian_bin_masses():
     model = _line_model()
     binning = Binning(-4.0, 4.0, 40)
     cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
-                    proposal_scale=1.5, burn_in=10_000, seed=20260819)
+                    burn_in=10_000, seed=20260819)
     kernel = ExactKernel(model, Proposal.isotropic(1.5, 1), EvalLedger())
     res = run_mmc(model, binning, cfg, kernel)
 
@@ -148,9 +131,9 @@ def test_always_refining_kernel_matches_exact_kernel():
 
     exact = run_mmc(model, binning, cfg,
                     ExactKernel(model, prop, EvalLedger()))
-    kernel, _ = _fit_gpmmc_kernel(model, binning, seed, gamma=1.0,
-                                  beta_max=0.05, kernel_p=1,
-                                  initial_design=10, prop=prop)
+    kernel = fit_surrogate_kernel(model, binning, seed, initial_design=10,
+                                  gamma=1.0, beta_max=0.05, p=1, prop=prop,
+                                  ledger=EvalLedger())
     surro = run_mmc(model, binning, cfg, kernel)
 
     same_hists = all(np.array_equal(a.counts, b.counts)
@@ -175,10 +158,11 @@ def reduced_two_center_run():
     effort (10 x 1e4), shared by the audit and accuracy checks."""
     model = min_distance_model()
     binning = Binning(-1.0, 54.0, 55)
-    kernel, ledger = _fit_gpmmc_kernel(
-        model, binning, REDUCED_SEED, gamma=REDUCED_GAMMA,
-        beta_max=REDUCED_BETA_MAX, kernel_p=1, initial_design=50,
-        prop=Proposal.isotropic(1.0, 2))
+    ledger = EvalLedger()
+    kernel = fit_surrogate_kernel(
+        model, binning, REDUCED_SEED, initial_design=50, gamma=REDUCED_GAMMA,
+        beta_max=REDUCED_BETA_MAX, p=1, prop=Proposal.isotropic(1.0, 2),
+        ledger=ledger)
     betas = []
 
     def on_step(index, rec):
@@ -186,7 +170,7 @@ def reduced_two_center_run():
             betas.append(rec.beta)
 
     cfg = MmcConfig(iterations=10, samples_per_iteration=10_000,
-                    proposal_scale=1.0, burn_in=1_000, seed=REDUCED_SEED)
+                    burn_in=1_000, seed=REDUCED_SEED)
     res = run_mmc(model, binning, cfg, kernel, on_step=on_step)
     return {"result": res, "betas": betas, "counters": kernel.counters(),
             "true_evals": ledger.true_evals, "binning": binning,
@@ -239,11 +223,12 @@ def test_full_scale_two_center_moments():
     and variance within 5% of 43.58."""
     model = min_distance_model()
     binning = Binning(-1.0, 54.0, 55)
-    kernel, ledger = _fit_gpmmc_kernel(
-        model, binning, 20260819, gamma=1e-4, beta_max=0.05, kernel_p=1,
-        initial_design=50, prop=Proposal.isotropic(1.0, 2))
+    ledger = EvalLedger()
+    kernel = fit_surrogate_kernel(
+        model, binning, 20260819, initial_design=50, gamma=1e-4,
+        beta_max=0.05, p=1, prop=Proposal.isotropic(1.0, 2), ledger=ledger)
     cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
-                    proposal_scale=1.0, burn_in=10_000, seed=20260819)
+                    burn_in=10_000, seed=20260819)
     res = run_mmc(model, binning, cfg, kernel)
     mean = res.moments["mean"]
     var = res.moments["variance"]
@@ -269,9 +254,10 @@ def test_beam_sweep_accuracy_and_cost():
     evals = {}
     featured = None
     for bmax in (0.92, 0.32, 0.003):
-        kernel, ledger = _fit_gpmmc_kernel(
-            model, binning, 20260819, gamma=1e-4, beta_max=bmax,
-            kernel_p=1, initial_design=50, prop=prop)
+        ledger = EvalLedger()
+        kernel = fit_surrogate_kernel(
+            model, binning, 20260819, initial_design=50, gamma=1e-4,
+            beta_max=bmax, p=1, prop=prop, ledger=ledger)
         cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
                         burn_in=10_000, seed=20260819)
         res = run_mmc(model, binning, cfg, kernel)
@@ -336,9 +322,10 @@ def test_poisson_surrogate_agrees_with_exact_sampler():
                     MmcConfig(iterations=5, samples_per_iteration=2_000,
                               burn_in=200, seed=exact_seed),
                     ExactKernel(model, prop, exact_ledger))
-    kernel, gp_ledger = _fit_gpmmc_kernel(
-        model, binning, surrogate_seed, gamma=1e-4, beta_max=0.05,
-        kernel_p=2, initial_design=400, prop=prop)
+    gp_ledger = EvalLedger()
+    kernel = fit_surrogate_kernel(
+        model, binning, surrogate_seed, initial_design=400, gamma=1e-4,
+        beta_max=0.05, p=2, prop=prop, ledger=gp_ledger)
     surro = run_mmc(model, binning,
                     MmcConfig(iterations=5, samples_per_iteration=2_000,
                               burn_in=200, seed=surrogate_seed),

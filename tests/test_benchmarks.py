@@ -5,7 +5,7 @@ import pytest
 
 from gpmmc import (EvalLedger, beam_eval, beam_model, build_model,
                    evaluate, interpolate_bilinear, kl_decompose,
-                   min_distance_eval, min_distance_model, pilot_output_range,
+                   min_distance_model, pilot_output_range,
                    poisson_kl_model, realize_field, solve_poisson)
 from gpmmc.benchmarks import _KL_MEMO
 
@@ -36,10 +36,10 @@ class TestMinDistance:
                 evaluate(model, flipped), rel=1e-14)
 
     def test_nearest_center_wins(self):
-        centers = np.array([[0.0, 0.0], [10.0, 0.0]])
-        assert min_distance_eval(np.array([1.0, 0.0]), centers) == \
+        model = min_distance_model(2, np.array([[0.0, 0.0], [10.0, 0.0]]))
+        assert evaluate(model, np.array([1.0, 0.0])) == \
             pytest.approx(0.0, abs=1e-14)
-        assert min_distance_eval(np.array([9.0, 0.0]), centers) == \
+        assert evaluate(model, np.array([9.0, 0.0])) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_other_dimensions_use_unit_corners(self):
@@ -205,6 +205,18 @@ class TestKlDecomposition:
             kl_decompose(4, 0.6, 2)
         with pytest.raises(ValueError):
             kl_decompose(17, 0.6, 0)
+
+    def test_modes_past_the_numerical_rank_rejected(self):
+        # at 17 nodes the 1-D kernel has two eigenvalues <= 0; the first 216
+        # modes avoid them, and beyond that the modes are rounding noise
+        # (a field from all 289 was all NaN)
+        basis = kl_decompose(17, 0.6, 216)
+        assert np.all(basis.eigenvalues > 0)
+        field = realize_field(basis, np.ones(216))
+        assert np.all(np.isfinite(field)) and np.all(field > 0)
+        for n_modes in (217, 289):
+            with pytest.raises(ValueError, match="numerical rank"):
+                kl_decompose(17, 0.6, n_modes)
 
 
 class TestRealizeField:

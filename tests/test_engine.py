@@ -237,8 +237,7 @@ class TestRunMmc:
     def test_deterministic_given_seed(self):
         model = _identity_model()
         binning = Binning(-2.0, 2.0, 8)
-        cfg = MmcConfig(iterations=3, samples_per_iteration=400,
-                        proposal_scale=1.0, seed=77)
+        cfg = MmcConfig(iterations=3, samples_per_iteration=400, seed=77)
         results = []
         for _ in range(2):
             kernel = ExactKernel(model, Proposal.isotropic(1.0, 1),
@@ -289,7 +288,7 @@ class TestRunMmc:
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
         cfg = MmcConfig(iterations=4, samples_per_iteration=250, burn_in=50,
-                        proposal_scale=1.0, seed=3)
+                        seed=3)
         ledger = EvalLedger()
         kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), ledger)
         res = run_mmc(model, binning, cfg, kernel)
@@ -298,8 +297,7 @@ class TestRunMmc:
     def test_mass_conservation_and_probabilities(self):
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
-        cfg = MmcConfig(iterations=2, samples_per_iteration=500,
-                        proposal_scale=1.0, seed=21)
+        cfg = MmcConfig(iterations=2, samples_per_iteration=500, seed=21)
         kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
         res = run_mmc(model, binning, cfg, kernel)
         assert res.pdf @ np.full(6, binning.delta) == pytest.approx(1.0, abs=1e-12)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from gpmmc import (EvaluationStore, KernelParams, LocalGP, SurrogateError,
-                   build_local_surrogate, calibrate_amplitude,
-                   calibrate_lengthscales, fit_quadratic_mean, gp_posterior,
-                   kernel_eval, local_size, nearest_neighbors)
+                   build_local_surrogate, calibrate_lengthscales,
+                   fit_quadratic_mean, kernel_eval, local_size)
 from gpmmc.gp import _chol_with_jitter, _corr_matrix
 
 
@@ -111,7 +110,7 @@ class TestEvaluationStore:
             store.insert(np.array([v]), v)
         X, y = store.nearest(np.array([0.0]), 2)
         np.testing.assert_array_equal(y, [1.0, 2.0])
-        X, y = nearest_neighbors(store, np.array([0.0]), 3)
+        X, y = store.nearest(np.array([0.0]), 3)
         np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
 
     def test_nearest_breaks_ties_by_insertion_order(self):
@@ -229,21 +228,39 @@ class TestQuadraticMean:
 
 
 class TestAmplitude:
+    """build_local_surrogate's closed-form amplitude a = r' C^{-1} r / n of
+    the trend residuals r, floored at 1e-12. Four equally spaced points in
+    1-D leave the quadratic trend one residual direction, the third
+    difference v = (-1, 3, -3, 1), so r = (y.v / v.v) v."""
+
+    V = np.array([-1.0, 3.0, -3.0, 1.0])
+
+    def _gp(self, y, spacing, length):
+        store = EvaluationStore(1)
+        for k, yk in enumerate(y):
+            store.insert(np.array([k * spacing]), float(yk))
+        return build_local_surrogate(store, np.array([0.0]),
+                                     np.array([length]), p=2, n=4)
+
     def test_identity_correlation(self):
-        r = np.array([1.0, -2.0, 3.0])
-        a = calibrate_amplitude(r, np.eye(3))
-        assert a == pytest.approx(14.0 / 3.0, rel=1e-8)
+        y = np.array([1.0, -2.0, 3.0, 0.5])
+        gp = self._gp(y, spacing=10.0, length=1e-3)  # exp(-1e5): C = I
+        r = (y @ self.V) / (self.V @ self.V) * self.V
+        assert gp.params.a == pytest.approx(r @ r / 4, rel=1e-8)
 
     def test_floor_for_zero_residuals(self):
-        assert calibrate_amplitude(np.zeros(5), np.eye(5)) == 1e-12
+        x = np.arange(4.0)
+        gp = self._gp(1.0 + 2.0 * x - 0.5 * x**2, spacing=1.0, length=1.0)
+        assert gp.params.a == 1e-12
 
     def test_correlated_residuals(self):
-        rho = 0.5
-        C = np.array([[1.0, rho], [rho, 1.0]])
-        r = np.array([1.0, 1.0])
-        # r' C^{-1} r = 2 / (1 + rho) when both residuals are equal
-        a = calibrate_amplitude(r, C)
-        assert a == pytest.approx((2.0 / (1.0 + rho)) / 2.0, rel=1e-8)
+        y = np.array([1.0, -2.0, 3.0, 0.5])
+        gp = self._gp(y, spacing=1.0, length=1.0)
+        x = np.arange(4.0)
+        C = np.exp(-(x[:, None] - x[None, :]) ** 2)
+        r = (y @ self.V) / (self.V @ self.V) * self.V
+        assert gp.params.a == pytest.approx(r @ np.linalg.solve(C, r) / 4,
+                                            rel=1e-8)
 
 
 class TestCholesky:
@@ -353,7 +370,7 @@ class TestPosterior:
         g2 = build_local_surrogate(store, x, lengths=np.array([1.0, 1.0]), p=1)
         assert g1.params.a == g2.params.a
         q = np.array([0.5, 0.5])
-        assert gp_posterior(g1, q) == gp_posterior(g2, q)
+        assert g1.posterior(q) == g2.posterior(q)
 
 
 class TestLengthscaleCalibration:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import gpmmc.problem
 from gpmmc import (ConfigError, compare_pdfs, estimate_moments,
-                   parse_config, read_histogram_csv, run_experiment)
+                   gaussian_model, parse_config, read_histogram_csv,
+                   register_model, run_experiment)
 from gpmmc.cli import main as cli_main
 
 
@@ -103,6 +105,18 @@ class TestParseConfig:
             parse_config(_write_cfg(tmp_path / "a.cfg",
                                     GOOD_MMC + "e_mean = 2.9e6\n"))
 
+    def test_model_keys_become_factory_keywords(self, tmp_path):
+        text = (GOOD_MMC.replace("method = mmc", "method = mc")
+                + "dimension = 2\n")
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
+        assert cfg.model_params == {"dimension": 2}
+        text = GOOD_MMC.replace("model = min_distance", "model = poisson_kl")
+        cfg = parse_config(_write_cfg(tmp_path / "b.cfg",
+                                      text + "grid_nodes = 17\nkl_modes = 4\n"
+                                      "corr_delta = 0.5\nkl_cache = here\n"))
+        assert cfg.model_params == {"nodes": 17, "n_modes": 4,
+                                    "corr_delta": 0.5, "cache_dir": "here"}
+
     def test_unknown_method(self, tmp_path):
         text = GOOD_MMC.replace("method = mmc", "method = abc")
         with pytest.raises(ConfigError, match="unknown method"):
@@ -117,6 +131,60 @@ class TestParseConfig:
     def test_malformed_line(self, tmp_path):
         with pytest.raises(ConfigError, match="expected key = value"):
             parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC + "oops\n"))
+
+
+class TestRegisteredModel:
+    """A model registered outside the package, with its own config key,
+    runs from a config file like the shipped ones."""
+
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        monkeypatch.setattr(gpmmc.problem, "_REGISTRY",
+                            dict(gpmmc.problem._REGISTRY))
+
+        def shifted_normal(shift=0.0):
+            return gaussian_model("shifted", lambda x: float(x[0]) + shift,
+                                  np.zeros(1), np.ones(1))
+
+        register_model("shifted", shifted_normal,
+                       {"toy_shift": ("shift", float)})
+
+    TEXT = """
+model = shifted
+method = mc
+seed = 3
+bins = 8
+range_lo = -4.0
+range_hi = 12.0
+iterations = 1
+samples_per_iteration = 2000
+toy_shift = 8.0
+"""
+
+    def test_own_key_parses_and_reaches_the_factory(self, toy, tmp_path):
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", self.TEXT))
+        assert cfg.model_params == {"shift": 8.0}
+        summary = run_experiment(cfg, tmp_path / "out")
+        assert summary["model"] == "shifted"
+        assert 7.5 <= summary["moments"]["mean"] <= 8.5
+
+    def test_default_comes_from_the_factory(self, toy, tmp_path):
+        text = self.TEXT.replace("toy_shift = 8.0\n", "")
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
+        assert cfg.model_params == {}
+        summary = run_experiment(cfg, tmp_path / "out")
+        assert -0.5 <= summary["moments"]["mean"] <= 0.5
+
+    def test_own_key_checked_against_the_model(self, toy, tmp_path):
+        with pytest.raises(ConfigError, match="does not apply"):
+            parse_config(_write_cfg(tmp_path / "a.cfg",
+                                    GOOD_MMC + "toy_shift = 1.0\n"))
+        text = self.TEXT.replace("toy_shift = 8.0", "toy_shift = far")
+        with pytest.raises(ConfigError, match="bad value for 'toy_shift'"):
+            parse_config(_write_cfg(tmp_path / "b.cfg", text))
+        with pytest.raises(ConfigError, match="does not apply"):
+            parse_config(_write_cfg(tmp_path / "c.cfg",
+                                    self.TEXT + "e_mean = 2.9e6\n"))
 
 
 class TestRunExperimentMc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpmmc import (ChainState, EvalLedger, ExactKernel, Proposal, StepRecord,
-                   gaussian_model, mh_step, propose)
+                   gaussian_model, metropolis_accept, mh_step, propose)
 
 
 def _normal_model(d=1, mean=0.0, std=1.0):
@@ -34,6 +34,28 @@ class TestProposal:
         steps = np.array([propose(rng, x, p) - x for _ in range(20_000)])
         np.testing.assert_allclose(steps.mean(axis=0), [0.0, 0.0], atol=0.03)
         np.testing.assert_allclose(steps.std(axis=0), [0.5, 2.0], rtol=0.03)
+
+
+class TestMetropolisAccept:
+    def test_draws_one_uniform_and_decides_on_it(self):
+        state = ChainState(np.zeros(1), 0.0, 0.0)
+        x_new = np.ones(1)
+        for seed in range(20):
+            u = np.random.default_rng(seed).random()
+            rng = np.random.default_rng(seed)
+            new = metropolis_accept(rng, state, x_new, 1.0, -0.5)
+            assert rng.random() == np.random.default_rng(seed).random(2)[1]
+            if math.log(u) < -0.5:
+                assert new.x is x_new and (new.y, new.log_q) == (1.0, -0.5)
+            else:
+                assert new is state
+
+    def test_zero_density_rejected_after_the_draw(self):
+        state = ChainState(np.zeros(1), 0.0, 0.0)
+        rng = np.random.default_rng(1)
+        assert metropolis_accept(rng, state, np.ones(1), 1.0,
+                                 -math.inf) is state
+        assert rng.random() == np.random.default_rng(1).random(2)[1]
 
 
 class TestMhStep:

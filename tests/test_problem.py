@@ -5,7 +5,7 @@ import pytest
 
 from gpmmc import (ConfigError, EvalLedger, EvaluationError, build_model,
                    evaluate, gaussian_model, log_prior_density,
-                   registered_models, sample_prior)
+                   model_config_keys, registered_models, sample_prior)
 
 
 def _unit_normal_2d(eval_fn=lambda x: float(x[0])):
@@ -100,6 +100,17 @@ class TestRegistry:
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
             build_model("no_such_model")
+        with pytest.raises(ConfigError, match="unknown model"):
+            model_config_keys("no_such_model")
+
+    def test_models_declare_their_config_keys(self):
+        assert model_config_keys("poisson_kl")["kl_modes"] == ("n_modes", int)
+        assert set(model_config_keys("beam")) == {"e_mean"}
+        keys = model_config_keys("min_distance")
+        assert keys["dimension"] == ("dimension", int)
+        kw, parse = keys["centers"]
+        assert kw == "centers"
+        np.testing.assert_array_equal(parse("1,2 ; 3,4"), [[1, 2], [3, 4]])
 
 
 class TestGaussianModelValidation:

@@ -5,9 +5,9 @@ import pytest
 
 from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
                    ExactKernel, Proposal, SurrogateKernel,
-                   SurrogateKernelConfig, WeightTable, gaussian_model,
-                   log_bias_density, misassignment_probability,
-                   surrogate_mh_step)
+                   SurrogateKernelConfig, WeightTable, fit_surrogate_kernel,
+                   gaussian_model, log_bias_density, misassignment_probability,
+                   sample_prior)
 
 
 def _phi(z):
@@ -130,7 +130,7 @@ class TestSurrogateKernel:
         target = _flat_target(model, binning)
         state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
         for _ in range(300):
-            state, _ = surrogate_mh_step(rng, state, target, kernel)
+            state, _ = kernel.step(rng, state, target)
         c = kernel.counters()
         assert c["steps"] == 300
         assert (c["surrogate_steps"] + c["refine_random"] + c["refine_beta"]
@@ -201,6 +201,8 @@ class TestSurrogateKernel:
         assert sk.surrogate_steps == 0
         assert sk.refine_random + sk.refine_fallback == 500
         assert sk.ledger.true_evals == ek.ledger.true_evals
+        # the gate refines before any local model is built
+        assert sk.ledger.surrogate_evals == 0
 
     def test_rejected_step_returns_same_object(self):
         model = _identity_model()
@@ -234,3 +236,30 @@ class TestSurrogateKernel:
         for _ in range(500):
             state, _ = kernel.step(rng, state, target)
             assert binning.index(state.y) is not None
+
+
+class TestFitSurrogateKernel:
+    def test_design_store_and_ledger(self):
+        model = gaussian_model("plane", lambda x: float(x[0] + 2.0 * x[1]),
+                               np.zeros(2), np.ones(2))
+        binning = Binning(-6.0, 6.0, 12)
+        prop = Proposal.isotropic(0.5, 2)
+        ledger = EvalLedger()
+        kernel = fit_surrogate_kernel(model, binning, 3, initial_design=20,
+                                      gamma=0.01, beta_max=0.05, p=2,
+                                      prop=prop, ledger=ledger)
+        design = sample_prior(model, np.random.default_rng([3, 1]), 20)
+        np.testing.assert_array_equal(kernel.store.points, design)
+        np.testing.assert_array_equal(kernel.store.values,
+                                      design[:, 0] + 2.0 * design[:, 1])
+        assert kernel.ledger is ledger
+        assert ledger.true_evals == 20
+        assert ledger.surrogate_evals == 0
+        cfg = kernel.config
+        assert (cfg.gamma, cfg.beta_max, cfg.p, cfg.prop) == (0.01, 0.05, 2,
+                                                              prop)
+        assert cfg.lengths.shape == (2,) and np.all(cfg.lengths > 0)
+        again = fit_surrogate_kernel(model, binning, 3, initial_design=20,
+                                     gamma=0.01, beta_max=0.05, p=2,
+                                     prop=prop, ledger=EvalLedger())
+        np.testing.assert_array_equal(again.config.lengths, cfg.lengths)
