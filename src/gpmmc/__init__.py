@@ -12,7 +12,7 @@ from .gp import (EvaluationStore, KernelParams, LocalGP, QuadraticMean,
                  build_local_surrogate, calibrate_lengthscales,
                  fit_quadratic_mean, kernel_eval, local_size)
 from .mcmc import (ChainState, ExactKernel, Proposal, StepRecord,
-                   metropolis_accept, mh_step, propose)
+                   metropolis_accept, propose)
 from .problem import (EvalLedger, PerformanceModel, build_model, evaluate,
                       gaussian_model, log_prior_density, model_config_keys,
                       register_model, registered_models, sample_prior)
@@ -34,7 +34,7 @@ __all__ = [
     "estimate_pdf", "estimate_moments",
     "flatness_cv", "run_mmc", "run_plain_mc",
     "ChainState", "Proposal", "StepRecord", "propose", "metropolis_accept",
-    "mh_step", "ExactKernel",
+    "ExactKernel",
     "EvaluationStore", "KernelParams", "QuadraticMean", "LocalGP",
     "kernel_eval", "local_size", "fit_quadratic_mean",
     "calibrate_lengthscales", "build_local_surrogate",

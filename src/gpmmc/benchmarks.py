@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,8 +105,7 @@ class KLBasis:
     eigenvalues are sorted descending; functions[j] holds mode j on the
     flattened grid, orthonormal under the uniform quadrature weight 1/N.
     Every mode is a product phi_a(x) phi_b(y) of two 1-D modes, each with its
-    first nonvanishing component made positive, so a cached and a fresh
-    decomposition agree."""
+    first nonvanishing component made positive."""
 
     eigenvalues: np.ndarray
     functions: np.ndarray
@@ -119,15 +117,7 @@ class KLBasis:
         return self.eigenvalues.size
 
 
-_KL_MEMO: dict[tuple, KLBasis] = {}
-
-# Names the layout of the cache files; a file written by a decomposition that
-# orders or rotates the modes differently carries another tag and is not read.
-KL_CACHE_FORMAT = "kron1"
-
-
-def kl_decompose(nodes: int, corr_delta: float, n_modes: int,
-                 cache_dir: str | Path | None = None) -> KLBasis:
+def kl_decompose(nodes: int, corr_delta: float, n_modes: int) -> KLBasis:
     """Leading eigenpairs of cov(x, x') = exp(-|x - x'|^2 / corr_delta)
     discretized at the grid nodes with uniform quadrature weights.
 
@@ -140,31 +130,11 @@ def kl_decompose(nodes: int, corr_delta: float, n_modes: int,
     inside every repeated eigenspace, so the basis, and the model built on
     it, does not depend on the number of BLAS threads. A mode built from a
     1-D eigenvalue <= 0 lies past the numerical rank and raises ValueError.
-
-    With a cache directory, the decomposition is stored in an npz file keyed
-    by the cache format, nodes, corr_delta and n_modes, and reused by later
-    runs.
     """
     if nodes < 8:
         raise ValueError("need a grid of at least 8 nodes per side")
     if n_modes < 1 or n_modes > nodes * nodes:
         raise ValueError(f"mode count {n_modes} out of range")
-    key = (nodes, float(corr_delta), n_modes)
-    if key in _KL_MEMO:
-        return _KL_MEMO[key]
-
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = (Path(cache_dir) / f"kl_{KL_CACHE_FORMAT}_n{nodes}"
-                      f"_d{corr_delta!r}_j{n_modes}.npz")
-        if cache_file.exists():
-            data = np.load(cache_file)
-            basis = KLBasis(eigenvalues=data["eigenvalues"],
-                            functions=data["functions"],
-                            nodes=nodes, corr_delta=float(corr_delta))
-            _KL_MEMO[key] = basis
-            return basis
-
     g = np.linspace(0.0, 1.0, nodes)
     mu, vecs = np.linalg.eigh(np.exp(-(g[:, None] - g[None, :]) ** 2
                                      / corr_delta) / nodes)
@@ -188,14 +158,8 @@ def kl_decompose(nodes: int, corr_delta: float, n_modes: int,
     top = order[:n_modes]
     # grid flattened row-major over (x, y): entry i * nodes + j is (g_i, g_j)
     funcs = (phi[a[top], :, None] * phi[b[top], None, :]).reshape(n_modes, -1)
-    basis = KLBasis(eigenvalues=prod[top], functions=funcs, nodes=nodes,
-                    corr_delta=float(corr_delta))
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(cache_file, eigenvalues=basis.eigenvalues,
-                 functions=basis.functions)
-    _KL_MEMO[key] = basis
-    return basis
+    return KLBasis(eigenvalues=prod[top], functions=funcs, nodes=nodes,
+                   corr_delta=float(corr_delta))
 
 
 def realize_field(basis: KLBasis, coeffs: np.ndarray,
@@ -274,11 +238,10 @@ def interpolate_bilinear(u: np.ndarray, point: tuple[float, float]) -> float:
 
 def poisson_kl_model(nodes: int = 65, corr_delta: float = 0.6,
                      n_modes: int = 10, a0: float = 1.0, f: float = 1.0,
-                     observe: tuple[float, float] = (0.5, 0.5),
-                     cache_dir: str | Path | None = None) -> PerformanceModel:
+                     observe: tuple[float, float] = (0.5, 0.5)) -> PerformanceModel:
     """Performance model mapping KL mode coefficients to u at the observation
     point. The coefficients carry a standard-normal prior."""
-    basis = kl_decompose(nodes, corr_delta, n_modes, cache_dir)
+    basis = kl_decompose(nodes, corr_delta, n_modes)
     obs = (float(observe[0]), float(observe[1]))
 
     def ev(c: np.ndarray) -> float:
@@ -313,5 +276,4 @@ register_model("beam", beam_model, {"e_mean": ("e_mean", float)})
 register_model("poisson_kl", poisson_kl_model,
                {"grid_nodes": ("nodes", int),
                 "corr_delta": ("corr_delta", float),
-                "kl_modes": ("n_modes", int),
-                "kl_cache": ("cache_dir", str)})
+                "kl_modes": ("n_modes", int)})

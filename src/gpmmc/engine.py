@@ -39,10 +39,9 @@ COMBINE_MAX_SWEEPS = 100_000
 
 @dataclass
 class WeightTable:
-    """Positive per-bin weights theta, with the iteration that produced them."""
+    """Positive per-bin weights theta."""
 
     theta: np.ndarray
-    iteration: int = 0
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
@@ -53,7 +52,7 @@ class WeightTable:
 
     @staticmethod
     def flat(m: int) -> "WeightTable":
-        return WeightTable(np.ones(m), iteration=0)
+        return WeightTable(np.ones(m))
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,13 @@ class MmcConfig:
 class MmcResult:
     """Everything a run produced, in iteration order.
 
-    weights[k] is the table in force while iteration k sampled; final_weights
-    is the table produced by the last update and never sampled from. pdf,
+    weights[k] is the table in force while iteration k sampled, the flat
+    table for k = 0 and the update from iterations 0..k-1 after that. pdf,
     bin_probability and moments come from every iteration's histogram under
     the weights it was sampled with (combined_probability).
     """
 
     weights: list[WeightTable]
-    final_weights: WeightTable
     histograms: list[Histogram]
     flatness: list[float]
     acceptance: list[float]
@@ -197,9 +195,8 @@ def update_weights(tables: WeightTable | Sequence[WeightTable],
     p = combined_probability(tables, hists)
     visited = p > 0
     pre = np.where(visited, p, np.min(p[visited]))
-    last = tables[-1]
-    scale = last.theta.sum() / pre.sum()
-    return WeightTable(pre * scale, iteration=last.iteration + 1)
+    scale = tables[-1].theta.sum() / pre.sum()
+    return WeightTable(pre * scale)
 
 
 def estimate_pdf(tables: WeightTable | Sequence[WeightTable],
@@ -297,7 +294,10 @@ def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
     step_index = 0
     state: ChainState | None = None
 
-    for _ in range(config.iterations):
+    for k in range(config.iterations):
+        if k:
+            weights = update_weights(tables, hists)
+
         def target(x, y, _w=weights):
             return log_bias_density(_w, binning, model, x, y)
 
@@ -323,12 +323,10 @@ def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
         hists.append(hist)
         flatness.append(flatness_cv(hist))
         acceptance.append(accepted / n)
-        weights = update_weights(tables, hists)
 
     pdf = estimate_pdf(tables, hists, binning)
     return MmcResult(
         weights=tables,
-        final_weights=weights,
         histograms=hists,
         flatness=flatness,
         acceptance=acceptance,

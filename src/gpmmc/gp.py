@@ -48,6 +48,11 @@ DUPLICATE_TOL = 1e-12
 AMPLITUDE_FLOOR = 1e-12
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+# Lengthscale calibration: grid points per coordinate, grid span in units of
+# the coordinate's data standard deviation, and full coordinate sweeps.
+CALIBRATION_GRID = 13
+CALIBRATION_SPAN = (0.01, 100.0)
+CALIBRATION_SWEEPS = 2
 
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -178,12 +183,11 @@ class EvaluationStore:
         self._n += 1
         return True
 
-    def nearest(self, x: np.ndarray, n: int, lengths: np.ndarray | None = None,
-                p: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, x: np.ndarray, n: int, lengths: np.ndarray,
+                p: int) -> tuple[np.ndarray, np.ndarray]:
         """The n stored evaluations nearest to x in the kernel's metric,
         sum_i |x_i - x'_i|^p / l_i, so the most correlated come first; exact
-        ties are broken by insertion order. Without lengths every l_i is one,
-        which ranks by Euclidean distance. Returns the whole store when it
+        ties are broken by insertion order. Returns the whole store when it
         holds fewer than n points."""
         if self._n == 0:
             raise RuntimeError("evaluation store is empty")
@@ -191,8 +195,6 @@ class EvaluationStore:
         if x.shape != (self.dimension,):
             raise ValueError(f"expected shape ({self.dimension},), got {x.shape}")
         n = min(n, self._n)
-        if lengths is None:
-            lengths = np.ones(self.dimension)
         dist = _kernel_distance(self.points, x, lengths, p)
         if n == self._n:
             cand = np.arange(self._n)
@@ -259,8 +261,7 @@ class QuadraticMean:
 
     degree is 2 when the full quadratic fit succeeded and drops to 1 or 0
     when the design was rank-deficient. Coefficients are stored in the
-    standardized basis; ``coef`` maps them back to plain monomials
-    [1, x_1..x_d, x_1^2, x_1 x_2, .., x_d^2] for inspection.
+    standardized basis.
     """
 
     degree: int
@@ -274,27 +275,6 @@ class QuadraticMean:
         Z = (np.atleast_2d(X) - self.center) / self.scale
         vals = _design(Z, self.degree) @ self.scaled_coef
         return float(vals[0]) if single else vals
-
-    @property
-    def coef(self) -> np.ndarray:
-        """Coefficients over raw monomials, constant first."""
-        d = self.center.size
-        c, s, q = self.center, self.scale, self.scaled_coef
-        out = np.zeros(_n_terms(d, self.degree))
-        out[0] = q[0]
-        if self.degree >= 1:
-            for i in range(d):
-                out[0] += q[1 + i] * (-c[i] / s[i])
-                out[1 + i] += q[1 + i] / s[i]
-        if self.degree == 2:
-            ii, jj = np.triu_indices(d)
-            for k, (i, j) in enumerate(zip(ii, jj)):
-                w = q[1 + d + k] / (s[i] * s[j])
-                out[0] += w * c[i] * c[j]
-                out[1 + i] -= w * c[j]
-                out[1 + j] -= w * c[i]
-                out[1 + d + k] += w
-        return out
 
 
 def fit_quadratic_mean(X: np.ndarray, y: np.ndarray) -> QuadraticMean:
@@ -323,8 +303,6 @@ def fit_quadratic_mean(X: np.ndarray, y: np.ndarray) -> QuadraticMean:
         coef, _, rank, _ = np.linalg.lstsq(B, y, rcond=None)
         if rank == nb:
             return QuadraticMean(degree, center, scale, coef)
-    # constant basis is always full rank; only reachable if n >= 1 failed above
-    return QuadraticMean(0, center, scale, np.array([y.mean()]))
 
 
 def _chol_with_jitter(corr: np.ndarray,
@@ -370,18 +348,15 @@ def _profile_loglik(X: np.ndarray, r: np.ndarray, lengths: np.ndarray,
     return -n * math.log(a_hat) - logdet
 
 
-def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int,
-                           grid_size: int = 13,
-                           span: tuple[float, float] = (0.01, 100.0),
-                           sweeps: int = 2) -> np.ndarray:
+def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """Lengthscales from the initial design by coordinate-wise grid search.
 
-    Each coordinate gets a log-spaced grid spanning span[0]..span[1] times
-    its data standard deviation. Starting from the grid centers, coordinates
-    are optimized one at a time against the profile marginal likelihood of
-    the trend residuals, with the number of full sweeps fixed rather than
-    iterated to convergence. Degenerate data with no residual signal falls
-    back to the per-coordinate data ranges.
+    Each coordinate gets a log-spaced grid of CALIBRATION_GRID points spanning
+    CALIBRATION_SPAN times its data standard deviation. Starting from the grid
+    centers, coordinates are optimized one at a time against the profile
+    marginal likelihood of the trend residuals, with CALIBRATION_SWEEPS full
+    sweeps rather than iterating to convergence. Degenerate data with no
+    residual signal falls back to the per-coordinate data ranges.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -396,12 +371,13 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int,
         return ranges
     std = X.std(axis=0)
     std[std <= 0] = 1.0
-    grids = [np.geomspace(span[0] * s, span[1] * s, grid_size) for s in std]
-    lengths = np.array([g[grid_size // 2] for g in grids])
+    lo, hi = CALIBRATION_SPAN
+    grids = [np.geomspace(lo * s, hi * s, CALIBRATION_GRID) for s in std]
+    lengths = np.array([g[CALIBRATION_GRID // 2] for g in grids])
     corr = np.empty((n, n))
     work = np.empty((n, n), order="F")
     best = _profile_loglik(X, r, lengths, p, corr, work)
-    for _ in range(sweeps):
+    for _ in range(CALIBRATION_SWEEPS):
         for j in range(d):
             for cand in grids[j]:
                 trial = lengths.copy()
@@ -426,15 +402,17 @@ class LocalGP:
     params: KernelParams
     chol: np.ndarray
     alpha: np.ndarray
-    jitter: float
 
     def posterior(self, x: np.ndarray) -> tuple[float, float]:
-        """Posterior mean and variance at a single point."""
+        """Posterior mean and variance at a single point; SurrogateError when
+        either is not finite."""
         c = _corr_vec(self.X, np.asarray(x, dtype=float),
                       self.params.lengths, self.params.p)
         w = cho_solve((self.chol, True), c, check_finite=False)
         mu = float(self.mean(x)) + float(c @ self.alpha)
         var = self.params.a * (1.0 - float(c @ w))
+        if not (math.isfinite(mu) and math.isfinite(var)):
+            raise SurrogateError(f"local posterior is not finite: {mu}, {var}")
         return mu, max(var, 0.0)
 
 
@@ -450,7 +428,8 @@ def build_local_surrogate(store: EvaluationStore, x: np.ndarray,
     closed form from the trend residuals, and factors the correlation matrix
     once so posterior queries are two triangular solves. Raises
     SurrogateError when the correlation matrix cannot be factored at the
-    maximum jitter; callers fall back to the true model in that case.
+    maximum jitter or the amplitude is not finite; callers fall back to the
+    true model in that case.
     """
     x = np.asarray(x, dtype=float)
     if store.size == 0:
@@ -462,9 +441,10 @@ def build_local_surrogate(store: EvaluationStore, x: np.ndarray,
     mean = fit_quadratic_mean(Xs, ys)
     r = ys - mean(Xs)
     corr = _corr_matrix(Xs, lengths, p)
-    L, jitter = _chol_with_jitter(corr)
+    L, _ = _chol_with_jitter(corr)
     alpha = cho_solve((L, True), r, check_finite=False)
-    a = max(float(r @ alpha) / r.size, AMPLITUDE_FLOOR)
-    params = KernelParams(a=a, lengths=lengths, p=p)
-    return LocalGP(X=Xs, y=ys, mean=mean, params=params, chol=L,
-                   alpha=alpha, jitter=jitter)
+    a = float(r @ alpha) / r.size
+    if not math.isfinite(a):
+        raise SurrogateError(f"local kernel amplitude is {a}")
+    params = KernelParams(a=max(a, AMPLITUDE_FLOOR), lengths=lengths, p=p)
+    return LocalGP(X=Xs, y=ys, mean=mean, params=params, chol=L, alpha=alpha)

@@ -1,7 +1,9 @@
 """Random-walk Metropolis-Hastings over the biased target density.
 
-Both step kernels in this package (the exact one below and the surrogate one
-in ``surrogate.py``) consume the identical per-step RNG layout:
+Both step kernels in this package, ExactKernel below and SurrogateKernel in
+``surrogate.py``, build the candidate with ``propose`` and decide with
+``metropolis_accept``; they differ only in where the candidate's output comes
+from. Both consume the identical per-step RNG layout:
 
     1. one standard-normal vector for the proposal,
     2. one uniform for the refinement gate,
@@ -24,7 +26,7 @@ import numpy as np
 from .problem import EvalLedger, PerformanceModel, evaluate
 
 __all__ = ["ChainState", "Proposal", "StepRecord", "propose",
-           "metropolis_accept", "mh_step", "ExactKernel"]
+           "metropolis_accept", "ExactKernel"]
 
 Target = Callable[[np.ndarray, float], float]
 
@@ -93,17 +95,6 @@ def metropolis_accept(rng: np.random.Generator, state: ChainState,
     return state
 
 
-def mh_step(rng: np.random.Generator, state: ChainState, target: Target,
-            model: PerformanceModel, prop: Proposal,
-            ledger: EvalLedger | None = None) -> ChainState:
-    """One Metropolis step with a true model evaluation at the candidate;
-    see metropolis_accept for the decision and the return value."""
-    x_new = propose(rng, state.x, prop)
-    y_new = evaluate(model, x_new, ledger)
-    rng.random()  # refinement-gate slot, unused here; see module docstring
-    return metropolis_accept(rng, state, x_new, y_new, target(x_new, y_new))
-
-
 class ExactKernel:
     """Step kernel that evaluates the true model at every candidate."""
 
@@ -115,11 +106,12 @@ class ExactKernel:
 
     def step(self, rng: np.random.Generator, state: ChainState,
              target: Target) -> tuple[ChainState, StepRecord]:
-        new = mh_step(rng, state, target, self.model, self.prop, self.ledger)
+        """One Metropolis step with a true model evaluation at the candidate;
+        see metropolis_accept for the decision."""
+        x_new = propose(rng, state.x, self.prop)
+        y_new = evaluate(self.model, x_new, self.ledger)
+        rng.random()  # refinement-gate slot, unused here; see module docstring
+        new = metropolis_accept(rng, state, x_new, y_new, target(x_new, y_new))
         rec = StepRecord(used_surrogate=False, beta=None, refined=False,
                          accepted=new is not state)
         return new, rec
-
-    def counters(self) -> dict:
-        """Cost breakdown beyond the ledger; the exact kernel has none."""
-        return {}

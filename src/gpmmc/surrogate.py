@@ -30,8 +30,7 @@ import numpy as np
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import (EvaluationStore, build_local_surrogate,
-                 calibrate_lengthscales, local_size)
+from .gp import EvaluationStore, build_local_surrogate, calibrate_lengthscales
 from .mcmc import (ChainState, Proposal, StepRecord, Target,
                    metropolis_accept, propose)
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
@@ -75,27 +74,28 @@ class SurrogateKernelConfig:
 
 
 def misassignment_probability(mu: float, sigma: float,
-                              binning: Binning) -> tuple[float, int | None]:
-    """Probability that a Gaussian prediction lands outside its assigned cell.
+                              binning: Binning) -> float:
+    """Probability beta that a Gaussian prediction lands outside its assigned
+    cell.
 
-    Returns (beta, bin index of mu). An in-range prediction is assigned to
-    its bin and beta is the posterior mass outside that bin. A prediction
-    outside the binned range is assigned to the rejection region, so beta is
-    the posterior mass back inside the range: a confidently out-of-range
-    prediction is a certain rejection and needs no true evaluation. sigma = 0
-    means a point prediction, which assigns exactly: beta = 0.
+    An in-range prediction is assigned to its bin and beta is the posterior
+    mass outside that bin. A prediction outside the binned range is assigned
+    to the rejection region, so beta is the posterior mass back inside the
+    range: a confidently out-of-range prediction is a certain rejection and
+    needs no true evaluation. sigma = 0 means a point prediction, which
+    assigns exactly: beta = 0.
     """
     if sigma < 0 or not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    i = binning.index(mu)
     if sigma == 0.0:
-        return 0.0, i
+        return 0.0
+    i = binning.index(mu)
     if i is None:
         return (_phi((binning.hi - mu) / sigma)
-                - _phi((binning.lo - mu) / sigma)), None
+                - _phi((binning.lo - mu) / sigma))
     lo = binning.lo + i * binning.delta
     hi = lo + binning.delta
-    return _phi((lo - mu) / sigma) + 1.0 - _phi((hi - mu) / sigma), i
+    return _phi((lo - mu) / sigma) + 1.0 - _phi((hi - mu) / sigma)
 
 
 class SurrogateKernel:
@@ -114,7 +114,6 @@ class SurrogateKernel:
         self.binning = binning
         self.config = config
         self.ledger = ledger
-        self.n_local = local_size(model.dimension)
         self.steps = 0
         self.refine_random = 0
         self.refine_beta = 0
@@ -134,14 +133,14 @@ class SurrogateKernel:
         else:
             try:
                 gp = build_local_surrogate(self.store, x_new, cfg.lengths,
-                                           cfg.p, self.n_local)
+                                           cfg.p)
                 mu, var = gp.posterior(x_new)
             except SurrogateError:
                 self.refine_fallback += 1
             else:
                 self.ledger.surrogate_evals += 1
-                beta, _ = misassignment_probability(mu, math.sqrt(var),
-                                                    self.binning)
+                beta = misassignment_probability(mu, math.sqrt(var),
+                                                 self.binning)
                 used_surrogate = beta <= cfg.beta_max
                 if used_surrogate:
                     self.surrogate_steps += 1

@@ -17,11 +17,6 @@ def pytest_addoption(parser):
                      help="also run the full-scale slow acceptance checks")
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers",
-                            "slow: full-scale run, enable with --runslow")
-
-
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--runslow"):
         return

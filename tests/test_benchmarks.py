@@ -7,7 +7,6 @@ from gpmmc import (EvalLedger, beam_eval, beam_model, build_model,
                    evaluate, interpolate_bilinear, kl_decompose,
                    min_distance_model, pilot_output_range,
                    poisson_kl_model, realize_field, solve_poisson)
-from gpmmc.benchmarks import _KL_MEMO
 
 # limit of the double Fourier series for the uniform-coefficient problem,
 # evaluated at the center of the square (converges like 1/m^4; summed to
@@ -143,33 +142,6 @@ class TestKlDecomposition:
         for row in basis.functions:
             nz = np.flatnonzero(np.abs(row) > 1e-12 * np.abs(row).max())
             assert row[nz[0]] > 0
-
-    def test_memoized(self):
-        b1 = kl_decompose(17, 0.6, 4)
-        b2 = kl_decompose(17, 0.6, 4)
-        assert b1 is b2
-
-    def test_npz_cache_round_trip(self, tmp_path):
-        key = (21, 0.6, 4)
-        _KL_MEMO.pop(key, None)
-        fresh = kl_decompose(*key, cache_dir=tmp_path)
-        files = list(tmp_path.glob("*.npz"))
-        assert len(files) == 1
-        _KL_MEMO.pop(key, None)
-        cached = kl_decompose(*key, cache_dir=tmp_path)
-        np.testing.assert_array_equal(cached.eigenvalues, fresh.eigenvalues)
-        np.testing.assert_array_equal(cached.functions, fresh.functions)
-
-    def test_cache_of_another_format_is_not_read(self, tmp_path):
-        key = (21, 0.6, 4)
-        _KL_MEMO.pop(key, None)
-        fresh = kl_decompose(*key)
-        _KL_MEMO.pop(key, None)
-        # a file under the name the earlier, rotated decomposition used
-        np.savez(tmp_path / "kl_n21_d0.6_j4.npz",
-                 eigenvalues=np.ones(4), functions=np.ones((4, 21 * 21)))
-        cached = kl_decompose(*key, cache_dir=tmp_path)
-        np.testing.assert_array_equal(cached.functions, fresh.functions)
 
     def test_modes_are_products_of_1d_modes(self):
         nodes = 17

@@ -8,6 +8,8 @@ from gpmmc import (EvaluationStore, KernelParams, LocalGP, SurrogateError,
                    fit_quadratic_mean, kernel_eval, local_size)
 from gpmmc.gp import _chol_with_jitter, _corr_matrix
 
+ONE = np.ones(1)  # unit lengthscale in 1-D: the kernel metric is Euclidean
+
 
 class TestLocalSize:
     def test_values(self):
@@ -108,30 +110,30 @@ class TestEvaluationStore:
         store = EvaluationStore(1)
         for v in (5.0, 1.0, 3.0, 2.0):
             store.insert(np.array([v]), v)
-        X, y = store.nearest(np.array([0.0]), 2)
+        X, y = store.nearest(np.array([0.0]), 2, ONE, 2)
         np.testing.assert_array_equal(y, [1.0, 2.0])
-        X, y = store.nearest(np.array([0.0]), 3)
+        X, y = store.nearest(np.array([0.0]), 3, ONE, 2)
         np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
 
     def test_nearest_breaks_ties_by_insertion_order(self):
         store = EvaluationStore(1)
         for v in (1.0, -1.0, 3.0, -3.0):
             store.insert(np.array([v]), v)
-        _, y = store.nearest(np.array([0.0]), 2)
+        _, y = store.nearest(np.array([0.0]), 2, ONE, 2)
         np.testing.assert_array_equal(y, [1.0, -1.0])
-        _, y = store.nearest(np.array([0.0]), 3)
+        _, y = store.nearest(np.array([0.0]), 3, ONE, 2)
         np.testing.assert_array_equal(y, [1.0, -1.0, 3.0])
 
     def test_nearest_clamps_to_size(self):
         store = EvaluationStore(1)
         store.insert(np.array([1.0]), 1.0)
-        X, y = store.nearest(np.array([0.0]), 10)
+        X, y = store.nearest(np.array([0.0]), 10, ONE, 2)
         assert X.shape == (1, 1)
 
     def test_nearest_empty_store(self):
         store = EvaluationStore(1)
         with pytest.raises(RuntimeError):
-            store.nearest(np.array([0.0]), 1)
+            store.nearest(np.array([0.0]), 1, ONE, 2)
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -167,19 +169,6 @@ class TestQuadraticMean:
               + 0.25 * Xq[:, 0] ** 2 - 1.0 * Xq[:, 0] * Xq[:, 1]
               + 2.0 * Xq[:, 1] ** 2)
         np.testing.assert_allclose(mean(Xq), yq, rtol=1e-8, atol=1e-8)
-
-    def test_raw_coefficients_match_predictions(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(-1.0, 1.0, size=(12, 2))
-        y = rng.normal(size=12)
-        mean = fit_quadratic_mean(X, y)
-        coef = mean.coef
-        Xq = rng.uniform(-1.0, 1.0, size=(8, 2))
-        for x in Xq:
-            want = (coef[0] + coef[1] * x[0] + coef[2] * x[1]
-                    + coef[3] * x[0] ** 2 + coef[4] * x[0] * x[1]
-                    + coef[5] * x[1] ** 2)
-            assert mean(x) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_extreme_coordinate_scales(self):
         # raw design columns would span ~15 orders of magnitude here; the
@@ -262,6 +251,13 @@ class TestAmplitude:
         assert gp.params.a == pytest.approx(r @ np.linalg.solve(C, r) / 4,
                                             rel=1e-8)
 
+    def test_overflow_raises_surrogate_error(self):
+        # residuals near 1e170: r' C^{-1} r overflows to inf, which must
+        # reach the caller as a surrogate failure, not as a ValueError
+        y = 1e170 * np.array([1.0, -2.0, 3.0, 0.5])
+        with pytest.raises(SurrogateError, match="amplitude"):
+            self._gp(y, spacing=10.0, length=1e-3)
+
 
 class TestCholesky:
     def test_well_conditioned_uses_smallest_jitter(self):
@@ -283,13 +279,20 @@ class TestPosterior:
         params = KernelParams(a=2.0, lengths=np.array([0.8]), p=2)
         gp = LocalGP(X=np.array([[0.5]]), y=np.array([y0]),
                      mean=lambda x: trend, params=params,
-                     chol=np.array([[1.0]]), alpha=np.array([y0 - trend]),
-                     jitter=0.0)
+                     chol=np.array([[1.0]]), alpha=np.array([y0 - trend]))
         x = np.array([1.3])
         c = math.exp(-(0.8 ** 2) / 0.8)
         mu, var = gp.posterior(x)
         assert mu == pytest.approx(trend + c * (y0 - trend), rel=1e-14)
         assert var == pytest.approx(2.0 * (1.0 - c * c), rel=1e-14)
+
+    def test_non_finite_mean_raises_surrogate_error(self):
+        params = KernelParams(a=1.0, lengths=np.array([1.0]), p=2)
+        gp = LocalGP(X=np.array([[0.0]]), y=np.array([1e308]),
+                     mean=lambda x: 1e308, params=params,
+                     chol=np.array([[1.0]]), alpha=np.array([1e308]))
+        with pytest.raises(SurrogateError, match="not finite"):
+            gp.posterior(np.array([0.0]))
 
     def test_interpolates_training_data(self):
         rng = np.random.default_rng(11)

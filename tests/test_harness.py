@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from gpmmc import (ConfigError, compare_pdfs, estimate_moments,
                    gaussian_model, parse_config, read_histogram_csv,
                    register_model, run_experiment)
 from gpmmc.cli import main as cli_main
+
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs")
+                 .glob("*.cfg"))
 
 
 def _write_cfg(path, text):
@@ -113,9 +117,9 @@ class TestParseConfig:
         text = GOOD_MMC.replace("model = min_distance", "model = poisson_kl")
         cfg = parse_config(_write_cfg(tmp_path / "b.cfg",
                                       text + "grid_nodes = 17\nkl_modes = 4\n"
-                                      "corr_delta = 0.5\nkl_cache = here\n"))
+                                      "corr_delta = 0.5\n"))
         assert cfg.model_params == {"nodes": 17, "n_modes": 4,
-                                    "corr_delta": 0.5, "cache_dir": "here"}
+                                    "corr_delta": 0.5}
 
     def test_unknown_method(self, tmp_path):
         text = GOOD_MMC.replace("method = mmc", "method = abc")
@@ -131,6 +135,11 @@ class TestParseConfig:
     def test_malformed_line(self, tmp_path):
         with pytest.raises(ConfigError, match="expected key = value"):
             parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC + "oops\n"))
+
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
+    def test_shipped_preset_parses(self, preset):
+        # parsed only: a full preset run takes minutes to an hour
+        assert parse_config(preset).method in ("mc", "mmc", "gpmmc")
 
 
 class TestRegisteredModel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpmmc import (ChainState, EvalLedger, ExactKernel, Proposal, StepRecord,
-                   gaussian_model, metropolis_accept, mh_step, propose)
+                   gaussian_model, metropolis_accept, propose)
 
 
 def _normal_model(d=1, mean=0.0, std=1.0):
@@ -62,12 +62,13 @@ class TestMhStep:
     def test_rejection_returns_same_object(self):
         model = _normal_model()
         target = _log_target(model)
-        prop = Proposal.isotropic(2.5, 1)  # big enough to see both outcomes
+        # big enough to see both outcomes
+        kernel = ExactKernel(model, Proposal.isotropic(2.5, 1), EvalLedger())
         rng = np.random.default_rng(0)
         state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
         saw_reject = saw_accept = False
         for _ in range(200):
-            new = mh_step(rng, state, target, model, prop)
+            new, _ = kernel.step(rng, state, target)
             if new is state:
                 saw_reject = True
             else:
@@ -92,12 +93,12 @@ class TestMhStep:
     def test_ledger_counts_every_step(self):
         model = _normal_model()
         target = _log_target(model)
-        prop = Proposal.isotropic(1.0, 1)
         ledger = EvalLedger()
+        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), ledger)
         rng = np.random.default_rng(4)
         state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
         for _ in range(200):
-            state = mh_step(rng, state, target, model, prop, ledger)
+            state, _ = kernel.step(rng, state, target)
         assert ledger.true_evals == 200
 
     def test_uphill_always_accepted(self):
@@ -105,12 +106,12 @@ class TestMhStep:
         accept uniform, so a chain started in the tail drifts inward."""
         model = _normal_model()
         target = _log_target(model)
-        prop = Proposal.isotropic(0.1, 1)
+        kernel = ExactKernel(model, Proposal.isotropic(0.1, 1), EvalLedger())
         rng = np.random.default_rng(11)
         x0 = np.array([8.0])
         state = ChainState(x0, 8.0, target(x0, 8.0))
         for _ in range(3000):
-            state = mh_step(rng, state, target, model, prop)
+            state, _ = kernel.step(rng, state, target)
         assert abs(state.x[0]) < 4.0
 
     def test_minus_inf_target_never_accepted(self):
@@ -119,11 +120,11 @@ class TestMhStep:
         def target(x, y):
             return -math.inf if x[0] > 0.5 else 0.0
 
-        prop = Proposal.isotropic(1.0, 1)
+        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
         rng = np.random.default_rng(3)
         state = ChainState(np.zeros(1), 0.0, 0.0)
         for _ in range(500):
-            state = mh_step(rng, state, target, model, prop)
+            state, _ = kernel.step(rng, state, target)
             assert state.x[0] <= 0.5
 
     def test_finite_log_q_required(self):
@@ -187,10 +188,3 @@ class TestErgodicAverages:
             occ[0 if v < cuts[0] else (1 if v < cuts[1] else 2)] += 1
         occ /= n
         np.testing.assert_allclose(occ, masses, rtol=0.05)
-
-
-class TestKernelCounters:
-    def test_exact_kernel_has_no_surrogate_counters(self):
-        model = _normal_model()
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
-        assert kernel.counters() == {}

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
-                   ExactKernel, Proposal, SurrogateKernel,
+                   ExactKernel, MmcConfig, Proposal, SurrogateKernel,
                    SurrogateKernelConfig, WeightTable, fit_surrogate_kernel,
                    gaussian_model, log_bias_density, misassignment_probability,
-                   sample_prior)
+                   run_mmc, sample_prior)
 
 
 def _phi(z):
@@ -33,44 +33,40 @@ class TestMisassignmentProbability:
         # mu in the middle of a unit bin with sigma half the bin width:
         # both tails are one sigma away, so beta = 2 Phi(-1)
         b = Binning(0.0, 1.0, 1)
-        beta, i = misassignment_probability(0.5, 0.5, b)
-        assert i == 0
+        beta = misassignment_probability(0.5, 0.5, b)
         assert beta == pytest.approx(0.31731050786291415, rel=1e-12)
 
     def test_edge_prediction_approaches_half(self):
         b = Binning(0.0, 1.0, 2)
-        beta, i = misassignment_probability(0.5, 1e-9, b)
-        assert i == 1  # 0.5 belongs to the upper bin
+        beta = misassignment_probability(0.5, 1e-9, b)
         assert beta == pytest.approx(0.5, rel=1e-9)
 
     def test_point_prediction_is_certain(self):
         b = Binning(0.0, 1.0, 4)
-        assert misassignment_probability(0.3, 0.0, b) == (0.0, 1)
+        assert misassignment_probability(0.3, 0.0, b) == 0.0
 
     def test_out_of_range_beta_is_mass_back_in_range(self):
         b = Binning(0.0, 1.0, 4)
         # mu one sigma above the top edge: P(y <= 1) = Phi(-1), with the
         # far edge's contribution negligible
-        beta, idx = misassignment_probability(1.1, 0.1, b)
-        assert idx is None
+        beta = misassignment_probability(1.1, 0.1, b)
         assert beta == pytest.approx(_phi(-1.0), rel=1e-9)
         # a certain out-of-range prediction is a certain rejection
-        assert misassignment_probability(-0.5, 0.0, b) == (0.0, None)
+        assert misassignment_probability(-0.5, 0.0, b) == 0.0
         # far-out prediction with small sigma: essentially certain
-        beta_far, _ = misassignment_probability(9.0, 0.1, b)
+        beta_far = misassignment_probability(9.0, 0.1, b)
         assert beta_far < 1e-12
 
     def test_out_of_range_beta_straddling_edge_refines(self):
         b = Binning(0.0, 1.0, 4)
         # mu barely above the edge with wide sigma: the chain cannot tell
         # rejection from acceptance, so beta must breach any usable beta_max
-        beta, idx = misassignment_probability(1.0 + 1e-9, 0.5, b)
-        assert idx is None
+        beta = misassignment_probability(1.0 + 1e-9, 0.5, b)
         assert beta > 0.45
 
     def test_monotone_in_sigma(self):
         b = Binning(0.0, 1.0, 1)
-        betas = [misassignment_probability(0.4, s, b)[0]
+        betas = [misassignment_probability(0.4, s, b)
                  for s in (0.01, 0.1, 0.3, 1.0, 10.0)]
         assert all(b1 < b2 for b1, b2 in zip(betas, betas[1:]))
         assert betas[-1] < 1.0
@@ -236,6 +232,29 @@ class TestSurrogateKernel:
         for _ in range(500):
             state, _ = kernel.step(rng, state, target)
             assert binning.index(state.y) is not None
+
+    def test_non_finite_local_model_falls_back_to_true_model(self):
+        # outputs near 1e170: the local amplitude r' C^{-1} r overflows, so
+        # every step the local model cannot serve must refine, not crash
+        model = gaussian_model("huge",
+                               lambda x: 1e170 * math.sin(7.0 * x[0]),
+                               np.zeros(1), np.ones(1))
+        binning = Binning(-1e170, 1e170, 10)
+        ledger = EvalLedger()
+        kernel = fit_surrogate_kernel(model, binning, 1, initial_design=20,
+                                      gamma=1e-4, beta_max=0.05, p=2,
+                                      prop=Proposal.isotropic(0.5, 1),
+                                      ledger=ledger)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_mmc(model, binning, MmcConfig(
+                iterations=2, samples_per_iteration=300, seed=1), kernel)
+        assert kernel.steps == 2 * (300 + 30)
+        assert kernel.refine_fallback > 0
+        assert ledger.true_evals == (20 + res.start_draws
+                                     + kernel.refine_random
+                                     + kernel.refine_beta
+                                     + kernel.refine_fallback)
+        assert np.all(np.isfinite(res.pdf))
 
 
 class TestFitSurrogateKernel:
