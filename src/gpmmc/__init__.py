@@ -8,16 +8,16 @@ from .engine import (MmcConfig, MmcResult, PlainMcResult, WeightTable,
                      flatness_cv,
                      log_bias_density, run_mmc, run_plain_mc, update_weights)
 from .errors import ConfigError, EvaluationError, SurrogateError
-from .gp import (EvaluationStore, KernelParams, LocalGP, QuadraticMean,
+from .gp import (EvaluationStore, LocalGP, QuadraticMean,
                  build_local_surrogate, calibrate_lengthscales,
-                 fit_quadratic_mean, kernel_eval, local_size)
+                 fit_quadratic_mean, local_size)
 from .mcmc import (ChainState, ExactKernel, Proposal, StepRecord,
                    metropolis_accept, propose)
 from .problem import (EvalLedger, PerformanceModel, build_model, evaluate,
                       gaussian_model, log_prior_density, model_config_keys,
                       register_model, registered_models, sample_prior)
-from .surrogate import (SurrogateKernel, SurrogateKernelConfig,
-                        fit_surrogate_kernel, misassignment_probability)
+from .surrogate import (SurrogateKernel, fit_surrogate_kernel,
+                        misassignment_probability)
 from . import benchmarks
 from .benchmarks import (KLBasis, beam_eval, beam_model, interpolate_bilinear,
                          kl_decompose, min_distance_model, pilot_output_range,
@@ -35,11 +35,9 @@ __all__ = [
     "flatness_cv", "run_mmc", "run_plain_mc",
     "ChainState", "Proposal", "StepRecord", "propose", "metropolis_accept",
     "ExactKernel",
-    "EvaluationStore", "KernelParams", "QuadraticMean", "LocalGP",
-    "kernel_eval", "local_size", "fit_quadratic_mean",
-    "calibrate_lengthscales", "build_local_surrogate",
-    "SurrogateKernelConfig", "SurrogateKernel", "misassignment_probability",
-    "fit_surrogate_kernel",
+    "EvaluationStore", "QuadraticMean", "LocalGP", "local_size",
+    "fit_quadratic_mean", "calibrate_lengthscales", "build_local_surrogate",
+    "SurrogateKernel", "misassignment_probability", "fit_surrogate_kernel",
     "EvalLedger", "PerformanceModel", "evaluate", "log_prior_density",
     "sample_prior", "gaussian_model", "register_model", "build_model",
     "model_config_keys", "registered_models",

@@ -14,8 +14,13 @@ from .harness import compare_pdfs, parse_config, read_histogram_csv, run_experim
 _MOMENT_KEYS = ("mean", "variance", "central3", "central4", "central5")
 
 
+def _fmt(value, width: int = 0) -> str:
+    """A moment as text; None (not finite, see estimate_moments) is n/a."""
+    return f"{'n/a':>{width}}" if value is None else f"{value:>{width}.6g}"
+
+
 def _moments_lines(moments: dict, prefix: str = "") -> list[str]:
-    return [f"{prefix}{key:<10} {moments[key]:.6g}" for key in _MOMENT_KEYS]
+    return [f"{prefix}{key:<10} {_fmt(moments[key])}" for key in _MOMENT_KEYS]
 
 
 def _cmd_run(args) -> int:
@@ -56,10 +61,10 @@ def _cmd_compare(args) -> int:
     for key in _MOMENT_KEYS:
         b = report.baseline_moments[key]
         c = report.candidate_moments[key]
-        print(f"{key:<10} {b:>14.6g} {c:>14.6g}")
+        print(f"{key:<10} {_fmt(b, 14)} {_fmt(c, 14)}")
     if args.json is not None:
         with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
         print(f"report written to {args.json}")
     return 0

@@ -91,7 +91,8 @@ class MmcResult:
     weights[k] is the table in force while iteration k sampled, the flat
     table for k = 0 and the update from iterations 0..k-1 after that. pdf,
     bin_probability and moments come from every iteration's histogram under
-    the weights it was sampled with (combined_probability).
+    the weights it was sampled with (combined_probability). The run's
+    evaluation counts stay on the kernel's ledger.
     """
 
     weights: list[WeightTable]
@@ -101,7 +102,6 @@ class MmcResult:
     pdf: np.ndarray
     bin_probability: np.ndarray
     moments: dict
-    ledger: dict
     start_draws: int
 
 
@@ -127,25 +127,8 @@ def log_bias_density(weights: WeightTable, binning: Binning,
     return log_prior_density(model, x) - math.log(weights.theta[i])
 
 
-def _as_history(tables, hists) -> tuple[list[WeightTable], list[Histogram]]:
-    if isinstance(tables, WeightTable):
-        tables = [tables]
-    if isinstance(hists, Histogram):
-        hists = [hists]
-    tables, hists = list(tables), list(hists)
-    if not hists or len(tables) != len(hists):
-        raise ValueError("need one weight table per histogram, and at least one")
-    m = tables[0].theta.size
-    if any(t.theta.size != m for t in tables) or any(
-            h.counts.size != m for h in hists):
-        raise ValueError("histogram and weight table sizes differ")
-    if any(h.total <= 0 for h in hists):
-        raise RuntimeError("cannot estimate from an empty histogram")
-    return tables, hists
-
-
-def combined_probability(tables: WeightTable | Sequence[WeightTable],
-                         hists: Histogram | Sequence[Histogram]) -> np.ndarray:
+def combined_probability(tables: Sequence[WeightTable],
+                         hists: Sequence[Histogram]) -> np.ndarray:
     """Bin probabilities pooled from every iteration's histogram.
 
     Iteration k sampled bin i in proportion to P_i / theta_ki, so its share
@@ -156,10 +139,17 @@ def combined_probability(tables: WeightTable | Sequence[WeightTable],
         P_i = sum_k H_ki / sum_k N_k / (theta_ki Z_k),
 
     and is solved for P and the Z_k by fixed-point iteration from a uniform
-    start. Bins no iteration visited get zero; the result sums to one. With a
-    single histogram this is H_i theta_i / sum_j H_j theta_j.
+    start. Bins no iteration visited get zero; the result sums to one. With
+    one table and one histogram this is H_i theta_i / sum_j H_j theta_j.
     """
-    tables, hists = _as_history(tables, hists)
+    if not hists or len(tables) != len(hists):
+        raise ValueError("need one weight table per histogram, and at least one")
+    m = tables[0].theta.size
+    if any(t.theta.size != m for t in tables) or any(
+            h.counts.size != m for h in hists):
+        raise ValueError("histogram and weight table sizes differ")
+    if any(h.total <= 0 for h in hists):
+        raise RuntimeError("cannot estimate from an empty histogram")
     counts = np.array([h.counts for h in hists], dtype=float)
     inv_theta = 1.0 / np.array([t.theta for t in tables])
     n_k = counts.sum(axis=1)
@@ -178,20 +168,19 @@ def combined_probability(tables: WeightTable | Sequence[WeightTable],
     return p
 
 
-def update_weights(tables: WeightTable | Sequence[WeightTable],
-                   hists: Histogram | Sequence[Histogram]) -> WeightTable:
+def update_weights(tables: Sequence[WeightTable],
+                   hists: Sequence[Histogram]) -> WeightTable:
     """Multicanonical weight update from every histogram sampled so far.
 
     tables[k] is the table iteration k sampled with and hists[k] its
-    histogram; a single table and histogram are the one-iteration case.
-    Bins visited in any iteration move to their pooled probability estimate
-    (combined_probability). Bins never visited drop to the smallest of those:
-    nothing is known about them beyond "rarer than everything seen", and a
-    larger weight would suppress the sampler's only route into them. The
-    whole table is then rescaled to the total of the last table, pinning the
-    sum to its iteration-zero value for the life of the run.
+    histogram. Bins visited in any iteration move to their pooled
+    probability estimate (combined_probability). Bins never visited drop to
+    the smallest of those: nothing is known about them beyond "rarer than
+    everything seen", and a larger weight would suppress the sampler's only
+    route into them. The whole table is then rescaled to the total of the
+    last table, pinning the sum to its iteration-zero value for the life of
+    the run.
     """
-    tables, hists = _as_history(tables, hists)
     p = combined_probability(tables, hists)
     visited = p > 0
     pre = np.where(visited, p, np.min(p[visited]))
@@ -199,8 +188,7 @@ def update_weights(tables: WeightTable | Sequence[WeightTable],
     return WeightTable(pre * scale)
 
 
-def estimate_pdf(tables: WeightTable | Sequence[WeightTable],
-                 hists: Histogram | Sequence[Histogram],
+def estimate_pdf(tables: Sequence[WeightTable], hists: Sequence[Histogram],
                  binning: Binning) -> np.ndarray:
     """Density estimate from the histograms and the weights they were
     sampled with.
@@ -220,7 +208,9 @@ def estimate_moments(pdf: np.ndarray, binning: Binning) -> dict:
     """Mean and central moments 2..5 by midpoint quadrature over the bins.
 
     Accepts any nonnegative density table; the bin masses are renormalized
-    before integrating, so an unnormalized estimate gains no bias here.
+    before integrating, so an unnormalized estimate gains no bias here. A
+    moment that is not finite (a power of the bin centres overflowed) is
+    reported as None, so the result is valid JSON.
     """
     pdf = np.asarray(pdf, dtype=float)
     if pdf.shape != (binning.m,):
@@ -233,14 +223,15 @@ def estimate_moments(pdf: np.ndarray, binning: Binning) -> dict:
         raise RuntimeError("cannot take moments of an all-zero density")
     mass = mass / total
     centers = binning.centers
-    mean = float(centers @ mass)
-    dev = centers - mean
-    out = {"mean": mean}
-    out["variance"] = float((dev**2) @ mass)
-    out["central3"] = float((dev**3) @ mass)
-    out["central4"] = float((dev**4) @ mass)
-    out["central5"] = float((dev**5) @ mass)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(centers @ mass)
+        dev = centers - mean
+        out = {"mean": mean}
+        out["variance"] = float((dev**2) @ mass)
+        out["central3"] = float((dev**3) @ mass)
+        out["central4"] = float((dev**4) @ mass)
+        out["central5"] = float((dev**5) @ mass)
+    return {k: v if math.isfinite(v) else None for k, v in out.items()}
 
 
 def flatness_cv(hist: Histogram) -> float:
@@ -333,7 +324,6 @@ def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
         pdf=pdf,
         bin_probability=pdf * binning.delta,
         moments=estimate_moments(pdf, binning),
-        ledger=ledger.snapshot(),
         start_draws=start_draws,
     )
 

@@ -18,8 +18,10 @@ class EvaluationError(RuntimeError):
 
 
 class SurrogateError(RuntimeError):
-    """Local surrogate construction failed (factorization did not succeed
-    even at the maximum jitter level)."""
+    """A local surrogate cannot serve a query: its correlation matrix did not
+    factor even at the maximum jitter level, or its amplitude, posterior mean
+    or posterior variance is not finite. The surrogate kernel answers such a
+    step with a true evaluation."""
 
 
 class ConfigError(ValueError):

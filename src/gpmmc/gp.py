@@ -15,7 +15,9 @@ support as it does in the correlations.
 Lengthscales are calibrated once from the initial design by a coordinate-wise
 grid search on the profile marginal likelihood and then frozen; the amplitude
 a is recalibrated in closed form for every local model, so the predictive
-variance tracks the local residual scale as the store grows.
+variance tracks the local residual scale as the store grows. The lengthscales
+and the exponent are checked once, when a SurrogateKernel is built; the
+per-query functions here take them as given.
 
 The support size follows a square-root rule between the number of quadratic
 basis terms and the cost of the dense solve:
@@ -39,12 +41,13 @@ from scipy.spatial.distance import cdist
 from .errors import SurrogateError
 
 __all__ = [
-    "EvaluationStore", "KernelParams", "QuadraticMean", "LocalGP",
-    "kernel_eval", "local_size", "fit_quadratic_mean",
-    "calibrate_lengthscales", "build_local_surrogate",
+    "EvaluationStore", "QuadraticMean", "LocalGP", "local_size",
+    "fit_quadratic_mean", "calibrate_lengthscales", "build_local_surrogate",
 ]
 
 DUPLICATE_TOL = 1e-12
+# Rows an EvaluationStore allocates up front; it doubles when full.
+STORE_CAPACITY = 256
 AMPLITUDE_FLOOR = 1e-12
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -64,30 +67,16 @@ def local_size(d: int) -> int:
     return math.ceil(math.sqrt(d) * (d + 1) * (d + 2) / 2)
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Kernel amplitude a, per-coordinate lengthscales, and exponent p."""
-
-    a: float
-    lengths: np.ndarray
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths",
-                           np.atleast_1d(np.asarray(self.lengths, dtype=float)))
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError("kernel amplitude must be positive and finite")
-        if np.any(self.lengths <= 0) or not np.all(np.isfinite(self.lengths)):
-            raise ValueError("kernel lengthscales must be positive and finite")
-        if self.p not in (1, 2):
-            raise ValueError(f"kernel exponent must be 1 or 2, got {self.p}")
-
-
-def kernel_eval(params: KernelParams, x1: np.ndarray, x2: np.ndarray) -> float:
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    expo = np.abs(x1 - x2) ** params.p / params.lengths
-    return params.a * math.exp(-float(expo.sum()))
+def _check_kernel(lengths, p: int) -> np.ndarray:
+    """The lengthscales as a 1-D float array, after checking that they are
+    positive and finite and that the exponent p is 1 or 2; ValueError
+    otherwise."""
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
+    if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
+        raise ValueError("kernel lengthscales must be positive and finite")
+    if p not in (1, 2):
+        raise ValueError(f"kernel exponent must be 1 or 2, got {p}")
+    return lengths
 
 
 def _scaled(X: np.ndarray, lengths: np.ndarray, p: int) -> np.ndarray:
@@ -120,10 +109,6 @@ def _kernel_distance(X: np.ndarray, x: np.ndarray, lengths: np.ndarray,
     return cdist(_scaled(X, lengths, p), xs, _metric(p))[:, 0]
 
 
-def _corr_vec(X: np.ndarray, x: np.ndarray, lengths: np.ndarray, p: int) -> np.ndarray:
-    return np.exp(-_kernel_distance(X, x, lengths, p))
-
-
 class EvaluationStore:
     """Append-only set of exact evaluations (x, y) with duplicate suppression
     and nearest-neighbor queries in the kernel's metric.
@@ -133,12 +118,12 @@ class EvaluationStore:
     built from any subset never contain an exactly repeated row.
     """
 
-    def __init__(self, dimension: int, capacity: int = 256):
+    def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self._x = np.empty((max(capacity, 1), dimension))
-        self._y = np.empty(max(capacity, 1))
+        self._x = np.empty((STORE_CAPACITY, dimension))
+        self._y = np.empty(STORE_CAPACITY)
         self._n = 0
 
     @property
@@ -155,13 +140,9 @@ class EvaluationStore:
         return self._y[:self._n]
 
     def _grow(self):
-        cap = self._x.shape[0] * 2
-        for name in ("_x", "_y"):
-            old = getattr(self, name)
-            shape = (cap,) + old.shape[1:]
-            new = np.empty(shape)
-            new[:self._n] = old[:self._n]
-            setattr(self, name, new)
+        """Double the capacity; called only when the store is full."""
+        self._x = np.concatenate([self._x, np.empty_like(self._x)])
+        self._y = np.concatenate([self._y, np.empty_like(self._y)])
 
     def insert(self, x: np.ndarray, y: float) -> bool:
         """Add one evaluation; returns False when skipped as a duplicate."""
@@ -207,6 +188,8 @@ class EvaluationStore:
         return self._x[order].copy(), self._y[order].copy()
 
     def save_csv(self, path) -> None:
+        """Write a header x_1..x_d,y and one row per stored evaluation, in
+        insertion order, each value as its shortest round-trip repr."""
         with open(path, "w") as fh:
             cols = [f"x_{i + 1}" for i in range(self.dimension)] + ["y"]
             fh.write(",".join(cols) + "\n")
@@ -214,25 +197,6 @@ class EvaluationStore:
                 row = [repr(float(v)) for v in self._x[i]]
                 row.append(repr(float(self._y[i])))
                 fh.write(",".join(row) + "\n")
-
-    @classmethod
-    def load_csv(cls, path) -> "EvaluationStore":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header[-1] != "y" or len(header) < 2:
-                raise ValueError(f"{path}: not an evaluation-store file")
-            d = len(header) - 1
-            store = cls(d)
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                vals = [float(v) for v in line.split(",")]
-                if len(vals) != d + 1:
-                    raise ValueError(f"{path}: row with {len(vals)} fields, "
-                                     f"expected {d + 1}")
-                store.insert(np.array(vals[:d]), vals[d])
-        return store
 
 
 def _design(Z: np.ndarray, degree: int) -> np.ndarray:
@@ -245,14 +209,6 @@ def _design(Z: np.ndarray, degree: int) -> np.ndarray:
         _TRIU_CACHE[d] = np.triu_indices(d)
     ii, jj = _TRIU_CACHE[d]
     return np.hstack([np.ones((n, 1)), Z, Z[:, ii] * Z[:, jj]])
-
-
-def _n_terms(d: int, degree: int) -> int:
-    if degree == 0:
-        return 1
-    if degree == 1:
-        return 1 + d
-    return 1 + d + d * (d + 1) // 2
 
 
 @dataclass
@@ -277,16 +233,19 @@ class QuadraticMean:
         return float(vals[0]) if single else vals
 
 
-def fit_quadratic_mean(X: np.ndarray, y: np.ndarray) -> QuadraticMean:
-    """Least-squares polynomial trend with automatic degree reduction.
+def fit_quadratic_mean(X: np.ndarray,
+                       y: np.ndarray) -> tuple[QuadraticMean, np.ndarray]:
+    """Least-squares polynomial trend with automatic degree reduction, and
+    its residuals y - trend(X) on the fitted points.
 
     Tries the full quadratic basis first and falls back to linear and then
     to a constant whenever the support is too small or the (standardized)
-    design is rank-deficient, so the fit always succeeds.
+    design is rank-deficient, so the fit always succeeds. The residuals come
+    from the design the fit used, so they equal y - mean(X) bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    n, d = X.shape
+    n = X.shape[0]
     if y.shape != (n,):
         raise ValueError("X and y lengths differ")
     if n < 1:
@@ -296,13 +255,12 @@ def fit_quadratic_mean(X: np.ndarray, y: np.ndarray) -> QuadraticMean:
     scale[scale == 0] = 1.0
     Z = (X - center) / scale
     for degree in (2, 1, 0):
-        nb = _n_terms(d, degree)
-        if n < nb:
-            continue
         B = _design(Z, degree)
+        if n < B.shape[1]:
+            continue
         coef, _, rank, _ = np.linalg.lstsq(B, y, rcond=None)
-        if rank == nb:
-            return QuadraticMean(degree, center, scale, coef)
+        if rank == B.shape[1]:
+            return QuadraticMean(degree, center, scale, coef), y - B @ coef
 
 
 def _chol_with_jitter(corr: np.ndarray,
@@ -363,8 +321,7 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     n, d = X.shape
     if n < 2:
         raise ValueError("need at least two points to calibrate lengthscales")
-    mean = fit_quadratic_mean(X, y)
-    r = y - mean(X)
+    _, r = fit_quadratic_mean(X, y)
     if np.max(np.abs(r)) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         ranges = X.max(axis=0) - X.min(axis=0)
         ranges[ranges <= 0] = 1.0
@@ -392,25 +349,29 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 class LocalGP:
     """One local kriging model, ready for posterior evaluation.
 
-    Holds the support set, the fitted trend, the calibrated kernel, the
-    Cholesky factor of the jittered unit-amplitude correlation matrix, and
-    the precomputed weight vector alpha = C^{-1} (y - trend)."""
+    Holds the support set (X, y), the fitted trend, the kernel K(x, x') =
+    a * exp(-sum_i |x_i - x'_i|^p / l_i) with its local amplitude a and the
+    frozen lengthscales and exponent, the Cholesky factor of the jittered
+    unit-amplitude correlation matrix C, and the precomputed weight vector
+    alpha = C^{-1} (y - trend)."""
 
     X: np.ndarray
     y: np.ndarray
     mean: Callable
-    params: KernelParams
+    a: float
+    lengths: np.ndarray
+    p: int
     chol: np.ndarray
     alpha: np.ndarray
 
     def posterior(self, x: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a single point; SurrogateError when
         either is not finite."""
-        c = _corr_vec(self.X, np.asarray(x, dtype=float),
-                      self.params.lengths, self.params.p)
+        c = np.exp(-_kernel_distance(self.X, np.asarray(x, dtype=float),
+                                     self.lengths, self.p))
         w = cho_solve((self.chol, True), c, check_finite=False)
         mu = float(self.mean(x)) + float(c @ self.alpha)
-        var = self.params.a * (1.0 - float(c @ w))
+        var = self.a * (1.0 - float(c @ w))
         if not (math.isfinite(mu) and math.isfinite(var)):
             raise SurrogateError(f"local posterior is not finite: {mu}, {var}")
         return mu, max(var, 0.0)
@@ -426,10 +387,11 @@ def build_local_surrogate(store: EvaluationStore, x: np.ndarray,
     frozen lengthscales by default (the whole store when it is smaller; see
     EvaluationStore.nearest), fits the trend, recalibrates the amplitude in
     closed form from the trend residuals, and factors the correlation matrix
-    once so posterior queries are two triangular solves. Raises
-    SurrogateError when the correlation matrix cannot be factored at the
-    maximum jitter or the amplitude is not finite; callers fall back to the
-    true model in that case.
+    once so posterior queries are two triangular solves. lengths and p are
+    taken as given: SurrogateKernel checks them once, when it is built.
+    Raises SurrogateError when the correlation matrix cannot be factored at
+    the maximum jitter or the amplitude is not finite; callers fall back to
+    the true model in that case.
     """
     x = np.asarray(x, dtype=float)
     if store.size == 0:
@@ -438,13 +400,12 @@ def build_local_surrogate(store: EvaluationStore, x: np.ndarray,
         n = local_size(store.dimension)
     lengths = np.asarray(lengths, dtype=float)
     Xs, ys = store.nearest(x, n, lengths, p)
-    mean = fit_quadratic_mean(Xs, ys)
-    r = ys - mean(Xs)
+    mean, r = fit_quadratic_mean(Xs, ys)
     corr = _corr_matrix(Xs, lengths, p)
     L, _ = _chol_with_jitter(corr)
     alpha = cho_solve((L, True), r, check_finite=False)
     a = float(r @ alpha) / r.size
     if not math.isfinite(a):
         raise SurrogateError(f"local kernel amplitude is {a}")
-    params = KernelParams(a=max(a, AMPLITUDE_FLOOR), lengths=lengths, p=p)
-    return LocalGP(X=Xs, y=ys, mean=mean, params=params, chol=L, alpha=alpha)
+    return LocalGP(X=Xs, y=ys, mean=mean, a=max(a, AMPLITUDE_FLOOR),
+                   lengths=lengths, p=p, chol=L, alpha=alpha)

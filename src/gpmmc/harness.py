@@ -368,7 +368,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
 
     summary["runtime_seconds"] = time.perf_counter() - t0
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return summary
 

@@ -39,10 +39,6 @@ class EvalLedger:
     true_evals: int = 0
     surrogate_evals: int = 0
 
-    def snapshot(self) -> dict:
-        return {"true_evals": self.true_evals,
-                "surrogate_evals": self.surrogate_evals}
-
 
 @dataclass(frozen=True)
 class PerformanceModel:

@@ -24,53 +24,25 @@ unchanged; beta bounds the per-step probability of getting that bin wrong.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import EvaluationStore, build_local_surrogate, calibrate_lengthscales
+from .gp import (EvaluationStore, _check_kernel, build_local_surrogate,
+                 calibrate_lengthscales)
 from .mcmc import (ChainState, Proposal, StepRecord, Target,
                    metropolis_accept, propose)
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
-__all__ = ["SurrogateKernelConfig", "misassignment_probability",
-           "SurrogateKernel", "fit_surrogate_kernel"]
+__all__ = ["misassignment_probability", "SurrogateKernel",
+           "fit_surrogate_kernel"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z * _INV_SQRT2))
-
-
-@dataclass(frozen=True)
-class SurrogateKernelConfig:
-    """Refinement policy and kernel family for the surrogate step kernel.
-
-    gamma is the per-step probability of an unconditional true evaluation;
-    beta_max the largest tolerated bin-misassignment probability; lengths and
-    p the frozen correlation kernel; prop the random-walk proposal.
-    """
-
-    gamma: float
-    beta_max: float
-    lengths: np.ndarray
-    p: int
-    prop: Proposal
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths",
-                           np.atleast_1d(np.asarray(self.lengths, dtype=float)))
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not 0.0 < self.beta_max < 1.0:
-            raise ValueError(f"beta_max must lie in (0, 1), got {self.beta_max}")
-        if np.any(self.lengths <= 0) or not np.all(np.isfinite(self.lengths)):
-            raise ValueError("kernel lengthscales must be positive and finite")
-        if self.p not in (1, 2):
-            raise ValueError(f"kernel exponent must be 1 or 2, got {self.p}")
 
 
 def misassignment_probability(mu: float, sigma: float,
@@ -101,18 +73,32 @@ def misassignment_probability(mu: float, sigma: float,
 class SurrogateKernel:
     """Step kernel with per-candidate local surrogates and audited refinement.
 
+    gamma is the per-step probability of an unconditional true evaluation;
+    beta_max the largest tolerated bin-misassignment probability; lengths and
+    p the frozen correlation kernel, checked here once for the whole run;
+    prop the random-walk proposal.
+
     Tracks how every true evaluation was triggered (random gate, beta above
     threshold, or surrogate construction failure) so a run's cost can be
     reconciled exactly from the counters.
     """
 
     def __init__(self, model: PerformanceModel, store: EvaluationStore,
-                 binning: Binning, config: SurrogateKernelConfig,
+                 binning: Binning, gamma: float, beta_max: float,
+                 lengths: np.ndarray, p: int, prop: Proposal,
                  ledger: EvalLedger):
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        if not 0.0 < beta_max < 1.0:
+            raise ValueError(f"beta_max must lie in (0, 1), got {beta_max}")
         self.model = model
         self.store = store
         self.binning = binning
-        self.config = config
+        self.gamma = gamma
+        self.beta_max = beta_max
+        self.lengths = _check_kernel(lengths, p)
+        self.p = p
+        self.prop = prop
         self.ledger = ledger
         self.steps = 0
         self.refine_random = 0
@@ -122,18 +108,17 @@ class SurrogateKernel:
 
     def step(self, rng: np.random.Generator, state: ChainState,
              target: Target) -> tuple[ChainState, StepRecord]:
-        cfg = self.config
-        x_new = propose(rng, state.x, cfg.prop)
+        x_new = propose(rng, state.x, self.prop)
         beta = None
         used_surrogate = False
         # the gate comes first: building the local model draws no random
         # numbers, so a step the gate refines needs no model at all
-        if rng.random() < cfg.gamma:
+        if rng.random() < self.gamma:
             self.refine_random += 1
         else:
             try:
-                gp = build_local_surrogate(self.store, x_new, cfg.lengths,
-                                           cfg.p)
+                gp = build_local_surrogate(self.store, x_new, self.lengths,
+                                           self.p)
                 mu, var = gp.posterior(x_new)
             except SurrogateError:
                 self.refine_fallback += 1
@@ -141,7 +126,7 @@ class SurrogateKernel:
                 self.ledger.surrogate_evals += 1
                 beta = misassignment_probability(mu, math.sqrt(var),
                                                  self.binning)
-                used_surrogate = beta <= cfg.beta_max
+                used_surrogate = beta <= self.beta_max
                 if used_surrogate:
                     self.surrogate_steps += 1
                 else:
@@ -181,6 +166,5 @@ def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,
     for x in sample_prior(model, rng, initial_design):
         store.insert(x, evaluate(model, x, ledger))
     lengths = calibrate_lengthscales(store.points, store.values, p)
-    cfg = SurrogateKernelConfig(gamma=gamma, beta_max=beta_max,
-                                lengths=lengths, p=p, prop=prop)
-    return SurrogateKernel(model, store, binning, cfg, ledger)
+    return SurrogateKernel(model, store, binning, gamma, beta_max, lengths, p,
+                           prop, ledger)

@@ -61,7 +61,7 @@ def test_local_gp_interpolates_its_support():
         for xi, yi in zip(gp.X, gp.y):
             mu, var = gp.posterior(xi)
             worst_rel = max(worst_rel, abs(mu - yi) / abs(yi))
-            worst_var = max(worst_var, var / gp.params.a)
+            worst_var = max(worst_var, var / gp.a)
     ok = worst_rel <= 1e-6 and worst_var <= 1e-6
     _check(1, ok, f"interpolation rel err {worst_rel:.2e} <= 1e-6, "
                   f"var/amplitude {worst_var:.2e} <= 1e-6")

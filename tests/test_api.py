@@ -1,7 +1,9 @@
-"""The public surface: every exported name resolves, and so does every
-callable the benchmark's tracer wraps by module and name."""
+"""The public surface: every exported name resolves, in the package and in
+each of its modules, and so does every callable the benchmark's tracer wraps
+by module and name."""
 
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -16,6 +18,16 @@ def test_every_exported_name_resolves():
     assert len(gpmmc.__all__) == len(set(gpmmc.__all__))
     for name in gpmmc.__all__:
         assert getattr(gpmmc, name) is not None, name
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(gpmmc.__path__)))
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"gpmmc.{module}")
+    names = getattr(mod, "__all__", [])
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing, f"gpmmc.{module}.__all__ names missing: {missing}"
 
 
 def _layer_spans():

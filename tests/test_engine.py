@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,13 +49,13 @@ class TestUpdateWeights:
     def test_two_bin_example(self):
         w = WeightTable(np.array([0.5, 0.5]))
         h = Histogram(counts=np.array([75, 25]), total=100)
-        w2 = update_weights(w, h)
+        w2 = update_weights([w], [h])
         np.testing.assert_allclose(w2.theta, [0.75, 0.25], rtol=1e-14)
 
     def test_empty_bin_drops_to_min_visited(self):
         w = WeightTable(np.array([1.0, 1.0, 1.0]) / 3.0)
         h = Histogram(counts=np.array([60, 40, 0]), total=100)
-        w2 = update_weights(w, h)
+        w2 = update_weights([w], [h])
         # visited bins update to (0.2, 2/15); the empty bin takes the
         # smaller of those, and the sum 7/15 rescales back to 1
         np.testing.assert_allclose(w2.theta, [3 / 7, 2 / 7, 2 / 7],
@@ -63,14 +64,14 @@ class TestUpdateWeights:
     def test_empty_bin_weight_tracks_the_rarest_visited_bin(self):
         w = WeightTable(np.array([0.25, 0.25, 0.25, 0.25]))
         h = Histogram(counts=np.array([9000, 990, 10, 0]), total=10000)
-        w2 = update_weights(w, h)
+        w2 = update_weights([w], [h])
         assert w2.theta[3] == pytest.approx(w2.theta[2], rel=1e-14)
         assert w2.theta[2] < w2.theta[1] < w2.theta[0]
 
     def test_flat_histogram_is_fixed_point(self):
         w = WeightTable(np.array([0.1, 0.6, 0.3]))
         h = Histogram(counts=np.array([200, 200, 200]), total=600)
-        w2 = update_weights(w, h)
+        w2 = update_weights([w], [h])
         np.testing.assert_allclose(w2.theta, w.theta, rtol=1e-14)
 
     def test_sum_preserved(self):
@@ -82,7 +83,7 @@ class TestUpdateWeights:
                 counts[0] = 1
             w = WeightTable(theta)
             h = Histogram(counts=counts, total=int(counts.sum()))
-            w2 = update_weights(w, h)
+            w2 = update_weights([w], [h])
             assert w2.theta.sum() == pytest.approx(theta.sum(), rel=1e-12)
             assert np.all(w2.theta > 0)
 
@@ -90,7 +91,7 @@ class TestUpdateWeights:
         w = WeightTable.flat(3)
         h = Histogram(counts=np.zeros(3, dtype=int), total=0)
         with pytest.raises(RuntimeError):
-            update_weights(w, h)
+            update_weights([w], [h])
 
 
 class TestCombinedProbability:
@@ -98,7 +99,7 @@ class TestCombinedProbability:
         w = WeightTable(np.array([0.2, 1.0, 3.0, 0.5]))
         h = Histogram(counts=np.array([40, 10, 0, 50]), total=100)
         raw = h.counts * w.theta
-        np.testing.assert_allclose(combined_probability(w, h),
+        np.testing.assert_allclose(combined_probability([w], [h]),
                                    raw / raw.sum(), rtol=1e-14)
 
     def test_exact_histograms_recover_the_probabilities(self):
@@ -126,7 +127,7 @@ class TestUpdateWeightsFromHistory:
         # the weights that followed, never reached it
         w0 = WeightTable.flat(3)
         h0 = Histogram(counts=np.array([10, 40, 50]), total=100)
-        w1 = update_weights(w0, h0)
+        w1 = update_weights([w0], [h0])
         h1 = Histogram(counts=np.array([70, 30, 0]), total=100)
         w2 = update_weights([w0, w1], [h0, h1])
         assert w2.theta[2] > w2.theta[:2].min()
@@ -135,14 +136,14 @@ class TestUpdateWeightsFromHistory:
                                    rtol=1e-12)
         assert w2.theta.sum() == pytest.approx(3.0, rel=1e-12)
         # the one-histogram update would have floored it
-        floored = update_weights(w1, h1)
+        floored = update_weights([w1], [h1])
         assert floored.theta[2] == pytest.approx(floored.theta.min(),
                                                  rel=1e-14)
 
     def test_bin_never_seen_takes_the_floor(self):
         w0 = WeightTable.flat(3)
         h0 = Histogram(counts=np.array([60, 40, 0]), total=100)
-        w1 = update_weights(w0, h0)
+        w1 = update_weights([w0], [h0])
         h1 = Histogram(counts=np.array([45, 55, 0]), total=100)
         w2 = update_weights([w0, w1], [h0, h1])
         assert w2.theta[2] == pytest.approx(w2.theta[:2].min(), rel=1e-14)
@@ -167,7 +168,7 @@ class TestEstimatePdf:
         b = Binning(0.0, 1.0, 4)
         w = WeightTable.flat(4)
         h = Histogram(counts=np.array([25, 25, 25, 25]), total=100)
-        pdf = estimate_pdf(w, h, b)
+        pdf = estimate_pdf([w], [h], b)
         np.testing.assert_allclose(pdf, np.ones(4), rtol=1e-14)
 
     def test_normalization_exact(self):
@@ -175,15 +176,15 @@ class TestEstimatePdf:
         w = WeightTable(np.linspace(0.2, 3.0, 8))
         counts = np.array([5, 0, 7, 1, 0, 3, 2, 9])
         h = Histogram(counts=counts, total=int(counts.sum()))
-        pdf = estimate_pdf(w, h, b)
+        pdf = estimate_pdf([w], [h], b)
         assert pdf @ np.full(8, b.delta) == pytest.approx(1.0, abs=1e-12)
         assert np.all(pdf[counts == 0] == 0.0)
 
     def test_empty_rejected(self):
         b = Binning(0.0, 1.0, 2)
         with pytest.raises(RuntimeError):
-            estimate_pdf(WeightTable.flat(2),
-                         Histogram(counts=np.zeros(2, dtype=int), total=0), b)
+            estimate_pdf([WeightTable.flat(2)],
+                         [Histogram(counts=np.zeros(2, dtype=int), total=0)], b)
 
 
 class TestEstimateMoments:
@@ -219,6 +220,19 @@ class TestEstimateMoments:
         with pytest.raises(RuntimeError):
             estimate_moments(np.zeros(4), Binning(0.0, 1.0, 4))
 
+    def test_overflowing_moments_are_none(self):
+        # bin centres near 1e170: the variance overflows to inf and the odd
+        # central moments come out NaN; both must be reported as None,
+        # without a numpy warning
+        b = Binning(-1e170, 1e170, 10)
+        pdf = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = estimate_moments(pdf, b)
+        assert math.isfinite(moments["mean"])
+        assert all(moments[k] is None
+                   for k in ("variance", "central3", "central4", "central5"))
+
 
 class TestFlatness:
     def test_uniform_counts_have_zero_cv(self):
@@ -235,16 +249,16 @@ class TestRunMmc:
         model = _identity_model()
         binning = Binning(-2.0, 2.0, 8)
         cfg = MmcConfig(iterations=3, samples_per_iteration=400, seed=77)
-        results = []
+        results, kernels = [], []
         for _ in range(2):
-            kernel = ExactKernel(model, Proposal.isotropic(1.0, 1),
-                                 EvalLedger())
-            results.append(run_mmc(model, binning, cfg, kernel))
+            kernels.append(ExactKernel(model, Proposal.isotropic(1.0, 1),
+                                       EvalLedger()))
+            results.append(run_mmc(model, binning, cfg, kernels[-1]))
         a, b = results
         np.testing.assert_array_equal(a.pdf, b.pdf)
         for ha, hb in zip(a.histograms, b.histograms):
             np.testing.assert_array_equal(ha.counts, hb.counts)
-        assert a.ledger == b.ledger
+        assert kernels[0].ledger == kernels[1].ledger
 
     def test_oracle_weights_give_flat_histogram(self):
         """With weights proportional to the true bin masses the sampled

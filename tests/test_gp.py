@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from gpmmc import (EvaluationStore, KernelParams, LocalGP, SurrogateError,
+from gpmmc import (EvaluationStore, LocalGP, SurrogateError,
                    build_local_surrogate, calibrate_lengthscales,
-                   fit_quadratic_mean, kernel_eval, local_size)
-from gpmmc.gp import _chol_with_jitter, _corr_matrix
+                   fit_quadratic_mean, local_size)
+from gpmmc.gp import (STORE_CAPACITY, _check_kernel, _chol_with_jitter,
+                      _corr_matrix)
 
 ONE = np.ones(1)  # unit lengthscale in 1-D: the kernel metric is Euclidean
+
+
+def kernel_eval(a, lengths, p, x1, x2):
+    """Oracle: K(x1, x2) = a * exp(-sum_i |x1_i - x2_i|^p / l_i), one pair
+    at a time."""
+    expo = np.abs(np.asarray(x1, float) - np.asarray(x2, float)) ** p / lengths
+    return a * math.exp(-float(expo.sum()))
 
 
 class TestLocalSize:
@@ -22,56 +30,60 @@ class TestLocalSize:
 
 class TestKernel:
     def test_squared_differences(self):
-        p = KernelParams(a=1.0, lengths=np.array([1.0]), p=2)
-        assert kernel_eval(p, np.array([0.0]), np.array([1.0])) == \
-            pytest.approx(math.exp(-1.0), rel=1e-15)
+        C = _corr_matrix(np.array([[0.0], [1.0]]), np.array([1.0]), 2)
+        assert C[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_absolute_differences_and_amplitude(self):
-        p = KernelParams(a=2.0, lengths=np.array([2.0]), p=1)
-        assert kernel_eval(p, np.array([0.0]), np.array([3.0])) == \
-            pytest.approx(2.0 * math.exp(-1.5), rel=1e-15)
+        gp = LocalGP(X=np.array([[0.0]]), y=np.zeros(1), mean=lambda x: 0.0,
+                     a=2.0, lengths=np.array([2.0]), p=1,
+                     chol=np.array([[1.0]]), alpha=np.zeros(1))
+        # one support point at distance 3: c = exp(-1.5), var = a (1 - c^2)
+        _, var = gp.posterior(np.array([3.0]))
+        assert var == pytest.approx(2.0 * (1.0 - math.exp(-3.0)), rel=1e-14)
 
     def test_coordinates_contribute_additively(self):
-        p = KernelParams(a=1.0, lengths=np.array([1.0, 4.0]), p=2)
-        got = kernel_eval(p, np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        assert got == pytest.approx(math.exp(-(1.0 + 4.0 / 4.0)), rel=1e-14)
+        C = _corr_matrix(np.array([[0.0, 0.0], [1.0, 2.0]]),
+                         np.array([1.0, 4.0]), 2)
+        assert C[0, 1] == pytest.approx(math.exp(-(1.0 + 4.0 / 4.0)),
+                                        rel=1e-14)
 
     def test_symmetric_and_unit_at_zero_distance(self):
-        p = KernelParams(a=3.0, lengths=np.array([0.7, 1.3]), p=1)
-        x1 = np.array([0.2, -1.0])
-        x2 = np.array([1.5, 0.25])
-        assert kernel_eval(p, x1, x2) == kernel_eval(p, x2, x1)
-        assert kernel_eval(p, x1, x1) == pytest.approx(3.0, rel=1e-15)
+        X = np.array([[0.2, -1.0], [1.5, 0.25]])
+        C = _corr_matrix(X, np.array([0.7, 1.3]), 1)
+        assert C[0, 1] == C[1, 0]
+        np.testing.assert_array_equal(np.diag(C), [1.0, 1.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelParams(a=0.0, lengths=np.array([1.0]), p=2)
-        with pytest.raises(ValueError):
-            KernelParams(a=1.0, lengths=np.array([-1.0]), p=2)
-        with pytest.raises(ValueError):
-            KernelParams(a=1.0, lengths=np.array([1.0]), p=3)
+        np.testing.assert_array_equal(_check_kernel(2, 1), [2.0])
+        np.testing.assert_array_equal(_check_kernel([1, 3], 2), [1.0, 3.0])
+        for lengths in ([0.0], [-1.0], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="lengthscales"):
+                _check_kernel(np.array(lengths), 2)
+        for p in (0, 3, 1.5):
+            with pytest.raises(ValueError, match="exponent"):
+                _check_kernel(np.ones(1), p)
 
     def test_matrix_matches_pairwise_eval(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 3))
         lengths = np.array([0.5, 1.0, 2.0])
         for p in (1, 2):
-            params = KernelParams(a=1.0, lengths=lengths, p=p)
             C = _corr_matrix(X, lengths, p)
             for i in range(6):
                 for j in range(6):
                     assert C[i, j] == pytest.approx(
-                        kernel_eval(params, X[i], X[j]), rel=1e-12)
+                        kernel_eval(1.0, lengths, p, X[i], X[j]), rel=1e-12)
 
 
 class TestEvaluationStore:
     def test_insert_and_growth(self):
-        store = EvaluationStore(2, capacity=2)
-        for i in range(10):
+        store = EvaluationStore(2)
+        n = 2 * STORE_CAPACITY + 10  # grows twice
+        for i in range(n):
             assert store.insert(np.array([float(i), 0.0]), float(i) ** 2)
-        assert store.size == 10
-        np.testing.assert_array_equal(store.points[:, 0], np.arange(10.0))
-        np.testing.assert_array_equal(store.values, np.arange(10.0) ** 2)
+        assert store.size == n
+        np.testing.assert_array_equal(store.points[:, 0], np.arange(n * 1.0))
+        np.testing.assert_array_equal(store.values, np.arange(n * 1.0) ** 2)
 
     def test_exact_duplicate_skipped(self):
         store = EvaluationStore(1)
@@ -143,16 +155,11 @@ class TestEvaluationStore:
         store.insert(np.array([0.1, 1e-17, -2.9e7]), 0.1 + 0.2)
         path = tmp_path / "store.csv"
         store.save_csv(path)
-        back = EvaluationStore.load_csv(path)
-        assert back.size == store.size
-        np.testing.assert_array_equal(back.points, store.points)
-        np.testing.assert_array_equal(back.values, store.values)
-
-    def test_csv_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            EvaluationStore.load_csv(path)
+        assert path.read_text().splitlines()[0] == "x_1,x_2,x_3,y"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert back.shape == (store.size, 4)
+        np.testing.assert_array_equal(back[:, :3], store.points)
+        np.testing.assert_array_equal(back[:, 3], store.values)
 
 
 class TestQuadraticMean:
@@ -162,8 +169,9 @@ class TestQuadraticMean:
         y = (1.5 - 2.0 * X[:, 0] + 0.5 * X[:, 1]
              + 0.25 * X[:, 0] ** 2 - 1.0 * X[:, 0] * X[:, 1]
              + 2.0 * X[:, 1] ** 2)
-        mean = fit_quadratic_mean(X, y)
+        mean, r = fit_quadratic_mean(X, y)
         assert mean.degree == 2
+        np.testing.assert_allclose(r, 0.0, atol=1e-8)
         Xq = rng.uniform(-3.0, 3.0, size=(40, 2))
         yq = (1.5 - 2.0 * Xq[:, 0] + 0.5 * Xq[:, 1]
               + 0.25 * Xq[:, 0] ** 2 - 1.0 * Xq[:, 0] * Xq[:, 1]
@@ -185,13 +193,13 @@ class TestQuadraticMean:
         y = (coef_true[0] + X[:, 0] * coef_true[1] + X[:, 1] * coef_true[2]
              + X[:, 2] * coef_true[3] + X[:, 3] * coef_true[4]
              + X[:, 4] * coef_true[5] + 1e-7 * X[:, 0] ** 2)
-        mean = fit_quadratic_mean(X, y)
+        mean, _ = fit_quadratic_mean(X, y)
         np.testing.assert_allclose(mean(X), y, rtol=1e-8)
 
     def test_small_support_degrades_to_linear(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
         y = 2.0 + 3.0 * X[:, 0] - 1.0 * X[:, 1]
-        mean = fit_quadratic_mean(X, y)  # 4 points < 6 quadratic terms
+        mean, _ = fit_quadratic_mean(X, y)  # 4 points < 6 quadratic terms
         assert mean.degree == 1
         np.testing.assert_allclose(mean(X), y, atol=1e-10)
 
@@ -199,21 +207,33 @@ class TestQuadraticMean:
         t = np.linspace(0.0, 1.0, 6)
         X = np.column_stack([t, 2.0 * t + 1.0])  # rank-deficient even linearly
         y = np.sin(t)
-        mean = fit_quadratic_mean(X, y)
+        mean, _ = fit_quadratic_mean(X, y)
         assert mean.degree == 0
         assert mean(X[0]) == pytest.approx(y.mean(), rel=1e-12)
 
     def test_two_points_one_dim_fit_a_line(self):
         X = np.array([[0.0], [2.0]])
         y = np.array([1.0, 5.0])
-        mean = fit_quadratic_mean(X, y)
+        mean, _ = fit_quadratic_mean(X, y)
         assert mean.degree == 1
         assert mean(np.array([1.0])) == pytest.approx(3.0, rel=1e-12)
 
     def test_single_point_is_constant(self):
-        mean = fit_quadratic_mean(np.array([[1.0, 2.0]]), np.array([7.0]))
+        mean, r = fit_quadratic_mean(np.array([[1.0, 2.0]]), np.array([7.0]))
         assert mean.degree == 0
         assert mean(np.array([9.0, -9.0])) == 7.0
+        np.testing.assert_array_equal(r, [0.0])
+
+    @pytest.mark.parametrize("n", [2, 4, 15])
+    def test_residuals_are_y_minus_the_trend(self, n):
+        # the residuals come from the fit's own design and must equal a fresh
+        # evaluation of the trend bit for bit (degree 0, 1 and 2 here)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(n, 2)) * [1.0, 1e3] + [0.0, 5e6]
+        y = np.sin(X[:, 0]) + 1e-3 * X[:, 1]
+        mean, r = fit_quadratic_mean(X, y)
+        assert mean.degree == {2: 0, 4: 1, 15: 2}[n]
+        np.testing.assert_array_equal(r, y - mean(X))
 
 
 class TestAmplitude:
@@ -235,12 +255,12 @@ class TestAmplitude:
         y = np.array([1.0, -2.0, 3.0, 0.5])
         gp = self._gp(y, spacing=10.0, length=1e-3)  # exp(-1e5): C = I
         r = (y @ self.V) / (self.V @ self.V) * self.V
-        assert gp.params.a == pytest.approx(r @ r / 4, rel=1e-8)
+        assert gp.a == pytest.approx(r @ r / 4, rel=1e-8)
 
     def test_floor_for_zero_residuals(self):
         x = np.arange(4.0)
         gp = self._gp(1.0 + 2.0 * x - 0.5 * x**2, spacing=1.0, length=1.0)
-        assert gp.params.a == 1e-12
+        assert gp.a == 1e-12
 
     def test_correlated_residuals(self):
         y = np.array([1.0, -2.0, 3.0, 0.5])
@@ -248,7 +268,7 @@ class TestAmplitude:
         x = np.arange(4.0)
         C = np.exp(-(x[:, None] - x[None, :]) ** 2)
         r = (y @ self.V) / (self.V @ self.V) * self.V
-        assert gp.params.a == pytest.approx(r @ np.linalg.solve(C, r) / 4,
+        assert gp.a == pytest.approx(r @ np.linalg.solve(C, r) / 4,
                                             rel=1e-8)
 
     def test_overflow_raises_surrogate_error(self):
@@ -276,10 +296,9 @@ class TestPosterior:
     def test_single_point_closed_form(self):
         trend = 1.5
         y0 = 3.0
-        params = KernelParams(a=2.0, lengths=np.array([0.8]), p=2)
         gp = LocalGP(X=np.array([[0.5]]), y=np.array([y0]),
-                     mean=lambda x: trend, params=params,
-                     chol=np.array([[1.0]]), alpha=np.array([y0 - trend]))
+                     mean=lambda x: trend, a=2.0, lengths=np.array([0.8]),
+                     p=2, chol=np.array([[1.0]]), alpha=np.array([y0 - trend]))
         x = np.array([1.3])
         c = math.exp(-(0.8 ** 2) / 0.8)
         mu, var = gp.posterior(x)
@@ -287,10 +306,9 @@ class TestPosterior:
         assert var == pytest.approx(2.0 * (1.0 - c * c), rel=1e-14)
 
     def test_non_finite_mean_raises_surrogate_error(self):
-        params = KernelParams(a=1.0, lengths=np.array([1.0]), p=2)
         gp = LocalGP(X=np.array([[0.0]]), y=np.array([1e308]),
-                     mean=lambda x: 1e308, params=params,
-                     chol=np.array([[1.0]]), alpha=np.array([1e308]))
+                     mean=lambda x: 1e308, a=1.0, lengths=np.array([1.0]),
+                     p=2, chol=np.array([[1.0]]), alpha=np.array([1e308]))
         with pytest.raises(SurrogateError, match="not finite"):
             gp.posterior(np.array([0.0]))
 
@@ -306,7 +324,7 @@ class TestPosterior:
         for xi, yi in zip(X, y):
             mu, var = gp.posterior(xi)
             assert mu == pytest.approx(yi, abs=1e-6)
-            assert var <= 1e-6 * gp.params.a
+            assert var <= 1e-6 * gp.a
 
     def test_reverts_to_trend_far_from_data(self):
         rng = np.random.default_rng(12)
@@ -319,7 +337,7 @@ class TestPosterior:
         far = np.array([60.0])
         mu, var = gp.posterior(far)
         assert mu == pytest.approx(float(gp.mean(far)), rel=1e-10)
-        assert var == pytest.approx(gp.params.a, rel=1e-10)
+        assert var == pytest.approx(gp.a, rel=1e-10)
 
     def test_variance_never_negative(self):
         rng = np.random.default_rng(13)
@@ -354,10 +372,9 @@ class TestPosterior:
         for xi in X:
             store.insert(xi, float(xi[0] ** 2 + 0.1 * xi[1]))
         lengths = np.array([0.2, 50.0])
-        params = KernelParams(a=1.0, lengths=lengths, p=p)
         query = np.array([0.1, -0.4])
         gp = build_local_surrogate(store, query, lengths, p)
-        corr = np.array([kernel_eval(params, xi, query) for xi in X])
+        corr = np.array([kernel_eval(1.0, lengths, p, xi, query) for xi in X])
         want = X[np.argsort(-corr, kind="stable")[:local_size(2)]]
         np.testing.assert_array_equal(gp.X, want)
         raw = X[np.argsort(((X - query) ** 2).sum(axis=1))[:local_size(2)]]
@@ -371,7 +388,7 @@ class TestPosterior:
         x = np.array([0.3, -0.2])
         g1 = build_local_surrogate(store, x, lengths=np.array([1.0, 1.0]), p=1)
         g2 = build_local_surrogate(store, x, lengths=np.array([1.0, 1.0]), p=1)
-        assert g1.params.a == g2.params.a
+        assert g1.a == g2.a
         q = np.array([0.5, 0.5])
         assert g1.posterior(q) == g2.posterior(q)
 

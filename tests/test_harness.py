@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,59 @@ toy_shift = 8.0
                                     self.TEXT + "e_mean = 2.9e6\n"))
 
 
+class TestNonFiniteMoments:
+    """Outputs near 1e170 (y = 1e170 sin(7x)): the variance overflows to inf
+    and the odd central moments are NaN. summary.json and the compare report
+    must still be strict JSON, and the CLI prints such a moment as n/a."""
+
+    TEXT = """
+model = huge
+method = gpmmc
+seed = 1
+bins = 10
+range_lo = -1e170
+range_hi = 1e170
+iterations = 2
+samples_per_iteration = 300
+proposal_scale = 0.5
+gamma = 1e-4
+beta_max = 0.05
+kernel_p = 2
+initial_design = 20
+"""
+
+    @staticmethod
+    def _strict(text):
+        def reject(name):
+            raise ValueError(f"not valid JSON: {name}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_summary_and_report_are_valid_json(self, monkeypatch, tmp_path,
+                                               capsys):
+        monkeypatch.setattr(gpmmc.problem, "_REGISTRY",
+                            dict(gpmmc.problem._REGISTRY))
+        register_model("huge", lambda: gaussian_model(
+            "huge", lambda x: 1e170 * math.sin(7.0 * x[0]),
+            np.zeros(1), np.ones(1)), {})
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", self.TEXT))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_experiment(cfg, out)
+        summary = self._strict((out / "summary.json").read_text())
+        assert math.isfinite(summary["moments"]["mean"])
+        assert summary["moments"]["variance"] is None
+
+        hist = str(out / "histogram.csv")
+        assert cli_main(["moments", hist]) == 0
+        assert "variance   n/a" in capsys.readouterr().out
+        report_path = tmp_path / "report.json"
+        assert cli_main(["compare", hist, hist,
+                         "--json", str(report_path)]) == 0
+        assert "n/a" in capsys.readouterr().out
+        report = self._strict(report_path.read_text())
+        assert report["baseline_moments"]["variance"] is None
+
+
 class TestRunExperimentMc:
     def test_outputs_and_accounting(self, tmp_path):
         text = GOOD_MMC.replace("method = mmc", "method = mc")
@@ -285,11 +339,11 @@ class TestRunExperimentGpmmc:
         assert summary["store_size"] >= 30
 
     def test_store_matches_refinements(self, tmp_path):
-        from gpmmc import EvaluationStore
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_GPMMC))
         summary = run_experiment(cfg, tmp_path / "out")
-        store = EvaluationStore.load_csv(tmp_path / "out" / "store.csv")
-        assert store.size == summary["store_size"]
+        rows = np.loadtxt(tmp_path / "out" / "store.csv", delimiter=",",
+                          skiprows=1)
+        assert rows.shape == (summary["store_size"], 3)
 
     def test_small_design_rejected(self, tmp_path):
         text = GOOD_GPMMC.replace("initial_design = 30",

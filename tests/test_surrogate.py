@@ -5,7 +5,7 @@ import pytest
 
 from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
                    ExactKernel, MmcConfig, Proposal, SurrogateKernel,
-                   SurrogateKernelConfig, WeightTable, fit_surrogate_kernel,
+                   WeightTable, fit_surrogate_kernel,
                    gaussian_model, log_bias_density, misassignment_probability,
                    run_mmc, sample_prior)
 
@@ -81,23 +81,32 @@ class TestMisassignmentProbability:
 
 class TestConfigValidation:
     def test_bounds(self):
-        prop = Proposal.isotropic(0.5, 1)
-        good = dict(gamma=0.1, beta_max=0.05, lengths=np.array([1.0]), p=1,
-                    prop=prop)
-        SurrogateKernelConfig(**good)
+        model = _identity_model()
+        binning = Binning(-1.0, 1.0, 2)
+        good = dict(gamma=0.1, beta_max=0.05, lengths=[1.0], p=1,
+                    prop=Proposal.isotropic(0.5, 1))
+
+        def kernel(**kw):
+            return SurrogateKernel(model, EvaluationStore(1), binning,
+                                   ledger=EvalLedger(), **kw)
+
+        k = kernel(**good)
+        assert (k.gamma, k.beta_max, k.p) == (0.1, 0.05, 1)
+        np.testing.assert_array_equal(k.lengths, [1.0])
+        assert k.lengths.dtype == float
         for bad in (dict(good, gamma=-0.1), dict(good, gamma=1.5),
                     dict(good, beta_max=0.0), dict(good, beta_max=1.0),
-                    dict(good, lengths=np.array([0.0])), dict(good, p=3)):
+                    dict(good, lengths=[0.0]), dict(good, lengths=[math.inf]),
+                    dict(good, p=3)):
             with pytest.raises(ValueError):
-                SurrogateKernelConfig(**bad)
+                kernel(**bad)
 
 
 def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
-    cfg = SurrogateKernelConfig(gamma=gamma, beta_max=beta_max,
-                                lengths=np.array([1.0] * model.dimension),
-                                p=2, prop=Proposal.isotropic(scale,
-                                                             model.dimension))
-    return SurrogateKernel(model, store, binning, cfg, EvalLedger())
+    return SurrogateKernel(model, store, binning, gamma, beta_max,
+                           np.ones(model.dimension), 2,
+                           Proposal.isotropic(scale, model.dimension),
+                           EvalLedger())
 
 
 class TestSurrogateKernel:
@@ -274,11 +283,10 @@ class TestFitSurrogateKernel:
         assert kernel.ledger is ledger
         assert ledger.true_evals == 20
         assert ledger.surrogate_evals == 0
-        cfg = kernel.config
-        assert (cfg.gamma, cfg.beta_max, cfg.p, cfg.prop) == (0.01, 0.05, 2,
-                                                              prop)
-        assert cfg.lengths.shape == (2,) and np.all(cfg.lengths > 0)
+        assert (kernel.gamma, kernel.beta_max, kernel.p,
+                kernel.prop) == (0.01, 0.05, 2, prop)
+        assert kernel.lengths.shape == (2,) and np.all(kernel.lengths > 0)
         again = fit_surrogate_kernel(model, binning, 3, initial_design=20,
                                      gamma=0.01, beta_max=0.05, p=2,
                                      prop=prop, ledger=EvalLedger())
-        np.testing.assert_array_equal(again.config.lengths, cfg.lengths)
+        np.testing.assert_array_equal(again.lengths, kernel.lengths)
