@@ -3,8 +3,9 @@ model evaluations.
 
 The surrogate never fits one global model. Each query point gets its own
 small kriging model built from the stored evaluations most correlated with
-it: a quadratic trend fitted by least squares plus a zero-mean GP on the
-residuals with an anisotropic exponential kernel
+it: a quadratic trend fitted by least squares (a column-pivoted QR, whose
+diagonal also decides when to fall back to a lower degree) plus a zero-mean
+GP on the residuals with an anisotropic exponential kernel
 
     K(x, x') = a * exp(-sum_i |x_i - x'_i|^p / l_i),    p in {1, 2}.
 
@@ -13,11 +14,13 @@ coordinate with a long lengthscale counts for as little in the choice of
 support as it does in the correlations.
 
 Lengthscales are calibrated once from the initial design by a coordinate-wise
-grid search on the profile marginal likelihood and then frozen; the amplitude
-a is recalibrated in closed form for every local model, so the predictive
-variance tracks the local residual scale as the store grows. The lengthscales
-and the exponent are checked once, when a SurrogateKernel is built; the
-per-query functions here take them as given.
+grid search on the profile marginal likelihood of the trend residuals,
+divided by their largest magnitude so the search does not depend on the
+scale of y, and then frozen; the amplitude a is recalibrated in closed form
+for every local model, so the predictive variance tracks the local residual
+scale as the store grows. The lengthscales and the exponent are checked
+once, when a SurrogateKernel is built; the per-query functions here take
+them as given.
 
 The support size follows a square-root rule between the number of quadratic
 basis terms and the cost of the dense solve:
@@ -25,6 +28,11 @@ basis terms and the cost of the dense solve:
     n(d) = ceil(sqrt(d) * (d + 1) * (d + 2) / 2)
 
 which gives 9 points in 2 dimensions, 47 in 5, and 209 in 10.
+
+The per-query algebra calls LAPACK directly through scipy.linalg.lapack
+(dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
+correlation matrix): on supports this small, the argument checks of the
+numpy.linalg and scipy.linalg wrappers cost more than the factorizations.
 """
 
 from __future__ import annotations
@@ -34,8 +42,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dgeqp3, dormqr, dpotrf, dpotrs, dtrtrs
 from scipy.spatial.distance import cdist
 
 from .errors import SurrogateError
@@ -67,6 +74,12 @@ def local_size(d: int) -> int:
     return math.ceil(math.sqrt(d) * (d + 1) * (d + 2) / 2)
 
 
+def _check_exponent(p: int) -> None:
+    """ValueError unless the kernel exponent p is 1 or 2."""
+    if p not in (1, 2):
+        raise ValueError(f"kernel exponent must be 1 or 2, got {p}")
+
+
 def _check_kernel(lengths, p: int) -> np.ndarray:
     """The lengthscales as a 1-D float array, after checking that they are
     positive and finite and that the exponent p is 1 or 2; ValueError
@@ -74,8 +87,7 @@ def _check_kernel(lengths, p: int) -> np.ndarray:
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
     if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
         raise ValueError("kernel lengthscales must be positive and finite")
-    if p not in (1, 2):
-        raise ValueError(f"kernel exponent must be 1 or 2, got {p}")
+    _check_exponent(p)
     return lengths
 
 
@@ -240,8 +252,12 @@ def fit_quadratic_mean(X: np.ndarray,
 
     Tries the full quadratic basis first and falls back to linear and then
     to a constant whenever the support is too small or the (standardized)
-    design is rank-deficient, so the fit always succeeds. The residuals come
-    from the design the fit used, so they equal y - mean(X) bit for bit.
+    design is rank-deficient, so the fit always succeeds. The fit is a
+    column-pivoted QR of the n x k design (LAPACK dgeqp3): a degree counts
+    as rank-deficient when some |R_jj| <= eps * n * |R_11|, the cutoff
+    numpy.linalg.lstsq applies to the singular values by default, here
+    applied to the diagonal of R. The residuals come from the design the
+    fit used, so they equal y - mean(X) bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -254,13 +270,22 @@ def fit_quadratic_mean(X: np.ndarray,
     scale = X.std(axis=0)
     scale[scale == 0] = 1.0
     Z = (X - center) / scale
+    cutoff = np.finfo(float).eps * n
     for degree in (2, 1, 0):
         B = _design(Z, degree)
-        if n < B.shape[1]:
+        k = B.shape[1]
+        if n < k:
             continue
-        coef, _, rank, _ = np.linalg.lstsq(B, y, rcond=None)
-        if rank == B.shape[1]:
-            return QuadraticMean(degree, center, scale, coef), y - B @ coef
+        qr, piv, tau, _, _ = dgeqp3(B)
+        r_diag = np.abs(qr.diagonal())
+        if r_diag.min() <= cutoff * r_diag[0]:
+            continue
+        qty, _, _ = dormqr("L", "T", qr, tau, y[:, None], lwork=1)
+        # dtrtrs solves with the leading k x k upper triangle of qr
+        z, _ = dtrtrs(qr, qty)
+        coef = np.empty(k)
+        coef[piv - 1] = z[:k, 0]
+        return QuadraticMean(degree, center, scale, coef), y - B @ coef
 
 
 def _chol_with_jitter(corr: np.ndarray,
@@ -300,7 +325,7 @@ def _profile_loglik(X: np.ndarray, r: np.ndarray, lengths: np.ndarray,
         L, _ = _chol_with_jitter(_corr_matrix(X, lengths, p, out=corr), work)
     except SurrogateError:
         return -math.inf
-    alpha = cho_solve((L, True), r, check_finite=False)
+    alpha, _ = dpotrs(L, r, lower=1)
     a_hat = max(float(r @ alpha) / n, AMPLITUDE_FLOOR)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     return -n * math.log(a_hat) - logdet
@@ -313,8 +338,11 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     CALIBRATION_SPAN times its data standard deviation. Starting from the grid
     centers, coordinates are optimized one at a time against the profile
     marginal likelihood of the trend residuals, with CALIBRATION_SWEEPS full
-    sweeps rather than iterating to convergence. Degenerate data with no
-    residual signal falls back to the per-coordinate data ranges.
+    sweeps rather than iterating to convergence. The residuals are divided
+    by their largest magnitude first, so the search sees the same numbers
+    whatever the scale of y (outputs near 1e170 would otherwise overflow
+    every likelihood on the grid). Degenerate data with no residual signal,
+    max|r| <= 1e-12 max|y|, falls back to the per-coordinate data ranges.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -322,10 +350,12 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least two points to calibrate lengthscales")
     _, r = fit_quadratic_mean(X, y)
-    if np.max(np.abs(r)) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
+    r_max = np.max(np.abs(r))
+    if r_max <= 1e-12 * np.max(np.abs(y)):
         ranges = X.max(axis=0) - X.min(axis=0)
         ranges[ranges <= 0] = 1.0
         return ranges
+    r = r / r_max
     std = X.std(axis=0)
     std[std <= 0] = 1.0
     lo, hi = CALIBRATION_SPAN
@@ -369,7 +399,7 @@ class LocalGP:
         either is not finite."""
         c = np.exp(-_kernel_distance(self.X, np.asarray(x, dtype=float),
                                      self.lengths, self.p))
-        w = cho_solve((self.chol, True), c, check_finite=False)
+        w, _ = dpotrs(self.chol, c, lower=1)
         mu = float(self.mean(x)) + float(c @ self.alpha)
         var = self.a * (1.0 - float(c @ w))
         if not (math.isfinite(mu) and math.isfinite(var)):
@@ -403,8 +433,10 @@ def build_local_surrogate(store: EvaluationStore, x: np.ndarray,
     mean, r = fit_quadratic_mean(Xs, ys)
     corr = _corr_matrix(Xs, lengths, p)
     L, _ = _chol_with_jitter(corr)
-    alpha = cho_solve((L, True), r, check_finite=False)
-    a = float(r @ alpha) / r.size
+    alpha, _ = dpotrs(L, r, lower=1)
+    # residuals near 1e170 overflow here; the SurrogateError is the signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = float(r @ alpha) / r.size
     if not math.isfinite(a):
         raise SurrogateError(f"local kernel amplitude is {a}")
     return LocalGP(X=Xs, y=ys, mean=mean, a=max(a, AMPLITUDE_FLOOR),

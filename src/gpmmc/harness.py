@@ -35,7 +35,7 @@ from .errors import ConfigError
 from .mcmc import ExactKernel, Proposal
 from .problem import (EvalLedger, build_model, model_config_keys,
                       registered_models)
-from .surrogate import fit_surrogate_kernel
+from .surrogate import _check_settings, fit_surrogate_kernel
 from .benchmarks import pilot_output_range  # also registers the models
 
 __all__ = ["RunConfig", "parse_config", "run_experiment", "ComparisonReport",
@@ -109,6 +109,14 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if not self.auto_range and (self.range_lo is None or self.range_hi is None):
             raise ConfigError("give range_lo and range_hi, or range = auto")
+        if self.method == "gpmmc":
+            # fail here, not after the pilot and the design's true evaluations
+            if self.initial_design < 2:
+                raise ConfigError("gpmmc needs initial_design >= 2")
+            try:
+                _check_settings(self.gamma, self.beta_max, self.kernel_p)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def _convert(key: str, raw: str, parse):
@@ -306,8 +314,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         if cfg.method == "mmc":
             kernel = ExactKernel(model, prop, ledger)
         else:
-            if cfg.initial_design < 2:
-                raise ConfigError("gpmmc needs initial_design >= 2")
             kernel = fit_surrogate_kernel(
                 model, binning, cfg.seed, initial_design=cfg.initial_design,
                 gamma=cfg.gamma, beta_max=cfg.beta_max, p=cfg.kernel_p,

@@ -29,8 +29,8 @@ import numpy as np
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import (EvaluationStore, _check_kernel, build_local_surrogate,
-                 calibrate_lengthscales)
+from .gp import (EvaluationStore, _check_exponent, _check_kernel,
+                 build_local_surrogate, calibrate_lengthscales)
 from .mcmc import (ChainState, Proposal, StepRecord, Target,
                    metropolis_accept, propose)
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
@@ -43,6 +43,18 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def _phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z * _INV_SQRT2))
+
+
+def _check_settings(gamma: float, beta_max: float, p: int) -> None:
+    """ValueError unless gamma lies in [0, 1], beta_max in (0, 1) and the
+    kernel exponent p is 1 or 2. SurrogateKernel runs these checks when it
+    is built, and a run config runs them when it is parsed, before the run
+    spends a true evaluation."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if not 0.0 < beta_max < 1.0:
+        raise ValueError(f"beta_max must lie in (0, 1), got {beta_max}")
+    _check_exponent(p)
 
 
 def misassignment_probability(mu: float, sigma: float,
@@ -87,10 +99,7 @@ class SurrogateKernel:
                  binning: Binning, gamma: float, beta_max: float,
                  lengths: np.ndarray, p: int, prop: Proposal,
                  ledger: EvalLedger):
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-        if not 0.0 < beta_max < 1.0:
-            raise ValueError(f"beta_max must lie in (0, 1), got {beta_max}")
+        _check_settings(gamma, beta_max, p)
         self.model = model
         self.store = store
         self.binning = binning

@@ -236,6 +236,87 @@ class TestQuadraticMean:
         np.testing.assert_array_equal(r, y - mean(X))
 
 
+def lstsq_trend(X, y):
+    """Oracle: degree and standardized-basis coefficients of the trend that
+    numpy.linalg.lstsq fits on the same design, trying degree 2, 1 and 0
+    until the design has full rank at lstsq's default cutoff."""
+    n, d = X.shape
+    scale = X.std(axis=0)
+    scale[scale == 0] = 1.0
+    Z = (X - X.mean(axis=0)) / scale
+    ii, jj = np.triu_indices(d)
+    ones = np.ones((n, 1))
+    designs = {2: np.hstack([ones, Z, Z[:, ii] * Z[:, jj]]),
+               1: np.hstack([ones, Z]), 0: ones}
+    for degree in (2, 1, 0):
+        B = designs[degree]
+        if n < B.shape[1]:
+            continue
+        coef, _, rank, _ = np.linalg.lstsq(B, y, rcond=None)
+        if rank == B.shape[1]:
+            return degree, coef
+
+
+class TestQuadraticMeanAgainstLstsq:
+    """The pivoted-QR trend fit against numpy.linalg.lstsq: the same degree,
+    the same coefficients to 1e-9 relative, and residuals that are exactly
+    y - mean(X)."""
+
+    @staticmethod
+    def _check(X, y, degree=None):
+        mean, r = fit_quadratic_mean(X, y)
+        want_degree, want = lstsq_trend(X, y)
+        assert mean.degree == want_degree
+        if degree is not None:
+            assert mean.degree == degree
+        err = np.linalg.norm(mean.scaled_coef - want)
+        assert err <= 1e-9 * np.linalg.norm(want)
+        np.testing.assert_array_equal(r, y - mean(X))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_random_supports(self, d):
+        rng = np.random.default_rng(30 + d)
+        k = (d + 1) * (d + 2) // 2
+        for n in range(k - 1, 3 * k + 1):
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d)
+            y = np.sin(X).sum(axis=1) + rng.normal(size=n)
+            self._check(X, y)
+
+    def test_collinear_coordinates(self):
+        rng = np.random.default_rng(41)
+        t = rng.normal(size=(30, 2))
+        X = np.column_stack([t, 3.0 * t[:, 0] - 2.0])
+        self._check(X, np.cos(t).sum(axis=1), degree=0)
+
+    def test_nearly_collinear_coordinates_keep_full_degree(self):
+        # collinear but for 1e-4 noise: the quadratic design's smallest
+        # singular value is ~2e-10 relative, far above the rank cutoff, so the
+        # full quadratic stays; its coefficients are too ill-conditioned to
+        # compare at 1e-9
+        rng = np.random.default_rng(44)
+        t = rng.normal(size=(30, 2))
+        X = np.column_stack([t, 3.0 * t[:, 0] - 2.0
+                             + 1e-4 * rng.normal(size=30)])
+        y = np.cos(t).sum(axis=1)
+        mean, r = fit_quadratic_mean(X, y)
+        assert mean.degree == lstsq_trend(X, y)[0] == 2
+        np.testing.assert_array_equal(r, y - mean(X))
+
+    def test_constant_coordinate(self):
+        rng = np.random.default_rng(42)
+        X = rng.normal(size=(25, 3))
+        X[:, 1] = 4.0
+        self._check(X, np.exp(X[:, 0]) - X[:, 2], degree=0)
+
+    @pytest.mark.parametrize("distinct, degree", [(4, 1), (5, 1), (7, 2)])
+    def test_repeated_rows(self, distinct, degree):
+        # 2-D: six quadratic terms, so fewer than six distinct points leave
+        # the quadratic design rank-deficient however often they repeat
+        rng = np.random.default_rng(43 + distinct)
+        X = np.tile(rng.normal(size=(distinct, 2)), (3, 1))
+        self._check(X, np.sin(X[:, 0]) + X[:, 1] ** 3, degree=degree)
+
+
 class TestAmplitude:
     """build_local_surrogate's closed-form amplitude a = r' C^{-1} r / n of
     the trend residuals r, floored at 1e-12. Four equally spaced points in
@@ -410,6 +491,20 @@ class TestLengthscaleCalibration:
         y = np.full(4, 3.0)
         lengths = calibrate_lengthscales(X, y, p=1)
         np.testing.assert_allclose(lengths, [6.0, 2.0], rtol=1e-12)
+
+    def test_same_lengthscales_at_any_scale_of_y(self):
+        # the residuals are divided by their largest magnitude, so outputs
+        # near 1e170 (whose likelihoods would overflow) or 1e-170 choose the
+        # same grid values as outputs near 1
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(20, 1))
+        y = np.sin(7.0 * X[:, 0])
+        lengths = calibrate_lengthscales(X, y, p=2)
+        grid = np.geomspace(0.01 * X.std(), 100.0 * X.std(), 13)
+        assert lengths[0] in grid and lengths[0] != grid[6]
+        for scale in (1e170, 1e-170):
+            np.testing.assert_array_equal(
+                calibrate_lengthscales(X, scale * y, p=2), lengths)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):

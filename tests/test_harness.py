@@ -348,9 +348,8 @@ class TestRunExperimentGpmmc:
     def test_small_design_rejected(self, tmp_path):
         text = GOOD_GPMMC.replace("initial_design = 30",
                                   "initial_design = 1")
-        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
         with pytest.raises(ConfigError, match="initial_design"):
-            run_experiment(cfg, tmp_path / "out")
+            parse_config(_write_cfg(tmp_path / "a.cfg", text))
 
     def test_vector_scale_length_checked(self, tmp_path):
         text = GOOD_GPMMC + "proposal_scale = 0.5, 0.5, 0.5\n"
@@ -446,6 +445,18 @@ class TestCli:
         cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC + "bogus = 1\n")
         assert cli_main(["run", cfg_path]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["kernel_p = 3", "gamma = 2",
+                                      "beta_max = 0", "initial_design = 1"])
+    def test_bad_surrogate_setting_is_reported_before_the_run(
+            self, tmp_path, capsys, line):
+        # the later line wins, so this replaces the good value
+        cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_GPMMC + line + "\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not out.exists()  # rejected before the run began
 
     def test_seed_override(self, tmp_path):
         cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC)
