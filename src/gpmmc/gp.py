@@ -29,6 +29,16 @@ basis terms and the cost of the dense solve:
 
 which gives 9 points in 2 dimensions, 47 in 5, and 209 in 10.
 
+A local model depends only on the set of stored evaluations in its support:
+EvaluationStore.nearest reports the support as ascending store indices, and
+build_local_surrogate builds from the rows in that order, never in the
+query's distance order. Two queries with the same support set therefore get
+the same model bit for bit, and SurrogateKernel builds each one once and
+reuses it. A reused model stays exact because the store is append-only (a
+stored row never changes, and a near-duplicate is skipped on insert rather
+than overwriting one) and the lengthscales and exponent stay frozen for the
+kernel's lifetime.
+
 The per-query algebra calls LAPACK directly through scipy.linalg.lapack
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
 correlation matrix): on supports this small, the argument checks of the
@@ -178,26 +188,27 @@ class EvaluationStore:
 
     def nearest(self, x: np.ndarray, n: int, lengths: np.ndarray,
                 p: int) -> tuple[np.ndarray, np.ndarray]:
-        """The n stored evaluations nearest to x in the kernel's metric,
-        sum_i |x_i - x'_i|^p / l_i, so the most correlated come first; exact
-        ties are broken by insertion order. Returns the whole store when it
-        holds fewer than n points."""
+        """The support of a local model at x: the store indices of the n
+        evaluations nearest to x in the kernel's metric, sum_i |x_i - x'_i|^p
+        / l_i, so the most correlated ones, with exact ties at the cutoff
+        broken by insertion order; and the kernel distances from x to those
+        evaluations. The indices come in ascending order, so they name the
+        support as a set, whatever the query; the distances are in the same
+        order. Returns the whole store when it holds fewer than n points."""
         if self._n == 0:
             raise RuntimeError("evaluation store is empty")
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected shape ({self.dimension},), got {x.shape}")
-        n = min(n, self._n)
         dist = _kernel_distance(self.points, x, lengths, p)
-        if n == self._n:
-            cand = np.arange(self._n)
-        else:
-            part = np.argpartition(dist, n - 1)[:n]
-            # pull in every point tied with the current cutoff so ties resolve
-            # by insertion order, not by partition internals
-            cand = np.flatnonzero(dist <= dist[part].max())
-        order = cand[np.lexsort((cand, dist[cand]))][:n]
-        return self._x[order].copy(), self._y[order].copy()
+        if n >= self._n:
+            return np.arange(self._n), dist
+        cutoff = np.partition(dist, n - 1)[n - 1]
+        idx = np.flatnonzero(dist <= cutoff)
+        if idx.size > n:
+            # points tied at the cutoff: keep the earliest inserted
+            idx = np.sort(idx[np.lexsort((idx, dist[idx]))[:n]])
+        return idx, dist[idx]
 
     def save_csv(self, path) -> None:
         """Write a header x_1..x_d,y and one row per stored evaluation, in
@@ -379,26 +390,28 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 class LocalGP:
     """One local kriging model, ready for posterior evaluation.
 
-    Holds the support set (X, y), the fitted trend, the kernel K(x, x') =
-    a * exp(-sum_i |x_i - x'_i|^p / l_i) with its local amplitude a and the
-    frozen lengthscales and exponent, the Cholesky factor of the jittered
-    unit-amplitude correlation matrix C, and the precomputed weight vector
-    alpha = C^{-1} (y - trend)."""
+    Holds the support set (X, y) in store-index order, the fitted trend, the
+    local amplitude a of the kernel K(x, x') = a * exp(-sum_i |x_i - x'_i|^p
+    / l_i), the Cholesky factor of the jittered unit-amplitude correlation
+    matrix C, and the precomputed weight vector alpha = C^{-1} (y - trend).
+    The kernel's lengthscales and exponent stay with the caller, which
+    passes posterior the distances they define."""
 
     X: np.ndarray
     y: np.ndarray
     mean: Callable
     a: float
-    lengths: np.ndarray
-    p: int
     chol: np.ndarray
     alpha: np.ndarray
 
-    def posterior(self, x: np.ndarray) -> tuple[float, float]:
-        """Posterior mean and variance at a single point; SurrogateError when
-        either is not finite."""
-        c = np.exp(-_kernel_distance(self.X, np.asarray(x, dtype=float),
-                                     self.lengths, self.p))
+    def posterior(self, x: np.ndarray,
+                  dist: np.ndarray) -> tuple[float, float]:
+        """Posterior mean and variance at a single point x, given dist, the
+        kernel distances sum_j |x_j - X_ij|^p / l_j from x to each support
+        row i, in the order of X. EvaluationStore.nearest returns exactly
+        these with the support, so a query computes them once. Raises
+        SurrogateError when the mean or the variance is not finite."""
+        c = np.exp(-dist)
         w, _ = dpotrs(self.chol, c, lower=1)
         mu = float(self.mean(x)) + float(c @ self.alpha)
         var = self.a * (1.0 - float(c @ w))
@@ -407,29 +420,24 @@ class LocalGP:
         return mu, max(var, 0.0)
 
 
-def build_local_surrogate(store: EvaluationStore, x: np.ndarray,
-                          lengths: np.ndarray, p: int,
-                          n: int | None = None) -> LocalGP:
-    """Local model at x from its nearest stored evaluations in the kernel's
-    metric.
+def build_local_surrogate(store: EvaluationStore, idx: np.ndarray,
+                          lengths: np.ndarray, p: int) -> LocalGP:
+    """Local model on the stored evaluations idx, the ascending store
+    indices EvaluationStore.nearest returns as a query's support.
 
-    Uses the local_size(d) stored points most correlated with x under the
-    frozen lengthscales by default (the whole store when it is smaller; see
-    EvaluationStore.nearest), fits the trend, recalibrates the amplitude in
+    Fits the trend on the rows in index order, recalibrates the amplitude in
     closed form from the trend residuals, and factors the correlation matrix
-    once so posterior queries are two triangular solves. lengths and p are
-    taken as given: SurrogateKernel checks them once, when it is built.
-    Raises SurrogateError when the correlation matrix cannot be factored at
-    the maximum jitter or the amplitude is not finite; callers fall back to
-    the true model in that case.
+    once so posterior queries are two triangular solves. Because the rows
+    come in index order, the model is a function of the support set alone:
+    every query whose support is this set gets the same model, bit for bit,
+    which is what lets SurrogateKernel build it once and reuse it. lengths
+    and p are taken as given: SurrogateKernel checks them once, when it is
+    built. Raises SurrogateError when the correlation matrix cannot be
+    factored at the maximum jitter or the amplitude is not finite; callers
+    fall back to the true model in that case.
     """
-    x = np.asarray(x, dtype=float)
-    if store.size == 0:
-        raise SurrogateError("evaluation store is empty; no surrogate support")
-    if n is None:
-        n = local_size(store.dimension)
-    lengths = np.asarray(lengths, dtype=float)
-    Xs, ys = store.nearest(x, n, lengths, p)
+    Xs = store.points[idx]
+    ys = store.values[idx]
     mean, r = fit_quadratic_mean(Xs, ys)
     corr = _corr_matrix(Xs, lengths, p)
     L, _ = _chol_with_jitter(corr)
@@ -440,4 +448,4 @@ def build_local_surrogate(store: EvaluationStore, x: np.ndarray,
     if not math.isfinite(a):
         raise SurrogateError(f"local kernel amplitude is {a}")
     return LocalGP(X=Xs, y=ys, mean=mean, a=max(a, AMPLITUDE_FLOOR),
-                   lengths=lengths, p=p, chol=L, alpha=alpha)
+                   chol=L, alpha=alpha)

@@ -19,6 +19,12 @@ fixed per-step RNG layout in mcmc.py exists for.
 The target density only sees which bin a value lands in (through the weight
 lookup), so a surrogate value that bins correctly leaves the chain's law
 unchanged; beta bounds the per-step probability of getting that bin wrong.
+
+Chains revisit the same regions, so most candidates share their support set
+with an earlier one (in the 2-D two-center run over 90% of them). The kernel
+keeps the local models it built in a least-recently-used cache keyed by the
+support's store indices and builds one only on a miss; see gp.py for why a
+cached model equals the one a fresh build would return.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ import numpy as np
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import (EvaluationStore, _check_exponent, _check_kernel,
-                 build_local_surrogate, calibrate_lengthscales)
+from .gp import (EvaluationStore, LocalGP, _check_exponent, _check_kernel,
+                 build_local_surrogate, calibrate_lengthscales, local_size)
 from .mcmc import (ChainState, Proposal, StepRecord, Target,
                    metropolis_accept, propose)
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
@@ -39,6 +45,11 @@ __all__ = ["misassignment_probability", "SurrogateKernel",
            "fit_surrogate_kernel"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Size of a SurrogateKernel's model cache, in correlation-matrix entries: it
+# holds MODEL_CACHE_ENTRIES // n**2 models of support size n, and at least
+# one (3,236 at n = 9 in 2-D, 6 at n = 209 in 10-D), about 2 MB of Cholesky
+# factors.
+MODEL_CACHE_ENTRIES = 2**18
 
 
 def _phi(z: float) -> float:
@@ -93,6 +104,11 @@ class SurrogateKernel:
     Tracks how every true evaluation was triggered (random gate, beta above
     threshold, or surrogate construction failure) so a run's cost can be
     reconciled exactly from the counters.
+
+    Local models are cached by support set, least recently used first out,
+    and the cache never changes a result: a hit returns the model a fresh
+    build would return. A build that raises SurrogateError is not cached, so
+    every step that meets it again refines and counts a refine_fallback.
     """
 
     def __init__(self, model: PerformanceModel, store: EvaluationStore,
@@ -109,11 +125,33 @@ class SurrogateKernel:
         self.p = p
         self.prop = prop
         self.ledger = ledger
+        self._support_size = local_size(store.dimension)
+        self._models: dict[bytes, LocalGP] = {}
+        self._max_models = max(1,
+                               MODEL_CACHE_ENTRIES // self._support_size**2)
         self.steps = 0
         self.refine_random = 0
         self.refine_beta = 0
         self.refine_fallback = 0
         self.surrogate_steps = 0
+
+    def _local_model(self, x: np.ndarray) -> tuple[LocalGP, np.ndarray]:
+        """The local model at x and the kernel distances from x to its
+        support, building the model only when its support set is not
+        cached. SurrogateError when the store is empty or the build fails."""
+        if self.store.size == 0:
+            raise SurrogateError("evaluation store is empty; no surrogate "
+                                 "support")
+        idx, dist = self.store.nearest(x, self._support_size, self.lengths,
+                                       self.p)
+        key = idx.tobytes()
+        gp = self._models.pop(key, None)
+        if gp is None:
+            gp = build_local_surrogate(self.store, idx, self.lengths, self.p)
+            if len(self._models) >= self._max_models:
+                del self._models[next(iter(self._models))]
+        self._models[key] = gp
+        return gp, dist
 
     def step(self, rng: np.random.Generator, state: ChainState,
              target: Target) -> tuple[ChainState, StepRecord]:
@@ -126,9 +164,8 @@ class SurrogateKernel:
             self.refine_random += 1
         else:
             try:
-                gp = build_local_surrogate(self.store, x_new, self.lengths,
-                                           self.p)
-                mu, var = gp.posterior(x_new)
+                gp, dist = self._local_model(x_new)
+                mu, var = gp.posterior(x_new, dist)
             except SurrogateError:
                 self.refine_fallback += 1
             else:

@@ -18,7 +18,8 @@ from gpmmc.benchmarks import (beam_model, interpolate_bilinear,
                               min_distance_model, poisson_kl_model,
                               solve_poisson)
 from gpmmc.engine import Binning, MmcConfig, run_mmc, run_plain_mc
-from gpmmc.gp import EvaluationStore, build_local_surrogate, local_size
+from gpmmc.gp import (EvaluationStore, _kernel_distance, build_local_surrogate,
+                      local_size)
 from gpmmc.mcmc import ChainState, ExactKernel, Proposal
 from gpmmc.problem import EvalLedger, gaussian_model, log_prior_density
 from gpmmc.surrogate import fit_surrogate_kernel
@@ -57,9 +58,10 @@ def test_local_gp_interpolates_its_support():
         for xi, yi in zip(X, y):
             store.insert(xi, float(yi))
         lengths = np.full(d, 1.0)
-        gp = build_local_surrogate(store, X[0], lengths, p)
+        idx, _ = store.nearest(X[0], n, lengths, p)
+        gp = build_local_surrogate(store, idx, lengths, p)
         for xi, yi in zip(gp.X, gp.y):
-            mu, var = gp.posterior(xi)
+            mu, var = gp.posterior(xi, _kernel_distance(gp.X, xi, lengths, p))
             worst_rel = max(worst_rel, abs(mu - yi) / abs(yi))
             worst_var = max(worst_var, var / gp.a)
     ok = worst_rel <= 1e-6 and worst_var <= 1e-6

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gpmmc import (EvaluationStore, LocalGP, SurrogateError,
-                   build_local_surrogate, calibrate_lengthscales,
-                   fit_quadratic_mean, local_size)
+from gpmmc import (Binning, EvalLedger, EvaluationStore, LocalGP, Proposal,
+                   SurrogateError, SurrogateKernel, build_local_surrogate,
+                   calibrate_lengthscales, fit_quadratic_mean, gaussian_model,
+                   local_size)
 from gpmmc.gp import (STORE_CAPACITY, _check_kernel, _chol_with_jitter,
-                      _corr_matrix)
+                      _corr_matrix, _kernel_distance)
 
 ONE = np.ones(1)  # unit lengthscale in 1-D: the kernel metric is Euclidean
 
@@ -17,6 +18,13 @@ def kernel_eval(a, lengths, p, x1, x2):
     at a time."""
     expo = np.abs(np.asarray(x1, float) - np.asarray(x2, float)) ** p / lengths
     return a * math.exp(-float(expo.sum()))
+
+
+def posterior_at(gp, x, lengths, p):
+    """gp's posterior at any point x, with the kernel distances from x to
+    the support computed here rather than by a support query."""
+    x = np.asarray(x, dtype=float)
+    return gp.posterior(x, _kernel_distance(gp.X, x, lengths, p))
 
 
 class TestLocalSize:
@@ -35,10 +43,9 @@ class TestKernel:
 
     def test_absolute_differences_and_amplitude(self):
         gp = LocalGP(X=np.array([[0.0]]), y=np.zeros(1), mean=lambda x: 0.0,
-                     a=2.0, lengths=np.array([2.0]), p=1,
-                     chol=np.array([[1.0]]), alpha=np.zeros(1))
+                     a=2.0, chol=np.array([[1.0]]), alpha=np.zeros(1))
         # one support point at distance 3: c = exp(-1.5), var = a (1 - c^2)
-        _, var = gp.posterior(np.array([3.0]))
+        _, var = posterior_at(gp, [3.0], np.array([2.0]), 1)
         assert var == pytest.approx(2.0 * (1.0 - math.exp(-3.0)), rel=1e-14)
 
     def test_coordinates_contribute_additively(self):
@@ -122,25 +129,34 @@ class TestEvaluationStore:
         store = EvaluationStore(1)
         for v in (5.0, 1.0, 3.0, 2.0):
             store.insert(np.array([v]), v)
-        X, y = store.nearest(np.array([0.0]), 2, ONE, 2)
-        np.testing.assert_array_equal(y, [1.0, 2.0])
-        X, y = store.nearest(np.array([0.0]), 3, ONE, 2)
-        np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
+        # the support is the nearest points as a set, in store-index order,
+        # with each one's kernel distance (here the squared distance)
+        idx, dist = store.nearest(np.array([0.0]), 2, ONE, 2)
+        np.testing.assert_array_equal(idx, [1, 3])
+        np.testing.assert_array_equal(store.values[idx], [1.0, 2.0])
+        np.testing.assert_array_equal(dist, [1.0, 4.0])
+        idx, dist = store.nearest(np.array([0.0]), 3, ONE, 2)
+        np.testing.assert_array_equal(idx, [1, 2, 3])
+        np.testing.assert_array_equal(store.values[idx], [1.0, 3.0, 2.0])
+        np.testing.assert_array_equal(dist, [1.0, 9.0, 4.0])
 
     def test_nearest_breaks_ties_by_insertion_order(self):
         store = EvaluationStore(1)
         for v in (1.0, -1.0, 3.0, -3.0):
             store.insert(np.array([v]), v)
-        _, y = store.nearest(np.array([0.0]), 2, ONE, 2)
-        np.testing.assert_array_equal(y, [1.0, -1.0])
-        _, y = store.nearest(np.array([0.0]), 3, ONE, 2)
-        np.testing.assert_array_equal(y, [1.0, -1.0, 3.0])
+        idx, _ = store.nearest(np.array([0.0]), 2, ONE, 2)
+        np.testing.assert_array_equal(store.values[idx], [1.0, -1.0])
+        # 3 and -3 tie at the cutoff: the earlier insert wins
+        idx, dist = store.nearest(np.array([0.0]), 3, ONE, 2)
+        np.testing.assert_array_equal(store.values[idx], [1.0, -1.0, 3.0])
+        np.testing.assert_array_equal(dist, [1.0, 1.0, 9.0])
 
     def test_nearest_clamps_to_size(self):
         store = EvaluationStore(1)
         store.insert(np.array([1.0]), 1.0)
-        X, y = store.nearest(np.array([0.0]), 10, ONE, 2)
-        assert X.shape == (1, 1)
+        idx, dist = store.nearest(np.array([0.0]), 10, ONE, 2)
+        np.testing.assert_array_equal(idx, [0])
+        np.testing.assert_array_equal(dist, [1.0])
 
     def test_nearest_empty_store(self):
         store = EvaluationStore(1)
@@ -329,8 +345,8 @@ class TestAmplitude:
         store = EvaluationStore(1)
         for k, yk in enumerate(y):
             store.insert(np.array([k * spacing]), float(yk))
-        return build_local_surrogate(store, np.array([0.0]),
-                                     np.array([length]), p=2, n=4)
+        return build_local_surrogate(store, np.arange(4),
+                                     np.array([length]), p=2)
 
     def test_identity_correlation(self):
         y = np.array([1.0, -2.0, 3.0, 0.5])
@@ -378,20 +394,20 @@ class TestPosterior:
         trend = 1.5
         y0 = 3.0
         gp = LocalGP(X=np.array([[0.5]]), y=np.array([y0]),
-                     mean=lambda x: trend, a=2.0, lengths=np.array([0.8]),
-                     p=2, chol=np.array([[1.0]]), alpha=np.array([y0 - trend]))
+                     mean=lambda x: trend, a=2.0, chol=np.array([[1.0]]),
+                     alpha=np.array([y0 - trend]))
         x = np.array([1.3])
         c = math.exp(-(0.8 ** 2) / 0.8)
-        mu, var = gp.posterior(x)
+        mu, var = posterior_at(gp, x, np.array([0.8]), 2)
         assert mu == pytest.approx(trend + c * (y0 - trend), rel=1e-14)
         assert var == pytest.approx(2.0 * (1.0 - c * c), rel=1e-14)
 
     def test_non_finite_mean_raises_surrogate_error(self):
         gp = LocalGP(X=np.array([[0.0]]), y=np.array([1e308]),
-                     mean=lambda x: 1e308, a=1.0, lengths=np.array([1.0]),
-                     p=2, chol=np.array([[1.0]]), alpha=np.array([1e308]))
+                     mean=lambda x: 1e308, a=1.0, chol=np.array([[1.0]]),
+                     alpha=np.array([1e308]))
         with pytest.raises(SurrogateError, match="not finite"):
-            gp.posterior(np.array([0.0]))
+            gp.posterior(np.array([0.0]), np.zeros(1))
 
     def test_interpolates_training_data(self):
         rng = np.random.default_rng(11)
@@ -400,10 +416,10 @@ class TestPosterior:
         y = np.sin(X[:, 0]) + np.cos(2.0 * X[:, 1])
         for xi, yi in zip(X, y):
             store.insert(xi, float(yi))
-        gp = build_local_surrogate(store, np.zeros(2),
-                                   lengths=np.array([1.0, 1.0]), p=2, n=12)
+        lengths = np.array([1.0, 1.0])
+        gp = build_local_surrogate(store, np.arange(12), lengths, p=2)
         for xi, yi in zip(X, y):
-            mu, var = gp.posterior(xi)
+            mu, var = posterior_at(gp, xi, lengths, 2)
             assert mu == pytest.approx(yi, abs=1e-6)
             assert var <= 1e-6 * gp.a
 
@@ -413,10 +429,10 @@ class TestPosterior:
         for _ in range(8):
             x = rng.uniform(-1.0, 1.0, size=1)
             store.insert(x, float(np.sin(3.0 * x[0])))
-        gp = build_local_surrogate(store, np.zeros(1),
-                                   lengths=np.array([0.5]), p=2, n=8)
+        lengths = np.array([0.5])
+        gp = build_local_surrogate(store, np.arange(8), lengths, p=2)
         far = np.array([60.0])
-        mu, var = gp.posterior(far)
+        mu, var = posterior_at(gp, far, lengths, 2)
         assert mu == pytest.approx(float(gp.mean(far)), rel=1e-10)
         assert var == pytest.approx(gp.a, rel=1e-10)
 
@@ -425,18 +441,24 @@ class TestPosterior:
         store = EvaluationStore(2)
         for _ in range(30):
             store.insert(rng.normal(size=2), float(rng.normal()))
-        gp = build_local_surrogate(store, np.zeros(2),
-                                   lengths=np.array([2.0, 2.0]), p=1)
+        lengths = np.array([2.0, 2.0])
+        idx, _ = store.nearest(np.zeros(2), local_size(2), lengths, 1)
+        gp = build_local_surrogate(store, idx, lengths, p=1)
         for _ in range(200):
-            _, var = gp.posterior(rng.normal(scale=2.0, size=2))
+            _, var = posterior_at(gp, rng.normal(scale=2.0, size=2),
+                                  lengths, 1)
             assert var >= 0.0
 
     def test_build_uses_local_support_size(self):
         store = EvaluationStore(1)
         for v in np.linspace(-5.0, 5.0, 30):
             store.insert(np.array([v]), v * v)
-        gp = build_local_surrogate(store, np.array([0.1]),
-                                   lengths=np.array([1.0]), p=2)
+        model = gaussian_model("square", lambda x: float(x[0] ** 2),
+                               np.zeros(1), np.ones(1))
+        kernel = SurrogateKernel(model, store, Binning(0.0, 25.0, 5), 0.0,
+                                 0.05, np.array([1.0]), 2,
+                                 Proposal.isotropic(1.0, 1), EvalLedger())
+        gp, _ = kernel._local_model(np.array([0.1]))
         assert gp.X.shape[0] == local_size(1) == 3
         # support is the nearest three grid points to 0.1
         want = sorted(abs(np.linspace(-5.0, 5.0, 30) - 0.1))[:3]
@@ -454,10 +476,15 @@ class TestPosterior:
             store.insert(xi, float(xi[0] ** 2 + 0.1 * xi[1]))
         lengths = np.array([0.2, 50.0])
         query = np.array([0.1, -0.4])
-        gp = build_local_surrogate(store, query, lengths, p)
+        idx, dist = store.nearest(query, local_size(2), lengths, p)
+        gp = build_local_surrogate(store, idx, lengths, p)
         corr = np.array([kernel_eval(1.0, lengths, p, xi, query) for xi in X])
-        want = X[np.argsort(-corr, kind="stable")[:local_size(2)]]
-        np.testing.assert_array_equal(gp.X, want)
+        want = np.sort(np.argsort(-corr, kind="stable")[:local_size(2)])
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(gp.X, X[want])
+        # the query's distances are those of the support alone, bit for bit
+        np.testing.assert_array_equal(
+            dist, _kernel_distance(gp.X, query, lengths, p))
         raw = X[np.argsort(((X - query) ** 2).sum(axis=1))[:local_size(2)]]
         assert {tuple(r) for r in raw} != {tuple(r) for r in gp.X}
 
@@ -466,12 +493,15 @@ class TestPosterior:
         store = EvaluationStore(2)
         for _ in range(25):
             store.insert(rng.normal(size=2), float(rng.normal()))
-        x = np.array([0.3, -0.2])
-        g1 = build_local_surrogate(store, x, lengths=np.array([1.0, 1.0]), p=1)
-        g2 = build_local_surrogate(store, x, lengths=np.array([1.0, 1.0]), p=1)
+        lengths = np.array([1.0, 1.0])
+        idx, _ = store.nearest(np.array([0.3, -0.2]), local_size(2), lengths,
+                               1)
+        g1 = build_local_surrogate(store, idx, lengths, p=1)
+        g2 = build_local_surrogate(store, idx, lengths, p=1)
         assert g1.a == g2.a
         q = np.array([0.5, 0.5])
-        assert g1.posterior(q) == g2.posterior(q)
+        assert (posterior_at(g1, q, lengths, 1)
+                == posterior_at(g2, q, lengths, 1))
 
 
 class TestLengthscaleCalibration:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import gpmmc.surrogate
 from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
-                   ExactKernel, MmcConfig, Proposal, SurrogateKernel,
-                   WeightTable, fit_surrogate_kernel,
+                   ExactKernel, MmcConfig, Proposal, SurrogateError,
+                   SurrogateKernel, WeightTable, fit_surrogate_kernel,
                    gaussian_model, log_bias_density, misassignment_probability,
                    run_mmc, sample_prior)
+from gpmmc.benchmarks import min_distance_model
 
 
 def _phi(z):
@@ -107,6 +109,25 @@ def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
                            np.ones(model.dimension), 2,
                            Proposal.isotropic(scale, model.dimension),
                            EvalLedger())
+
+
+def _record_builds(monkeypatch):
+    """Route the kernel's local-model builds through a recorder; returns
+    the list it appends (support key, build succeeded) to, one per build."""
+    calls = []
+    build = gpmmc.surrogate.build_local_surrogate
+
+    def recorded(store, idx, lengths, p):
+        try:
+            gp = build(store, idx, lengths, p)
+        except SurrogateError:
+            calls.append((idx.tobytes(), False))
+            raise
+        calls.append((idx.tobytes(), True))
+        return gp
+
+    monkeypatch.setattr(gpmmc.surrogate, "build_local_surrogate", recorded)
+    return calls
 
 
 class TestSurrogateKernel:
@@ -242,7 +263,8 @@ class TestSurrogateKernel:
             state, _ = kernel.step(rng, state, target)
             assert binning.index(state.y) is not None
 
-    def test_non_finite_local_model_falls_back_to_true_model(self):
+    def test_non_finite_local_model_falls_back_to_true_model(self,
+                                                             monkeypatch):
         # outputs near 1e170: the local amplitude r' C^{-1} r overflows, so
         # every step the local model cannot serve must refine, not crash
         model = gaussian_model("huge",
@@ -254,6 +276,7 @@ class TestSurrogateKernel:
                                       gamma=1e-4, beta_max=0.05, p=2,
                                       prop=Proposal.isotropic(0.5, 1),
                                       ledger=ledger)
+        builds = _record_builds(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             res = run_mmc(model, binning, MmcConfig(
                 iterations=2, samples_per_iteration=300, seed=1), kernel)
@@ -264,6 +287,102 @@ class TestSurrogateKernel:
                                      + kernel.refine_beta
                                      + kernel.refine_fallback)
         assert np.all(np.isfinite(res.pdf))
+        # a failed build is never cached: each fallback is a build that
+        # raised, also for a support that failed before
+        failed = [key for key, ok in builds if not ok]
+        assert kernel.refine_fallback == len(failed)
+        assert len(set(failed)) < len(failed)
+        assert not set(failed) & kernel._models.keys()
+
+
+class TestModelCache:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cache_is_invisible(self, p, monkeypatch):
+        """A 2-D two-center chain takes the same steps, pays the same true
+        evaluations and grows the same store whether the kernel reuses its
+        local models or rebuilds one at every step."""
+        builds = _record_builds(monkeypatch)
+
+        def run(clear):
+            model = min_distance_model(2)
+            binning = Binning(-1.0, 54.0, 55)
+            ledger = EvalLedger()
+            kernel = fit_surrogate_kernel(model, binning, 17,
+                                          initial_design=50, gamma=1e-2,
+                                          beta_max=0.075, p=p,
+                                          prop=Proposal.isotropic(1.0, 2),
+                                          ledger=ledger)
+            target = _flat_target(model, binning)
+            x0 = kernel.store.points[0].copy()
+            y0 = float(kernel.store.values[0])
+            state = ChainState(x0, y0, target(x0, y0))
+            rng = np.random.default_rng([17, 0])
+            trace = []
+            builds.clear()
+            for _ in range(400):
+                if clear:
+                    kernel._models.clear()
+                state, rec = kernel.step(rng, state, target)
+                trace.append((tuple(state.x), state.y, state.log_q, rec))
+            return (kernel, ledger, trace, len(builds))
+
+        cached, cached_ledger, cached_trace, cached_builds = run(False)
+        fresh, fresh_ledger, fresh_trace, fresh_builds = run(True)
+        assert cached_trace == fresh_trace
+        assert cached.counters() == fresh.counters()
+        assert cached_ledger == fresh_ledger
+        np.testing.assert_array_equal(cached.store.points, fresh.store.points)
+        np.testing.assert_array_equal(cached.store.values, fresh.store.values)
+        # every step past the gate built a model without the cache, and
+        # some reused one with it
+        assert fresh_builds == 400 - fresh.refine_random
+        assert cached_builds < fresh_builds
+        assert cached.surrogate_steps > 200
+
+    def test_same_support_set_shares_one_model(self):
+        store = EvaluationStore(1)
+        for v in (0.0, 1.0, 2.0, 3.0, 4.0):
+            store.insert(np.array([v]), v * v)
+        kernel = _make_kernel(_identity_model(), Binning(-4.0, 4.0, 8),
+                              store, gamma=0.0)
+        # both supports are the points 0, 1 and 2: nearest first, 1, 0, 2
+        # from 0.9 and 1, 2, 0 from 1.1
+        gp, dist = kernel._local_model(np.array([0.9]))
+        again, dist_again = kernel._local_model(np.array([1.1]))
+        assert again is gp
+        np.testing.assert_array_equal(gp.X[:, 0], [0.0, 1.0, 2.0])
+        assert dist[0] < dist[2] and dist_again[2] < dist_again[0]
+        # a new point that enters the support makes a new model
+        assert store.insert(np.array([1.05]), 1.05**2)
+        moved, _ = kernel._local_model(np.array([0.9]))
+        assert moved is not gp
+        np.testing.assert_array_equal(moved.X[:, 0], [0.0, 1.0, 1.05])
+
+    def test_memory_bound_at_209_point_supports(self):
+        d = 10
+        model = gaussian_model("sines", lambda x: float(np.sin(x).sum()),
+                               np.zeros(d), np.ones(d))
+        rng = np.random.default_rng(8)
+        store = EvaluationStore(d)
+        for x in rng.normal(size=(260, d)):
+            store.insert(x, float(np.sin(x).sum()))
+        kernel = SurrogateKernel(model, store, Binning(-10.0, 10.0, 20), 0.0,
+                                 0.05, np.full(d, 4.0), 2,
+                                 Proposal.isotropic(0.5, d), EvalLedger())
+        bound = 2**18 // 209**2
+        queries = rng.normal(size=(12, d))
+        models = []
+        for q in queries:
+            models.append(kernel._local_model(q)[0])
+            assert len(kernel._models) <= bound
+        assert len({id(gp) for gp in models}) == 12
+        assert len(kernel._models) == bound == 6
+        # least recently used goes first: after a hit on the oldest model
+        # held, the next miss evicts the one after it
+        assert kernel._local_model(queries[6])[0] is models[6]
+        kernel._local_model(rng.normal(size=d))
+        assert kernel._local_model(queries[6])[0] is models[6]
+        assert kernel._local_model(queries[7])[0] is not models[7]
 
 
 class TestFitSurrogateKernel:
