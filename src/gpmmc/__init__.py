@@ -4,8 +4,7 @@ Gaussian-process surrogates."""
 
 from .binning import Binning, Histogram, tally
 from .engine import (MmcConfig, MmcResult, PlainMcResult, WeightTable,
-                     combined_probability, estimate_moments, estimate_pdf,
-                     flatness_cv,
+                     combined_probability, estimate_moments, flatness_cv,
                      log_bias_density, run_mmc, run_plain_mc, update_weights)
 from .errors import ConfigError, EvaluationError, SurrogateError
 from .gp import (EvaluationStore, LocalGP, QuadraticMean,
@@ -31,7 +30,7 @@ __all__ = [
     "Binning", "Histogram", "tally",
     "WeightTable", "MmcConfig", "MmcResult", "PlainMcResult",
     "log_bias_density", "combined_probability", "update_weights",
-    "estimate_pdf", "estimate_moments",
+    "estimate_moments",
     "flatness_cv", "run_mmc", "run_plain_mc",
     "ChainState", "Proposal", "StepRecord", "propose", "metropolis_accept",
     "ExactKernel",

@@ -14,7 +14,8 @@ Three problems of increasing cost:
 
 The Poisson solver uses a five-point finite-volume stencil on a uniform node
 grid (resolution counts nodes per side, boundary included) with harmonic-mean
-face coefficients, which keeps fluxes continuous across jumps in a.
+face coefficients, which keeps fluxes continuous across jumps in a. The
+numbers the models fix, rather than take as parameters, are module constants.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import PerformanceModel, evaluate, gaussian_model, register_model, sample_prior
+from .problem import (EvalLedger, PerformanceModel, evaluate, gaussian_model,
+                      register_model, sample_prior)
 
 __all__ = [
     "min_distance_model",
@@ -36,6 +38,12 @@ __all__ = [
 ]
 
 BEAM_LENGTH = 100.0
+FIELD_SCALE = 1.0                   # a0 in the field a = a0 exp(...)
+SOURCE = 1.0                        # f in div(a grad u) = f
+OBSERVE = (0.5, 0.5)                # where the Poisson model reads u
+# auto output range: prior draws, and padding as a fraction of their span
+PILOT_DRAWS = 1000
+PILOT_PAD = 0.10
 
 RESIDUAL_TOL = 1e-10
 
@@ -72,12 +80,12 @@ def _parse_centers(raw: str) -> np.ndarray:
 # ----------------------------------------------------------------------- beam
 
 def beam_eval(w: float, t: float, x_load: float, y_load: float,
-              e_mod: float, length: float = BEAM_LENGTH) -> float:
-    """Cantilever tip displacement under horizontal load x_load and vertical
-    load y_load, for a rectangular section of width w and thickness t."""
+              e_mod: float) -> float:
+    """Tip displacement of a BEAM_LENGTH cantilever under horizontal load
+    x_load and vertical load y_load, for a w x t rectangular section."""
     if w <= 0 or t <= 0 or e_mod <= 0:
         raise ValueError("width, thickness, and modulus must be positive")
-    return (4.0 * length**3 / (e_mod * w * t)
+    return (4.0 * BEAM_LENGTH**3 / (e_mod * w * t)
             * math.sqrt((y_load / t**2) ** 2 + (x_load / w**2) ** 2))
 
 
@@ -110,7 +118,6 @@ class KLBasis:
     eigenvalues: np.ndarray
     functions: np.ndarray
     nodes: int
-    corr_delta: float
 
     @property
     def n_modes(self) -> int:
@@ -158,19 +165,18 @@ def kl_decompose(nodes: int, corr_delta: float, n_modes: int) -> KLBasis:
     top = order[:n_modes]
     # grid flattened row-major over (x, y): entry i * nodes + j is (g_i, g_j)
     funcs = (phi[a[top], :, None] * phi[b[top], None, :]).reshape(n_modes, -1)
-    return KLBasis(eigenvalues=prod[top], functions=funcs, nodes=nodes,
-                   corr_delta=float(corr_delta))
+    return KLBasis(eigenvalues=prod[top], functions=funcs, nodes=nodes)
 
 
-def realize_field(basis: KLBasis, coeffs: np.ndarray,
-                  a0: float = 1.0) -> np.ndarray:
-    """Field a = a0 * exp(sum_j coeffs_j sqrt(lambda_j) xi_j) on the node grid."""
+def realize_field(basis: KLBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Field a = FIELD_SCALE * exp(sum_j coeffs_j sqrt(lambda_j) xi_j) on the
+    node grid."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_modes,):
         raise ValueError(f"expected {basis.n_modes} coefficients, "
                          f"got shape {coeffs.shape}")
     z = (coeffs * np.sqrt(basis.eigenvalues)) @ basis.functions
-    return a0 * np.exp(z).reshape(basis.nodes, basis.nodes)
+    return FIELD_SCALE * np.exp(z).reshape(basis.nodes, basis.nodes)
 
 
 # -------------------------------------------------------------- Poisson solve
@@ -179,8 +185,9 @@ def _harmonic(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return 2.0 * a1 * a2 / (a1 + a2)
 
 
-def solve_poisson(a: np.ndarray, f: float = 1.0) -> np.ndarray:
-    """Solve div(a grad u) = f on the unit square, u = 0 on the boundary.
+def solve_poisson(a: np.ndarray) -> np.ndarray:
+    """Solve div(a grad u) = SOURCE on the unit square, u = 0 on the
+    boundary.
 
     a holds the coefficient at the (nodes x nodes) grid points; the returned
     array holds u at the same points, zero on the boundary. Raises if the
@@ -211,7 +218,7 @@ def solve_poisson(a: np.ndarray, f: float = 1.0) -> np.ndarray:
     west = face_w.ravel()[ni:]
     A = sp.diags([diag, up, down, east, west], [0, 1, -1, ni, -ni],
                  format="csc")
-    rhs = np.full(ni * ni, float(f))
+    rhs = np.full(ni * ni, SOURCE)
     u_in = spla.spsolve(A, rhs)
     residual = np.linalg.norm(A @ u_in - rhs) / np.linalg.norm(rhs)
     if residual > RESIDUAL_TOL:
@@ -237,17 +244,14 @@ def interpolate_bilinear(u: np.ndarray, point: tuple[float, float]) -> float:
 
 
 def poisson_kl_model(nodes: int = 65, corr_delta: float = 0.6,
-                     n_modes: int = 10, a0: float = 1.0, f: float = 1.0,
-                     observe: tuple[float, float] = (0.5, 0.5)) -> PerformanceModel:
-    """Performance model mapping KL mode coefficients to u at the observation
-    point. The coefficients carry a standard-normal prior."""
+                     n_modes: int = 10) -> PerformanceModel:
+    """Performance model mapping KL mode coefficients to u at the point
+    OBSERVE. The coefficients carry a standard-normal prior."""
     basis = kl_decompose(nodes, corr_delta, n_modes)
-    obs = (float(observe[0]), float(observe[1]))
 
     def ev(c: np.ndarray) -> float:
-        field = realize_field(basis, c, a0)
-        u = solve_poisson(field, f)
-        return interpolate_bilinear(u, obs)
+        return interpolate_bilinear(solve_poisson(realize_field(basis, c)),
+                                    OBSERVE)
 
     return gaussian_model("poisson_kl", ev, np.zeros(n_modes),
                           np.ones(n_modes))
@@ -255,18 +259,19 @@ def poisson_kl_model(nodes: int = 65, corr_delta: float = 0.6,
 
 # ------------------------------------------------------------------ utilities
 
-def pilot_output_range(model: PerformanceModel, seed: int, n: int = 1000,
-                       pad: float = 0.10, ledger=None) -> tuple[float, float]:
-    """Output range from a pilot prior sample, padded by a fraction of the
-    observed span on each side. Used when a benchmark has no published range."""
+def pilot_output_range(model: PerformanceModel, seed: int,
+                       ledger: EvalLedger) -> tuple[float, float]:
+    """Output range from PILOT_DRAWS prior draws (RNG stream [seed, 2]),
+    padded by PILOT_PAD times the observed span on each side, with every
+    evaluation charged to ledger. Used when a run gives no output range."""
     rng = np.random.default_rng([seed, 2])
-    xs = sample_prior(model, rng, n)
+    xs = sample_prior(model, rng, PILOT_DRAWS)
     ys = np.array([evaluate(model, x, ledger) for x in xs])
     lo, hi = float(ys.min()), float(ys.max())
     span = hi - lo
     if span <= 0:
         raise RuntimeError("pilot sample produced a degenerate output range")
-    return lo - pad * span, hi + pad * span
+    return lo - PILOT_PAD * span, hi + PILOT_PAD * span
 
 
 register_model("min_distance", min_distance_model,

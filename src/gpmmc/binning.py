@@ -73,7 +73,7 @@ class Binning:
 class Histogram:
     """Per-bin counts plus the out-of-range remainder.
 
-    Invariant: counts.sum() + overflow_low + overflow_high == total.
+    Invariant: counts >= 0 and they add up to total minus the overflows.
     """
 
     counts: np.ndarray
@@ -83,8 +83,10 @@ class Histogram:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.sum() + self.overflow_low + self.overflow_high != self.total:
-            raise ValueError("histogram counts do not add up to total")
+        if (np.any(self.counts < 0) or self.counts.sum() + self.overflow_low
+                + self.overflow_high != self.total):
+            raise ValueError("histogram counts must be nonnegative and add "
+                             "up to total")
 
     @property
     def in_range(self) -> int:

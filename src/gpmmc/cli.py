@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .engine import estimate_moments
 from .errors import ConfigError
@@ -64,7 +65,7 @@ def _cmd_compare(args) -> int:
         print(f"{key:<10} {_fmt(b, 14)} {_fmt(c, 14)}")
     if args.json is not None:
         with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
+            json.dump(asdict(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
         print(f"report written to {args.json}")
     return 0

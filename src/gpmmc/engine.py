@@ -6,10 +6,10 @@ to inputs whose output falls in the binned range. After every iteration it
 pools the histograms of all iterations so far, each under the weights it was
 sampled with, into one estimate of the bin probabilities (the multiple
 histogram method of Ferrenberg and Swendsen); that estimate sets the next
-weights and, after the last iteration, the output density. The weights
-converge toward the bin probabilities, which makes the sampled histogram flat
-and spreads samples evenly across the whole output range instead of
-concentrating them near the mode.
+weights and, after the last iteration and divided by the bin width, is the
+output density. The weights converge toward the bin probabilities, which
+makes the sampled histogram flat and spreads samples evenly across the whole
+output range instead of concentrating them near the mode.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .problem import EvalLedger, PerformanceModel, evaluate, log_prior_density, 
 
 __all__ = ["WeightTable", "MmcConfig", "MmcResult", "PlainMcResult",
            "log_bias_density", "combined_probability", "update_weights",
-           "estimate_pdf", "estimate_moments", "flatness_cv", "run_mmc",
+           "estimate_moments", "flatness_cv", "run_mmc",
            "run_plain_mc"]
 
 MAX_START_DRAWS = 1000
@@ -35,6 +35,8 @@ MAX_START_DRAWS = 1000
 # probability moves by more than this relative amount, or after the cap.
 COMBINE_RTOL = 1e-13
 COMBINE_MAX_SWEEPS = 100_000
+# Prior draws run_plain_mc holds at once.
+PLAIN_MC_CHUNK = 2**16
 
 
 @dataclass
@@ -89,10 +91,10 @@ class MmcResult:
     """Everything a run produced, in iteration order.
 
     weights[k] is the table in force while iteration k sampled, the flat
-    table for k = 0 and the update from iterations 0..k-1 after that. pdf,
-    bin_probability and moments come from every iteration's histogram under
-    the weights it was sampled with (combined_probability). The run's
-    evaluation counts stay on the kernel's ledger.
+    table for k = 0 and the update from iterations 0..k-1 after that. pdf is
+    combined_probability over the bin width (pdf * delta gives the bin
+    probabilities) and moments are its moments. The run's evaluation counts
+    stay on the kernel's ledger.
     """
 
     weights: list[WeightTable]
@@ -100,7 +102,6 @@ class MmcResult:
     flatness: list[float]
     acceptance: list[float]
     pdf: np.ndarray
-    bin_probability: np.ndarray
     moments: dict
     start_draws: int
 
@@ -186,22 +187,6 @@ def update_weights(tables: Sequence[WeightTable],
     pre = np.where(visited, p, np.min(p[visited]))
     scale = tables[-1].theta.sum() / pre.sum()
     return WeightTable(pre * scale)
-
-
-def estimate_pdf(tables: Sequence[WeightTable], hists: Sequence[Histogram],
-                 binning: Binning) -> np.ndarray:
-    """Density estimate from the histograms and the weights they were
-    sampled with.
-
-    pdf[i] is the pooled bin probability (combined_probability) over delta,
-    so the estimate integrates to one over the binned range; for a single
-    histogram it is proportional to H_i * theta_i. Bins that no iteration
-    visited report zero density.
-    """
-    p = combined_probability(tables, hists)
-    if p.size != binning.m:
-        raise ValueError("histogram, weights, and binning sizes differ")
-    return p / binning.delta
 
 
 def estimate_moments(pdf: np.ndarray, binning: Binning) -> dict:
@@ -315,14 +300,13 @@ def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
         flatness.append(flatness_cv(hist))
         acceptance.append(accepted / n)
 
-    pdf = estimate_pdf(tables, hists, binning)
+    pdf = combined_probability(tables, hists) / binning.delta
     return MmcResult(
         weights=tables,
         histograms=hists,
         flatness=flatness,
         acceptance=acceptance,
         pdf=pdf,
-        bin_probability=pdf * binning.delta,
         moments=estimate_moments(pdf, binning),
         start_draws=start_draws,
     )
@@ -332,18 +316,23 @@ def run_plain_mc(model: PerformanceModel, binning: Binning, n: int,
                  seed: int, ledger: EvalLedger) -> PlainMcResult:
     """Histogram density from n independent prior draws.
 
-    The pdf is counts / (n * delta), so it integrates to the in-range
-    fraction rather than one; with a binned range that covers essentially
-    all the output mass the two coincide.
+    Draws, evaluates and tallies PLAIN_MC_CHUNK draws at a time; the RNG
+    stream [seed, 0] yields the same draws in chunks as in one block, so the
+    summed histogram equals one tally of all n. The pdf is counts / (n *
+    delta), so it integrates to the in-range fraction rather than one; with
+    a binned range that covers essentially all the output mass the two
+    coincide.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng([seed, 0])
-    xs = sample_prior(model, rng, n)
-    ys = np.empty(n)
-    for i in range(n):
-        ys[i] = evaluate(model, xs[i], ledger)
-    hist = tally(binning, ys)
+    chunks = []
+    for start in range(0, n, PLAIN_MC_CHUNK):
+        xs = sample_prior(model, rng, min(PLAIN_MC_CHUNK, n - start))
+        chunks.append(tally(binning, [evaluate(model, x, ledger) for x in xs]))
+    hist = Histogram(counts=sum(h.counts for h in chunks), total=n,
+                     overflow_low=sum(h.overflow_low for h in chunks),
+                     overflow_high=sum(h.overflow_high for h in chunks))
     pdf = hist.counts / (n * binning.delta)
     return PlainMcResult(histogram=hist, pdf=pdf,
                          in_range_fraction=hist.in_range / n)

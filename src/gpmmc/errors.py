@@ -25,4 +25,4 @@ class SurrogateError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration file or CLI argument could not be interpreted."""
+    """A run config, CLI argument or histogram file cannot be interpreted."""

@@ -194,9 +194,10 @@ class EvaluationStore:
         broken by insertion order; and the kernel distances from x to those
         evaluations. The indices come in ascending order, so they name the
         support as a set, whatever the query; the distances are in the same
-        order. Returns the whole store when it holds fewer than n points."""
+        order. Returns the whole store when it holds fewer than n points,
+        and raises SurrogateError when it holds none."""
         if self._n == 0:
-            raise RuntimeError("evaluation store is empty")
+            raise SurrogateError("evaluation store is empty")
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected shape ({self.dimension},), got {x.shape}")
@@ -390,15 +391,14 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 class LocalGP:
     """One local kriging model, ready for posterior evaluation.
 
-    Holds the support set (X, y) in store-index order, the fitted trend, the
-    local amplitude a of the kernel K(x, x') = a * exp(-sum_i |x_i - x'_i|^p
-    / l_i), the Cholesky factor of the jittered unit-amplitude correlation
-    matrix C, and the precomputed weight vector alpha = C^{-1} (y - trend).
-    The kernel's lengthscales and exponent stay with the caller, which
-    passes posterior the distances they define."""
+    Holds the fitted trend, the local amplitude a of the kernel K(x, x') =
+    a * exp(-sum_i |x_i - x'_i|^p / l_i), the Cholesky factor of the
+    jittered unit-amplitude correlation matrix C, and the precomputed weight
+    vector alpha = C^{-1} (y - trend). The support (X, y) stays in the
+    store, as the rows idx the model was built from. The kernel's
+    lengthscales and exponent stay with the caller, which passes posterior
+    the distances they define."""
 
-    X: np.ndarray
-    y: np.ndarray
     mean: Callable
     a: float
     chol: np.ndarray
@@ -408,7 +408,7 @@ class LocalGP:
                   dist: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a single point x, given dist, the
         kernel distances sum_j |x_j - X_ij|^p / l_j from x to each support
-        row i, in the order of X. EvaluationStore.nearest returns exactly
+        row X_i, in store-index order. EvaluationStore.nearest returns exactly
         these with the support, so a query computes them once. Raises
         SurrogateError when the mean or the variance is not finite."""
         c = np.exp(-dist)
@@ -447,5 +447,4 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray,
         a = float(r @ alpha) / r.size
     if not math.isfinite(a):
         raise SurrogateError(f"local kernel amplitude is {a}")
-    return LocalGP(X=Xs, y=ys, mean=mean, a=max(a, AMPLITUDE_FLOOR),
-                   chol=L, alpha=alpha)
+    return LocalGP(mean=mean, a=max(a, AMPLITUDE_FLOOR), chol=L, alpha=alpha)

@@ -15,7 +15,9 @@ A run writes into its output directory:
 Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
 maps each run key to its parser; each model declares its own keys when it is
 registered (problem.register_model), and a key the config leaves out takes
-the default of the model's factory. Identical config and seed reproduce
+the default of the model's factory. Run keys are checked at parse time by the
+objects they become (Binning, MmcConfig, Proposal), so a bad value is a
+ConfigError before any true evaluation. Identical config and seed reproduce
 identical output files byte for byte, runtime_seconds aside.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,8 @@ from .benchmarks import pilot_output_range  # also registers the models
 
 __all__ = ["RunConfig", "parse_config", "run_experiment", "ComparisonReport",
            "compare_pdfs", "read_histogram_csv", "CONFIG_KEYS"]
+
+HISTOGRAM_HEADER = "iter,bin,center,lo,hi,count,H_hat,theta,P_i,pdf"
 
 
 def _bool(raw: str) -> bool:
@@ -109,14 +113,24 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if not self.auto_range and (self.range_lo is None or self.range_hi is None):
             raise ConfigError("give range_lo and range_hi, or range = auto")
-        if self.method == "gpmmc":
-            # fail here, not after the pilot and the design's true evaluations
-            if self.initial_design < 2:
-                raise ConfigError("gpmmc needs initial_design >= 2")
-            try:
+        if self.method == "gpmmc" and self.initial_design < 2:
+            raise ConfigError("gpmmc needs initial_design >= 2")
+        # fail here, not after the pilot and the design's true evaluations;
+        # an auto range is not known yet, so only its bin count is checked
+        try:
+            Binning(*((0.0, 1.0) if self.auto_range
+                      else (self.range_lo, self.range_hi)), self.bins)
+            self._mmc_config()
+            Proposal(self.proposal_scale)
+            if self.method == "gpmmc":
                 _check_settings(self.gamma, self.beta_max, self.kernel_p)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def _mmc_config(self) -> MmcConfig:
+        return MmcConfig(iterations=self.iterations,
+                         samples_per_iteration=self.samples_per_iteration,
+                         burn_in=self.burn_in, seed=self.seed)
 
 
 def _convert(key: str, raw: str, parse):
@@ -202,7 +216,7 @@ def _write_histogram_csv(path: Path, binning: Binning,
     centers = binning.centers
     edges = binning.edges
     with open(path, "w") as fh:
-        fh.write("iter,bin,center,lo,hi,count,H_hat,theta,P_i,pdf\n")
+        fh.write(HISTOGRAM_HEADER + "\n")
         for k, (theta, hist) in enumerate(iterations):
             h = hist.counts / hist.total if hist.total > 0 else np.zeros(binning.m)
             raw = h * theta
@@ -223,40 +237,48 @@ def read_histogram_csv(path: str | Path) -> dict:
     and theta arrays, and the run's bin probabilities (final_p) and density
     (final_pdf): the estimate pooled from every iteration's counts and
     thetas, the same one the run's summary.json moments come from. A file
-    with no in-range counts reports zero density.
+    with no in-range counts reports zero density. A malformed row or number,
+    a missing or repeated (iteration, bin) row, a negative count, a theta
+    that is not positive and finite, or an iteration with no counts beside
+    one with some raises ConfigError naming the file.
     """
     rows = []
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        expected = "iter,bin,center,lo,hi,count,H_hat,theta,P_i,pdf".split(",")
-        if header != expected:
+        if fh.readline().strip() != HISTOGRAM_HEADER:
             raise ConfigError(f"{path}: not a histogram file")
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(line.split(","))
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != 10:
+                raise ConfigError(f"{path}:{line_no}: expected 10 fields, "
+                                  f"got {len(fields)}")
+            try:
+                rows.append((int(fields[0]), int(fields[1]), float(fields[3]),
+                             float(fields[4]), int(fields[5]),
+                             float(fields[7])))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line_no}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: empty histogram file")
-    iters = sorted({int(r[0]) for r in rows})
-    m = max(int(r[1]) for r in rows) + 1
-    lo = min(float(r[3]) for r in rows)
-    hi = max(float(r[4]) for r in rows)
-    binning = Binning(lo, hi, m)
-    counts = {k: np.zeros(m, dtype=np.int64) for k in iters}
-    thetas = {k: np.zeros(m) for k in iters}
-    for r in rows:
-        k, i = int(r[0]), int(r[1])
-        counts[k][i] = int(r[5])
-        thetas[k][i] = float(r[7])
-    counts = [counts[k] for k in iters]
-    thetas = [thetas[k] for k in iters]
-    p_i = np.zeros(m)
-    if any(c.sum() > 0 for c in counts):
-        p_i = combined_probability(
-            [WeightTable(t) for t in thetas],
-            [Histogram(c, total=int(c.sum())) for c in counts])
+    iters = sorted({r[0] for r in rows})
+    m = max(r[1] for r in rows) + 1
+    rows.sort()
+    if [r[:2] for r in rows] != [(k, i) for k in iters for i in range(m)]:
+        raise ConfigError(f"{path}: need exactly one row per (iteration, "
+                          f"bin), for {len(iters)} iterations of {m} bins")
+    counts = np.array([r[4] for r in rows], dtype=np.int64).reshape(-1, m)
+    try:
+        binning = Binning(min(r[2] for r in rows), max(r[3] for r in rows), m)
+        tables = [WeightTable(t) for t in
+                  np.array([r[5] for r in rows]).reshape(-1, m)]
+        hists = [Histogram(c, total=int(c.sum())) for c in counts]
+        p_i = (combined_probability(tables, hists)
+               if any(h.total > 0 for h in hists) else np.zeros(m))
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return {"binning": binning, "iterations": iters,
-            "counts": counts, "thetas": thetas,
+            "counts": list(counts), "thetas": [t.theta for t in tables],
             "final_p": p_i, "final_pdf": p_i / binning.delta}
 
 
@@ -274,14 +296,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
 
     t0 = time.perf_counter()
     model = build_model(cfg.model, **cfg.model_params)
+    prop = _proposal_for(cfg, model.dimension)
     ledger = EvalLedger()
-    pilot_before = 0
     if cfg.auto_range:
-        lo, hi = pilot_output_range(model, cfg.seed, ledger=ledger)
-        pilot_before = ledger.true_evals
+        lo, hi = pilot_output_range(model, cfg.seed, ledger)
     else:
         lo, hi = cfg.range_lo, cfg.range_hi
     binning = Binning(lo, hi, cfg.bins)
+    breakdown = {"pilot": ledger.true_evals}
 
     summary = {
         "method": cfg.method,
@@ -297,28 +319,23 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         result = run_plain_mc(model, binning, n_total, cfg.seed, ledger)
         _write_histogram_csv(out / "histogram.csv", binning,
                              [(np.ones(binning.m), result.histogram)])
-        summary["burn_in"] = 0
-        summary["true_evals"] = ledger.true_evals
-        summary["surrogate_evals"] = 0
-        summary["eval_breakdown"] = {"pilot": pilot_before, "samples": n_total}
-        summary["in_range_fraction"] = result.in_range_fraction
-        summary["moments"] = estimate_moments(result.pdf, binning) \
-            if result.histogram.in_range > 0 else None
-        expected = pilot_before + n_total
+        breakdown["samples"] = n_total
+        burn_in = 0
+        results = {"in_range_fraction": result.in_range_fraction,
+                   "moments": estimate_moments(result.pdf, binning)
+                   if result.histogram.in_range > 0 else None}
     else:
-        mmc_cfg = MmcConfig(iterations=cfg.iterations,
-                            samples_per_iteration=cfg.samples_per_iteration,
-                            burn_in=cfg.burn_in, seed=cfg.seed)
-        prop = _proposal_for(cfg, model.dimension)
-        design_evals = 0
+        mmc_cfg = cfg._mmc_config()
+        burn_in = mmc_cfg.effective_burn_in
         if cfg.method == "mmc":
             kernel = ExactKernel(model, prop, ledger)
+            breakdown["initial_design"] = 0
         else:
             kernel = fit_surrogate_kernel(
                 model, binning, cfg.seed, initial_design=cfg.initial_design,
                 gamma=cfg.gamma, beta_max=cfg.beta_max, p=cfg.kernel_p,
                 prop=prop, ledger=ledger)
-            design_evals = cfg.initial_design
+            breakdown["initial_design"] = cfg.initial_design
 
         step_file = None
         on_step = None
@@ -340,37 +357,30 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         _write_histogram_csv(out / "histogram.csv", binning,
                              [(w.theta, h) for w, h in
                               zip(result.weights, result.histograms)])
-        summary["burn_in"] = mmc_cfg.effective_burn_in
-        summary["true_evals"] = ledger.true_evals
-        summary["surrogate_evals"] = ledger.surrogate_evals
-        chain_steps = cfg.iterations * (cfg.samples_per_iteration
-                                        + mmc_cfg.effective_burn_in)
-        breakdown = {"pilot": pilot_before,
-                     "initial_design": design_evals,
-                     "start_draws": result.start_draws}
+        breakdown["start_draws"] = result.start_draws
         if cfg.method == "mmc":
-            breakdown["chain"] = chain_steps
-            expected = pilot_before + design_evals + result.start_draws + chain_steps
+            breakdown["chain"] = cfg.iterations * (cfg.samples_per_iteration
+                                                   + burn_in)
         else:
             counters = kernel.counters()
             breakdown.update({k: counters[k] for k in
                               ("refine_random", "refine_beta",
                                "refine_fallback")})
-            expected = (pilot_before + design_evals + result.start_draws
-                        + counters["refine_random"] + counters["refine_beta"]
-                        + counters["refine_fallback"])
-        summary["eval_breakdown"] = breakdown
-        summary["acceptance"] = result.acceptance
-        summary["flatness"] = result.flatness
-        summary["moments"] = result.moments
+        results = {"acceptance": result.acceptance,
+                   "flatness": result.flatness, "moments": result.moments}
         if cfg.method == "gpmmc":
             kernel.store.save_csv(out / "store.csv")
-            summary["store_size"] = kernel.store.size
+            results["store_size"] = kernel.store.size
 
-    if summary["true_evals"] != expected:
+    # each breakdown term counts the true evaluations of one cause, so the
+    # terms must add up to the ledger
+    if ledger.true_evals != sum(breakdown.values()):
         raise RuntimeError(
-            f"ledger mismatch: {summary['true_evals']} true evaluations, "
-            f"breakdown accounts for {expected}")
+            f"ledger mismatch: {ledger.true_evals} true evaluations, "
+            f"breakdown accounts for {sum(breakdown.values())}")
+    summary.update(burn_in=burn_in, true_evals=ledger.true_evals,
+                   surrogate_evals=ledger.surrogate_evals,
+                   eval_breakdown=breakdown, **results)
 
     summary["runtime_seconds"] = time.perf_counter() - t0
     with open(out / "summary.json", "w") as fh:
@@ -391,9 +401,6 @@ class ComparisonReport:
     avg_rel_err: float
     baseline_moments: dict
     candidate_moments: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compare_pdfs(baseline_path: str | Path,

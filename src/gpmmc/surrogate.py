@@ -139,9 +139,6 @@ class SurrogateKernel:
         """The local model at x and the kernel distances from x to its
         support, building the model only when its support set is not
         cached. SurrogateError when the store is empty or the build fails."""
-        if self.store.size == 0:
-            raise SurrogateError("evaluation store is empty; no surrogate "
-                                 "support")
         idx, dist = self.store.nearest(x, self._support_size, self.lengths,
                                        self.p)
         key = idx.tobytes()

@@ -60,8 +60,9 @@ def test_local_gp_interpolates_its_support():
         lengths = np.full(d, 1.0)
         idx, _ = store.nearest(X[0], n, lengths, p)
         gp = build_local_surrogate(store, idx, lengths, p)
-        for xi, yi in zip(gp.X, gp.y):
-            mu, var = gp.posterior(xi, _kernel_distance(gp.X, xi, lengths, p))
+        support = store.points[idx]
+        for xi, yi in zip(support, store.values[idx]):
+            mu, var = gp.posterior(xi, _kernel_distance(support, xi, lengths, p))
             worst_rel = max(worst_rel, abs(mu - yi) / abs(yi))
             worst_var = max(worst_var, var / gp.a)
     ok = worst_rel <= 1e-6 and worst_var <= 1e-6
@@ -111,7 +112,8 @@ def test_flat_histogram_run_recovers_gaussian_bin_masses():
     true_mass = np.array([_phi(edges[i + 1]) - _phi(edges[i])
                           for i in range(40)])
     sig = true_mass >= 1e-6
-    rel = np.abs(res.bin_probability[sig] - true_mass[sig]) / true_mass[sig]
+    prob = res.pdf * binning.delta
+    rel = np.abs(prob[sig] - true_mass[sig]) / true_mass[sig]
     flattened = res.flatness[-1] < res.flatness[0]
     ok = rel.max() <= 0.10 and flattened
     _check(3, ok, f"bin mass rel err max {rel.max():.4f} <= 0.10 over "
@@ -333,7 +335,7 @@ def test_poisson_surrogate_agrees_with_exact_sampler():
                               burn_in=200, seed=surrogate_seed),
                     kernel)
 
-    mask = exact.bin_probability >= 1e-4
+    mask = exact.pdf * binning.delta >= 1e-4
     rel = np.abs(surro.pdf[mask] - exact.pdf[mask]) / exact.pdf[mask]
     ratio = gp_ledger.true_evals / exact_ledger.true_evals
     # A collapsed final iteration would shrink the comparison mask to a

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,9 +7,9 @@ import pytest
 
 from gpmmc import (Binning, EvalLedger, ExactKernel, Histogram, MmcConfig,
                    Proposal, WeightTable, combined_probability,
-                   estimate_moments, estimate_pdf,
-                   flatness_cv, gaussian_model, log_bias_density, run_mmc,
+                   estimate_moments, flatness_cv, gaussian_model, log_bias_density, run_mmc,
                    run_plain_mc, tally, update_weights)
+from gpmmc.engine import PLAIN_MC_CHUNK
 
 
 def _identity_model(d=1):
@@ -157,18 +158,21 @@ class TestUpdateWeightsFromHistory:
                       ExactKernel(model, Proposal.isotropic(1.5, 1),
                                   EvalLedger()))
         np.testing.assert_array_equal(
-            res.pdf, estimate_pdf(res.weights, res.histograms, b))
+            res.pdf, combined_probability(res.weights, res.histograms) / b.delta)
         np.testing.assert_array_equal(
             res.weights[-1].theta,
             update_weights(res.weights[:-1], res.histograms[:-1]).theta)
 
 
 class TestEstimatePdf:
+    """The run's density estimate: combined_probability over the bin width,
+    as run_mmc computes MmcResult.pdf."""
+
     def test_uniform_counts_flat_weights(self):
         b = Binning(0.0, 1.0, 4)
         w = WeightTable.flat(4)
         h = Histogram(counts=np.array([25, 25, 25, 25]), total=100)
-        pdf = estimate_pdf([w], [h], b)
+        pdf = combined_probability([w], [h]) / b.delta
         np.testing.assert_allclose(pdf, np.ones(4), rtol=1e-14)
 
     def test_normalization_exact(self):
@@ -176,15 +180,15 @@ class TestEstimatePdf:
         w = WeightTable(np.linspace(0.2, 3.0, 8))
         counts = np.array([5, 0, 7, 1, 0, 3, 2, 9])
         h = Histogram(counts=counts, total=int(counts.sum()))
-        pdf = estimate_pdf([w], [h], b)
+        pdf = combined_probability([w], [h]) / b.delta
         assert pdf @ np.full(8, b.delta) == pytest.approx(1.0, abs=1e-12)
         assert np.all(pdf[counts == 0] == 0.0)
 
     def test_empty_rejected(self):
-        b = Binning(0.0, 1.0, 2)
         with pytest.raises(RuntimeError):
-            estimate_pdf([WeightTable.flat(2)],
-                         [Histogram(counts=np.zeros(2, dtype=int), total=0)], b)
+            combined_probability(
+                [WeightTable.flat(2)],
+                [Histogram(counts=np.zeros(2, dtype=int), total=0)])
 
 
 class TestEstimateMoments:
@@ -312,7 +316,7 @@ class TestRunMmc:
         kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
         res = run_mmc(model, binning, cfg, kernel)
         assert res.pdf @ np.full(6, binning.delta) == pytest.approx(1.0, abs=1e-12)
-        assert res.bin_probability.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (res.pdf * binning.delta).sum() == pytest.approx(1.0, abs=1e-12)
         assert len(res.weights) == 2
         assert len(res.histograms) == 2
 
@@ -353,3 +357,25 @@ class TestRunPlainMc:
         want = (norm.cdf(1.0) - norm.cdf(0.0))
         got = res.pdf[1] * binning.delta
         assert got == pytest.approx(want, rel=0.02)
+
+    def test_draws_in_chunks(self):
+        base = _identity_model()
+        sizes = []
+
+        def sampler(rng, n):
+            sizes.append(n)
+            return base.prior_sampler(rng, n)
+
+        model = dataclasses.replace(base, prior_sampler=sampler)
+        binning = Binning(-1.0, 1.0, 4)
+        n = 2 * PLAIN_MC_CHUNK + 5
+        res = run_plain_mc(model, binning, n, seed=3, ledger=EvalLedger())
+        assert sizes == [PLAIN_MC_CHUNK, PLAIN_MC_CHUNK, 5]
+        # one block from the same stream; the identity model's outputs are
+        # the first coordinates
+        xs = base.prior_sampler(np.random.default_rng([3, 0]), n)
+        whole = tally(binning, xs[:, 0])
+        np.testing.assert_array_equal(res.histogram.counts, whole.counts)
+        assert ((res.histogram.total, res.histogram.overflow_low,
+                 res.histogram.overflow_high)
+                == (whole.total, whole.overflow_low, whole.overflow_high))

@@ -20,11 +20,11 @@ def kernel_eval(a, lengths, p, x1, x2):
     return a * math.exp(-float(expo.sum()))
 
 
-def posterior_at(gp, x, lengths, p):
+def posterior_at(gp, support, x, lengths, p):
     """gp's posterior at any point x, with the kernel distances from x to
-    the support computed here rather than by a support query."""
+    the support rows computed here rather than by a support query."""
     x = np.asarray(x, dtype=float)
-    return gp.posterior(x, _kernel_distance(gp.X, x, lengths, p))
+    return gp.posterior(x, _kernel_distance(support, x, lengths, p))
 
 
 class TestLocalSize:
@@ -42,10 +42,11 @@ class TestKernel:
         assert C[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_absolute_differences_and_amplitude(self):
-        gp = LocalGP(X=np.array([[0.0]]), y=np.zeros(1), mean=lambda x: 0.0,
-                     a=2.0, chol=np.array([[1.0]]), alpha=np.zeros(1))
+        gp = LocalGP(mean=lambda x: 0.0, a=2.0, chol=np.array([[1.0]]),
+                     alpha=np.zeros(1))
         # one support point at distance 3: c = exp(-1.5), var = a (1 - c^2)
-        _, var = posterior_at(gp, [3.0], np.array([2.0]), 1)
+        _, var = posterior_at(gp, np.array([[0.0]]), [3.0], np.array([2.0]),
+                              1)
         assert var == pytest.approx(2.0 * (1.0 - math.exp(-3.0)), rel=1e-14)
 
     def test_coordinates_contribute_additively(self):
@@ -393,18 +394,16 @@ class TestPosterior:
     def test_single_point_closed_form(self):
         trend = 1.5
         y0 = 3.0
-        gp = LocalGP(X=np.array([[0.5]]), y=np.array([y0]),
-                     mean=lambda x: trend, a=2.0, chol=np.array([[1.0]]),
+        gp = LocalGP(mean=lambda x: trend, a=2.0, chol=np.array([[1.0]]),
                      alpha=np.array([y0 - trend]))
         x = np.array([1.3])
         c = math.exp(-(0.8 ** 2) / 0.8)
-        mu, var = posterior_at(gp, x, np.array([0.8]), 2)
+        mu, var = posterior_at(gp, np.array([[0.5]]), x, np.array([0.8]), 2)
         assert mu == pytest.approx(trend + c * (y0 - trend), rel=1e-14)
         assert var == pytest.approx(2.0 * (1.0 - c * c), rel=1e-14)
 
     def test_non_finite_mean_raises_surrogate_error(self):
-        gp = LocalGP(X=np.array([[0.0]]), y=np.array([1e308]),
-                     mean=lambda x: 1e308, a=1.0, chol=np.array([[1.0]]),
+        gp = LocalGP(mean=lambda x: 1e308, a=1.0, chol=np.array([[1.0]]),
                      alpha=np.array([1e308]))
         with pytest.raises(SurrogateError, match="not finite"):
             gp.posterior(np.array([0.0]), np.zeros(1))
@@ -419,7 +418,7 @@ class TestPosterior:
         lengths = np.array([1.0, 1.0])
         gp = build_local_surrogate(store, np.arange(12), lengths, p=2)
         for xi, yi in zip(X, y):
-            mu, var = posterior_at(gp, xi, lengths, 2)
+            mu, var = posterior_at(gp, store.points, xi, lengths, 2)
             assert mu == pytest.approx(yi, abs=1e-6)
             assert var <= 1e-6 * gp.a
 
@@ -432,7 +431,7 @@ class TestPosterior:
         lengths = np.array([0.5])
         gp = build_local_surrogate(store, np.arange(8), lengths, p=2)
         far = np.array([60.0])
-        mu, var = posterior_at(gp, far, lengths, 2)
+        mu, var = posterior_at(gp, store.points, far, lengths, 2)
         assert mu == pytest.approx(float(gp.mean(far)), rel=1e-10)
         assert var == pytest.approx(gp.a, rel=1e-10)
 
@@ -445,8 +444,8 @@ class TestPosterior:
         idx, _ = store.nearest(np.zeros(2), local_size(2), lengths, 1)
         gp = build_local_surrogate(store, idx, lengths, p=1)
         for _ in range(200):
-            _, var = posterior_at(gp, rng.normal(scale=2.0, size=2),
-                                  lengths, 1)
+            _, var = posterior_at(gp, store.points[idx],
+                                  rng.normal(scale=2.0, size=2), lengths, 1)
             assert var >= 0.0
 
     def test_build_uses_local_support_size(self):
@@ -458,11 +457,11 @@ class TestPosterior:
         kernel = SurrogateKernel(model, store, Binning(0.0, 25.0, 5), 0.0,
                                  0.05, np.array([1.0]), 2,
                                  Proposal.isotropic(1.0, 1), EvalLedger())
-        gp, _ = kernel._local_model(np.array([0.1]))
-        assert gp.X.shape[0] == local_size(1) == 3
+        _, dist = kernel._local_model(np.array([0.1]))
+        assert dist.size == local_size(1) == 3
         # support is the nearest three grid points to 0.1
-        want = sorted(abs(np.linspace(-5.0, 5.0, 30) - 0.1))[:3]
-        got = sorted(abs(gp.X[:, 0] - 0.1))
+        want = sorted((np.linspace(-5.0, 5.0, 30) - 0.1) ** 2)[:3]
+        got = sorted(dist)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -477,16 +476,15 @@ class TestPosterior:
         lengths = np.array([0.2, 50.0])
         query = np.array([0.1, -0.4])
         idx, dist = store.nearest(query, local_size(2), lengths, p)
-        gp = build_local_surrogate(store, idx, lengths, p)
         corr = np.array([kernel_eval(1.0, lengths, p, xi, query) for xi in X])
         want = np.sort(np.argsort(-corr, kind="stable")[:local_size(2)])
         np.testing.assert_array_equal(idx, want)
-        np.testing.assert_array_equal(gp.X, X[want])
+        np.testing.assert_array_equal(store.points[idx], X[want])
         # the query's distances are those of the support alone, bit for bit
         np.testing.assert_array_equal(
-            dist, _kernel_distance(gp.X, query, lengths, p))
+            dist, _kernel_distance(X[want], query, lengths, p))
         raw = X[np.argsort(((X - query) ** 2).sum(axis=1))[:local_size(2)]]
-        assert {tuple(r) for r in raw} != {tuple(r) for r in gp.X}
+        assert {tuple(r) for r in raw} != {tuple(r) for r in X[want]}
 
     def test_build_is_deterministic(self):
         rng = np.random.default_rng(14)
@@ -500,8 +498,9 @@ class TestPosterior:
         g2 = build_local_surrogate(store, idx, lengths, p=1)
         assert g1.a == g2.a
         q = np.array([0.5, 0.5])
-        assert (posterior_at(g1, q, lengths, 1)
-                == posterior_at(g2, q, lengths, 1))
+        support = store.points[idx]
+        assert (posterior_at(g1, support, q, lengths, 1)
+                == posterior_at(g2, support, q, lengths, 1))
 
 
 class TestLengthscaleCalibration:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpmmc.harness
 import gpmmc.problem
 from gpmmc import (ConfigError, compare_pdfs, estimate_moments,
                    gaussian_model, parse_config, read_histogram_csv,
@@ -139,8 +140,22 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
     def test_shipped_preset_parses(self, preset):
-        # parsed only: a full preset run takes minutes to an hour
         assert parse_config(preset).method in ("mc", "mmc", "gpmmc")
+
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
+    def test_shipped_preset_runs(self, preset, tmp_path):
+        # a full preset run takes minutes to an hour: cut the effort and the
+        # Poisson grid, keep the model, method, binning, proposal and
+        # surrogate keys
+        overrides = {"iterations": 2, "samples_per_iteration": 100,
+                     "burn_in": 10}
+        if "grid_nodes" in preset.read_text():
+            overrides["grid_nodes"] = 17
+        cfg = parse_config(preset, overrides)
+        summary = run_experiment(cfg, tmp_path)
+        assert summary["method"] == cfg.method
+        data = read_histogram_csv(tmp_path / "histogram.csv")
+        assert data["binning"].m == cfg.bins
 
 
 class TestRegisteredModel:
@@ -351,9 +366,16 @@ class TestRunExperimentGpmmc:
         with pytest.raises(ConfigError, match="initial_design"):
             parse_config(_write_cfg(tmp_path / "a.cfg", text))
 
-    def test_vector_scale_length_checked(self, tmp_path):
-        text = GOOD_GPMMC + "proposal_scale = 0.5, 0.5, 0.5\n"
+    def test_vector_scale_length_checked(self, tmp_path, monkeypatch):
+        text = GOOD_GPMMC.replace("range_lo = -1.0\nrange_hi = 34.0\n",
+                                  "range = auto\n")
+        text += "proposal_scale = 0.5, 0.5, 0.5\n"
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
+
+        def no_pilot(*args):
+            raise AssertionError("pilot ran before the proposal check")
+
+        monkeypatch.setattr(gpmmc.harness, "pilot_output_range", no_pilot)
         with pytest.raises(ConfigError, match="proposal_scale"):
             run_experiment(cfg, tmp_path / "out")
 
@@ -417,6 +439,32 @@ class TestCompare:
             compare_pdfs(a, b)
 
 
+@pytest.fixture(scope="module")
+def mmc_histogram(tmp_path_factory):
+    """The lines of a two-iteration, ten-bin histogram.csv."""
+    d = tmp_path_factory.mktemp("mmc")
+    run_experiment(parse_config(_write_cfg(d / "a.cfg", GOOD_MMC)), d / "out")
+    return (d / "out" / "histogram.csv").read_text().splitlines()
+
+
+def _damaged(lines, damage):
+    if damage == "truncated":  # cut inside iteration 1
+        return lines[:14]
+    rows = [line.split(",") for line in lines[1:]]
+    if damage == "garbled":
+        rows[3][5] = "x"
+    elif damage == "short_row":
+        rows[3].pop()
+    elif damage == "negative_count":
+        rows[3][5] = "-5"
+    elif damage == "empty_iteration":
+        for r in rows[10:]:
+            r[5] = "0"
+    else:  # "zero_theta"
+        rows[13][7] = "0.0"
+    return [lines[0]] + [",".join(r) for r in rows]
+
+
 class TestCli:
     def test_run_and_moments_and_compare(self, tmp_path, capsys):
         cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC)
@@ -464,3 +512,31 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["seed"] == 12
+
+    @pytest.mark.parametrize("line", [
+        "bins = 0", "iterations = 0", "samples_per_iteration = 0",
+        "burn_in = 300", "range_hi = -1.0", "proposal_scale = 0.5, 0",
+        # an auto range would spend 1,000 pilot evaluations first
+        "range = auto\nproposal_scale = -1"])
+    def test_bad_run_key_is_reported_before_the_run(self, tmp_path, capsys,
+                                                    line):
+        # the later line wins, so this replaces the good value
+        cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC + line + "\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["moments", "compare"])
+    @pytest.mark.parametrize("damage", ["truncated", "garbled", "short_row",
+                                        "negative_count", "empty_iteration",
+                                        "zero_theta"])
+    def test_damaged_histogram_is_reported(self, tmp_path, capsys,
+                                           mmc_histogram, command, damage):
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join(mmc_histogram) + "\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(_damaged(mmc_histogram, damage)) + "\n")
+        args = [str(bad)] if command == "moments" else [str(good), str(bad)]
+        assert cli_main([command, *args]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}")

@@ -111,6 +111,14 @@ def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
                            EvalLedger())
 
 
+def _support(kernel, x):
+    """The support rows of the 1-D kernel's local model at x, in store
+    order, as the points' coordinates."""
+    idx, _ = kernel.store.nearest(np.array([x]), kernel._support_size,
+                                  kernel.lengths, kernel.p)
+    return kernel.store.points[idx, 0]
+
+
 def _record_builds(monkeypatch):
     """Route the kernel's local-model builds through a recorder; returns
     the list it appends (support key, build succeeded) to, one per build."""
@@ -350,13 +358,13 @@ class TestModelCache:
         gp, dist = kernel._local_model(np.array([0.9]))
         again, dist_again = kernel._local_model(np.array([1.1]))
         assert again is gp
-        np.testing.assert_array_equal(gp.X[:, 0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(_support(kernel, 0.9), [0.0, 1.0, 2.0])
         assert dist[0] < dist[2] and dist_again[2] < dist_again[0]
         # a new point that enters the support makes a new model
         assert store.insert(np.array([1.05]), 1.05**2)
         moved, _ = kernel._local_model(np.array([0.9]))
         assert moved is not gp
-        np.testing.assert_array_equal(moved.X[:, 0], [0.0, 1.0, 1.05])
+        np.testing.assert_array_equal(_support(kernel, 0.9), [0.0, 1.0, 1.05])
 
     def test_memory_bound_at_209_point_supports(self):
         d = 10
