@@ -111,7 +111,11 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("mc", "mmc", "gpmmc"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if not self.auto_range and (self.range_lo is None or self.range_hi is None):
+        if self.auto_range:
+            if self.range_lo is not None or self.range_hi is not None:
+                raise ConfigError("give range_lo and range_hi, or "
+                                  "range = auto, not both")
+        elif self.range_lo is None or self.range_hi is None:
             raise ConfigError("give range_lo and range_hi, or range = auto")
         if self.method == "gpmmc" and self.initial_design < 2:
             raise ConfigError("gpmmc needs initial_design >= 2")

@@ -1,9 +1,11 @@
 """The public surface: every exported name resolves, in the package and in
 each of its modules, and so does every callable the benchmark's tracer wraps
-by module and name."""
+by module and name; importing the package leaves the sparse solvers
+unloaded."""
 
 import importlib
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import pytest
 
 import gpmmc
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -46,3 +49,13 @@ def test_traced_callable_resolves(span):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_import_leaves_sparse_solvers_unloaded():
+    # the Poisson solve is a banded LAPACK call; scipy.sparse.linalg would
+    # add ~50 ms to every process that imports gpmmc
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import gpmmc; print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

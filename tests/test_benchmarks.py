@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from gpmmc import benchmarks
 from gpmmc import (EvalLedger, beam_eval, beam_model, build_model,
                    evaluate, interpolate_bilinear, kl_decompose,
                    min_distance_model, pilot_output_range,
@@ -13,6 +16,33 @@ from gpmmc.benchmarks import PILOT_DRAWS, PILOT_PAD
 # evaluated at the center of the square (converges like 1/m^4; summed to
 # machine precision over odd modes)
 U_CENTER_UNIFORM = -0.07367135302960168
+
+
+def sparse_solve_poisson(a):
+    """Oracle: the same finite-volume system assembled as a sparse matrix
+    (five diagonals) and solved by SuperLU. Needs at least 4x4 nodes."""
+    nodes = a.shape[0]
+    h = 1.0 / (nodes - 1)
+    ni = nodes - 2
+    c = a[1:-1, 1:-1]
+
+    def harmonic(a1, a2):
+        return 2.0 * a1 * a2 / (a1 + a2)
+
+    face_e = harmonic(c, a[2:, 1:-1]) / h**2
+    face_w = harmonic(c, a[:-2, 1:-1]) / h**2
+    face_n = harmonic(c, a[1:-1, 2:]) / h**2
+    face_s = harmonic(c, a[1:-1, :-2]) / h**2
+    diag = -(face_e + face_w + face_n + face_s).ravel()
+    up = face_n.ravel()[:-1].copy()
+    up[np.arange(1, ni * ni) % ni == 0] = 0.0
+    down = face_s.ravel()[1:].copy()
+    down[np.arange(ni * ni - 1) % ni == ni - 1] = 0.0
+    A = sp.diags([diag, up, down, face_e.ravel()[:-ni], face_w.ravel()[ni:]],
+                 [0, 1, -1, ni, -ni], format="csc")
+    u = np.zeros((nodes, nodes))
+    u[1:-1, 1:-1] = spla.spsolve(A, np.ones(ni * ni)).reshape(ni, ni)
+    return u
 
 
 class TestMinDistance:
@@ -243,6 +273,32 @@ class TestSolvePoisson:
         u1 = solve_poisson(a)
         u2 = solve_poisson(2.0 * a)
         np.testing.assert_allclose(u2, 0.5 * u1, atol=1e-10)
+
+    @pytest.mark.parametrize("nodes", [4, 17, 33, 65])
+    def test_matches_sparse_oracle(self, nodes):
+        rng = np.random.default_rng(nodes)
+        shape = (nodes, nodes)
+        fields = [np.ones(shape), np.exp(rng.normal(size=shape)),
+                  np.exp(3.0 * rng.normal(size=shape))]  # high contrast
+        for a in fields:
+            want = sparse_solve_poisson(a)
+            got = solve_poisson(a)
+            np.testing.assert_array_equal(got[[0, -1]], 0.0)
+            np.testing.assert_array_equal(got[:, [0, -1]], 0.0)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_three_by_three_grid(self):
+        # one unknown with four faces of 1 / h^2 = 4: -16 u = 1
+        u = solve_poisson(np.ones((3, 3)))
+        want = np.zeros((3, 3))
+        want[1, 1] = -0.0625
+        np.testing.assert_array_equal(u, want)
+
+    def test_residual_check_runs(self, monkeypatch):
+        monkeypatch.setattr(benchmarks, "RESIDUAL_TOL", 0.0)
+        rng = np.random.default_rng(6)
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_poisson(np.exp(rng.normal(size=(17, 17))))
 
     def test_invalid_fields(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,17 @@ class TestParseConfig:
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
         assert cfg.auto_range is True
 
+    @pytest.mark.parametrize("explicit", [
+        "range_lo = -1.0\nrange_hi = 34.0\n",
+        "range_lo = -1.0\nrange_hi = -5.0\n",  # invalid on its own, too
+        "range_lo = -1.0\n"])
+    def test_range_given_twice(self, tmp_path, explicit):
+        # rejected at parse time, before the pilot's true evaluations
+        text = GOOD_MMC.replace("range_lo = -1.0\nrange_hi = 34.0\n",
+                                explicit + "range = auto\n")
+        with pytest.raises(ConfigError, match="not both"):
+            parse_config(_write_cfg(tmp_path / "a.cfg", text))
+
     def test_bad_range_keyword(self, tmp_path):
         with pytest.raises(ConfigError, match="range"):
             parse_config(_write_cfg(tmp_path / "a.cfg",
@@ -520,8 +531,12 @@ class TestCli:
         "range = auto\nproposal_scale = -1"])
     def test_bad_run_key_is_reported_before_the_run(self, tmp_path, capsys,
                                                     line):
-        # the later line wins, so this replaces the good value
-        cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC + line + "\n")
+        # the later line wins, so this replaces the good value; range = auto
+        # does not combine with an explicit range, so that one is dropped
+        base = GOOD_MMC
+        if line.startswith("range = auto"):
+            base = base.replace("range_lo = -1.0\nrange_hi = 34.0\n", "")
+        cfg_path = _write_cfg(tmp_path / "a.cfg", base + line + "\n")
         out = tmp_path / "out"
         assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
