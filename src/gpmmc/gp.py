@@ -18,9 +18,9 @@ grid search on the profile marginal likelihood of the trend residuals,
 divided by their largest magnitude so the search does not depend on the
 scale of y, and then frozen; the amplitude a is recalibrated in closed form
 for every local model, so the predictive variance tracks the local residual
-scale as the store grows. The lengthscales and the exponent are checked
-once, when a SurrogateKernel is built; the per-query functions here take
-them as given.
+scale as the store grows. The EvaluationStore owns the frozen lengthscales
+and exponent: it checks them once, when it is built, and keeps each point
+also in scaled coordinates, from which distances and correlations come.
 
 The support size follows a square-root rule between the number of quadratic
 basis terms and the cost of the dense solve:
@@ -36,8 +36,8 @@ query's distance order. Two queries with the same support set therefore get
 the same model bit for bit, and SurrogateKernel builds each one once and
 reuses it. A reused model stays exact because the store is append-only (a
 stored row never changes, and a near-duplicate is skipped on insert rather
-than overwriting one) and the lengthscales and exponent stay frozen for the
-kernel's lifetime.
+than overwriting one) and the lengthscales and exponent are fixed when the
+store is built.
 
 The per-query algebra calls LAPACK directly through scipy.linalg.lapack
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
@@ -90,11 +90,14 @@ def _check_exponent(p: int) -> None:
         raise ValueError(f"kernel exponent must be 1 or 2, got {p}")
 
 
-def _check_kernel(lengths, p: int) -> np.ndarray:
-    """The lengthscales as a 1-D float array, after checking that they are
-    positive and finite and that the exponent p is 1 or 2; ValueError
-    otherwise."""
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
+def _check_kernel(lengths, p: int, dimension: int) -> np.ndarray:
+    """The lengthscales as a float array of shape (dimension,), after
+    checking that they are positive and finite and that the exponent p is 1
+    or 2; ValueError otherwise."""
+    lengths = np.array(lengths, dtype=float)
+    if lengths.shape != (dimension,):
+        raise ValueError(f"expected {dimension} kernel lengthscales, "
+                         f"got shape {lengths.shape}")
     if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
         raise ValueError("kernel lengthscales must be positive and finite")
     _check_exponent(p)
@@ -123,28 +126,25 @@ def _corr_matrix(X: np.ndarray, lengths: np.ndarray, p: int,
     return np.exp(D, out=D)
 
 
-def _kernel_distance(X: np.ndarray, x: np.ndarray, lengths: np.ndarray,
-                     p: int) -> np.ndarray:
-    """sum_i |X_i - x_i|^p / l_i for every row of X: the correlation is
-    exp of minus this."""
-    xs = _scaled(x[None, :], lengths, p)
-    return cdist(_scaled(X, lengths, p), xs, _metric(p))[:, 0]
-
-
 class EvaluationStore:
     """Append-only set of exact evaluations (x, y) with duplicate suppression
-    and nearest-neighbor queries in the kernel's metric.
+    and nearest-neighbor queries in the kernel's metric, whose lengths (one
+    per coordinate) and exponent p are checked here once and then frozen.
+    Each point is also kept scaled (see _scaled), so no query rescales.
 
     Points closer than 1e-12 (Euclidean) to a stored point are considered
     duplicates and silently skipped on insert, so the correlation matrices
     built from any subset never contain an exactly repeated row.
     """
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, lengths, p: int):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
+        self.lengths = _check_kernel(lengths, p, dimension)
+        self.p = p
         self._x = np.empty((STORE_CAPACITY, dimension))
+        self._xs = np.empty_like(self._x)
         self._y = np.empty(STORE_CAPACITY)
         self._n = 0
 
@@ -164,6 +164,7 @@ class EvaluationStore:
     def _grow(self):
         """Double the capacity; called only when the store is full."""
         self._x = np.concatenate([self._x, np.empty_like(self._x)])
+        self._xs = np.concatenate([self._xs, np.empty_like(self._xs)])
         self._y = np.concatenate([self._y, np.empty_like(self._y)])
 
     def insert(self, x: np.ndarray, y: float) -> bool:
@@ -182,12 +183,12 @@ class EvaluationStore:
         if self._n == self._x.shape[0]:
             self._grow()
         self._x[self._n] = x
+        self._xs[self._n] = _scaled(x, self.lengths, self.p)
         self._y[self._n] = y
         self._n += 1
         return True
 
-    def nearest(self, x: np.ndarray, n: int, lengths: np.ndarray,
-                p: int) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The support of a local model at x: the store indices of the n
         evaluations nearest to x in the kernel's metric, sum_i |x_i - x'_i|^p
         / l_i, so the most correlated ones, with exact ties at the cutoff
@@ -201,7 +202,8 @@ class EvaluationStore:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected shape ({self.dimension},), got {x.shape}")
-        dist = _kernel_distance(self.points, x, lengths, p)
+        xs = _scaled(x[None, :], self.lengths, self.p)
+        dist = cdist(self._xs[:self._n], xs, _metric(self.p))[:, 0]
         if n >= self._n:
             return np.arange(self._n), dist
         cutoff = np.partition(dist, n - 1)[n - 1]
@@ -396,8 +398,8 @@ class LocalGP:
     jittered unit-amplitude correlation matrix C, and the precomputed weight
     vector alpha = C^{-1} (y - trend). The support (X, y) stays in the
     store, as the rows idx the model was built from. The kernel's
-    lengthscales and exponent stay with the caller, which passes posterior
-    the distances they define."""
+    lengthscales and exponent stay with the store too, whose nearest
+    returns the distances posterior takes."""
 
     mean: Callable
     a: float
@@ -420,8 +422,7 @@ class LocalGP:
         return mu, max(var, 0.0)
 
 
-def build_local_surrogate(store: EvaluationStore, idx: np.ndarray,
-                          lengths: np.ndarray, p: int) -> LocalGP:
+def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
     """Local model on the stored evaluations idx, the ascending store
     indices EvaluationStore.nearest returns as a query's support.
 
@@ -430,16 +431,17 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray,
     once so posterior queries are two triangular solves. Because the rows
     come in index order, the model is a function of the support set alone:
     every query whose support is this set gets the same model, bit for bit,
-    which is what lets SurrogateKernel build it once and reuse it. lengths
-    and p are taken as given: SurrogateKernel checks them once, when it is
-    built. Raises SurrogateError when the correlation matrix cannot be
-    factored at the maximum jitter or the amplitude is not finite; callers
-    fall back to the true model in that case.
+    which is what lets SurrogateKernel build it once and reuse it. The
+    correlations come from the store's scaled rows, in its frozen metric.
+    Raises SurrogateError when the correlation matrix cannot be factored at
+    the maximum jitter or the amplitude is not finite; callers fall back to
+    the true model in that case.
     """
     Xs = store.points[idx]
     ys = store.values[idx]
     mean, r = fit_quadratic_mean(Xs, ys)
-    corr = _corr_matrix(Xs, lengths, p)
+    scaled = store._xs[idx]
+    corr = np.exp(-cdist(scaled, scaled, _metric(store.p)))
     L, _ = _chol_with_jitter(corr)
     alpha, _ = dpotrs(L, r, lower=1)
     # residuals near 1e170 overflow here; the SurrogateError is the signal

@@ -34,6 +34,7 @@ from .binning import Binning, Histogram
 from .engine import (MmcConfig, WeightTable, combined_probability,
                      estimate_moments, run_mmc, run_plain_mc)
 from .errors import ConfigError
+from .gp import _check_exponent
 from .mcmc import ExactKernel, Proposal
 from .problem import (EvalLedger, build_model, model_config_keys,
                       registered_models)
@@ -127,7 +128,8 @@ class RunConfig:
             self._mmc_config()
             Proposal(self.proposal_scale)
             if self.method == "gpmmc":
-                _check_settings(self.gamma, self.beta_max, self.kernel_p)
+                _check_settings(self.gamma, self.beta_max)
+                _check_exponent(self.kernel_p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

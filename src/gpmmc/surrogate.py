@@ -35,8 +35,8 @@ import numpy as np
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import (EvaluationStore, LocalGP, _check_exponent, _check_kernel,
-                 build_local_surrogate, calibrate_lengthscales, local_size)
+from .gp import (EvaluationStore, LocalGP, build_local_surrogate,
+                 calibrate_lengthscales, local_size)
 from .mcmc import (ChainState, Proposal, StepRecord, Target,
                    metropolis_accept, propose)
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
@@ -56,16 +56,14 @@ def _phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z * _INV_SQRT2))
 
 
-def _check_settings(gamma: float, beta_max: float, p: int) -> None:
-    """ValueError unless gamma lies in [0, 1], beta_max in (0, 1) and the
-    kernel exponent p is 1 or 2. SurrogateKernel runs these checks when it
-    is built, and a run config runs them when it is parsed, before the run
-    spends a true evaluation."""
+def _check_settings(gamma: float, beta_max: float) -> None:
+    """ValueError unless gamma lies in [0, 1] and beta_max in (0, 1).
+    SurrogateKernel runs these checks when it is built, and a run config
+    runs them when it is parsed, before the run spends a true evaluation."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if not 0.0 < beta_max < 1.0:
         raise ValueError(f"beta_max must lie in (0, 1), got {beta_max}")
-    _check_exponent(p)
 
 
 def misassignment_probability(mu: float, sigma: float,
@@ -97,9 +95,8 @@ class SurrogateKernel:
     """Step kernel with per-candidate local surrogates and audited refinement.
 
     gamma is the per-step probability of an unconditional true evaluation;
-    beta_max the largest tolerated bin-misassignment probability; lengths and
-    p the frozen correlation kernel, checked here once for the whole run;
-    prop the random-walk proposal.
+    beta_max the largest tolerated bin-misassignment probability; prop the
+    random-walk proposal. The frozen correlation kernel is the store's.
 
     Tracks how every true evaluation was triggered (random gate, beta above
     threshold, or surrogate construction failure) so a run's cost can be
@@ -113,16 +110,13 @@ class SurrogateKernel:
 
     def __init__(self, model: PerformanceModel, store: EvaluationStore,
                  binning: Binning, gamma: float, beta_max: float,
-                 lengths: np.ndarray, p: int, prop: Proposal,
-                 ledger: EvalLedger):
-        _check_settings(gamma, beta_max, p)
+                 prop: Proposal, ledger: EvalLedger):
+        _check_settings(gamma, beta_max)
         self.model = model
         self.store = store
         self.binning = binning
         self.gamma = gamma
         self.beta_max = beta_max
-        self.lengths = _check_kernel(lengths, p)
-        self.p = p
         self.prop = prop
         self.ledger = ledger
         self._support_size = local_size(store.dimension)
@@ -139,12 +133,11 @@ class SurrogateKernel:
         """The local model at x and the kernel distances from x to its
         support, building the model only when its support set is not
         cached. SurrogateError when the store is empty or the build fails."""
-        idx, dist = self.store.nearest(x, self._support_size, self.lengths,
-                                       self.p)
+        idx, dist = self.store.nearest(x, self._support_size)
         key = idx.tobytes()
         gp = self._models.pop(key, None)
         if gp is None:
-            gp = build_local_surrogate(self.store, idx, self.lengths, self.p)
+            gp = build_local_surrogate(self.store, idx)
             if len(self._models) >= self._max_models:
                 del self._models[next(iter(self._models))]
         self._models[key] = gp
@@ -201,13 +194,15 @@ def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,
                          p: int, prop: Proposal,
                          ledger: EvalLedger) -> SurrogateKernel:
     """Surrogate set-up of a run: evaluate initial_design prior draws from
-    the RNG stream [seed, 1] into a fresh store, calibrate the lengthscales
-    on them once, and return the kernel over that store. The design's true
+    the RNG stream [seed, 1], calibrate the lengthscales on them, and return
+    the kernel over a fresh store of them in that metric. The design's true
     evaluations are charged to ledger, which the kernel then keeps."""
     rng = np.random.default_rng([seed, 1])
-    store = EvaluationStore(model.dimension)
-    for x in sample_prior(model, rng, initial_design):
-        store.insert(x, evaluate(model, x, ledger))
-    lengths = calibrate_lengthscales(store.points, store.values, p)
-    return SurrogateKernel(model, store, binning, gamma, beta_max, lengths, p,
-                           prop, ledger)
+    X = sample_prior(model, rng, initial_design)
+    y = np.array([evaluate(model, x, ledger) for x in X])
+    store = EvaluationStore(model.dimension,
+                            calibrate_lengthscales(X, y, p), p)
+    for xi, yi in zip(X, y):
+        store.insert(xi, yi)
+    return SurrogateKernel(model, store, binning, gamma, beta_max, prop,
+                           ledger)

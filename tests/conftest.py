@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread unless the caller chose otherwise: the dense solves in the
+# Poisson checks run several times slower on two threads than on one. This
+# must run before numpy is imported, which pytest has not done yet here.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 # Criterion results recorded by tests/test_acceptance.py: number -> (ok, detail).

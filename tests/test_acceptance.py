@@ -18,8 +18,7 @@ from gpmmc.benchmarks import (beam_model, interpolate_bilinear,
                               min_distance_model, poisson_kl_model,
                               solve_poisson)
 from gpmmc.engine import Binning, MmcConfig, run_mmc, run_plain_mc
-from gpmmc.gp import (EvaluationStore, _kernel_distance, build_local_surrogate,
-                      local_size)
+from gpmmc.gp import EvaluationStore, build_local_surrogate, local_size
 from gpmmc.mcmc import ChainState, ExactKernel, Proposal
 from gpmmc.problem import EvalLedger, gaussian_model, log_prior_density
 from gpmmc.surrogate import fit_surrogate_kernel
@@ -52,17 +51,17 @@ def test_local_gp_interpolates_its_support():
         d = (1, 2, 5)[case % 3]
         p = 1 if case % 2 == 0 else 2
         n = local_size(d)
-        store = EvaluationStore(d)
+        store = EvaluationStore(d, np.full(d, 1.0), p)
         X = rng.normal(0.0, 2.0, size=(n, d))
         y = rng.uniform(0.5, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         for xi, yi in zip(X, y):
             store.insert(xi, float(yi))
-        lengths = np.full(d, 1.0)
-        idx, _ = store.nearest(X[0], n, lengths, p)
-        gp = build_local_surrogate(store, idx, lengths, p)
+        # n covers the whole store, so every query's support is idx itself
+        idx, _ = store.nearest(X[0], n)
+        gp = build_local_surrogate(store, idx)
         support = store.points[idx]
         for xi, yi in zip(support, store.values[idx]):
-            mu, var = gp.posterior(xi, _kernel_distance(support, xi, lengths, p))
+            mu, var = gp.posterior(xi, store.nearest(xi, n)[1])
             worst_rel = max(worst_rel, abs(mu - yi) / abs(yi))
             worst_var = max(worst_var, var / gp.a)
     ok = worst_rel <= 1e-6 and worst_var <= 1e-6

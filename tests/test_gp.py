@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from gpmmc import (Binning, EvalLedger, EvaluationStore, LocalGP, Proposal,
                    SurrogateError, SurrogateKernel, build_local_surrogate,
                    calibrate_lengthscales, fit_quadratic_mean, gaussian_model,
                    local_size)
 from gpmmc.gp import (STORE_CAPACITY, _check_kernel, _chol_with_jitter,
-                      _corr_matrix, _kernel_distance)
+                      _corr_matrix)
 
-ONE = np.ones(1)  # unit lengthscale in 1-D: the kernel metric is Euclidean
+def unit_store(d):
+    """A d-D store with unit lengthscales and p = 2: its kernel distance is
+    the squared Euclidean distance."""
+    return EvaluationStore(d, np.ones(d), 2)
 
 
 def kernel_eval(a, lengths, p, x1, x2):
@@ -20,11 +24,21 @@ def kernel_eval(a, lengths, p, x1, x2):
     return a * math.exp(-float(expo.sum()))
 
 
+def kernel_distance(X, x, lengths, p):
+    """Oracle: sum_i |X_i - x_i|^p / l_i for every row of X, by the identity
+    |u - v|^p / l = |u / l^(1/p) - v / l^(1/p)|^p: a cityblock (p = 1) or
+    squared Euclidean (p = 2) distance between the rescaled points."""
+    root = lengths if p == 1 else np.sqrt(lengths)
+    metric = "cityblock" if p == 1 else "sqeuclidean"
+    return cdist(np.atleast_2d(X) / root, np.asarray(x, float)[None, :] / root,
+                 metric)[:, 0]
+
+
 def posterior_at(gp, support, x, lengths, p):
     """gp's posterior at any point x, with the kernel distances from x to
     the support rows computed here rather than by a support query."""
     x = np.asarray(x, dtype=float)
-    return gp.posterior(x, _kernel_distance(support, x, lengths, p))
+    return gp.posterior(x, kernel_distance(support, x, lengths, p))
 
 
 class TestLocalSize:
@@ -62,14 +76,14 @@ class TestKernel:
         np.testing.assert_array_equal(np.diag(C), [1.0, 1.0])
 
     def test_validation(self):
-        np.testing.assert_array_equal(_check_kernel(2, 1), [2.0])
-        np.testing.assert_array_equal(_check_kernel([1, 3], 2), [1.0, 3.0])
+        np.testing.assert_array_equal(_check_kernel([2], 1, 1), [2.0])
+        np.testing.assert_array_equal(_check_kernel([1, 3], 2, 2), [1.0, 3.0])
         for lengths in ([0.0], [-1.0], [1.0, math.inf], [math.nan]):
             with pytest.raises(ValueError, match="lengthscales"):
-                _check_kernel(np.array(lengths), 2)
+                _check_kernel(np.array(lengths), 2, len(lengths))
         for p in (0, 3, 1.5):
             with pytest.raises(ValueError, match="exponent"):
-                _check_kernel(np.ones(1), p)
+                _check_kernel(np.ones(1), p, 1)
 
     def test_matrix_matches_pairwise_eval(self):
         rng = np.random.default_rng(1)
@@ -84,8 +98,16 @@ class TestKernel:
 
 
 class TestEvaluationStore:
+    @pytest.mark.parametrize("lengths", [[1.0], [1.0, 1.0, 1.0], 1.0,
+                                         [[1.0, 1.0]]])
+    def test_lengthscale_count_must_match_dimension(self, lengths):
+        # one lengthscale per coordinate: a single one is not broadcast to
+        # an isotropic kernel, and a longer vector is not accepted either
+        with pytest.raises(ValueError, match="2 kernel lengthscales"):
+            EvaluationStore(2, lengths, 1)
+
     def test_insert_and_growth(self):
-        store = EvaluationStore(2)
+        store = unit_store(2)
         n = 2 * STORE_CAPACITY + 10  # grows twice
         for i in range(n):
             assert store.insert(np.array([float(i), 0.0]), float(i) ** 2)
@@ -94,14 +116,14 @@ class TestEvaluationStore:
         np.testing.assert_array_equal(store.values, np.arange(n * 1.0) ** 2)
 
     def test_exact_duplicate_skipped(self):
-        store = EvaluationStore(1)
+        store = unit_store(1)
         assert store.insert(np.array([1.0]), 5.0)
         assert not store.insert(np.array([1.0]), 99.0)
         assert store.size == 1
         assert store.values[0] == 5.0
 
     def test_duplicate_tolerance_boundary(self):
-        store = EvaluationStore(1)
+        store = unit_store(1)
         store.insert(np.array([0.0]), 0.0)
         assert not store.insert(np.array([1e-13]), 1.0)   # inside tolerance
         assert store.insert(np.array([1e-6]), 2.0)        # clearly outside
@@ -111,14 +133,14 @@ class TestEvaluationStore:
         # the squared-distance shortcut based on cached norms loses ~eps*|x|^2
         # and cannot certify an exact repeat at this scale; inserts must not
         # rely on it
-        store = EvaluationStore(5)
+        store = unit_store(5)
         x = np.array([4.0, 4.0, 500.0, 1000.0, 2.9e7])
         assert store.insert(x, 0.6)
         assert not store.insert(x.copy(), 0.7)
         assert store.size == 1
 
     def test_invalid_inserts(self):
-        store = EvaluationStore(2)
+        store = unit_store(2)
         with pytest.raises(ValueError):
             store.insert(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
@@ -127,46 +149,46 @@ class TestEvaluationStore:
             store.insert(np.array([1.0, 2.0]), math.inf)
 
     def test_nearest_orders_by_distance(self):
-        store = EvaluationStore(1)
+        store = unit_store(1)
         for v in (5.0, 1.0, 3.0, 2.0):
             store.insert(np.array([v]), v)
         # the support is the nearest points as a set, in store-index order,
         # with each one's kernel distance (here the squared distance)
-        idx, dist = store.nearest(np.array([0.0]), 2, ONE, 2)
+        idx, dist = store.nearest(np.array([0.0]), 2)
         np.testing.assert_array_equal(idx, [1, 3])
         np.testing.assert_array_equal(store.values[idx], [1.0, 2.0])
         np.testing.assert_array_equal(dist, [1.0, 4.0])
-        idx, dist = store.nearest(np.array([0.0]), 3, ONE, 2)
+        idx, dist = store.nearest(np.array([0.0]), 3)
         np.testing.assert_array_equal(idx, [1, 2, 3])
         np.testing.assert_array_equal(store.values[idx], [1.0, 3.0, 2.0])
         np.testing.assert_array_equal(dist, [1.0, 9.0, 4.0])
 
     def test_nearest_breaks_ties_by_insertion_order(self):
-        store = EvaluationStore(1)
+        store = unit_store(1)
         for v in (1.0, -1.0, 3.0, -3.0):
             store.insert(np.array([v]), v)
-        idx, _ = store.nearest(np.array([0.0]), 2, ONE, 2)
+        idx, _ = store.nearest(np.array([0.0]), 2)
         np.testing.assert_array_equal(store.values[idx], [1.0, -1.0])
         # 3 and -3 tie at the cutoff: the earlier insert wins
-        idx, dist = store.nearest(np.array([0.0]), 3, ONE, 2)
+        idx, dist = store.nearest(np.array([0.0]), 3)
         np.testing.assert_array_equal(store.values[idx], [1.0, -1.0, 3.0])
         np.testing.assert_array_equal(dist, [1.0, 1.0, 9.0])
 
     def test_nearest_clamps_to_size(self):
-        store = EvaluationStore(1)
+        store = unit_store(1)
         store.insert(np.array([1.0]), 1.0)
-        idx, dist = store.nearest(np.array([0.0]), 10, ONE, 2)
+        idx, dist = store.nearest(np.array([0.0]), 10)
         np.testing.assert_array_equal(idx, [0])
         np.testing.assert_array_equal(dist, [1.0])
 
     def test_nearest_empty_store(self):
-        store = EvaluationStore(1)
+        store = unit_store(1)
         with pytest.raises(RuntimeError):
-            store.nearest(np.array([0.0]), 1, ONE, 2)
+            store.nearest(np.array([0.0]), 1)
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
-        store = EvaluationStore(3)
+        store = unit_store(3)
         for _ in range(20):
             store.insert(rng.normal(scale=1e7, size=3), rng.normal())
         store.insert(np.array([0.1, 1e-17, -2.9e7]), 0.1 + 0.2)
@@ -343,11 +365,10 @@ class TestAmplitude:
     V = np.array([-1.0, 3.0, -3.0, 1.0])
 
     def _gp(self, y, spacing, length):
-        store = EvaluationStore(1)
+        store = EvaluationStore(1, [length], 2)
         for k, yk in enumerate(y):
             store.insert(np.array([k * spacing]), float(yk))
-        return build_local_surrogate(store, np.arange(4),
-                                     np.array([length]), p=2)
+        return build_local_surrogate(store, np.arange(4))
 
     def test_identity_correlation(self):
         y = np.array([1.0, -2.0, 3.0, 0.5])
@@ -410,13 +431,13 @@ class TestPosterior:
 
     def test_interpolates_training_data(self):
         rng = np.random.default_rng(11)
-        store = EvaluationStore(2)
+        lengths = np.array([1.0, 1.0])
+        store = EvaluationStore(2, lengths, 2)
         X = rng.uniform(-1.0, 1.0, size=(12, 2))
         y = np.sin(X[:, 0]) + np.cos(2.0 * X[:, 1])
         for xi, yi in zip(X, y):
             store.insert(xi, float(yi))
-        lengths = np.array([1.0, 1.0])
-        gp = build_local_surrogate(store, np.arange(12), lengths, p=2)
+        gp = build_local_surrogate(store, np.arange(12))
         for xi, yi in zip(X, y):
             mu, var = posterior_at(gp, store.points, xi, lengths, 2)
             assert mu == pytest.approx(yi, abs=1e-6)
@@ -424,12 +445,12 @@ class TestPosterior:
 
     def test_reverts_to_trend_far_from_data(self):
         rng = np.random.default_rng(12)
-        store = EvaluationStore(1)
+        lengths = np.array([0.5])
+        store = EvaluationStore(1, lengths, 2)
         for _ in range(8):
             x = rng.uniform(-1.0, 1.0, size=1)
             store.insert(x, float(np.sin(3.0 * x[0])))
-        lengths = np.array([0.5])
-        gp = build_local_surrogate(store, np.arange(8), lengths, p=2)
+        gp = build_local_surrogate(store, np.arange(8))
         far = np.array([60.0])
         mu, var = posterior_at(gp, store.points, far, lengths, 2)
         assert mu == pytest.approx(float(gp.mean(far)), rel=1e-10)
@@ -437,26 +458,26 @@ class TestPosterior:
 
     def test_variance_never_negative(self):
         rng = np.random.default_rng(13)
-        store = EvaluationStore(2)
+        lengths = np.array([2.0, 2.0])
+        store = EvaluationStore(2, lengths, 1)
         for _ in range(30):
             store.insert(rng.normal(size=2), float(rng.normal()))
-        lengths = np.array([2.0, 2.0])
-        idx, _ = store.nearest(np.zeros(2), local_size(2), lengths, 1)
-        gp = build_local_surrogate(store, idx, lengths, p=1)
+        idx, _ = store.nearest(np.zeros(2), local_size(2))
+        gp = build_local_surrogate(store, idx)
         for _ in range(200):
             _, var = posterior_at(gp, store.points[idx],
                                   rng.normal(scale=2.0, size=2), lengths, 1)
             assert var >= 0.0
 
     def test_build_uses_local_support_size(self):
-        store = EvaluationStore(1)
+        store = unit_store(1)
         for v in np.linspace(-5.0, 5.0, 30):
             store.insert(np.array([v]), v * v)
         model = gaussian_model("square", lambda x: float(x[0] ** 2),
                                np.zeros(1), np.ones(1))
         kernel = SurrogateKernel(model, store, Binning(0.0, 25.0, 5), 0.0,
-                                 0.05, np.array([1.0]), 2,
-                                 Proposal.isotropic(1.0, 1), EvalLedger())
+                                 0.05, Proposal.isotropic(1.0, 1),
+                                 EvalLedger())
         _, dist = kernel._local_model(np.array([0.1]))
         assert dist.size == local_size(1) == 3
         # support is the nearest three grid points to 0.1
@@ -465,37 +486,61 @@ class TestPosterior:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2])
+    def test_scaled_rows_survive_growth(self, p):
+        # a model built before the store grows must equal a fresh build
+        # after it, and every distance must still come from the same
+        # rescaled rows
+        rng = np.random.default_rng(16)
+        lengths = np.array([0.3, 2.0, 7.5])
+        store = EvaluationStore(3, lengths, p)
+        X = rng.normal(size=(STORE_CAPACITY + 40, 3))
+        for xi in X[:STORE_CAPACITY]:
+            store.insert(xi, float(np.sin(xi).sum()))
+        query = np.array([0.2, -0.1, 0.4])
+        idx, _ = store.nearest(query, local_size(3))
+        before = build_local_surrogate(store, idx)
+        for xi in X[STORE_CAPACITY:]:
+            store.insert(xi, float(np.sin(xi).sum()))
+        assert store.size == X.shape[0]
+        _, dist = store.nearest(query, store.size)
+        np.testing.assert_array_equal(
+            dist, kernel_distance(X, query, lengths, p))
+        after = build_local_surrogate(store, idx)
+        assert before.a == after.a
+        np.testing.assert_array_equal(before.chol, after.chol)
+        np.testing.assert_array_equal(before.alpha, after.alpha)
+
+    @pytest.mark.parametrize("p", [1, 2])
     def test_support_is_chosen_by_kernel_correlation(self, p):
         # a short lengthscale in x and a long one in y: the most correlated
         # points are not the nearest in raw distance
         rng = np.random.default_rng(15)
-        store = EvaluationStore(2)
+        lengths = np.array([0.2, 50.0])
+        store = EvaluationStore(2, lengths, p)
         X = rng.uniform(-3.0, 3.0, size=(60, 2))
         for xi in X:
             store.insert(xi, float(xi[0] ** 2 + 0.1 * xi[1]))
-        lengths = np.array([0.2, 50.0])
         query = np.array([0.1, -0.4])
-        idx, dist = store.nearest(query, local_size(2), lengths, p)
+        idx, dist = store.nearest(query, local_size(2))
         corr = np.array([kernel_eval(1.0, lengths, p, xi, query) for xi in X])
         want = np.sort(np.argsort(-corr, kind="stable")[:local_size(2)])
         np.testing.assert_array_equal(idx, want)
         np.testing.assert_array_equal(store.points[idx], X[want])
         # the query's distances are those of the support alone, bit for bit
         np.testing.assert_array_equal(
-            dist, _kernel_distance(X[want], query, lengths, p))
+            dist, kernel_distance(X[want], query, lengths, p))
         raw = X[np.argsort(((X - query) ** 2).sum(axis=1))[:local_size(2)]]
         assert {tuple(r) for r in raw} != {tuple(r) for r in X[want]}
 
     def test_build_is_deterministic(self):
         rng = np.random.default_rng(14)
-        store = EvaluationStore(2)
+        lengths = np.array([1.0, 1.0])
+        store = EvaluationStore(2, lengths, 1)
         for _ in range(25):
             store.insert(rng.normal(size=2), float(rng.normal()))
-        lengths = np.array([1.0, 1.0])
-        idx, _ = store.nearest(np.array([0.3, -0.2]), local_size(2), lengths,
-                               1)
-        g1 = build_local_surrogate(store, idx, lengths, p=1)
-        g2 = build_local_surrogate(store, idx, lengths, p=1)
+        idx, _ = store.nearest(np.array([0.3, -0.2]), local_size(2))
+        g1 = build_local_surrogate(store, idx)
+        g2 = build_local_surrogate(store, idx)
         assert g1.a == g2.a
         q = np.array([0.5, 0.5])
         support = store.points[idx]

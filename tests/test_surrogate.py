@@ -85,28 +85,36 @@ class TestConfigValidation:
     def test_bounds(self):
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 2)
-        good = dict(gamma=0.1, beta_max=0.05, lengths=[1.0], p=1,
+        good = dict(gamma=0.1, beta_max=0.05,
                     prop=Proposal.isotropic(0.5, 1))
 
         def kernel(**kw):
-            return SurrogateKernel(model, EvaluationStore(1), binning,
+            return SurrogateKernel(model, _unit_store(), binning,
                                    ledger=EvalLedger(), **kw)
 
         k = kernel(**good)
-        assert (k.gamma, k.beta_max, k.p) == (0.1, 0.05, 1)
-        np.testing.assert_array_equal(k.lengths, [1.0])
-        assert k.lengths.dtype == float
+        assert (k.gamma, k.beta_max) == (0.1, 0.05)
         for bad in (dict(good, gamma=-0.1), dict(good, gamma=1.5),
-                    dict(good, beta_max=0.0), dict(good, beta_max=1.0),
-                    dict(good, lengths=[0.0]), dict(good, lengths=[math.inf]),
-                    dict(good, p=3)):
+                    dict(good, beta_max=0.0), dict(good, beta_max=1.0)):
             with pytest.raises(ValueError):
                 kernel(**bad)
+        # the kernel's lengthscales and exponent are the store's to check
+        store = EvaluationStore(1, [1], 1)
+        assert store.p == 1
+        np.testing.assert_array_equal(store.lengths, [1.0])
+        assert store.lengths.dtype == float
+        for lengths, p in (([0.0], 1), ([math.inf], 1), ([1.0], 3)):
+            with pytest.raises(ValueError):
+                EvaluationStore(1, lengths, p)
+
+
+def _unit_store(d=1):
+    """An empty d-D store with unit lengthscales and p = 2."""
+    return EvaluationStore(d, np.ones(d), 2)
 
 
 def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
     return SurrogateKernel(model, store, binning, gamma, beta_max,
-                           np.ones(model.dimension), 2,
                            Proposal.isotropic(scale, model.dimension),
                            EvalLedger())
 
@@ -114,8 +122,7 @@ def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
 def _support(kernel, x):
     """The support rows of the 1-D kernel's local model at x, in store
     order, as the points' coordinates."""
-    idx, _ = kernel.store.nearest(np.array([x]), kernel._support_size,
-                                  kernel.lengths, kernel.p)
+    idx, _ = kernel.store.nearest(np.array([x]), kernel._support_size)
     return kernel.store.points[idx, 0]
 
 
@@ -125,9 +132,9 @@ def _record_builds(monkeypatch):
     calls = []
     build = gpmmc.surrogate.build_local_surrogate
 
-    def recorded(store, idx, lengths, p):
+    def recorded(store, idx):
         try:
-            gp = build(store, idx, lengths, p)
+            gp = build(store, idx)
         except SurrogateError:
             calls.append((idx.tobytes(), False))
             raise
@@ -142,7 +149,7 @@ class TestSurrogateKernel:
     def test_bootstraps_from_empty_store(self):
         model = _identity_model()
         binning = Binning(-4.0, 4.0, 8)
-        store = EvaluationStore(1)
+        store = _unit_store()
         kernel = _make_kernel(model, binning, store, gamma=0.0)
         rng = np.random.default_rng(0)
         target = _flat_target(model, binning)
@@ -156,7 +163,7 @@ class TestSurrogateKernel:
     def test_counters_partition_steps(self):
         model = _identity_model()
         binning = Binning(-4.0, 4.0, 16)
-        store = EvaluationStore(1)
+        store = _unit_store()
         for v in np.linspace(-4.0, 4.0, 41):
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.2)
@@ -175,7 +182,7 @@ class TestSurrogateKernel:
     def test_surrogate_steps_respect_beta_threshold(self):
         model = _identity_model()
         binning = Binning(-4.0, 4.0, 16)
-        store = EvaluationStore(1)
+        store = _unit_store()
         for v in np.linspace(-4.5, 4.5, 91):  # dense support: tiny sigma
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.0,
@@ -195,7 +202,7 @@ class TestSurrogateKernel:
     def test_every_refinement_grows_the_store(self):
         model = _identity_model()
         binning = Binning(-4.0, 4.0, 8)
-        store = EvaluationStore(1)
+        store = _unit_store()
         store.insert(np.array([0.0]), 0.0)
         kernel = _make_kernel(model, binning, store, gamma=0.3)
         rng = np.random.default_rng(3)
@@ -216,7 +223,7 @@ class TestSurrogateKernel:
         binning = Binning(-4.0, 4.0, 16)
         target = _flat_target(model, binning)
 
-        store = EvaluationStore(1)
+        store = _unit_store()
         for v in np.linspace(-4.0, 4.0, 9):
             store.insert(np.array([v]), v)
         sk = _make_kernel(model, binning, store, gamma=1.0, scale=0.7)
@@ -241,7 +248,7 @@ class TestSurrogateKernel:
     def test_rejected_step_returns_same_object(self):
         model = _identity_model()
         binning = Binning(-0.5, 0.5, 2)  # narrow range: frequent rejections
-        store = EvaluationStore(1)
+        store = _unit_store()
         for v in np.linspace(-1.0, 1.0, 21):
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.0, scale=2.0)
@@ -260,7 +267,7 @@ class TestSurrogateKernel:
     def test_surrogate_never_moves_chain_out_of_range(self):
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 4)
-        store = EvaluationStore(1)
+        store = _unit_store()
         for v in np.linspace(-2.0, 2.0, 41):
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.05, scale=1.0)
@@ -348,7 +355,7 @@ class TestModelCache:
         assert cached.surrogate_steps > 200
 
     def test_same_support_set_shares_one_model(self):
-        store = EvaluationStore(1)
+        store = _unit_store()
         for v in (0.0, 1.0, 2.0, 3.0, 4.0):
             store.insert(np.array([v]), v * v)
         kernel = _make_kernel(_identity_model(), Binning(-4.0, 4.0, 8),
@@ -371,12 +378,12 @@ class TestModelCache:
         model = gaussian_model("sines", lambda x: float(np.sin(x).sum()),
                                np.zeros(d), np.ones(d))
         rng = np.random.default_rng(8)
-        store = EvaluationStore(d)
+        store = EvaluationStore(d, np.full(d, 4.0), 2)
         for x in rng.normal(size=(260, d)):
             store.insert(x, float(np.sin(x).sum()))
         kernel = SurrogateKernel(model, store, Binning(-10.0, 10.0, 20), 0.0,
-                                 0.05, np.full(d, 4.0), 2,
-                                 Proposal.isotropic(0.5, d), EvalLedger())
+                                 0.05, Proposal.isotropic(0.5, d),
+                                 EvalLedger())
         bound = 2**18 // 209**2
         queries = rng.normal(size=(12, d))
         models = []
@@ -410,10 +417,11 @@ class TestFitSurrogateKernel:
         assert kernel.ledger is ledger
         assert ledger.true_evals == 20
         assert ledger.surrogate_evals == 0
-        assert (kernel.gamma, kernel.beta_max, kernel.p,
+        assert (kernel.gamma, kernel.beta_max, kernel.store.p,
                 kernel.prop) == (0.01, 0.05, 2, prop)
-        assert kernel.lengths.shape == (2,) and np.all(kernel.lengths > 0)
+        lengths = kernel.store.lengths
+        assert lengths.shape == (2,) and np.all(lengths > 0)
         again = fit_surrogate_kernel(model, binning, 3, initial_design=20,
                                      gamma=0.01, beta_max=0.05, p=2,
                                      prop=prop, ledger=EvalLedger())
-        np.testing.assert_array_equal(again.lengths, kernel.lengths)
+        np.testing.assert_array_equal(again.store.lengths, lengths)
