@@ -20,12 +20,19 @@ the interior width, so each solve is one LAPACK banded Cholesky (dpbsv) on
 band storage filled from the face coefficients, followed by a residual check.
 The numbers the models fix, rather than take as parameters, are module
 constants.
+
+Every model takes a block of points (see problem.PerformanceModel).
+min_distance evaluates its block in one broadcast; beam and poisson_kl run
+their scalar code on each row, since a vectorized form would round
+differently in the last bits (numpy squares where Python calls pow, and a
+block of fields goes through a matrix product instead of a vector one).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv
@@ -51,6 +58,14 @@ PILOT_PAD = 0.10
 RESIDUAL_TOL = 1e-10
 
 
+def _rowwise(fn: Callable[[np.ndarray], float]
+             ) -> Callable[[np.ndarray], np.ndarray]:
+    """Block form of a scalar model: fn applied to each row."""
+    def ev(X: np.ndarray) -> np.ndarray:
+        return np.fromiter((fn(x) for x in X), dtype=float, count=len(X))
+    return ev
+
+
 # ---------------------------------------------------------------- min distance
 
 def min_distance_model(dimension: int = 2,
@@ -67,8 +82,16 @@ def min_distance_model(dimension: int = 2,
         raise ValueError(f"centers have dimension {centers.shape[1]}, "
                          f"model has {dimension}")
 
-    def ev(x: np.ndarray) -> float:
-        return float(((centers - x) ** 2).sum(axis=1).min()) - 1.0
+    rows = centers[:, None, :]
+    one = np.array(1.0)
+
+    def ev(X: np.ndarray) -> np.ndarray:
+        # (centers, points, d) differences. The chain evaluates one point per
+        # step, where call overhead is most of the cost: so the ufuncs reduce
+        # directly, without the array methods' Python wrappers, and subtract
+        # a 0-d array, which numpy takes without converting a Python float.
+        sq = np.square(rows - X)
+        return np.minimum.reduce(np.add.reduce(sq, axis=2), axis=0) - one
 
     return gaussian_model("min_distance", ev, np.zeros(dimension),
                           np.ones(dimension))
@@ -104,7 +127,7 @@ def beam_model(e_mean: float = 2.9e7) -> PerformanceModel:
     def ev(x: np.ndarray) -> float:
         return beam_eval(x[0], x[1], x[2], x[3], x[4])
 
-    return gaussian_model("beam", ev, means, stds)
+    return gaussian_model("beam", _rowwise(ev), means, stds)
 
 
 # ----------------------------------------------------------- KL random field
@@ -266,7 +289,7 @@ def poisson_kl_model(nodes: int = 65, corr_delta: float = 0.6,
         return interpolate_bilinear(solve_poisson(realize_field(basis, c)),
                                     OBSERVE)
 
-    return gaussian_model("poisson_kl", ev, np.zeros(n_modes),
+    return gaussian_model("poisson_kl", _rowwise(ev), np.zeros(n_modes),
                           np.ones(n_modes))
 
 
@@ -275,11 +298,11 @@ def poisson_kl_model(nodes: int = 65, corr_delta: float = 0.6,
 def pilot_output_range(model: PerformanceModel, seed: int,
                        ledger: EvalLedger) -> tuple[float, float]:
     """Output range from PILOT_DRAWS prior draws (RNG stream [seed, 2]),
-    padded by PILOT_PAD times the observed span on each side, with every
-    evaluation charged to ledger. Used when a run gives no output range."""
+    padded by PILOT_PAD times the observed span on each side. The draws go
+    to the true model as one block, charged to ledger. Used when a run gives
+    no output range."""
     rng = np.random.default_rng([seed, 2])
-    xs = sample_prior(model, rng, PILOT_DRAWS)
-    ys = np.array([evaluate(model, x, ledger) for x in xs])
+    ys = evaluate(model, sample_prior(model, rng, PILOT_DRAWS), ledger)
     lo, hi = float(ys.min()), float(ys.max())
     span = hi - lo
     if span <= 0:

@@ -316,12 +316,12 @@ def run_plain_mc(model: PerformanceModel, binning: Binning, n: int,
                  seed: int, ledger: EvalLedger) -> PlainMcResult:
     """Histogram density from n independent prior draws.
 
-    Draws, evaluates and tallies PLAIN_MC_CHUNK draws at a time; the RNG
-    stream [seed, 0] yields the same draws in chunks as in one block, so the
-    summed histogram equals one tally of all n. The pdf is counts / (n *
-    delta), so it integrates to the in-range fraction rather than one; with
-    a binned range that covers essentially all the output mass the two
-    coincide.
+    Draws, evaluates and tallies PLAIN_MC_CHUNK draws at a time, each chunk
+    one block for the true model; the RNG stream [seed, 0] yields the same
+    draws in chunks as in one block, so the summed histogram equals one
+    tally of all n. The pdf is counts / (n * delta), so it integrates to the
+    in-range fraction rather than one; with a binned range that covers
+    essentially all the output mass the two coincide.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -329,7 +329,7 @@ def run_plain_mc(model: PerformanceModel, binning: Binning, n: int,
     chunks = []
     for start in range(0, n, PLAIN_MC_CHUNK):
         xs = sample_prior(model, rng, min(PLAIN_MC_CHUNK, n - start))
-        chunks.append(tally(binning, [evaluate(model, x, ledger) for x in xs]))
+        chunks.append(tally(binning, evaluate(model, xs, ledger)))
     hist = Histogram(counts=sum(h.counts for h in chunks), total=n,
                      overflow_low=sum(h.overflow_low for h in chunks),
                      overflow_high=sum(h.overflow_high for h in chunks))

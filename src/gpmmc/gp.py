@@ -357,7 +357,9 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     whatever the scale of y (outputs near 1e170 would otherwise overflow
     every likelihood on the grid). Degenerate data with no residual signal,
     max|r| <= 1e-12 max|y|, falls back to the per-coordinate data ranges.
+    ValueError unless the kernel exponent p is 1 or 2.
     """
+    _check_exponent(p)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     n, d = X.shape
@@ -381,6 +383,8 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     for _ in range(CALIBRATION_SWEEPS):
         for j in range(d):
             for cand in grids[j]:
+                if cand == lengths[j]:
+                    continue  # scores exactly best, so it cannot win
                 trial = lengths.copy()
                 trial[j] = cand
                 ll = _profile_loglik(X, r, trial, p, corr, work)

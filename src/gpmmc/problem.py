@@ -1,8 +1,11 @@
 """Performance-model abstraction: a black-box map from a random input vector
 to a scalar output, together with the input's prior density and a cost ledger.
 
-Input points are plain 1-D numpy arrays of length ``model.dimension``. Models
-are pure: evaluating the same point twice returns bit-identical results.
+Input points are plain 1-D numpy arrays of length ``model.dimension``. The
+true model takes blocks: its eval_fn maps an (n, d) array of points to the
+n outputs, and evaluate passes one point as a block of one. Models are pure:
+evaluating the same point twice, alone or inside any block, returns
+bit-identical results.
 The ledger is a plain counter pair; the samplers and engines in this package
 run sequentially, so increments need no locking. Callers who evaluate from
 several threads must serialize access themselves.
@@ -51,7 +54,9 @@ class PerformanceModel:
     dimension : int
         Input dimension d; every x must be a length-d vector.
     eval_fn : callable
-        x -> float. Deterministic.
+        (n, d) array -> (n,) array, one output per row. Deterministic, and
+        row i's output depends on row i alone. A model with only a scalar
+        form loops over the rows.
     log_prior_fn : callable
         x -> float, the log prior density. The additive constant is fixed
         per instance so density ratios between points are exact.
@@ -61,30 +66,46 @@ class PerformanceModel:
 
     name: str
     dimension: int
-    eval_fn: Callable[[np.ndarray], float]
+    eval_fn: Callable[[np.ndarray], np.ndarray]
     log_prior_fn: Callable[[np.ndarray], float]
     prior_sampler: Callable[[np.random.Generator, int], np.ndarray]
 
 
 def evaluate(model: PerformanceModel, x: np.ndarray,
-             ledger: EvalLedger | None = None) -> float:
-    """Run the true model at x, incrementing the ledger exactly once.
+             ledger: EvalLedger | None = None) -> float | np.ndarray:
+    """Run the true model at one point x of shape (d,), returning a float,
+    or at each row of a block x of shape (n, d), returning n floats. The
+    ledger is charged once per point, in one step.
 
-    Raises ValueError on dimension mismatch and EvaluationError (carrying x)
-    if the model output is not finite.
+    Raises ValueError on any other shape, or when the model does not return
+    one value per point, and EvaluationError (carrying the first point whose
+    value is not finite) if an output is not finite.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.dimension,):
+    one = x.shape == (model.dimension,)
+    if not (one or x.ndim == 2 and x.shape[1] == model.dimension):
         raise ValueError(
-            f"model {model.name!r} expects shape ({model.dimension},), "
-            f"got {x.shape}")
+            f"model {model.name!r} expects shape ({model.dimension},) or "
+            f"(n, {model.dimension}), got {x.shape}")
+    block = x[None, :] if one else x
+    n = len(block)
     if ledger is not None:
-        ledger.true_evals += 1
-    y = float(model.eval_fn(x))
-    if not math.isfinite(y):
-        raise EvaluationError(
-            f"model {model.name!r} returned non-finite value {y!r}", point=x)
-    return y
+        ledger.true_evals += n
+    y = np.asarray(model.eval_fn(block), dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"model {model.name!r} returned shape {y.shape} "
+                         f"for {n} points")
+    # one point is the chain's per-step case: test it as a Python float
+    if one:
+        v = float(y[0])
+        if math.isfinite(v):
+            return v
+    elif np.isfinite(y).all():
+        return y
+    i = int(np.argmin(np.isfinite(y)))
+    raise EvaluationError(
+        f"model {model.name!r} returned non-finite value {float(y[i])!r}",
+        point=block[i])
 
 
 def log_prior_density(model: PerformanceModel, x: np.ndarray) -> float:
@@ -108,9 +129,10 @@ def sample_prior(model: PerformanceModel, rng: np.random.Generator,
     return xs
 
 
-def gaussian_model(name: str, eval_fn: Callable[[np.ndarray], float],
+def gaussian_model(name: str, eval_fn: Callable[[np.ndarray], np.ndarray],
                    mean: np.ndarray, std: np.ndarray) -> PerformanceModel:
-    """Model with an independent-Gaussian prior N(mean, diag(std^2))."""
+    """Model with an independent-Gaussian prior N(mean, diag(std^2)).
+    eval_fn takes an (n, d) block; see PerformanceModel."""
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     if mean.ndim != 1 or mean.shape != std.shape:
@@ -120,9 +142,16 @@ def gaussian_model(name: str, eval_fn: Callable[[np.ndarray], float],
     d = mean.size
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - float(np.log(std).sum())
 
-    def log_prior(x: np.ndarray) -> float:
-        z = (x - mean) / std
-        return log_norm - 0.5 * float(z @ z)
+    if not mean.any() and np.all(std == 1.0):
+        # standard normal: x - 0 and x / 1 leave every |x_i| as it is, so
+        # the quadratic form comes out the same without them, and the
+        # chains, which take the log prior once per step, skip two ufuncs
+        def log_prior(x: np.ndarray) -> float:
+            return log_norm - 0.5 * float(x @ x)
+    else:
+        def log_prior(x: np.ndarray) -> float:
+            z = (x - mean) / std
+            return log_norm - 0.5 * float(z @ z)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return mean + std * rng.standard_normal((n, d))

@@ -35,8 +35,8 @@ import numpy as np
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import (EvaluationStore, LocalGP, build_local_surrogate,
-                 calibrate_lengthscales, local_size)
+from .gp import (EvaluationStore, LocalGP, _check_exponent,
+                 build_local_surrogate, calibrate_lengthscales, local_size)
 from .mcmc import (ChainState, Proposal, StepRecord, Target,
                    metropolis_accept, propose)
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
@@ -194,12 +194,14 @@ def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,
                          p: int, prop: Proposal,
                          ledger: EvalLedger) -> SurrogateKernel:
     """Surrogate set-up of a run: evaluate initial_design prior draws from
-    the RNG stream [seed, 1], calibrate the lengthscales on them, and return
-    the kernel over a fresh store of them in that metric. The design's true
-    evaluations are charged to ledger, which the kernel then keeps."""
+    the RNG stream [seed, 1] as one block, calibrate the lengthscales on
+    them, and return the kernel over a fresh store of them in that metric.
+    The design's true evaluations are charged to ledger, which the kernel
+    then keeps. The kernel exponent p is checked before any evaluation."""
+    _check_exponent(p)
     rng = np.random.default_rng([seed, 1])
     X = sample_prior(model, rng, initial_design)
-    y = np.array([evaluate(model, x, ledger) for x in X])
+    y = evaluate(model, X, ledger)
     store = EvaluationStore(model.dimension,
                             calibrate_lengthscales(X, y, p), p)
     for xi, yi in zip(X, y):

@@ -34,7 +34,7 @@ def _phi(z: float) -> float:
 
 
 def _line_model():
-    return gaussian_model("line_1d", lambda x: float(x[0]),
+    return gaussian_model("line_1d", lambda X: X[:, 0],
                           np.zeros(1), np.ones(1))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from gpmmc import (EvalLedger, beam_eval, beam_model, build_model,
                    evaluate, interpolate_bilinear, kl_decompose,
                    min_distance_model, pilot_output_range,
                    poisson_kl_model, realize_field, solve_poisson)
-from gpmmc.benchmarks import PILOT_DRAWS, PILOT_PAD
+from gpmmc.benchmarks import OBSERVE, PILOT_DRAWS, PILOT_PAD
 
 # limit of the double Fourier series for the uniform-coefficient problem,
 # evaluated at the center of the square (converges like 1/m^4; summed to
@@ -99,7 +100,7 @@ class TestMinDistance:
         var_want = 176.0 - 132.0 * s - (10.0 - 6.0 * s) ** 2
         model = min_distance_model()
         rng = np.random.default_rng(3)
-        ys = np.array([evaluate(model, x) for x in rng.normal(size=(200_000, 2))])
+        ys = evaluate(model, rng.normal(size=(200_000, 2)))
         assert ys.mean() == pytest.approx(mean_want, rel=5e-3)
         assert ys.var() == pytest.approx(var_want, rel=2e-2)
 
@@ -357,6 +358,37 @@ class TestPoissonKlModel:
         assert model.dimension == 4
 
 
+def _min_distance_oracle(centers):
+    return lambda x: float(((centers - x) ** 2).sum(axis=1).min()) - 1.0
+
+
+def _poisson_oracle(basis):
+    return lambda c: interpolate_bilinear(
+        solve_poisson(realize_field(basis, c)), OBSERVE)
+
+
+class TestBlockEqualsPoint:
+    """Each shipped model evaluates a block of prior draws to the same bits
+    as each draw alone and as the model's scalar formula."""
+
+    @pytest.mark.parametrize("model, oracle", [
+        (min_distance_model(2),
+         _min_distance_oracle(np.array([[3.0, 3.0], [3.0, -3.0]]))),
+        (min_distance_model(8),
+         _min_distance_oracle(np.vstack([np.ones(8), -np.ones(8)]))),
+        (beam_model(), lambda x: beam_eval(*x)),
+        (poisson_kl_model(nodes=9, n_modes=4),
+         _poisson_oracle(kl_decompose(9, 0.6, 4))),
+    ], ids=["min_distance_d2", "min_distance_d8", "beam", "poisson_kl"])
+    def test_bit_for_bit(self, model, oracle):
+        X = model.prior_sampler(np.random.default_rng(31), 50)
+        ledger = EvalLedger()
+        block = evaluate(model, X, ledger)
+        assert ledger.true_evals == 50
+        assert block.tolist() == [evaluate(model, x) for x in X]
+        assert block.tolist() == [oracle(x) for x in X]
+
+
 class TestPilotOutputRange:
     def test_padded_and_reproducible(self):
         model = min_distance_model()
@@ -374,8 +406,22 @@ class TestPilotOutputRange:
         pilot_output_range(model, 7, ledger)
         assert ledger.true_evals == PILOT_DRAWS == 1000
 
+    def test_draws_go_to_the_model_as_one_block(self):
+        base = min_distance_model()
+        sizes = []
+
+        def recording(X):
+            sizes.append(len(X))
+            return base.eval_fn(X)
+
+        model = dataclasses.replace(base, eval_fn=recording)
+        assert (pilot_output_range(model, 7, EvalLedger())
+                == pilot_output_range(base, 7, EvalLedger()))
+        assert sizes == [PILOT_DRAWS]
+
     def test_degenerate_output_rejected(self):
         from gpmmc import gaussian_model
-        flat = gaussian_model("flat", lambda x: 1.0, np.zeros(1), np.ones(1))
+        flat = gaussian_model("flat", lambda X: np.ones(len(X)), np.zeros(1),
+                              np.ones(1))
         with pytest.raises(RuntimeError):
             pilot_output_range(flat, 1, EvalLedger())

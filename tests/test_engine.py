@@ -13,7 +13,7 @@ from gpmmc.engine import PLAIN_MC_CHUNK
 
 
 def _identity_model(d=1):
-    return gaussian_model("identity", lambda x: float(x[0]),
+    return gaussian_model("identity", lambda X: X[:, 0],
                           np.zeros(d), np.ones(d))
 
 
@@ -361,16 +361,26 @@ class TestRunPlainMc:
     def test_draws_in_chunks(self):
         base = _identity_model()
         sizes = []
+        blocks = []
 
         def sampler(rng, n):
             sizes.append(n)
             return base.prior_sampler(rng, n)
 
-        model = dataclasses.replace(base, prior_sampler=sampler)
+        def recording(X):
+            blocks.append(len(X))
+            return base.eval_fn(X)
+
+        model = dataclasses.replace(base, prior_sampler=sampler,
+                                    eval_fn=recording)
         binning = Binning(-1.0, 1.0, 4)
         n = 2 * PLAIN_MC_CHUNK + 5
-        res = run_plain_mc(model, binning, n, seed=3, ledger=EvalLedger())
+        ledger = EvalLedger()
+        res = run_plain_mc(model, binning, n, seed=3, ledger=ledger)
         assert sizes == [PLAIN_MC_CHUNK, PLAIN_MC_CHUNK, 5]
+        # each chunk goes to the true model as one block
+        assert blocks == [PLAIN_MC_CHUNK, PLAIN_MC_CHUNK, 5]
+        assert ledger.true_evals == n
         # one block from the same stream; the identity model's outputs are
         # the first coordinates
         xs = base.prior_sampler(np.random.default_rng([3, 0]), n)

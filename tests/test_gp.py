@@ -473,7 +473,7 @@ class TestPosterior:
         store = unit_store(1)
         for v in np.linspace(-5.0, 5.0, 30):
             store.insert(np.array([v]), v * v)
-        model = gaussian_model("square", lambda x: float(x[0] ** 2),
+        model = gaussian_model("square", lambda X: X[:, 0] ** 2,
                                np.zeros(1), np.ones(1))
         kernel = SurrogateKernel(model, store, Binning(0.0, 25.0, 5), 0.0,
                                  0.05, Proposal.isotropic(1.0, 1),
@@ -583,6 +583,12 @@ class TestLengthscaleCalibration:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             calibrate_lengthscales(np.array([[0.0]]), np.array([1.0]), p=2)
+
+    def test_exponent_checked(self):
+        X = np.random.default_rng(23).normal(size=(20, 2))
+        for p in (0, 3):
+            with pytest.raises(ValueError, match="exponent"):
+                calibrate_lengthscales(X, X[:, 0], p)
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)

@@ -179,7 +179,7 @@ class TestRegisteredModel:
                             dict(gpmmc.problem._REGISTRY))
 
         def shifted_normal(shift=0.0):
-            return gaussian_model("shifted", lambda x: float(x[0]) + shift,
+            return gaussian_model("shifted", lambda X: X[:, 0] + shift,
                                   np.zeros(1), np.ones(1))
 
         register_model("shifted", shifted_normal,
@@ -255,7 +255,8 @@ initial_design = 20
         monkeypatch.setattr(gpmmc.problem, "_REGISTRY",
                             dict(gpmmc.problem._REGISTRY))
         register_model("huge", lambda: gaussian_model(
-            "huge", lambda x: 1e170 * math.sin(7.0 * x[0]),
+            "huge", lambda X: np.array([1e170 * math.sin(7.0 * x[0])
+                                        for x in X]),
             np.zeros(1), np.ones(1)), {})
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", self.TEXT))
         out = tmp_path / "out"

@@ -8,7 +8,7 @@ from gpmmc import (ChainState, EvalLedger, ExactKernel, Proposal, StepRecord,
 
 
 def _normal_model(d=1, mean=0.0, std=1.0):
-    return gaussian_model("n", lambda x: float(x[0]),
+    return gaussian_model("n", lambda X: X[:, 0],
                           np.full(d, mean), np.full(d, std))
 
 

@@ -8,7 +8,7 @@ from gpmmc import (ConfigError, EvalLedger, EvaluationError, build_model,
                    model_config_keys, registered_models, sample_prior)
 
 
-def _unit_normal_2d(eval_fn=lambda x: float(x[0])):
+def _unit_normal_2d(eval_fn=lambda X: X[:, 0]):
     return gaussian_model("toy", eval_fn, np.zeros(2), np.ones(2))
 
 
@@ -36,7 +36,7 @@ class TestEvaluate:
             evaluate(m, np.zeros(3))
 
     def test_non_finite_output_carries_point(self):
-        m = _unit_normal_2d(eval_fn=lambda x: float("nan"))
+        m = _unit_normal_2d(eval_fn=lambda X: np.full(len(X), np.nan))
         with pytest.raises(EvaluationError) as err:
             evaluate(m, np.array([1.0, 2.0]))
         np.testing.assert_array_equal(err.value.point, [1.0, 2.0])
@@ -45,6 +45,41 @@ class TestEvaluate:
         m = build_model("min_distance")
         x = np.array([0.3, -1.7])
         assert evaluate(m, x) == evaluate(m, x)
+
+    def test_block_charges_ledger_once_per_row(self):
+        m = build_model("min_distance")
+        ledger = EvalLedger()
+        X = np.random.default_rng(4).normal(size=(7, 2))
+        ys = evaluate(m, X, ledger)
+        assert ledger.true_evals == 7
+        assert ys.shape == (7,)
+        assert [evaluate(m, x) for x in X] == list(ys)
+        assert type(evaluate(m, X[0])) is float
+
+    def test_block_width_mismatch(self):
+        m = build_model("min_distance")
+        for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 4, 2)),
+                    np.float64(1.0)):
+            with pytest.raises(ValueError):
+                evaluate(m, bad)
+
+    def test_non_finite_row_carries_that_row(self):
+        m = _unit_normal_2d(
+            eval_fn=lambda X: np.where(X[:, 0] > 0.5, np.inf, X[:, 0]))
+        X = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        ledger = EvalLedger()
+        with pytest.raises(EvaluationError) as err:
+            evaluate(m, X, ledger)
+        np.testing.assert_array_equal(err.value.point, [1.0, 2.0])
+        assert ledger.true_evals == 3
+
+    def test_one_value_per_point_required(self):
+        m = _unit_normal_2d(eval_fn=lambda X: 0.0)
+        with pytest.raises(ValueError, match="returned shape"):
+            evaluate(m, np.zeros(2))
+        m = _unit_normal_2d(eval_fn=lambda X: X)
+        with pytest.raises(ValueError, match="returned shape"):
+            evaluate(m, np.zeros((3, 2)))
 
 
 class TestLogPrior:
@@ -60,11 +95,22 @@ class TestLogPrior:
         assert got == pytest.approx(-math.log(2.0 * math.pi), abs=1e-12)
 
     def test_scaled_prior(self):
-        m = gaussian_model("toy", lambda x: 0.0,
+        m = gaussian_model("toy", lambda X: np.zeros(len(X)),
                            np.array([2.0]), np.array([3.0]))
         # density of N(2, 9) at its mean
         assert log_prior_density(m, np.array([2.0])) == pytest.approx(
             -0.5 * math.log(2.0 * math.pi * 9.0), abs=1e-12)
+
+    def test_standard_normal_matches_the_general_form(self):
+        # the standard-normal prior skips the shift and scale, which are
+        # exact there, so it must give the same bits as the general form
+        m = gaussian_model("toy", lambda X: X[:, 0], np.zeros(3), np.ones(3))
+        xs = np.vstack([np.random.default_rng(6).normal(size=(50, 3)),
+                        [[-0.0, 0.0, 1e-300]]])
+        for x in xs:
+            z = (x - np.zeros(3)) / np.ones(3)
+            want = -1.5 * math.log(2.0 * math.pi) - 0.5 * float(z @ z)
+            assert m.log_prior_fn(x) == want
 
     def test_dimension_checked(self):
         m = _unit_normal_2d()
@@ -116,5 +162,5 @@ class TestRegistry:
 class TestGaussianModelValidation:
     def test_nonpositive_std_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_model("bad", lambda x: 0.0, np.zeros(2),
+            gaussian_model("bad", lambda X: np.zeros(len(X)), np.zeros(2),
                            np.array([1.0, 0.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ def _phi(z):
 
 
 def _identity_model(d=1):
-    return gaussian_model("identity", lambda x: float(x[0]),
+    return gaussian_model("identity", lambda X: X[:, 0],
                           np.zeros(d), np.ones(d))
 
 
@@ -282,9 +283,10 @@ class TestSurrogateKernel:
                                                              monkeypatch):
         # outputs near 1e170: the local amplitude r' C^{-1} r overflows, so
         # every step the local model cannot serve must refine, not crash
-        model = gaussian_model("huge",
-                               lambda x: 1e170 * math.sin(7.0 * x[0]),
-                               np.zeros(1), np.ones(1))
+        model = gaussian_model(
+            "huge", lambda X: np.array([1e170 * math.sin(7.0 * x[0])
+                                        for x in X]),
+            np.zeros(1), np.ones(1))
         binning = Binning(-1e170, 1e170, 10)
         ledger = EvalLedger()
         kernel = fit_surrogate_kernel(model, binning, 1, initial_design=20,
@@ -375,7 +377,7 @@ class TestModelCache:
 
     def test_memory_bound_at_209_point_supports(self):
         d = 10
-        model = gaussian_model("sines", lambda x: float(np.sin(x).sum()),
+        model = gaussian_model("sines", lambda X: np.sin(X).sum(axis=1),
                                np.zeros(d), np.ones(d))
         rng = np.random.default_rng(8)
         store = EvaluationStore(d, np.full(d, 4.0), 2)
@@ -402,7 +404,7 @@ class TestModelCache:
 
 class TestFitSurrogateKernel:
     def test_design_store_and_ledger(self):
-        model = gaussian_model("plane", lambda x: float(x[0] + 2.0 * x[1]),
+        model = gaussian_model("plane", lambda X: X[:, 0] + 2.0 * X[:, 1],
                                np.zeros(2), np.ones(2))
         binning = Binning(-6.0, 6.0, 12)
         prop = Proposal.isotropic(0.5, 2)
@@ -425,3 +427,28 @@ class TestFitSurrogateKernel:
                                      gamma=0.01, beta_max=0.05, p=2,
                                      prop=prop, ledger=EvalLedger())
         np.testing.assert_array_equal(again.store.lengths, lengths)
+
+    def test_design_is_one_block(self):
+        base = _identity_model(2)
+        sizes = []
+
+        def recording(X):
+            sizes.append(len(X))
+            return base.eval_fn(X)
+
+        model = dataclasses.replace(base, eval_fn=recording)
+        fit_surrogate_kernel(model, Binning(-3.0, 3.0, 6), 3,
+                             initial_design=20, gamma=0.01, beta_max=0.05,
+                             p=2, prop=Proposal.isotropic(0.5, 2),
+                             ledger=EvalLedger())
+        assert sizes == [20]
+
+    def test_exponent_checked_before_any_evaluation(self):
+        ledger = EvalLedger()
+        with pytest.raises(ValueError, match="exponent"):
+            fit_surrogate_kernel(_identity_model(2), Binning(-3.0, 3.0, 6), 3,
+                                 initial_design=20, gamma=0.01,
+                                 beta_max=0.05, p=3,
+                                 prop=Proposal.isotropic(0.5, 2),
+                                 ledger=ledger)
+        assert ledger.true_evals == 0
