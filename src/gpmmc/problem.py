@@ -95,7 +95,8 @@ def evaluate(model: PerformanceModel, x: np.ndarray,
     if y.shape != (n,):
         raise ValueError(f"model {model.name!r} returned shape {y.shape} "
                          f"for {n} points")
-    # one point is the chain's per-step case: test it as a Python float
+    # One point per chain step: a Python float test costs far less there
+    # than np.isfinite(y).all(), which would dominate the rest of this call.
     if one:
         v = float(y[0])
         if math.isfinite(v):
@@ -143,9 +144,8 @@ def gaussian_model(name: str, eval_fn: Callable[[np.ndarray], np.ndarray],
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - float(np.log(std).sum())
 
     if not mean.any() and np.all(std == 1.0):
-        # standard normal: x - 0 and x / 1 leave every |x_i| as it is, so
-        # the quadratic form comes out the same without them, and the
-        # chains, which take the log prior once per step, skip two ufuncs
+        # standard normal: (x - 0) / 1 leaves every |x_i| as it is, so the
+        # chains, which take the log prior on every step, skip both ufuncs
         def log_prior(x: np.ndarray) -> float:
             return log_norm - 0.5 * float(x @ x)
     else:
