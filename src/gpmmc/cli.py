@@ -59,10 +59,10 @@ def _cmd_compare(args) -> int:
     print(f"max relative err  {report.max_rel_err:.6g}")
     print(f"avg relative err  {report.avg_rel_err:.6g}")
     print(f"{'moment':<10} {'baseline':>14} {'candidate':>14}")
+    candidate = report.candidate_moments or {}
     for key in _MOMENT_KEYS:
         b = report.baseline_moments[key]
-        c = report.candidate_moments[key]
-        print(f"{key:<10} {_fmt(b, 14)} {_fmt(c, 14)}")
+        print(f"{key:<10} {_fmt(b, 14)} {_fmt(candidate.get(key), 14)}")
     if args.json is not None:
         with open(args.json, "w") as fh:
             json.dump(asdict(report), fh, indent=2, allow_nan=False)
@@ -73,6 +73,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_moments(args) -> int:
     data = read_histogram_csv(args.pdf)
+    if not data["final_pdf"].any():
+        raise ConfigError(f"{args.pdf}: no in-range counts, so the density "
+                          "has no moments")
     moments = estimate_moments(data["final_pdf"], data["binning"])
     for line in _moments_lines(moments):
         print(line)

@@ -2,14 +2,15 @@
 final density estimate.
 
 The engine samples the biased density q(x) = p(x) / theta_i(y(x)) restricted
-to inputs whose output falls in the binned range. After every iteration it
-pools the histograms of all iterations so far, each under the weights it was
-sampled with, into one estimate of the bin probabilities (the multiple
-histogram method of Ferrenberg and Swendsen); that estimate sets the next
-weights and, after the last iteration and divided by the bin width, is the
-output density. The weights converge toward the bin probabilities, which
-makes the sampled histogram flat and spreads samples evenly across the whole
-output range instead of concentrating them near the mode.
+to inputs whose output falls in the binned range, handing the step kernel
+each iteration's log theta table (see mcmc.log_bias_density). After every
+iteration it pools the histograms of all iterations so far, each under the
+weights it was sampled with, into one estimate of the bin probabilities (the
+multiple histogram method of Ferrenberg and Swendsen); that estimate sets
+the next weights and, after the last iteration and divided by the bin width,
+is the output density. The weights converge toward the bin probabilities,
+which makes the sampled histogram flat and spreads samples evenly across the
+whole output range instead of concentrating them near the mode.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binning import Binning, Histogram, tally
-from .mcmc import ChainState, StepRecord
-from .problem import EvalLedger, PerformanceModel, evaluate, log_prior_density, sample_prior
+from .mcmc import ChainState, StepRecord, log_bias_density
+from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
 __all__ = ["WeightTable", "MmcConfig", "MmcResult", "PlainMcResult",
            "log_bias_density", "combined_probability", "update_weights",
@@ -113,19 +114,6 @@ class PlainMcResult:
     histogram: Histogram
     pdf: np.ndarray
     in_range_fraction: float
-
-
-def log_bias_density(weights: WeightTable, binning: Binning,
-                     model: PerformanceModel, x: np.ndarray, y: float) -> float:
-    """log of the biased target q(x) = p(x) / theta_i at output bin i.
-
-    Returns -inf when y falls outside the binned range; the chain treats
-    such states as forbidden.
-    """
-    i = binning.index(y)
-    if i is None:
-        return -math.inf
-    return log_prior_density(model, x) - math.log(weights.theta[i])
 
 
 def combined_probability(tables: Sequence[WeightTable],
@@ -245,12 +233,13 @@ def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
             kernel, on_step: Callable[[int, StepRecord], None] | None = None) -> MmcResult:
     """Run the full multicanonical iteration with the given step kernel.
 
-    The kernel must expose step(rng, state, target) -> (state, record) and a
-    ledger attribute. The chain starts from an in-range prior draw, keeps its
-    state across iterations, and discards config.effective_burn_in steps at
-    the start of each one. Samples are tallied from the y values the kernel
-    reports, so nothing is ever re-evaluated. A fixed seed makes the result
-    bit-identical across runs.
+    The kernel must expose step(rng, state, log_theta) -> (state, record)
+    and a ledger attribute; log_theta is the iteration's log weights, as a
+    list taken once per iteration. The chain starts from an in-range prior
+    draw, keeps its state across iterations, and discards
+    config.effective_burn_in steps at the start of each one. Samples are
+    tallied from the y values the kernel reports, so nothing is ever
+    re-evaluated. A fixed seed makes the result bit-identical across runs.
     """
     if binning.m > config.samples_per_iteration:
         warnings.warn(
@@ -273,20 +262,16 @@ def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
     for k in range(config.iterations):
         if k:
             weights = update_weights(tables, hists)
-
-        def target(x, y, _w=weights):
-            return log_bias_density(_w, binning, model, x, y)
-
-        if state is None:
-            state = ChainState(x0, y0, target(x0, y0))
-        else:
-            # same point, new weights: refresh the cached log density
-            state = ChainState(state.x, state.y, target(state.x, state.y))
+        log_theta = [math.log(t) for t in weights.theta]
+        # the start point, or the same point under new weights
+        x, y = (x0, y0) if state is None else (state.x, state.y)
+        state = ChainState(x, y, log_bias_density(log_theta, binning, model,
+                                                  x, y))
 
         accepted = 0
         ys = np.empty(n)
         for t in range(-burn, n):  # t < 0: burn-in, discarded
-            state, rec = kernel.step(rng, state, target)
+            state, rec = kernel.step(rng, state, log_theta)
             if on_step is not None:
                 on_step(step_index, rec)
             step_index += 1

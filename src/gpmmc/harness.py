@@ -334,7 +334,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         mmc_cfg = cfg._mmc_config()
         burn_in = mmc_cfg.effective_burn_in
         if cfg.method == "mmc":
-            kernel = ExactKernel(model, prop, ledger)
+            kernel = ExactKernel(model, binning, prop, ledger)
             breakdown["initial_design"] = 0
         else:
             kernel = fit_surrogate_kernel(
@@ -400,13 +400,14 @@ class ComparisonReport:
     """Per-bin relative error of a candidate density against a baseline.
 
     Bins where the baseline reports zero density carry no information about
-    relative error and are left out; compared_bins counts the rest."""
+    relative error and are left out; compared_bins counts the rest. A
+    candidate with no in-range counts has no moments (None)."""
 
     compared_bins: int
     max_rel_err: float
     avg_rel_err: float
     baseline_moments: dict
-    candidate_moments: dict
+    candidate_moments: dict | None
 
 
 def compare_pdfs(baseline_path: str | Path,
@@ -433,5 +434,6 @@ def compare_pdfs(baseline_path: str | Path,
         max_rel_err=float(rel.max()),
         avg_rel_err=float(rel.mean()),
         baseline_moments=estimate_moments(p_base, b1),
-        candidate_moments=estimate_moments(p_cand, b1),
+        candidate_moments=estimate_moments(p_cand, b1) if p_cand.any()
+        else None,
     )

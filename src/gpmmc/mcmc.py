@@ -1,9 +1,12 @@
-"""Random-walk Metropolis-Hastings over the biased target density.
+"""Random-walk Metropolis-Hastings over the biased target density
+q(x) = p(x) / theta_i(y(x)), zero where y(x) leaves the binned range.
 
 Both step kernels in this package, ExactKernel below and SurrogateKernel in
-``surrogate.py``, build the candidate with ``propose`` and decide with
-``metropolis_accept``; they differ only in where the candidate's output comes
-from. Both consume the identical per-step RNG layout:
+``surrogate.py``, hold the model and the binning and are handed the
+iteration's log weights log_theta at every step. They build the candidate
+with ``propose``, score it with ``log_bias_density`` (the one definition of
+log q) and decide with ``metropolis_accept``; they differ only in where the
+candidate's output comes from. Both consume the identical per-step RNG layout:
 
     1. one standard-normal vector for the proposal,
     2. one uniform for the refinement gate,
@@ -19,16 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .problem import EvalLedger, PerformanceModel, evaluate
+from .binning import Binning
+from .problem import EvalLedger, PerformanceModel, evaluate, log_prior_density
 
 __all__ = ["ChainState", "Proposal", "StepRecord", "propose",
-           "metropolis_accept", "ExactKernel"]
-
-Target = Callable[[np.ndarray, float], float]
+           "log_bias_density", "metropolis_accept", "ExactKernel"]
 
 
 @dataclass(slots=True)
@@ -76,6 +77,16 @@ def propose(rng: np.random.Generator, x: np.ndarray, prop: Proposal) -> np.ndarr
     return x + prop.scale * rng.standard_normal(x.size)
 
 
+def log_bias_density(log_theta: list[float], binning: Binning,
+                     model: PerformanceModel, x: np.ndarray, y: float) -> float:
+    """log q(x) = log p(x) - log_theta[i] at output bin i of y, or -inf when
+    y falls outside the binned range: the chain never enters such a state."""
+    i = binning.index(y)
+    if i is None:
+        return -math.inf
+    return log_prior_density(model, x) - log_theta[i]
+
+
 def metropolis_accept(rng: np.random.Generator, state: ChainState,
                       x_new: np.ndarray, y_new: float,
                       log_q_new: float) -> ChainState:
@@ -98,20 +109,22 @@ def metropolis_accept(rng: np.random.Generator, state: ChainState,
 class ExactKernel:
     """Step kernel that evaluates the true model at every candidate."""
 
-    def __init__(self, model: PerformanceModel, prop: Proposal,
-                 ledger: EvalLedger):
+    def __init__(self, model: PerformanceModel, binning: Binning,
+                 prop: Proposal, ledger: EvalLedger):
         self.model = model
+        self.binning = binning
         self.prop = prop
         self.ledger = ledger
 
     def step(self, rng: np.random.Generator, state: ChainState,
-             target: Target) -> tuple[ChainState, StepRecord]:
+             log_theta: list[float]) -> tuple[ChainState, StepRecord]:
         """One Metropolis step with a true model evaluation at the candidate;
         see metropolis_accept for the decision."""
         x_new = propose(rng, state.x, self.prop)
         y_new = evaluate(self.model, x_new, self.ledger)
         rng.random()  # refinement-gate slot, unused here; see module docstring
-        new = metropolis_accept(rng, state, x_new, y_new, target(x_new, y_new))
+        new = metropolis_accept(rng, state, x_new, y_new, log_bias_density(
+            log_theta, self.binning, self.model, x_new, y_new))
         rec = StepRecord(used_surrogate=False, beta=None, refined=False,
                          accepted=new is not state)
         return new, rec

@@ -16,9 +16,10 @@ growing even where the surrogate is confident; gamma = 1 degenerates to the
 exact kernel and replays its trajectory from the same seed, which is what the
 fixed per-step RNG layout in mcmc.py exists for.
 
-The target density only sees which bin a value lands in (through the weight
-lookup), so a surrogate value that bins correctly leaves the chain's law
-unchanged; beta bounds the per-step probability of getting that bin wrong.
+The target density only sees which bin a value lands in (through the
+log_theta lookup in mcmc.log_bias_density), so a surrogate value that bins
+correctly leaves the chain's law unchanged; beta bounds the per-step
+probability of getting that bin wrong.
 
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). The kernel
@@ -37,7 +38,7 @@ from .binning import Binning
 from .errors import SurrogateError
 from .gp import (EvaluationStore, LocalGP, _check_exponent,
                  build_local_surrogate, calibrate_lengthscales, local_size)
-from .mcmc import (ChainState, Proposal, StepRecord, Target,
+from .mcmc import (ChainState, Proposal, StepRecord, log_bias_density,
                    metropolis_accept, propose)
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
@@ -144,7 +145,7 @@ class SurrogateKernel:
         return gp, dist
 
     def step(self, rng: np.random.Generator, state: ChainState,
-             target: Target) -> tuple[ChainState, StepRecord]:
+             log_theta: list[float]) -> tuple[ChainState, StepRecord]:
         x_new = propose(rng, state.x, self.prop)
         beta = None
         used_surrogate = False
@@ -173,7 +174,8 @@ class SurrogateKernel:
             y_new = evaluate(self.model, x_new, self.ledger)
             self.store.insert(x_new, y_new)
 
-        new = metropolis_accept(rng, state, x_new, y_new, target(x_new, y_new))
+        new = metropolis_accept(rng, state, x_new, y_new, log_bias_density(
+            log_theta, self.binning, self.model, x_new, y_new))
         self.steps += 1
         return new, StepRecord(used_surrogate=used_surrogate, beta=beta,
                                refined=not used_surrogate,

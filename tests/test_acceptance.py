@@ -19,8 +19,8 @@ from gpmmc.benchmarks import (beam_model, interpolate_bilinear,
                               solve_poisson)
 from gpmmc.engine import Binning, MmcConfig, run_mmc, run_plain_mc
 from gpmmc.gp import EvaluationStore, build_local_surrogate, local_size
-from gpmmc.mcmc import ChainState, ExactKernel, Proposal
-from gpmmc.problem import EvalLedger, gaussian_model, log_prior_density
+from gpmmc.mcmc import ChainState, ExactKernel, Proposal, log_bias_density
+from gpmmc.problem import EvalLedger, gaussian_model
 from gpmmc.surrogate import fit_surrogate_kernel
 
 
@@ -76,17 +76,18 @@ def test_random_walk_chain_recovers_gaussian_moments():
     1e5 steps reproduce mean 0 within 0.05 and variance 1 within 5%."""
     model = _line_model()
     ledger = EvalLedger()
-    kernel = ExactKernel(model, Proposal.isotropic(2.4, 1), ledger)
+    # one bin wider than the chain walks, under log theta = 0: log q is the
+    # log prior
+    wide, log_theta = Binning(-1e6, 1e6, 1), [0.0]
+    kernel = ExactKernel(model, wide, Proposal.isotropic(2.4, 1), ledger)
     rng = np.random.default_rng(20260819)
 
-    def target(x, y):
-        return log_prior_density(model, x)
-
     x0 = np.zeros(1)
-    state = ChainState(x0, 0.0, target(x0, 0.0))
+    state = ChainState(x0, 0.0, log_bias_density(log_theta, wide, model,
+                                                 x0, 0.0))
     xs = np.empty(100_000)
     for t in range(xs.size):
-        state, _ = kernel.step(rng, state, target)
+        state, _ = kernel.step(rng, state, log_theta)
         xs[t] = state.x[0]
     mean, var = float(xs.mean()), float(xs.var())
     ok = abs(mean) <= 0.05 and abs(var - 1.0) <= 0.05
@@ -104,7 +105,8 @@ def test_flat_histogram_run_recovers_gaussian_bin_masses():
     binning = Binning(-4.0, 4.0, 40)
     cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
                     burn_in=10_000, seed=20260819)
-    kernel = ExactKernel(model, Proposal.isotropic(1.5, 1), EvalLedger())
+    kernel = ExactKernel(model, binning, Proposal.isotropic(1.5, 1),
+                         EvalLedger())
     res = run_mmc(model, binning, cfg, kernel)
 
     edges = np.linspace(-4.0, 4.0, 41)
@@ -133,7 +135,7 @@ def test_always_refining_kernel_matches_exact_kernel():
     prop = Proposal.isotropic(1.0, 2)
 
     exact = run_mmc(model, binning, cfg,
-                    ExactKernel(model, prop, EvalLedger()))
+                    ExactKernel(model, binning, prop, EvalLedger()))
     kernel = fit_surrogate_kernel(model, binning, seed, initial_design=10,
                                   gamma=1.0, beta_max=0.05, p=1, prop=prop,
                                   ledger=EvalLedger())
@@ -324,7 +326,7 @@ def test_poisson_surrogate_agrees_with_exact_sampler():
     exact = run_mmc(model, binning,
                     MmcConfig(iterations=5, samples_per_iteration=2_000,
                               burn_in=200, seed=exact_seed),
-                    ExactKernel(model, prop, exact_ledger))
+                    ExactKernel(model, binning, prop, exact_ledger))
     gp_ledger = EvalLedger()
     kernel = fit_surrogate_kernel(
         model, binning, surrogate_seed, initial_design=400, gamma=1e-4,

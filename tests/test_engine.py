@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import gpmmc.engine
 from gpmmc import (Binning, EvalLedger, ExactKernel, Histogram, MmcConfig,
                    Proposal, WeightTable, combined_probability,
-                   estimate_moments, flatness_cv, gaussian_model, log_bias_density, run_mmc,
-                   run_plain_mc, tally, update_weights)
+                   estimate_moments, fit_surrogate_kernel, flatness_cv,
+                   gaussian_model, log_bias_density, run_mmc, run_plain_mc,
+                   tally, update_weights)
 from gpmmc.engine import PLAIN_MC_CHUNK
 
 
@@ -32,18 +35,54 @@ class TestWeightTable:
 class TestLogBiasDensity:
     def test_out_of_range_is_minus_inf(self):
         m = _identity_model()
-        w = WeightTable.flat(4)
         b = Binning(-1.0, 1.0, 4)
-        assert log_bias_density(w, b, m, np.array([2.0]), 2.0) == -math.inf
+        assert log_bias_density([0.0] * 4, b, m, np.array([2.0]),
+                                2.0) == -math.inf
 
     def test_weight_enters_inversely(self):
         m = _identity_model()
         b = Binning(-1.0, 1.0, 4)
         w1 = WeightTable(np.array([1.0, 1.0, 1.0, 1.0]))
         w2 = WeightTable(np.array([1.0, 1.0, 4.0, 1.0]))
+        log1, log2 = ([math.log(t) for t in w.theta] for w in (w1, w2))
         x = np.array([0.2])  # bin 2
-        assert log_bias_density(w2, b, m, x, 0.2) == pytest.approx(
-            log_bias_density(w1, b, m, x, 0.2) - math.log(4.0), abs=1e-12)
+        assert log_bias_density(log2, b, m, x, 0.2) == pytest.approx(
+            log_bias_density(log1, b, m, x, 0.2) - math.log(4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("surrogate", [False, True])
+    def test_every_step_goes_through_it(self, surrogate, monkeypatch):
+        """run_mmc scores each iteration's start state and both kernels
+        score every candidate through engine.log_bias_density, so a wrapper
+        installed under that name in every gpmmc module, as perfbench's
+        engine.target layer is, counts one call per step and iteration."""
+        original = gpmmc.engine.log_bias_density
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "gpmmc" or name.startswith("gpmmc."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+        model = _identity_model()
+        binning = Binning(-3.0, 3.0, 6)
+        prop = Proposal.isotropic(1.0, 1)
+        if surrogate:
+            kernel = fit_surrogate_kernel(model, binning, 4,
+                                          initial_design=10, gamma=0.1,
+                                          beta_max=0.05, p=2, prop=prop,
+                                          ledger=EvalLedger())
+        else:
+            kernel = ExactKernel(model, binning, prop, EvalLedger())
+        run_mmc(model, binning, MmcConfig(iterations=3,
+                                          samples_per_iteration=200,
+                                          burn_in=20, seed=4), kernel)
+        assert len(calls) == 3 * (1 + 200 + 20)
+        if surrogate:
+            assert 0 < kernel.surrogate_steps < kernel.steps
 
 
 class TestUpdateWeights:
@@ -155,7 +194,7 @@ class TestUpdateWeightsFromHistory:
         res = run_mmc(model, b, MmcConfig(iterations=3,
                                           samples_per_iteration=2000,
                                           burn_in=100, seed=5),
-                      ExactKernel(model, Proposal.isotropic(1.5, 1),
+                      ExactKernel(model, b, Proposal.isotropic(1.5, 1),
                                   EvalLedger()))
         np.testing.assert_array_equal(
             res.pdf, combined_probability(res.weights, res.histograms) / b.delta)
@@ -255,7 +294,8 @@ class TestRunMmc:
         cfg = MmcConfig(iterations=3, samples_per_iteration=400, seed=77)
         results, kernels = [], []
         for _ in range(2):
-            kernels.append(ExactKernel(model, Proposal.isotropic(1.0, 1),
+            kernels.append(ExactKernel(model, binning,
+                                       Proposal.isotropic(1.0, 1),
                                        EvalLedger()))
             results.append(run_mmc(model, binning, cfg, kernels[-1]))
         a, b = results
@@ -277,21 +317,20 @@ class TestRunMmc:
         class FixedWeightKernel(ExactKernel):
             pass
 
-        kernel = FixedWeightKernel(model, Proposal.isotropic(2.0, 1),
+        kernel = FixedWeightKernel(model, binning, Proposal.isotropic(2.0, 1),
                                    EvalLedger())
-        w = WeightTable(theta)
+        log_theta = [math.log(t) for t in WeightTable(theta).theta]
         rng = np.random.default_rng(123)
 
-        def target(x, y):
-            return log_bias_density(w, binning, model, x, y)
-
         from gpmmc import ChainState
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        x0 = np.zeros(1)
+        state = ChainState(x0, 0.0, log_bias_density(log_theta, binning,
+                                                     model, x0, 0.0))
         ys = np.empty(100_000)
         for t in range(2000):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, log_theta)
         for t in range(ys.size):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, log_theta)
             ys[t] = state.y
         h = tally(binning, ys)
         strong = masses >= 1e-6
@@ -305,7 +344,8 @@ class TestRunMmc:
         cfg = MmcConfig(iterations=4, samples_per_iteration=250, burn_in=50,
                         seed=3)
         ledger = EvalLedger()
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), ledger)
+        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
+                             ledger)
         res = run_mmc(model, binning, cfg, kernel)
         assert ledger.true_evals == 4 * (250 + 50) + res.start_draws
 
@@ -313,7 +353,8 @@ class TestRunMmc:
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
         cfg = MmcConfig(iterations=2, samples_per_iteration=500, seed=21)
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
+        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
+                             EvalLedger())
         res = run_mmc(model, binning, cfg, kernel)
         assert res.pdf @ np.full(6, binning.delta) == pytest.approx(1.0, abs=1e-12)
         assert (res.pdf * binning.delta).sum() == pytest.approx(1.0, abs=1e-12)
@@ -324,7 +365,8 @@ class TestRunMmc:
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 60)
         cfg = MmcConfig(iterations=1, samples_per_iteration=30, seed=1)
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
+        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
+                             EvalLedger())
         with pytest.warns(UserWarning, match="below bin count"):
             run_mmc(model, binning, cfg, kernel)
 
@@ -332,7 +374,8 @@ class TestRunMmc:
         model = _identity_model()
         binning = Binning(500.0, 501.0, 4)
         cfg = MmcConfig(iterations=1, samples_per_iteration=100, seed=1)
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
+        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
+                             EvalLedger())
         with pytest.raises(RuntimeError, match="no prior draw"):
             run_mmc(model, binning, cfg, kernel)
 

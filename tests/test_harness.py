@@ -450,6 +450,28 @@ class TestCompare:
         with pytest.raises(ConfigError, match="binnings differ"):
             compare_pdfs(a, b)
 
+    def test_all_zero_candidate_has_no_moments(self, tmp_path, capsys):
+        base = self._run(tmp_path, GOOD_MMC.replace("method = mmc",
+                                                    "method = mc"), "base")
+        # the same plain-MC file with every count zero: what a run whose
+        # range holds no output writes
+        lines = base.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for r in rows:
+            r[5] = "0"
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n".join([lines[0]] + [",".join(r) for r in rows])
+                         + "\n")
+        report = compare_pdfs(base, empty)
+        assert report.compared_bins > 0
+        assert report.max_rel_err == report.avg_rel_err == 1.0
+        assert report.candidate_moments is None
+        assert report.baseline_moments["mean"] is not None
+        assert cli_main(["compare", str(base), str(empty)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        mean = next(r for r in rows if r[0] == "mean")
+        assert mean[2] == "n/a" and mean[1] != "n/a"
+
 
 @pytest.fixture(scope="module")
 def mmc_histogram(tmp_path_factory):
@@ -542,6 +564,20 @@ class TestCli:
         assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_moments_of_an_empty_range_are_reported(self, tmp_path, capsys):
+        text = (GOOD_MMC.replace("method = mmc", "method = mc")
+                .replace("range_lo = -1.0", "range_lo = 100.0")
+                .replace("range_hi = 34.0", "range_hi = 101.0"))
+        out = tmp_path / "out"
+        assert cli_main(["run", _write_cfg(tmp_path / "a.cfg", text),
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["moments"] \
+            is None
+        hist = str(out / "histogram.csv")
+        capsys.readouterr()
+        assert cli_main(["moments", hist]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {hist}")
 
     @pytest.mark.parametrize("command", ["moments", "compare"])
     @pytest.mark.parametrize("damage", ["truncated", "garbled", "short_row",

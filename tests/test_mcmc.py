@@ -1,10 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gpmmc import (ChainState, EvalLedger, ExactKernel, Proposal, StepRecord,
-                   gaussian_model, metropolis_accept, propose)
+from gpmmc import (Binning, ChainState, EvalLedger, ExactKernel, Proposal,
+                   StepRecord, gaussian_model, log_bias_density,
+                   metropolis_accept, propose)
+
+# One bin wider than any chain below walks, under log theta = 0: the target
+# log q is the model's log prior.
+WIDE = Binning(-1e6, 1e6, 1)
+FLAT = [0.0]
 
 
 def _normal_model(d=1, mean=0.0, std=1.0):
@@ -12,10 +19,10 @@ def _normal_model(d=1, mean=0.0, std=1.0):
                           np.full(d, mean), np.full(d, std))
 
 
-def _log_target(model):
-    def target(x, y):
-        return model.log_prior_fn(x)
-    return target
+def _start(model, x0):
+    """Chain state at x0 (where y = x0[0]) under the flat table."""
+    y0 = float(x0[0])
+    return ChainState(x0, y0, log_bias_density(FLAT, WIDE, model, x0, y0))
 
 
 class TestProposal:
@@ -61,14 +68,14 @@ class TestMetropolisAccept:
 class TestMhStep:
     def test_rejection_returns_same_object(self):
         model = _normal_model()
-        target = _log_target(model)
         # big enough to see both outcomes
-        kernel = ExactKernel(model, Proposal.isotropic(2.5, 1), EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal.isotropic(2.5, 1),
+                             EvalLedger())
         rng = np.random.default_rng(0)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        state = _start(model, np.zeros(1))
         saw_reject = saw_accept = False
         for _ in range(200):
-            new, _ = kernel.step(rng, state, target)
+            new, _ = kernel.step(rng, state, FLAT)
             if new is state:
                 saw_reject = True
             else:
@@ -78,12 +85,12 @@ class TestMhStep:
 
     def test_exact_kernel_records_decision(self):
         model = _normal_model()
-        target = _log_target(model)
-        kernel = ExactKernel(model, Proposal.isotropic(50.0, 1), EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal.isotropic(50.0, 1),
+                             EvalLedger())
         rng = np.random.default_rng(0)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        state = _start(model, np.zeros(1))
         for _ in range(50):
-            new, rec = kernel.step(rng, state, target)
+            new, rec = kernel.step(rng, state, FLAT)
             assert isinstance(rec, StepRecord)
             assert rec.used_surrogate is False
             assert rec.refined is False
@@ -92,39 +99,39 @@ class TestMhStep:
 
     def test_ledger_counts_every_step(self):
         model = _normal_model()
-        target = _log_target(model)
         ledger = EvalLedger()
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), ledger)
+        kernel = ExactKernel(model, WIDE, Proposal.isotropic(1.0, 1), ledger)
         rng = np.random.default_rng(4)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        state = _start(model, np.zeros(1))
         for _ in range(200):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, FLAT)
         assert ledger.true_evals == 200
 
     def test_uphill_always_accepted(self):
         """A move with higher target density is accepted regardless of the
         accept uniform, so a chain started in the tail drifts inward."""
         model = _normal_model()
-        target = _log_target(model)
-        kernel = ExactKernel(model, Proposal.isotropic(0.1, 1), EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal.isotropic(0.1, 1),
+                             EvalLedger())
         rng = np.random.default_rng(11)
         x0 = np.array([8.0])
-        state = ChainState(x0, 8.0, target(x0, 8.0))
+        state = _start(model, x0)
         for _ in range(3000):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, FLAT)
         assert abs(state.x[0]) < 4.0
 
     def test_minus_inf_target_never_accepted(self):
-        model = _normal_model()
-
-        def target(x, y):
-            return -math.inf if x[0] > 0.5 else 0.0
-
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), EvalLedger())
+        # log q = 0 up to y = x = 0.5, the top edge of the one bin, and
+        # -inf above it
+        model = dataclasses.replace(_normal_model(),
+                                    log_prior_fn=lambda x: 0.0)
+        cut = Binning(-1e6, 0.5, 1)
+        kernel = ExactKernel(model, cut, Proposal.isotropic(1.0, 1),
+                             EvalLedger())
         rng = np.random.default_rng(3)
         state = ChainState(np.zeros(1), 0.0, 0.0)
         for _ in range(500):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, FLAT)
             assert state.x[0] <= 0.5
 
     def test_finite_log_q_required(self):
@@ -135,17 +142,16 @@ class TestMhStep:
 class TestErgodicAverages:
     def test_standard_normal_moments(self):
         model = _normal_model()
-        target = _log_target(model)
         ledger = EvalLedger()
-        kernel = ExactKernel(model, Proposal.isotropic(1.0, 1), ledger)
+        kernel = ExactKernel(model, WIDE, Proposal.isotropic(1.0, 1), ledger)
         rng = np.random.default_rng(123)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        state = _start(model, np.zeros(1))
         n = 100_000
         xs = np.empty(n)
         for _ in range(1000):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, FLAT)
         for t in range(n):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, FLAT)
             xs[t] = state.x[0]
         assert xs.mean() == pytest.approx(0.0, abs=0.05)
         assert xs.var() == pytest.approx(1.0, rel=0.05)
@@ -153,15 +159,14 @@ class TestErgodicAverages:
     def test_three_state_occupancy_matches_quadrature(self):
         """Occupancy of three disjoint y-intervals under a skewed target
         matches mass ratios computed by fine-grid quadrature."""
-        model = _normal_model()
-
         def log_density(x):
             # an asymmetric, bimodal-ish density on the real line
             return math.log(math.exp(-0.5 * (x - 1.2) ** 2)
                             + 0.3 * math.exp(-2.0 * (x + 1.0) ** 2))
 
-        def target(x, y):
-            return log_density(float(x[0]))
+        # the density as the model's log prior, so log q is log_density
+        model = dataclasses.replace(
+            _normal_model(), log_prior_fn=lambda x: log_density(float(x[0])))
 
         # quadrature oracle for interval masses
         grid = np.linspace(-8.0, 8.0, 200_001)
@@ -175,15 +180,16 @@ class TestErgodicAverages:
             np.trapezoid(np.where(grid >= cuts[1], dens, 0.0), grid),
         ]
 
-        kernel = ExactKernel(model, Proposal.isotropic(1.5, 1), EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal.isotropic(1.5, 1),
+                             EvalLedger())
         rng = np.random.default_rng(42)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        state = _start(model, np.zeros(1))
         for _ in range(2000):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, FLAT)
         occ = np.zeros(3)
         n = 150_000
         for _ in range(n):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, FLAT)
             v = state.x[0]
             occ[0 if v < cuts[0] else (1 if v < cuts[1] else 2)] += 1
         occ /= n

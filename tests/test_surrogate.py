@@ -7,7 +7,7 @@ import pytest
 import gpmmc.surrogate
 from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
                    ExactKernel, MmcConfig, Proposal, SurrogateError,
-                   SurrogateKernel, WeightTable, fit_surrogate_kernel,
+                   SurrogateKernel, fit_surrogate_kernel,
                    gaussian_model, log_bias_density, misassignment_probability,
                    run_mmc, sample_prior)
 from gpmmc.benchmarks import min_distance_model
@@ -22,13 +22,12 @@ def _identity_model(d=1):
                           np.zeros(d), np.ones(d))
 
 
-def _flat_target(model, binning):
-    w = WeightTable.flat(binning.m)
-
-    def target(x, y):
-        return log_bias_density(w, binning, model, x, y)
-
-    return target
+def _flat_start(model, binning, x0, y0):
+    """The flat table (log theta = 0 in every bin) and the chain state at
+    (x0, y0) under it."""
+    log_theta = [0.0] * binning.m
+    return log_theta, ChainState(x0, y0, log_bias_density(log_theta, binning,
+                                                          model, x0, y0))
 
 
 class TestMisassignmentProbability:
@@ -153,9 +152,8 @@ class TestSurrogateKernel:
         store = _unit_store()
         kernel = _make_kernel(model, binning, store, gamma=0.0)
         rng = np.random.default_rng(0)
-        target = _flat_target(model, binning)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
-        state, rec = kernel.step(rng, state, target)
+        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
+        state, rec = kernel.step(rng, state, log_theta)
         assert kernel.refine_fallback == 1
         assert store.size == 1
         assert rec.used_surrogate is False
@@ -169,10 +167,9 @@ class TestSurrogateKernel:
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.2)
         rng = np.random.default_rng(1)
-        target = _flat_target(model, binning)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         for _ in range(300):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, log_theta)
         c = kernel.counters()
         assert c["steps"] == 300
         assert (c["surrogate_steps"] + c["refine_random"] + c["refine_beta"]
@@ -189,10 +186,9 @@ class TestSurrogateKernel:
         kernel = _make_kernel(model, binning, store, gamma=0.0,
                               beta_max=0.05)
         rng = np.random.default_rng(2)
-        target = _flat_target(model, binning)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         for _ in range(400):
-            state, rec = kernel.step(rng, state, target)
+            state, rec = kernel.step(rng, state, log_theta)
             if rec.used_surrogate:
                 assert rec.beta is not None and rec.beta <= 0.05
             elif rec.beta is not None:
@@ -207,11 +203,10 @@ class TestSurrogateKernel:
         store.insert(np.array([0.0]), 0.0)
         kernel = _make_kernel(model, binning, store, gamma=0.3)
         rng = np.random.default_rng(3)
-        target = _flat_target(model, binning)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         before = store.size
         for _ in range(200):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, log_theta)
         refined = (kernel.refine_random + kernel.refine_beta
                    + kernel.refine_fallback)
         assert store.size == before + refined
@@ -222,21 +217,21 @@ class TestSurrogateKernel:
         kernel must walk the exact kernel's trajectory from the same seed."""
         model = _identity_model()
         binning = Binning(-4.0, 4.0, 16)
-        target = _flat_target(model, binning)
+        log_theta, start = _flat_start(model, binning, np.zeros(1), 0.0)
 
         store = _unit_store()
         for v in np.linspace(-4.0, 4.0, 9):
             store.insert(np.array([v]), v)
         sk = _make_kernel(model, binning, store, gamma=1.0, scale=0.7)
-        ek = ExactKernel(model, Proposal.isotropic(0.7, 1), EvalLedger())
+        ek = ExactKernel(model, binning, Proposal.isotropic(0.7, 1),
+                         EvalLedger())
 
         rng_s = np.random.default_rng([99, 0])
         rng_e = np.random.default_rng([99, 0])
-        xs = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
-        xe = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        xs = xe = start
         for _ in range(500):
-            xs, rs = sk.step(rng_s, xs, target)
-            xe, re = ek.step(rng_e, xe, target)
+            xs, rs = sk.step(rng_s, xs, log_theta)
+            xe, re = ek.step(rng_e, xe, log_theta)
             assert xs.x[0] == xe.x[0]
             assert xs.y == xe.y
             assert rs.accepted == re.accepted
@@ -254,11 +249,10 @@ class TestSurrogateKernel:
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.0, scale=2.0)
         rng = np.random.default_rng(4)
-        target = _flat_target(model, binning)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         saw = False
         for _ in range(50):
-            new, rec = kernel.step(rng, state, target)
+            new, rec = kernel.step(rng, state, log_theta)
             if not rec.accepted:
                 assert new is state
                 saw = True
@@ -273,10 +267,9 @@ class TestSurrogateKernel:
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.05, scale=1.0)
         rng = np.random.default_rng(5)
-        target = _flat_target(model, binning)
-        state = ChainState(np.zeros(1), 0.0, target(np.zeros(1), 0.0))
+        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         for _ in range(500):
-            state, _ = kernel.step(rng, state, target)
+            state, _ = kernel.step(rng, state, log_theta)
             assert binning.index(state.y) is not None
 
     def test_non_finite_local_model_falls_back_to_true_model(self,
@@ -329,17 +322,16 @@ class TestModelCache:
                                           beta_max=0.075, p=p,
                                           prop=Proposal.isotropic(1.0, 2),
                                           ledger=ledger)
-            target = _flat_target(model, binning)
             x0 = kernel.store.points[0].copy()
             y0 = float(kernel.store.values[0])
-            state = ChainState(x0, y0, target(x0, y0))
+            log_theta, state = _flat_start(model, binning, x0, y0)
             rng = np.random.default_rng([17, 0])
             trace = []
             builds.clear()
             for _ in range(400):
                 if clear:
                     kernel._models.clear()
-                state, rec = kernel.step(rng, state, target)
+                state, rec = kernel.step(rng, state, log_theta)
                 trace.append((tuple(state.x), state.y, state.log_q, rec))
             return (kernel, ledger, trace, len(builds))
 
