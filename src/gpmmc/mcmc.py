@@ -10,9 +10,13 @@ candidate's output comes from. Both consume the identical per-step RNG layout:
 
     1. one standard-normal vector for the proposal,
     2. one uniform for the refinement gate,
-    3. one uniform for the accept decision.
+    3. one uniform u for the accept decision.
 
 The exact kernel has no refinement gate, so it draws and discards slot 2.
+The surrogate kernel draws slot 3 right after slot 2, before it decides
+whether to refine, because its rule asks which bins would accept at this u.
+Nothing between the two draws consumes random numbers, so the stream is the
+same as drawing u at the decision, and ``metropolis_accept`` takes u itself.
 Keeping the layout fixed makes a surrogate run with refine probability 1
 replay the exact kernel's trajectory step for step from the same seed, which
 is the cheapest end-to-end correctness check the surrogate machinery has.
@@ -87,17 +91,16 @@ def log_bias_density(log_theta: list[float], binning: Binning,
     return log_prior_density(model, x) - log_theta[i]
 
 
-def metropolis_accept(rng: np.random.Generator, state: ChainState,
-                      x_new: np.ndarray, y_new: float,
-                      log_q_new: float) -> ChainState:
-    """The accept decision of both step kernels, drawing RNG slot 3.
+def metropolis_accept(u: float, state: ChainState, x_new: np.ndarray,
+                      y_new: float, log_q_new: float) -> ChainState:
+    """The accept decision of both step kernels on the uniform u, RNG slot 3:
+    accept when log u < log_q_new - state.log_q.
 
     Returns a new ChainState on acceptance and the input object unchanged on
     rejection, so callers can detect the decision by identity. Candidates
     whose target density is zero (log_q of -inf, e.g. output outside the
     binned range) are always rejected; the chain never occupies such a state.
     """
-    u = rng.random()
     if log_q_new == -math.inf:
         return state
     # u == 0.0 cannot fail the comparison: log(0) is -inf < finite ratio.
@@ -123,8 +126,9 @@ class ExactKernel:
         x_new = propose(rng, state.x, self.prop)
         y_new = evaluate(self.model, x_new, self.ledger)
         rng.random()  # refinement-gate slot, unused here; see module docstring
-        new = metropolis_accept(rng, state, x_new, y_new, log_bias_density(
-            log_theta, self.binning, self.model, x_new, y_new))
+        new = metropolis_accept(rng.random(), state, x_new, y_new,
+                                log_bias_density(log_theta, self.binning,
+                                                 self.model, x_new, y_new))
         rec = StepRecord(used_surrogate=False, beta=None, refined=False,
                          accepted=new is not state)
         return new, rec

@@ -1,25 +1,25 @@
 """Metropolis kernel that answers most candidate evaluations from a local
-surrogate and falls back to the true model only when the surrogate cannot be
-trusted to bin the candidate correctly.
+surrogate and refines, with a true evaluation, only when serving the
+prediction could make the wrong transition with probability above beta_max.
 
-A candidate's surrogate prediction (mu, sigma) is accepted as a stand-in for
-the true value only when the predictive probability of landing outside the
-bin that mu falls in,
+The target sees a value only through its bin (the log_theta lookup in
+mcmc.log_bias_density). A prediction (mu, sigma) is served when its bin beta,
 
     beta = Phi(lo_edge; mu, sigma) + 1 - Phi(hi_edge; mu, sigma),
 
-stays at or below the configured threshold. Otherwise the true model is
-evaluated and the result feeds the evaluation store, shrinking the surrogate's
-uncertainty exactly where the chain visits. An independent gate evaluates the
-true model with small probability gamma regardless of beta, so the store keeps
-growing even where the surrogate is confident; gamma = 1 degenerates to the
-exact kernel and replays its trajectory from the same seed, which is what the
-fixed per-step RNG layout in mcmc.py exists for.
-
-The target density only sees which bin a value lands in (through the
-log_theta lookup in mcmc.log_bias_density), so a surrogate value that bins
-correctly leaves the chain's law unchanged; beta bounds the per-step
-probability of getting that bin wrong.
+the predictive mass outside the bin mu falls in, is at most beta_max. Above
+that, the kernel screens the candidate as delayed-acceptance MCMC does
+(Christen & Fox 2005), with the accept uniform u already drawn: a predicted
+acceptance is refined, since a wrong bin would be kept, and a predicted
+rejection is refined only if the predictive mass in the bins that accept at
+u exceeds beta_max; else it is served and rejected. So every state kept from
+a prediction has bin beta <= beta_max. Refinements feed the evaluation store,
+shrinking the surrogate's uncertainty exactly where the chain visits. An
+independent gate evaluates the true model with small probability gamma
+regardless of beta, so the store keeps growing even where the surrogate is
+confident; gamma = 1 degenerates to the exact kernel and replays its
+trajectory from the same seed, which is what the fixed per-step RNG layout
+in mcmc.py exists for.
 
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). The kernel
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from .binning import Binning
 from .errors import SurrogateError
@@ -40,7 +41,8 @@ from .gp import (EvaluationStore, LocalGP, _check_exponent,
                  build_local_surrogate, calibrate_lengthscales, local_size)
 from .mcmc import (ChainState, Proposal, StepRecord, log_bias_density,
                    metropolis_accept, propose)
-from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
+from .problem import (EvalLedger, PerformanceModel, evaluate,
+                      log_prior_density, sample_prior)
 
 __all__ = ["misassignment_probability", "SurrogateKernel",
            "fit_surrogate_kernel"]
@@ -65,6 +67,18 @@ def _check_settings(gamma: float, beta_max: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if not 0.0 < beta_max < 1.0:
         raise ValueError(f"beta_max must lie in (0, 1), got {beta_max}")
+
+
+def _accepting_bins(u: float, state: ChainState, lp: float,
+                    log_theta: list[float]) -> np.ndarray:
+    """Which output bins metropolis_accept(u, state, ...) accepts a candidate
+    with log prior density lp in: bin i accepts when (lp - log_theta[i]) -
+    state.log_q > log u, the floats it compares, and every bin with a
+    finite log q accepts when u == 0."""
+    log_q = lp - np.asarray(log_theta)
+    if u == 0.0:
+        return log_q != -math.inf
+    return log_q - state.log_q > math.log(u)
 
 
 def misassignment_probability(mu: float, sigma: float,
@@ -96,8 +110,10 @@ class SurrogateKernel:
     """Step kernel with per-candidate local surrogates and audited refinement.
 
     gamma is the per-step probability of an unconditional true evaluation;
-    beta_max the largest tolerated bin-misassignment probability; prop the
-    random-walk proposal. The frozen correlation kernel is the store's.
+    beta_max the per-step bound on a wrong transition of a served step; prop
+    the random-walk proposal. The frozen correlation kernel is the store's.
+    A StepRecord's beta is what the rule compared with beta_max: the bin
+    beta, or on a screened rejection the mass in the accepting bins.
 
     Tracks how every true evaluation was triggered (random gate, beta above
     threshold, or surrogate construction failure) so a run's cost can be
@@ -149,9 +165,12 @@ class SurrogateKernel:
         x_new = propose(rng, state.x, self.prop)
         beta = None
         used_surrogate = False
-        # the gate comes first: building the local model draws no random
-        # numbers, so a step the gate refines needs no model at all
-        if rng.random() < self.gamma:
+        # both uniforms come first: building the local model draws no random
+        # numbers, so a step the gate refines needs no model at all, and the
+        # refinement decision can see the accept uniform
+        gate = rng.random()
+        u = rng.random()
+        if gate < self.gamma:
             self.refine_random += 1
         else:
             try:
@@ -161,8 +180,11 @@ class SurrogateKernel:
                 self.refine_fallback += 1
             else:
                 self.ledger.surrogate_evals += 1
-                beta = misassignment_probability(mu, math.sqrt(var),
-                                                 self.binning)
+                sigma = math.sqrt(var)
+                beta = misassignment_probability(mu, sigma, self.binning)
+                if beta > self.beta_max:
+                    beta = self._flip_probability(u, state, x_new, log_theta,
+                                                  mu, sigma, beta)
                 used_surrogate = beta <= self.beta_max
                 if used_surrogate:
                     self.surrogate_steps += 1
@@ -174,12 +196,26 @@ class SurrogateKernel:
             y_new = evaluate(self.model, x_new, self.ledger)
             self.store.insert(x_new, y_new)
 
-        new = metropolis_accept(rng, state, x_new, y_new, log_bias_density(
+        new = metropolis_accept(u, state, x_new, y_new, log_bias_density(
             log_theta, self.binning, self.model, x_new, y_new))
         self.steps += 1
         return new, StepRecord(used_surrogate=used_surrogate, beta=beta,
                                refined=not used_surrogate,
                                accepted=new is not state)
+
+    def _flip_probability(self, u: float, state: ChainState,
+                          x_new: np.ndarray, log_theta: list[float],
+                          mu: float, sigma: float, beta: float) -> float:
+        """Probability that serving (mu, sigma), whose bin beta exceeds
+        beta_max, makes the wrong transition: beta for a predicted
+        acceptance, else the predictive mass in the accepting bins."""
+        accepting = _accepting_bins(u, state, log_prior_density(
+            self.model, x_new), log_theta)
+        i = self.binning.index(mu)
+        if i is not None and accepting[i]:
+            return beta
+        cdf = ndtr((self.binning.edges - mu) / sigma)
+        return float(np.diff(cdf)[accepting].sum())
 
     def counters(self) -> dict:
         return {

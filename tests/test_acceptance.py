@@ -169,33 +169,43 @@ def reduced_two_center_run():
         beta_max=REDUCED_BETA_MAX, p=1, prop=Proposal.isotropic(1.0, 2),
         ledger=ledger)
     betas = []
+    accepted_betas = []
 
     def on_step(index, rec):
         if rec.used_surrogate:
             betas.append(rec.beta)
+            if rec.accepted:
+                accepted_betas.append(rec.beta)
 
     cfg = MmcConfig(iterations=10, samples_per_iteration=10_000,
                     burn_in=1_000, seed=REDUCED_SEED)
     res = run_mmc(model, binning, cfg, kernel, on_step=on_step)
-    return {"result": res, "betas": betas, "counters": kernel.counters(),
+    return {"result": res, "betas": betas, "accepted_betas": accepted_betas,
+            "counters": kernel.counters(),
             "true_evals": ledger.true_evals, "binning": binning,
             "model": model}
 
 
 def test_surrogate_quality_audit(reduced_two_center_run):
-    """Every accepted surrogate step satisfies the misassignment bound, and
-    the open-gate refinement count is a plausible Bernoulli(gamma) draw."""
+    """Every surrogate-served step satisfies the bound on a wrong transition,
+    every accepted one (a predicted acceptance) the bin-misassignment bound,
+    and the open-gate refinement count is a plausible Bernoulli(gamma)
+    draw."""
     run = reduced_two_center_run
     betas = np.array(run["betas"])
+    accepted_betas = np.array(run["accepted_betas"])
     counters = run["counters"]
     T = counters["steps"]
     expect = T * REDUCED_GAMMA
     slack = 4.0 * math.sqrt(T * REDUCED_GAMMA * (1.0 - REDUCED_GAMMA))
-    all_within = bool((betas <= REDUCED_BETA_MAX).all())
+    all_within = bool((betas <= REDUCED_BETA_MAX).all()
+                      and (accepted_betas <= REDUCED_BETA_MAX).all())
     gate_ok = abs(counters["refine_random"] - expect) <= slack
     ok = all_within and gate_ok
     _check(5, ok, f"{betas.size} surrogate steps, max beta "
-                  f"{betas.max():.4f} <= {REDUCED_BETA_MAX}; open-gate "
+                  f"{betas.max():.4f} <= {REDUCED_BETA_MAX}; "
+                  f"{accepted_betas.size} accepted, max beta "
+                  f"{accepted_betas.max():.4f}; open-gate "
                   f"refinements {counters['refine_random']} within "
                   f"{expect:.1f} +- {slack:.1f}")
 

@@ -45,12 +45,14 @@ class TestProposal:
 
 class TestMetropolisAccept:
     def test_draws_one_uniform_and_decides_on_it(self):
+        """The caller draws one uniform, slot 3; the rule decides on it and
+        draws nothing itself."""
         state = ChainState(np.zeros(1), 0.0, 0.0)
         x_new = np.ones(1)
         for seed in range(20):
-            u = np.random.default_rng(seed).random()
             rng = np.random.default_rng(seed)
-            new = metropolis_accept(rng, state, x_new, 1.0, -0.5)
+            u = rng.random()
+            new = metropolis_accept(u, state, x_new, 1.0, -0.5)
             assert rng.random() == np.random.default_rng(seed).random(2)[1]
             if math.log(u) < -0.5:
                 assert new.x is x_new and (new.y, new.log_q) == (1.0, -0.5)
@@ -60,9 +62,14 @@ class TestMetropolisAccept:
     def test_zero_density_rejected_after_the_draw(self):
         state = ChainState(np.zeros(1), 0.0, 0.0)
         rng = np.random.default_rng(1)
-        assert metropolis_accept(rng, state, np.ones(1), 1.0,
+        assert metropolis_accept(rng.random(), state, np.ones(1), 1.0,
                                  -math.inf) is state
         assert rng.random() == np.random.default_rng(1).random(2)[1]
+        # not even u == 0, which accepts every finite log q
+        assert metropolis_accept(0.0, state, np.ones(1), 1.0,
+                                 -math.inf) is state
+        assert metropolis_accept(0.0, state, np.ones(1), 1.0,
+                                 -1e300).log_q == -1e300
 
 
 class TestMhStep:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -8,8 +9,9 @@ import gpmmc.surrogate
 from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
                    ExactKernel, MmcConfig, Proposal, SurrogateError,
                    SurrogateKernel, fit_surrogate_kernel,
-                   gaussian_model, log_bias_density, misassignment_probability,
-                   run_mmc, sample_prior)
+                   gaussian_model, log_bias_density, log_prior_density,
+                   metropolis_accept, misassignment_probability, run_mmc,
+                   sample_prior)
 from gpmmc.benchmarks import min_distance_model
 
 
@@ -303,6 +305,221 @@ class TestSurrogateKernel:
         assert kernel.refine_fallback == len(failed)
         assert len(set(failed)) < len(failed)
         assert not set(failed) & kernel._models.keys()
+
+
+class _ScriptedRng:
+    """Stands in for the step's generator: the proposal draws z, and the
+    uniforms come from a list. Counts the uniforms drawn so far."""
+
+    def __init__(self, z, uniforms):
+        self.z = np.atleast_1d(np.asarray(z, dtype=float))
+        self.uniforms = list(uniforms)
+        self.drawn = 0
+
+    def standard_normal(self, n):
+        assert n == self.z.size
+        return self.z
+
+    def random(self):
+        self.drawn += 1
+        return self.uniforms.pop(0)
+
+
+class _Prediction:
+    """A local model whose posterior is a fixed (mu, var)."""
+
+    def __init__(self, mu, var):
+        self.mu, self.var = mu, var
+
+    def posterior(self, x, dist):
+        return self.mu, self.var
+
+
+# Four unit bins; from a state in bin 0, with the candidate at the state's x
+# and u = 0.5, bins 0 and 1 accept and bins 2 and 3 reject.
+RULE_BINS = Binning(0.0, 4.0, 4)
+RULE_LOG_THETA = [0.0, 0.0, 5.0, 5.0]
+
+
+class TestDecisionAwareRefinement:
+    def _step(self, mu, sigma, u=0.5, beta_max=0.05):
+        """One step from (x, y) = (0.5, 0.5) to the candidate x = 0.5 with
+        the prediction (mu, sigma) and accept uniform u. Returns the kernel,
+        the record, the new state and, per true evaluation, how many
+        uniforms had been drawn when it ran."""
+        rng = _ScriptedRng(0.0, [0.9, u])
+        at_eval = []
+
+        def identity(X):
+            at_eval.append(rng.drawn)
+            return X[:, 0]
+
+        model = gaussian_model("identity", identity, np.zeros(1), np.ones(1))
+        kernel = _make_kernel(model, RULE_BINS, _unit_store(), gamma=0.0,
+                              beta_max=beta_max)
+        kernel._local_model = lambda x: (_Prediction(mu, sigma**2), None)
+        _, state = _flat_start(model, RULE_BINS, np.array([0.5]), 0.5)
+        new, rec = kernel.step(rng, state, RULE_LOG_THETA)
+        assert rng.drawn == 2 and not rng.uniforms
+        return kernel, rec, new, at_eval
+
+    @staticmethod
+    def _accepting_mass(mu, sigma):
+        return _phi((2.0 - mu) / sigma) - _phi((0.0 - mu) / sigma)
+
+    def test_predicted_acceptance_above_beta_max_refines(self):
+        mu, sigma = 1.0 + 1e-3, 0.5  # in bin 1, on its lower edge
+        bin_beta = misassignment_probability(mu, sigma, RULE_BINS)
+        assert bin_beta > 0.4
+        kernel, rec, new, at_eval = self._step(mu, sigma)
+        assert rec.refined and not rec.used_surrogate
+        assert rec.beta == bin_beta
+        assert kernel.refine_beta == 1 and kernel.ledger.true_evals == 1
+        # the refinement was decided with the accept uniform in hand
+        assert at_eval == [2]
+
+    @pytest.mark.parametrize("mu", [3.0, 4.05])
+    def test_predicted_rejection_with_small_accepting_mass_is_served(self,
+                                                                     mu):
+        # on the edge between two rejecting bins, or just above the range:
+        # the bin beta is large, but little mass reaches an accepting bin
+        sigma = 0.3
+        assert misassignment_probability(mu, sigma, RULE_BINS) > 0.4
+        mass = self._accepting_mass(mu, sigma)
+        assert mass <= 0.05
+        kernel, rec, new, at_eval = self._step(mu, sigma)
+        assert rec.used_surrogate and not rec.refined and not rec.accepted
+        assert rec.beta == pytest.approx(mass, rel=1e-9)
+        assert kernel.surrogate_steps == 1 and kernel.refine_beta == 0
+        assert kernel.ledger.true_evals == 0 and at_eval == []
+        assert kernel.store.size == 0
+
+    def test_predicted_rejection_with_large_accepting_mass_refines(self):
+        mu, sigma = 2.2, 0.3  # in rejecting bin 2, near accepting bin 1
+        mass = self._accepting_mass(mu, sigma)
+        assert 0.05 < mass < misassignment_probability(mu, sigma, RULE_BINS)
+        kernel, rec, new, at_eval = self._step(mu, sigma)
+        assert rec.refined and not rec.used_surrogate
+        assert rec.beta == pytest.approx(mass, rel=1e-9)
+        assert kernel.refine_beta == 1 and at_eval == [2]
+
+    def test_beta_max_bounds_the_accepting_mass(self):
+        mu, sigma = 2.2, 0.3
+        mass = self._accepting_mass(mu, sigma)
+        _, served, _, _ = self._step(mu, sigma, beta_max=mass * 1.001)
+        _, refined, _, _ = self._step(mu, sigma, beta_max=mass * 0.999)
+        assert served.used_surrogate and refined.refined
+
+    def test_zero_uniform_makes_every_bin_accept(self):
+        state = ChainState(np.zeros(1), 0.0, 0.0)
+        log_theta = [0.0, 1e6, 1e300, 50.0]
+        accepting = gpmmc.surrogate._accepting_bins
+        assert not accepting(0.5, state, 0.0, log_theta)[1:].any()
+        assert accepting(0.0, state, 0.0, log_theta).all()
+        # at u = 0 the prediction that rejects at u = 0.5 accepts: refined
+        kernel, rec, new, at_eval = self._step(3.0, 0.3, u=0.0)
+        assert rec.refined and rec.beta == misassignment_probability(
+            3.0, 0.3, RULE_BINS)
+        assert at_eval == [2]
+
+    def test_accepting_set_matches_metropolis_accept(self):
+        """One value per bin through log_bias_density and metropolis_accept
+        decides exactly as the vector rule, also for u placed on a bin's
+        acceptance threshold."""
+        model = _identity_model()
+        binning = Binning(-3.0, 3.0, 12)
+        rng = np.random.default_rng(11)
+        on_edge = 0
+        for _ in range(300):
+            log_theta = list(rng.normal(scale=3.0, size=binning.m))
+            x0 = rng.normal(size=1)
+            y0 = float(rng.uniform(-3.0, 3.0))
+            state = ChainState(x0, y0, log_bias_density(log_theta, binning,
+                                                        model, x0, y0))
+            x_new = x0 + rng.normal(size=1)
+            lp = log_prior_density(model, x_new)
+            log_qs = [log_bias_density(log_theta, binning, model, x_new, y)
+                      for y in binning.centers]
+            u = float(rng.random())
+            j = int(rng.integers(binning.m))
+            if log_qs[j] - state.log_q < 0.0:
+                u = math.exp(log_qs[j] - state.log_q)
+                on_edge += 1
+            accepting = gpmmc.surrogate._accepting_bins(u, state, lp,
+                                                        log_theta)
+            brute = [metropolis_accept(u, state, x_new, y, q) is not state
+                     for y, q in zip(binning.centers, log_qs)]
+            assert accepting.tolist() == brute
+        assert on_edge > 50
+
+    @staticmethod
+    def _two_center_kernel():
+        """A 2-D two-center kernel on a 20-point design, where about one
+        candidate in ten has a bin beta above beta_max."""
+        model = min_distance_model(2)
+        binning = Binning(-1.0, 54.0, 55)
+        return fit_surrogate_kernel(model, binning, 17, initial_design=20,
+                                    gamma=0.0, beta_max=0.05, p=2,
+                                    prop=Proposal.isotropic(1.0, 2),
+                                    ledger=EvalLedger())
+
+    def test_screened_step_is_never_accepted(self, monkeypatch):
+        """A served candidate whose bin beta is above beta_max was predicted
+        rejected, and the chain rejects it."""
+        bin_betas = []
+        bin_rule = gpmmc.surrogate.misassignment_probability
+
+        def recorded(mu, sigma, binning):
+            bin_betas.append(bin_rule(mu, sigma, binning))
+            return bin_betas[-1]
+
+        monkeypatch.setattr(gpmmc.surrogate, "misassignment_probability",
+                            recorded)
+        kernel = self._two_center_kernel()
+        model, binning = kernel.model, kernel.binning
+        # low weights, so high acceptance, only in bins 10 to 20
+        log_theta = [0.0 if 10 <= i <= 20 else 4.0 for i in range(binning.m)]
+        x0 = np.zeros(2)
+        y0 = float(model.eval_fn(x0[None, :])[0])
+        state = ChainState(x0, y0, log_bias_density(log_theta, binning,
+                                                    model, x0, y0))
+        rng = np.random.default_rng(6)
+        screened = 0
+        for _ in range(2000):
+            bin_betas.clear()
+            before = state
+            state, rec = kernel.step(rng, state, log_theta)
+            if rec.used_surrogate and bin_betas[0] > kernel.beta_max:
+                screened += 1
+                assert not rec.accepted and state is before
+        assert screened > 20
+
+    def test_refines_a_subset_of_the_bin_rule(self):
+        """On the same store, state, candidate and u, a step refines only if
+        the bin rule alone would have refined it, and some it would have
+        refined are served."""
+        base = self._two_center_kernel()
+        model, binning = base.model, base.binning
+        rng = np.random.default_rng(12)
+        bin_rule_refined = served_instead = 0
+        for _ in range(600):
+            kernel = copy.deepcopy(base)
+            log_theta = list(rng.normal(scale=2.0, size=binning.m))
+            x0 = rng.normal(size=2) * 1.5
+            y0 = float(model.eval_fn(x0[None, :])[0])
+            state = ChainState(x0, y0, log_bias_density(log_theta, binning,
+                                                        model, x0, y0))
+            z = rng.normal(size=2)
+            gp, dist = kernel._local_model(x0 + z)
+            mu, var = gp.posterior(x0 + z, dist)
+            old = misassignment_probability(mu, math.sqrt(var),
+                                            binning) > kernel.beta_max
+            _, rec = kernel.step(_ScriptedRng(z, [0.5, rng.random()]), state,
+                                 log_theta)
+            assert not rec.refined or old
+            bin_rule_refined += old
+            served_instead += old and rec.used_surrogate
+        assert bin_rule_refined > 50 and served_instead > 10
 
 
 class TestModelCache:
