@@ -454,8 +454,8 @@ class TestDecisionAwareRefinement:
 
     @staticmethod
     def _two_center_kernel():
-        """A 2-D two-center kernel on a 20-point design, where about one
-        candidate in ten has a bin beta above beta_max."""
+        """A 2-D two-center kernel on a 20-point design, small enough that
+        many candidates have a bin beta above beta_max."""
         model = min_distance_model(2)
         binning = Binning(-1.0, 54.0, 55)
         return fit_surrogate_kernel(model, binning, 17, initial_design=20,
