@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class Binning:
         if self.m < 1:
             raise ValueError(f"need at least one bin, got m={self.m}")
 
-    @property
+    @cached_property
     def delta(self) -> float:
         return (self.hi - self.lo) / self.m
 

@@ -43,12 +43,15 @@ The per-query algebra calls LAPACK directly through scipy.linalg.lapack
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
 correlation matrix): on supports this small, the argument checks of the
 numpy.linalg and scipy.linalg wrappers cost more than the factorizations.
+For the same reason the trend at a single query builds no design: it
+fills a row QuadraticMean owns with the floats of the one-row design and
+takes the same product, so mean(x) == mean(x[None, :])[0] bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -104,12 +107,11 @@ def _check_kernel(lengths, p: int, dimension: int) -> np.ndarray:
     return lengths
 
 
-def _scaled(X: np.ndarray, lengths: np.ndarray, p: int) -> np.ndarray:
-    # |x - x'|^p / l == |x/l^(1/p) - x'/l^(1/p)|^p, so fold the lengthscales
-    # into the coordinates and use plain distance kernels afterwards.
-    if p == 1:
-        return X / lengths
-    return X / np.sqrt(lengths)
+def _root(lengths: np.ndarray, p: int) -> np.ndarray:
+    # |x - x'|^p / l == |x/l^(1/p) - x'/l^(1/p)|^p, so dividing the
+    # coordinates by l^(1/p) folds the lengthscales in and leaves plain
+    # distance kernels.
+    return lengths if p == 1 else np.sqrt(lengths)
 
 
 def _metric(p: int) -> str:
@@ -120,7 +122,7 @@ def _corr_matrix(X: np.ndarray, lengths: np.ndarray, p: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Unit-amplitude correlation matrix of the rows of X; written into out
     (C-contiguous, n x n) when given."""
-    Xs = _scaled(X, lengths, p)
+    Xs = X / _root(lengths, p)
     D = cdist(Xs, Xs, _metric(p), out=out)
     np.negative(D, out=D)
     return np.exp(D, out=D)
@@ -130,7 +132,7 @@ class EvaluationStore:
     """Append-only set of exact evaluations (x, y) with duplicate suppression
     and nearest-neighbor queries in the kernel's metric, whose lengths (one
     per coordinate) and exponent p are checked here once and then frozen.
-    Each point is also kept scaled (see _scaled), so no query rescales.
+    Each point is also kept scaled (see _root), so no query rescales.
 
     Points closer than 1e-12 (Euclidean) to a stored point are considered
     duplicates and silently skipped on insert, so the correlation matrices
@@ -143,6 +145,7 @@ class EvaluationStore:
         self.dimension = dimension
         self.lengths = _check_kernel(lengths, p, dimension)
         self.p = p
+        self._root = _root(self.lengths, p)
         self._x = np.empty((STORE_CAPACITY, dimension))
         self._xs = np.empty_like(self._x)
         self._y = np.empty(STORE_CAPACITY)
@@ -183,7 +186,7 @@ class EvaluationStore:
         if self._n == self._x.shape[0]:
             self._grow()
         self._x[self._n] = x
-        self._xs[self._n] = _scaled(x, self.lengths, self.p)
+        self._xs[self._n] = x / self._root
         self._y[self._n] = y
         self._n += 1
         return True
@@ -202,12 +205,13 @@ class EvaluationStore:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected shape ({self.dimension},), got {x.shape}")
-        xs = _scaled(x[None, :], self.lengths, self.p)
-        dist = cdist(self._xs[:self._n], xs, _metric(self.p))[:, 0]
+        dist = cdist(self._xs[:self._n], x[None, :] / self._root,
+                     _metric(self.p))[:, 0]
         if n >= self._n:
             return np.arange(self._n), dist
-        cutoff = np.partition(dist, n - 1)[n - 1]
-        idx = np.flatnonzero(dist <= cutoff)
+        part = dist.copy()
+        part.partition(n - 1)
+        idx = (dist <= part[n - 1]).nonzero()[0]
         if idx.size > n:
             # points tied at the cutoff: keep the earliest inserted
             idx = np.sort(idx[np.lexsort((idx, dist[idx]))[:n]])
@@ -225,15 +229,20 @@ class EvaluationStore:
                 fh.write(",".join(row) + "\n")
 
 
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i <= j of the quadratic terms, in design column order."""
+    if d not in _TRIU_CACHE:
+        _TRIU_CACHE[d] = np.triu_indices(d)
+    return _TRIU_CACHE[d]
+
+
 def _design(Z: np.ndarray, degree: int) -> np.ndarray:
     n, d = Z.shape
     if degree == 0:
         return np.ones((n, 1))
     if degree == 1:
         return np.hstack([np.ones((n, 1)), Z])
-    if d not in _TRIU_CACHE:
-        _TRIU_CACHE[d] = np.triu_indices(d)
-    ii, jj = _TRIU_CACHE[d]
+    ii, jj = _triu(d)
     return np.hstack([np.ones((n, 1)), Z, Z[:, ii] * Z[:, jj]])
 
 
@@ -243,20 +252,34 @@ class QuadraticMean:
 
     degree is 2 when the full quadratic fit succeeded and drops to 1 or 0
     when the design was rank-deficient. Coefficients are stored in the
-    standardized basis.
+    standardized basis. A single point x, shape (d,), skips the design: its
+    1, z and z_i z_j (i <= j) are written into a (1, k) row the model owns
+    (the floats of _design's one row) and take the same product, so mean(x)
+    equals mean(x[None, :])[0] bit for bit.
     """
 
     degree: int
     center: np.ndarray
     scale: np.ndarray
     scaled_coef: np.ndarray
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._row = np.ones((1, len(self.scaled_coef)))
 
     def __call__(self, X: np.ndarray) -> np.ndarray | float:
         X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        Z = (np.atleast_2d(X) - self.center) / self.scale
-        vals = _design(Z, self.degree) @ self.scaled_coef
-        return float(vals[0]) if single else vals
+        if X.ndim != 1:
+            Z = (np.atleast_2d(X) - self.center) / self.scale
+            return _design(Z, self.degree) @ self.scaled_coef
+        z = (X - self.center) / self.scale
+        row, d = self._row, z.size
+        if self.degree > 0:
+            row[0, 1:d + 1] = z
+        if self.degree == 2:
+            ii, jj = _triu(d)
+            np.multiply(z[ii], z[jj], out=row[0, d + 1:])
+        return float((row @ self.scaled_coef)[0])
 
 
 def fit_quadratic_mean(X: np.ndarray,

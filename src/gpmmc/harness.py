@@ -310,6 +310,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         lo, hi = cfg.range_lo, cfg.range_hi
     binning = Binning(lo, hi, cfg.bins)
     breakdown = {"pilot": ledger.true_evals}
+    screened = 0
 
     summary = {
         "method": cfg.method,
@@ -372,6 +373,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
             breakdown.update({k: counters[k] for k in
                               ("refine_random", "refine_beta",
                                "refine_fallback")})
+            screened = counters["screened"]
         results = {"acceptance": result.acceptance,
                    "flatness": result.flatness, "moments": result.moments}
         if cfg.method == "gpmmc":
@@ -385,7 +387,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
             f"ledger mismatch: {ledger.true_evals} true evaluations, "
             f"breakdown accounts for {sum(breakdown.values())}")
     summary.update(burn_in=burn_in, true_evals=ledger.true_evals,
-                   surrogate_evals=ledger.surrogate_evals,
+                   surrogate_evals=ledger.surrogate_evals, screened=screened,
                    eval_breakdown=breakdown, **results)
 
     summary["runtime_seconds"] = time.perf_counter() - t0

@@ -117,7 +117,8 @@ class SurrogateKernel:
 
     Tracks how every true evaluation was triggered (random gate, beta above
     threshold, or surrogate construction failure) so a run's cost can be
-    reconciled exactly from the counters.
+    reconciled exactly from the counters. screened counts the served steps
+    (among surrogate_steps) rejected with a bin beta above beta_max.
 
     Local models are cached by support set, least recently used first out,
     and the cache never changes a result: a hit returns the model a fresh
@@ -145,6 +146,7 @@ class SurrogateKernel:
         self.refine_beta = 0
         self.refine_fallback = 0
         self.surrogate_steps = 0
+        self.screened = 0
 
     def _local_model(self, x: np.ndarray) -> tuple[LocalGP, np.ndarray]:
         """The local model at x and the kernel distances from x to its
@@ -185,6 +187,7 @@ class SurrogateKernel:
                 if beta > self.beta_max:
                     beta = self._flip_probability(u, state, x_new, log_theta,
                                                   mu, sigma, beta)
+                    self.screened += beta <= self.beta_max
                 used_surrogate = beta <= self.beta_max
                 if used_surrogate:
                     self.surrogate_steps += 1
@@ -221,6 +224,7 @@ class SurrogateKernel:
         return {
             "steps": self.steps,
             "surrogate_steps": self.surrogate_steps,
+            "screened": self.screened,
             "refine_random": self.refine_random,
             "refine_beta": self.refine_beta,
             "refine_fallback": self.refine_fallback,

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import gpmmc.gp
 from gpmmc import (Binning, EvalLedger, EvaluationStore, LocalGP, Proposal,
                    SurrogateError, SurrogateKernel, build_local_surrogate,
                    calibrate_lengthscales, fit_quadratic_mean, gaussian_model,
                    local_size)
-from gpmmc.gp import (STORE_CAPACITY, _check_kernel, _chol_with_jitter,
-                      _corr_matrix)
+from gpmmc.gp import (STORE_CAPACITY, QuadraticMean, _check_kernel,
+                      _chol_with_jitter, _corr_matrix)
 
 def unit_store(d):
     """A d-D store with unit lengthscales and p = 2: its kernel distance is
@@ -174,6 +175,44 @@ class TestEvaluationStore:
         np.testing.assert_array_equal(store.values[idx], [1.0, -1.0, 3.0])
         np.testing.assert_array_equal(dist, [1.0, 1.0, 9.0])
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_nearest_matches_a_stable_sort(self, d, p):
+        """nearest is the first n of a stable sort by (distance, index),
+        as a set, on stores just below, at and above n points. Integer
+        points with unit lengthscales put exact ties at the cutoff, random
+        lengthscales on real points none."""
+        rng = np.random.default_rng(10 * d + p)
+        n = local_size(d)
+        ties = 0
+        for size in (n - 1, n, n + 1, 3 * n):
+            for lattice in (True, False):
+                if lattice:
+                    lengths = np.ones(d)
+                    pool = rng.integers(-4, 5, size=(40 * size, d))
+                    _, first = np.unique(pool, axis=0, return_index=True)
+                    X = pool[np.sort(first)][:size].astype(float)
+                    queries = rng.integers(-4, 5, size=(40, d)) / 2.0
+                else:
+                    lengths = rng.uniform(0.2, 3.0, d)
+                    X = rng.normal(size=(size, d))
+                    queries = rng.normal(size=(40, d))
+                assert X.shape == (size, d)
+                store = EvaluationStore(d, lengths, p)
+                for x in X:
+                    assert store.insert(x, 0.0)
+                for q in queries:
+                    dist = kernel_distance(X, q, lengths, p)
+                    order = np.lexsort((np.arange(size), dist))
+                    want = np.sort(order[:n])
+                    idx, got = store.nearest(q, n)
+                    np.testing.assert_array_equal(idx, want)
+                    np.testing.assert_array_equal(got, dist[want])
+                    if size > n:  # a tie at the cutoff leaves a point out
+                        ties += np.count_nonzero(
+                            dist <= dist[order[n - 1]]) > n
+        assert ties > 10
+
     def test_nearest_clamps_to_size(self):
         store = unit_store(1)
         store.insert(np.array([1.0]), 1.0)
@@ -273,6 +312,64 @@ class TestQuadraticMean:
         mean, r = fit_quadratic_mean(X, y)
         assert mean.degree == {2: 0, 4: 1, 15: 2}[n]
         np.testing.assert_array_equal(r, y - mean(X))
+
+
+def random_trend(rng, d, degree):
+    """A QuadraticMean of the given degree in d dimensions with random
+    standardization and coefficients."""
+    k = {0: 1, 1: 1 + d, 2: 1 + d + d * (d + 1) // 2}[degree]
+    return QuadraticMean(degree, rng.normal(size=d), rng.uniform(0.1, 3.0, d),
+                         rng.normal(size=k))
+
+
+class TestSinglePointTrend:
+    """The trend at one point skips the design and must keep its bits: a
+    point x gives what the block x[None, :] gives. A taller block is no
+    reference, since its matrix-vector product may sum in another order."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_point_equals_its_one_row_block(self, d, degree):
+        rng = np.random.default_rng(100 * d + degree)
+        for _ in range(5):
+            mean = random_trend(rng, d, degree)
+            for x in rng.normal(scale=2.0, size=(400, d)):
+                one = mean(x)
+                assert type(one) is float
+                assert one == mean(x[None, :])[0]
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_fitted_trend_point_equals_its_one_row_block(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(local_size(d), d))
+        mean, _ = fit_quadratic_mean(X, np.sin(X).sum(axis=1))
+        assert mean.degree == 2
+        for x in rng.normal(size=(500, d)):
+            assert mean(x) == mean(x[None, :])[0]
+
+    def test_models_share_no_buffer(self):
+        rng = np.random.default_rng(8)
+        first, second = random_trend(rng, 3, 2), random_trend(rng, 3, 2)
+        X = rng.normal(size=(300, 3))
+        alone = ([first(x) for x in X], [second(x) for x in X])
+        interleaved = ([], [])
+        for x in X:
+            interleaved[0].append(first(x))
+            interleaved[1].append(second(x))
+        assert interleaved == alone
+
+    def test_point_never_builds_a_design(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        means = [random_trend(rng, 2, degree) for degree in (0, 1, 2)]
+
+        def no_design(Z, degree):
+            raise AssertionError("single-point call built a design")
+
+        monkeypatch.setattr(gpmmc.gp, "_design", no_design)
+        for mean in means:
+            assert math.isfinite(mean(np.array([0.3, -1.2])))
+            with pytest.raises(AssertionError):
+                mean(np.array([[0.3, -1.2]]))
 
 
 def lstsq_trend(X, y):

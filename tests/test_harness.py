@@ -286,7 +286,7 @@ class TestRunExperimentMc:
         assert (tmp_path / "out" / "summary.json").exists()
         assert summary["true_evals"] == 600
         assert summary["eval_breakdown"] == {"pilot": 0, "samples": 600}
-        assert summary["surrogate_evals"] == 0
+        assert summary["surrogate_evals"] == summary["screened"] == 0
         assert 0.9 <= summary["in_range_fraction"] <= 1.0
         data = read_histogram_csv(tmp_path / "out" / "histogram.csv")
         assert data["counts"][-1].sum() == summary["true_evals"] * \
@@ -362,6 +362,7 @@ class TestRunExperimentGpmmc:
         # the surrogate answered most steps
         assert summary["true_evals"] < 2 * (300 + 30) * 0.8 + 30
         assert summary["surrogate_evals"] > 0
+        assert 0 <= summary["screened"] < summary["surrogate_evals"]
         assert (tmp_path / "out" / "store.csv").exists()
         assert summary["store_size"] >= 30
 

@@ -493,6 +493,7 @@ class TestDecisionAwareRefinement:
                 screened += 1
                 assert not rec.accepted and state is before
         assert screened > 20
+        assert kernel.counters()["screened"] == screened
 
     def test_refines_a_subset_of_the_bin_rule(self):
         """On the same store, state, candidate and u, a step refines only if
