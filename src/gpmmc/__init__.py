@@ -5,16 +5,15 @@ Gaussian-process surrogates."""
 from .binning import Binning, Histogram, tally
 from .engine import (MmcConfig, MmcResult, PlainMcResult, WeightTable,
                      combined_probability, estimate_moments, flatness_cv,
-                     log_bias_density, run_mmc, run_plain_mc, update_weights)
+                     run_mmc, run_plain_mc, update_weights)
 from .errors import ConfigError, EvaluationError, SurrogateError
 from .gp import (EvaluationStore, LocalGP, QuadraticMean,
                  build_local_surrogate, calibrate_lengthscales,
                  fit_quadratic_mean, local_size)
 from .mcmc import (ChainState, ExactKernel, Proposal, StepRecord,
-                   metropolis_accept, propose)
-from .problem import (EvalLedger, PerformanceModel, build_model, evaluate,
-                      gaussian_model, log_prior_density, model_config_keys,
-                      register_model, registered_models, sample_prior)
+                   log_bias_density, metropolis_accept, propose)
+from .problem import (EvalLedger, PerformanceModel, evaluate, gaussian_model,
+                      log_prior_density, sample_prior)
 from .surrogate import (SurrogateKernel, fit_surrogate_kernel,
                         misassignment_probability)
 from . import benchmarks
@@ -38,8 +37,7 @@ __all__ = [
     "fit_quadratic_mean", "calibrate_lengthscales", "build_local_surrogate",
     "SurrogateKernel", "misassignment_probability", "fit_surrogate_kernel",
     "EvalLedger", "PerformanceModel", "evaluate", "log_prior_density",
-    "sample_prior", "gaussian_model", "register_model", "build_model",
-    "model_config_keys", "registered_models",
+    "sample_prior", "gaussian_model",
     "KLBasis", "min_distance_model", "beam_eval",
     "beam_model", "kl_decompose", "realize_field", "solve_poisson",
     "interpolate_bilinear", "poisson_kl_model", "pilot_output_range",

@@ -38,13 +38,14 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from .problem import (EvalLedger, PerformanceModel, evaluate, gaussian_model,
-                      register_model, sample_prior)
+                      sample_prior)
 
 __all__ = [
     "min_distance_model",
     "beam_eval", "beam_model", "BEAM_LENGTH",
     "KLBasis", "kl_decompose", "realize_field", "solve_poisson",
     "interpolate_bilinear", "poisson_kl_model", "pilot_output_range",
+    "MODELS",
 ]
 
 BEAM_LENGTH = 100.0
@@ -311,11 +312,16 @@ def pilot_output_range(model: PerformanceModel, seed: int,
     return lo - PILOT_PAD * span, hi + PILOT_PAD * span
 
 
-register_model("min_distance", min_distance_model,
-               {"dimension": ("dimension", int),
-                "centers": ("centers", _parse_centers)})
-register_model("beam", beam_model, {"e_mean": ("e_mean", float)})
-register_model("poisson_kl", poisson_kl_model,
-               {"grid_nodes": ("nodes", int),
-                "corr_delta": ("corr_delta", float),
-                "kl_modes": ("n_modes", int)})
+# Every model a config can name: name -> (factory, config keys), each config
+# key mapped to (factory keyword, parser of the key's text value). A key a
+# config leaves out takes the factory's default.
+MODELS = {
+    "min_distance": (min_distance_model,
+                     {"dimension": ("dimension", int),
+                      "centers": ("centers", _parse_centers)}),
+    "beam": (beam_model, {"e_mean": ("e_mean", float)}),
+    "poisson_kl": (poisson_kl_model,
+                   {"grid_nodes": ("nodes", int),
+                    "corr_delta": ("corr_delta", float),
+                    "kl_modes": ("n_modes", int)}),
+}

@@ -34,7 +34,6 @@ def _cmd_run(args) -> int:
         overrides["log_steps"] = True
     cfg = parse_config(args.config, overrides)
     summary = run_experiment(cfg)
-    out = args.out if args.out is not None else cfg.out
     print(f"method            {summary['method']}")
     print(f"model             {summary['model']}")
     print(f"seed              {summary['seed']}")
@@ -49,7 +48,7 @@ def _cmd_run(args) -> int:
         for line in _moments_lines(summary["moments"], prefix="  "):
             print(line)
     print(f"runtime           {summary['runtime_seconds']:.2f} s")
-    print(f"results in        {out}")
+    print(f"results in        {cfg.out}")
     return 0
 
 

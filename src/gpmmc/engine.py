@@ -27,9 +27,8 @@ from .mcmc import ChainState, StepRecord, log_bias_density
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
 __all__ = ["WeightTable", "MmcConfig", "MmcResult", "PlainMcResult",
-           "log_bias_density", "combined_probability", "update_weights",
-           "estimate_moments", "flatness_cv", "run_mmc",
-           "run_plain_mc"]
+           "combined_probability", "update_weights", "estimate_moments",
+           "flatness_cv", "run_mmc", "run_plain_mc"]
 
 MAX_START_DRAWS = 1000
 # Fixed-point iteration of the multiple-histogram estimate: stop once no bin
@@ -215,39 +214,41 @@ def flatness_cv(hist: Histogram) -> float:
     return float(nz.std() / nz.mean())
 
 
-def _find_start(model: PerformanceModel, binning: Binning,
-                rng: np.random.Generator, ledger: EvalLedger) -> tuple[np.ndarray, float, int]:
-    """Prior draw whose output lands in the binned range, with the number of
-    draws it took. Gives up after MAX_START_DRAWS."""
+def _find_start(kernel, rng: np.random.Generator) -> tuple[np.ndarray, float, int]:
+    """Prior draw of kernel.model whose output lands in kernel.binning's
+    range, charged to kernel.ledger, with the number of draws it took. Gives
+    up after MAX_START_DRAWS."""
     for attempt in range(1, MAX_START_DRAWS + 1):
-        x = sample_prior(model, rng, 1)[0]
-        y = evaluate(model, x, ledger)
-        if binning.index(y) is not None:
+        x = sample_prior(kernel.model, rng, 1)[0]
+        y = evaluate(kernel.model, x, kernel.ledger)
+        if kernel.binning.index(y) is not None:
             return x, y, attempt
     raise RuntimeError(
         f"no prior draw landed in the binned range after {MAX_START_DRAWS} tries; "
         "the range is likely far from the prior mass")
 
 
-def run_mmc(model: PerformanceModel, binning: Binning, config: MmcConfig,
-            kernel, on_step: Callable[[int, StepRecord], None] | None = None) -> MmcResult:
+def run_mmc(kernel, config: MmcConfig,
+            on_step: Callable[[int, StepRecord], None] | None = None) -> MmcResult:
     """Run the full multicanonical iteration with the given step kernel.
 
     The kernel must expose step(rng, state, log_theta) -> (state, record)
-    and a ledger attribute; log_theta is the iteration's log weights, as a
-    list taken once per iteration. The chain starts from an in-range prior
-    draw, keeps its state across iterations, and discards
-    config.effective_burn_in steps at the start of each one. Samples are
-    tallied from the y values the kernel reports, so nothing is ever
-    re-evaluated. A fixed seed makes the result bit-identical across runs.
+    and the model, binning and ledger it steps with, which the run uses too:
+    to draw the start, tally the samples and charge every true evaluation.
+    log_theta is the iteration's log weights, as a list taken once per
+    iteration. The chain starts from an in-range prior draw, keeps its state
+    across iterations, and discards config.effective_burn_in steps at the
+    start of each one. Samples are tallied from the y values the kernel
+    reports, so nothing is ever re-evaluated. A fixed seed makes the result
+    bit-identical across runs.
     """
+    model, binning = kernel.model, kernel.binning
     if binning.m > config.samples_per_iteration:
         warnings.warn(
             f"samples per iteration ({config.samples_per_iteration}) below bin "
             f"count ({binning.m}); histograms will be sparse", stacklevel=2)
     rng = np.random.default_rng([config.seed, 0])
-    ledger = kernel.ledger
-    x0, y0, start_draws = _find_start(model, binning, rng, ledger)
+    x0, y0, start_draws = _find_start(kernel, rng)
 
     weights = WeightTable.flat(binning.m)
     tables: list[WeightTable] = []

@@ -13,11 +13,12 @@ A run writes into its output directory:
   store.csv       the exact-evaluation store (surrogate runs only)
 
 Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
-maps each run key to its parser; each model declares its own keys when it is
-registered (problem.register_model), and a key the config leaves out takes
-the default of the model's factory. Run keys are checked at parse time by the
-objects they become (Binning, MmcConfig, Proposal), so a bad value is a
-ConfigError before any true evaluation. Identical config and seed reproduce
+maps each run key to its parser; each model's own keys come from its entry in
+benchmarks.MODELS, and a key the config leaves out takes the default of the
+model's factory. Run keys are checked at parse time by the objects they become
+(Binning, MmcConfig, Proposal), so a bad value is a ConfigError before any
+true evaluation; a model key value its factory rejects is a ConfigError
+naming the model, before the output directory is made. Identical config and seed reproduce
 identical output files byte for byte, runtime_seconds aside.
 """
 
@@ -36,10 +37,9 @@ from .engine import (MmcConfig, WeightTable, combined_probability,
 from .errors import ConfigError
 from .gp import _check_exponent
 from .mcmc import ExactKernel, Proposal
-from .problem import (EvalLedger, build_model, model_config_keys,
-                      registered_models)
+from .problem import EvalLedger
 from .surrogate import _check_settings, fit_surrogate_kernel
-from .benchmarks import pilot_output_range  # also registers the models
+from .benchmarks import MODELS, pilot_output_range
 
 __all__ = ["RunConfig", "parse_config", "run_experiment", "ComparisonReport",
            "compare_pdfs", "read_histogram_csv", "CONFIG_KEYS"]
@@ -62,7 +62,7 @@ def _vector(raw: str) -> float | np.ndarray:
 
 CONFIG_KEYS = {
     # what to run
-    "model": str,                   # a registered model name
+    "model": str,                   # a name in benchmarks.MODELS
     "method": str,                  # mc | mmc | gpmmc
     "seed": int,                    # required
     "out": str,                     # output directory
@@ -139,6 +139,14 @@ class RunConfig:
                          burn_in=self.burn_in, seed=self.seed)
 
 
+def _model(name: str) -> tuple:
+    """MODELS[name]: the model's factory and its config keys."""
+    if name not in MODELS:
+        raise ConfigError(f"unknown model {name!r}; known: "
+                          f"{', '.join(sorted(MODELS))}")
+    return MODELS[name]
+
+
 def _convert(key: str, raw: str, parse):
     try:
         return parse(raw)
@@ -153,8 +161,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     the CLI uses this for --seed, --out, and --log-steps.
     """
     overrides = overrides or {}
-    known = set(CONFIG_KEYS).union(*(model_config_keys(m)
-                                     for m in registered_models()))
+    known = set(CONFIG_KEYS).union(*(keys for _, keys in MODELS.values()))
     values: dict = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -172,7 +179,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     model = overrides.get("model", values.get("model"))
     if model is not None:
         parsers.update((k, parse) for k, (_, parse)
-                       in model_config_keys(model).items())
+                       in _model(model)[1].items())
     # a key of another model stays text; _config_from_values rejects it
     values = {k: _convert(k, v, parsers[k]) if k in parsers else v
               for k, v in values.items()}
@@ -190,7 +197,7 @@ def _config_from_values(values: dict, source: str) -> RunConfig:
         raise ConfigError(f"{source}: range must be 'auto' "
                           f"(or use range_lo / range_hi)")
     model = values.pop("model")
-    model_keys = model_config_keys(model)
+    model_keys = _model(model)[1]
     model_params = {}
     for key in [k for k in values if k not in CONFIG_KEYS]:
         if key not in model_keys:
@@ -202,14 +209,11 @@ def _config_from_values(values: dict, source: str) -> RunConfig:
 
 
 def _proposal_for(cfg: RunConfig, dimension: int) -> Proposal:
-    scale = cfg.proposal_scale
-    if np.isscalar(scale):
-        return Proposal.isotropic(float(scale), dimension)
-    scale = np.asarray(scale, dtype=float)
-    if scale.shape != (dimension,):
-        raise ConfigError(f"proposal_scale has {scale.size} entries, "
+    prop = Proposal(cfg.proposal_scale)
+    if prop.scale.size not in (1, dimension):
+        raise ConfigError(f"proposal_scale has {prop.scale.size} entries, "
                           f"model dimension is {dimension}")
-    return Proposal(scale)
+    return prop
 
 
 def _fmt(v: float) -> str:
@@ -298,11 +302,15 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
     if str(out) in ("", "."):
         raise ConfigError("no output directory: set out in the config or "
                           "pass --out")
-    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    model = build_model(cfg.model, **cfg.model_params)
+    factory = _model(cfg.model)[0]
+    try:
+        model = factory(**cfg.model_params)
+    except ValueError as exc:
+        raise ConfigError(f"model {cfg.model!r}: {exc}") from None
     prop = _proposal_for(cfg, model.dimension)
+    out.mkdir(parents=True, exist_ok=True)
     ledger = EvalLedger()
     if cfg.auto_range:
         lo, hi = pilot_output_range(model, cfg.seed, ledger)
@@ -356,7 +364,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
                           f"{int(rec.refined)},{int(rec.accepted)}\n")
 
         try:
-            result = run_mmc(model, binning, mmc_cfg, kernel, on_step=on_step)
+            result = run_mmc(kernel, mmc_cfg, on_step=on_step)
         finally:
             if step_file is not None:
                 step_file.close()

@@ -51,19 +51,16 @@ class ChainState:
 
 @dataclass(frozen=True)
 class Proposal:
-    """Symmetric Gaussian random-walk proposal with per-coordinate scale."""
+    """Symmetric Gaussian random-walk proposal. scale is one value for every
+    coordinate, kept as a 0-d array (numpy multiplies that into a vector
+    faster than a length-1 one), or one value per coordinate."""
 
     scale: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scale",
-                           np.atleast_1d(np.asarray(self.scale, dtype=float)))
+        object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
         if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
             raise ValueError("proposal scales must be positive and finite")
-
-    @staticmethod
-    def isotropic(scale: float, dimension: int) -> "Proposal":
-        return Proposal(np.full(dimension, float(scale)))
 
 
 @dataclass(slots=True)

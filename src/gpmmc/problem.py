@@ -5,7 +5,8 @@ Input points are plain 1-D numpy arrays of length ``model.dimension``. The
 true model takes blocks: its eval_fn maps an (n, d) array of points to the
 n outputs, and evaluate passes one point as a block of one. Models are pure:
 evaluating the same point twice, alone or inside any block, returns
-bit-identical results.
+bit-identical results. The package's own models, and the config keys each
+takes, are listed in benchmarks.MODELS.
 The ledger is a plain counter pair; the samplers and engines in this package
 run sequentially, so increments need no locking. Callers who evaluate from
 several threads must serialize access themselves.
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import EvaluationError
 
 __all__ = [
     "EvalLedger",
@@ -28,10 +29,6 @@ __all__ = [
     "log_prior_density",
     "sample_prior",
     "gaussian_model",
-    "register_model",
-    "build_model",
-    "model_config_keys",
-    "registered_models",
 ]
 
 
@@ -50,7 +47,7 @@ class PerformanceModel:
     Parameters
     ----------
     name : str
-        Registry name, informational.
+        Model name, informational.
     dimension : int
         Input dimension d; every x must be a length-d vector.
     eval_fn : callable
@@ -136,8 +133,9 @@ def gaussian_model(name: str, eval_fn: Callable[[np.ndarray], np.ndarray],
     eval_fn takes an (n, d) block; see PerformanceModel."""
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
-    if mean.ndim != 1 or mean.shape != std.shape:
-        raise ValueError("mean and std must be 1-D arrays of equal length")
+    if mean.ndim != 1 or mean.size == 0 or mean.shape != std.shape:
+        raise ValueError("mean and std must be non-empty 1-D arrays of equal "
+                         "length")
     if np.any(std <= 0):
         raise ValueError("prior standard deviations must be positive")
     d = mean.size
@@ -158,39 +156,3 @@ def gaussian_model(name: str, eval_fn: Callable[[np.ndarray], np.ndarray],
 
     return PerformanceModel(name=name, dimension=d, eval_fn=eval_fn,
                             log_prior_fn=log_prior, prior_sampler=sampler)
-
-
-# config-file key -> (factory keyword, parser of the key's text value)
-ConfigKeys = dict[str, tuple[str, Callable[[str], Any]]]
-
-_REGISTRY: dict[str, tuple[Callable[..., PerformanceModel], ConfigKeys]] = {}
-
-
-def register_model(name: str, factory: Callable[..., PerformanceModel],
-                   config_keys: ConfigKeys) -> None:
-    """Make factory buildable by name. config_keys declares the config-file
-    keys the model takes, each as (factory keyword, parser); a key a config
-    leaves out takes the factory's default."""
-    _REGISTRY[name] = (factory, dict(config_keys))
-
-
-def _registered(name: str) -> tuple[Callable[..., PerformanceModel], ConfigKeys]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "(none)"
-        raise ConfigError(f"unknown model {name!r}; registered: {known}") from None
-
-
-def build_model(name: str, **params) -> PerformanceModel:
-    """Instantiate a registered model by name with keyword parameters."""
-    return _registered(name)[0](**params)
-
-
-def model_config_keys(name: str) -> ConfigKeys:
-    """The config keys a registered model declared; see register_model."""
-    return dict(_registered(name)[1])
-
-
-def registered_models() -> list[str]:
-    return sorted(_REGISTRY)

@@ -79,7 +79,7 @@ def test_random_walk_chain_recovers_gaussian_moments():
     # one bin wider than the chain walks, under log theta = 0: log q is the
     # log prior
     wide, log_theta = Binning(-1e6, 1e6, 1), [0.0]
-    kernel = ExactKernel(model, wide, Proposal.isotropic(2.4, 1), ledger)
+    kernel = ExactKernel(model, wide, Proposal(2.4), ledger)
     rng = np.random.default_rng(20260819)
 
     x0 = np.zeros(1)
@@ -105,9 +105,8 @@ def test_flat_histogram_run_recovers_gaussian_bin_masses():
     binning = Binning(-4.0, 4.0, 40)
     cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
                     burn_in=10_000, seed=20260819)
-    kernel = ExactKernel(model, binning, Proposal.isotropic(1.5, 1),
-                         EvalLedger())
-    res = run_mmc(model, binning, cfg, kernel)
+    kernel = ExactKernel(model, binning, Proposal(1.5), EvalLedger())
+    res = run_mmc(kernel, cfg)
 
     edges = np.linspace(-4.0, 4.0, 41)
     true_mass = np.array([_phi(edges[i + 1]) - _phi(edges[i])
@@ -132,14 +131,13 @@ def test_always_refining_kernel_matches_exact_kernel():
     seed = 99
     cfg = MmcConfig(iterations=2, samples_per_iteration=5_000, burn_in=0,
                     seed=seed)
-    prop = Proposal.isotropic(1.0, 2)
+    prop = Proposal(1.0)
 
-    exact = run_mmc(model, binning, cfg,
-                    ExactKernel(model, binning, prop, EvalLedger()))
+    exact = run_mmc(ExactKernel(model, binning, prop, EvalLedger()), cfg)
     kernel = fit_surrogate_kernel(model, binning, seed, initial_design=10,
                                   gamma=1.0, beta_max=0.05, p=1, prop=prop,
                                   ledger=EvalLedger())
-    surro = run_mmc(model, binning, cfg, kernel)
+    surro = run_mmc(kernel, cfg)
 
     same_hists = all(np.array_equal(a.counts, b.counts)
                      for a, b in zip(exact.histograms, surro.histograms))
@@ -166,8 +164,7 @@ def reduced_two_center_run():
     ledger = EvalLedger()
     kernel = fit_surrogate_kernel(
         model, binning, REDUCED_SEED, initial_design=50, gamma=REDUCED_GAMMA,
-        beta_max=REDUCED_BETA_MAX, p=1, prop=Proposal.isotropic(1.0, 2),
-        ledger=ledger)
+        beta_max=REDUCED_BETA_MAX, p=1, prop=Proposal(1.0), ledger=ledger)
     betas = []
     accepted_betas = []
 
@@ -179,7 +176,7 @@ def reduced_two_center_run():
 
     cfg = MmcConfig(iterations=10, samples_per_iteration=10_000,
                     burn_in=1_000, seed=REDUCED_SEED)
-    res = run_mmc(model, binning, cfg, kernel, on_step=on_step)
+    res = run_mmc(kernel, cfg, on_step=on_step)
     return {"result": res, "betas": betas, "accepted_betas": accepted_betas,
             "counters": kernel.counters(),
             "true_evals": ledger.true_evals, "binning": binning,
@@ -241,10 +238,10 @@ def test_full_scale_two_center_moments():
     ledger = EvalLedger()
     kernel = fit_surrogate_kernel(
         model, binning, 20260819, initial_design=50, gamma=1e-4,
-        beta_max=0.05, p=1, prop=Proposal.isotropic(1.0, 2), ledger=ledger)
+        beta_max=0.05, p=1, prop=Proposal(1.0), ledger=ledger)
     cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
                     burn_in=10_000, seed=20260819)
-    res = run_mmc(model, binning, cfg, kernel)
+    res = run_mmc(kernel, cfg)
     mean = res.moments["mean"]
     var = res.moments["variance"]
     mean_ok = abs(mean - 14.21) / 14.21 <= 0.02
@@ -275,7 +272,7 @@ def test_beam_sweep_accuracy_and_cost():
             beta_max=bmax, p=1, prop=prop, ledger=ledger)
         cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
                         burn_in=10_000, seed=20260819)
-        res = run_mmc(model, binning, cfg, kernel)
+        res = run_mmc(kernel, cfg)
         evals[bmax] = ledger.true_evals
         if bmax == 0.32:
             featured = res
@@ -330,21 +327,19 @@ def test_poisson_surrogate_agrees_with_exact_sampler():
     binning = Binning(-1.2, 0.0, 20)
     exact_seed = 7
     surrogate_seed = 20260819
-    prop = Proposal.isotropic(0.5, model.dimension)
+    prop = Proposal(0.5)
 
     exact_ledger = EvalLedger()
-    exact = run_mmc(model, binning,
+    exact = run_mmc(ExactKernel(model, binning, prop, exact_ledger),
                     MmcConfig(iterations=5, samples_per_iteration=2_000,
-                              burn_in=200, seed=exact_seed),
-                    ExactKernel(model, binning, prop, exact_ledger))
+                              burn_in=200, seed=exact_seed))
     gp_ledger = EvalLedger()
     kernel = fit_surrogate_kernel(
         model, binning, surrogate_seed, initial_design=400, gamma=1e-4,
         beta_max=0.05, p=2, prop=prop, ledger=gp_ledger)
-    surro = run_mmc(model, binning,
+    surro = run_mmc(kernel,
                     MmcConfig(iterations=5, samples_per_iteration=2_000,
-                              burn_in=200, seed=surrogate_seed),
-                    kernel)
+                              burn_in=200, seed=surrogate_seed))
 
     mask = exact.pdf * binning.delta >= 1e-4
     rel = np.abs(surro.pdf[mask] - exact.pdf[mask]) / exact.pdf[mask]

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gpmmc import benchmarks
-from gpmmc import (EvalLedger, beam_eval, beam_model, build_model,
-                   evaluate, interpolate_bilinear, kl_decompose,
+from gpmmc import (EvalLedger, beam_eval, beam_model, evaluate,
+                   interpolate_bilinear, kl_decompose,
                    min_distance_model, pilot_output_range,
                    poisson_kl_model, realize_field, solve_poisson)
-from gpmmc.benchmarks import OBSERVE, PILOT_DRAWS, PILOT_PAD
+from gpmmc.benchmarks import MODELS, OBSERVE, PILOT_DRAWS, PILOT_PAD
 
 # limit of the double Fourier series for the uniform-coefficient problem,
 # evaluated at the center of the square (converges like 1/m^4; summed to
@@ -353,7 +353,7 @@ class TestPoissonKlModel:
         assert y0 != y1
 
     def test_registry_round_trip(self):
-        model = build_model("poisson_kl", nodes=17, n_modes=4)
+        model = MODELS["poisson_kl"][0](nodes=17, n_modes=4)
         assert model.name == "poisson_kl"
         assert model.dimension == 4
 
@@ -425,3 +425,4 @@ class TestPilotOutputRange:
                               np.ones(1))
         with pytest.raises(RuntimeError):
             pilot_output_range(flat, 1, EvalLedger())
+

@@ -69,7 +69,7 @@ class TestLogBiasDensity:
                         monkeypatch.setattr(mod, key, counted)
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
-        prop = Proposal.isotropic(1.0, 1)
+        prop = Proposal(1.0)
         if surrogate:
             kernel = fit_surrogate_kernel(model, binning, 4,
                                           initial_design=10, gamma=0.1,
@@ -77,9 +77,8 @@ class TestLogBiasDensity:
                                           ledger=EvalLedger())
         else:
             kernel = ExactKernel(model, binning, prop, EvalLedger())
-        run_mmc(model, binning, MmcConfig(iterations=3,
-                                          samples_per_iteration=200,
-                                          burn_in=20, seed=4), kernel)
+        run_mmc(kernel, MmcConfig(iterations=3, samples_per_iteration=200,
+                                  burn_in=20, seed=4))
         assert len(calls) == 3 * (1 + 200 + 20)
         if surrogate:
             assert 0 < kernel.surrogate_steps < kernel.steps
@@ -191,11 +190,9 @@ class TestUpdateWeightsFromHistory:
     def test_run_density_pools_all_iterations(self):
         model = _identity_model()
         b = Binning(-3.0, 3.0, 12)
-        res = run_mmc(model, b, MmcConfig(iterations=3,
-                                          samples_per_iteration=2000,
-                                          burn_in=100, seed=5),
-                      ExactKernel(model, b, Proposal.isotropic(1.5, 1),
-                                  EvalLedger()))
+        res = run_mmc(ExactKernel(model, b, Proposal(1.5), EvalLedger()),
+                      MmcConfig(iterations=3, samples_per_iteration=2000,
+                                burn_in=100, seed=5))
         np.testing.assert_array_equal(
             res.pdf, combined_probability(res.weights, res.histograms) / b.delta)
         np.testing.assert_array_equal(
@@ -295,9 +292,8 @@ class TestRunMmc:
         results, kernels = [], []
         for _ in range(2):
             kernels.append(ExactKernel(model, binning,
-                                       Proposal.isotropic(1.0, 1),
-                                       EvalLedger()))
-            results.append(run_mmc(model, binning, cfg, kernels[-1]))
+                                       Proposal(1.0), EvalLedger()))
+            results.append(run_mmc(kernels[-1], cfg))
         a, b = results
         np.testing.assert_array_equal(a.pdf, b.pdf)
         for ha, hb in zip(a.histograms, b.histograms):
@@ -317,8 +313,7 @@ class TestRunMmc:
         class FixedWeightKernel(ExactKernel):
             pass
 
-        kernel = FixedWeightKernel(model, binning, Proposal.isotropic(2.0, 1),
-                                   EvalLedger())
+        kernel = FixedWeightKernel(model, binning, Proposal(2.0), EvalLedger())
         log_theta = [math.log(t) for t in WeightTable(theta).theta]
         rng = np.random.default_rng(123)
 
@@ -344,18 +339,16 @@ class TestRunMmc:
         cfg = MmcConfig(iterations=4, samples_per_iteration=250, burn_in=50,
                         seed=3)
         ledger = EvalLedger()
-        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
-                             ledger)
-        res = run_mmc(model, binning, cfg, kernel)
+        kernel = ExactKernel(model, binning, Proposal(1.0), ledger)
+        res = run_mmc(kernel, cfg)
         assert ledger.true_evals == 4 * (250 + 50) + res.start_draws
 
     def test_mass_conservation_and_probabilities(self):
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
         cfg = MmcConfig(iterations=2, samples_per_iteration=500, seed=21)
-        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
-                             EvalLedger())
-        res = run_mmc(model, binning, cfg, kernel)
+        kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
+        res = run_mmc(kernel, cfg)
         assert res.pdf @ np.full(6, binning.delta) == pytest.approx(1.0, abs=1e-12)
         assert (res.pdf * binning.delta).sum() == pytest.approx(1.0, abs=1e-12)
         assert len(res.weights) == 2
@@ -365,19 +358,17 @@ class TestRunMmc:
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 60)
         cfg = MmcConfig(iterations=1, samples_per_iteration=30, seed=1)
-        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
-                             EvalLedger())
+        kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
         with pytest.warns(UserWarning, match="below bin count"):
-            run_mmc(model, binning, cfg, kernel)
+            run_mmc(kernel, cfg)
 
     def test_unreachable_range_errors(self):
         model = _identity_model()
         binning = Binning(500.0, 501.0, 4)
         cfg = MmcConfig(iterations=1, samples_per_iteration=100, seed=1)
-        kernel = ExactKernel(model, binning, Proposal.isotropic(1.0, 1),
-                             EvalLedger())
+        kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
         with pytest.raises(RuntimeError, match="no prior draw"):
-            run_mmc(model, binning, cfg, kernel)
+            run_mmc(kernel, cfg)
 
 
 class TestRunPlainMc:

@@ -573,8 +573,7 @@ class TestPosterior:
         model = gaussian_model("square", lambda X: X[:, 0] ** 2,
                                np.zeros(1), np.ones(1))
         kernel = SurrogateKernel(model, store, Binning(0.0, 25.0, 5), 0.0,
-                                 0.05, Proposal.isotropic(1.0, 1),
-                                 EvalLedger())
+                                 0.05, Proposal(1.0), EvalLedger())
         _, dist = kernel._local_model(np.array([0.1]))
         assert dist.size == local_size(1) == 3
         # support is the nearest three grid points to 0.1

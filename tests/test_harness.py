@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpmmc.benchmarks
 import gpmmc.harness
-import gpmmc.problem
-from gpmmc import (ConfigError, compare_pdfs, estimate_moments,
+from gpmmc import (ConfigError, compare_pdfs, estimate_moments, evaluate,
                    gaussian_model, parse_config, read_histogram_csv,
-                   register_model, run_experiment)
+                   run_experiment)
 from gpmmc.cli import main as cli_main
 
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs")
@@ -134,6 +135,26 @@ class TestParseConfig:
         assert cfg.model_params == {"nodes": 17, "n_modes": 4,
                                     "corr_delta": 0.5}
 
+    def test_unknown_model(self, tmp_path):
+        text = GOOD_MMC.replace("model = min_distance", "model = nope")
+        with pytest.raises(ConfigError, match="unknown model 'nope'"):
+            parse_config(_write_cfg(tmp_path / "a.cfg", text))
+        cfg_path = _write_cfg(tmp_path / "b.cfg", GOOD_MMC)
+        with pytest.raises(ConfigError, match="unknown model 'nope'"):
+            parse_config(cfg_path, {"model": "nope"})
+        cfg = dataclasses.replace(parse_config(cfg_path), model="nope")
+        with pytest.raises(ConfigError, match="unknown model 'nope'"):
+            run_experiment(cfg, tmp_path / "out")
+
+    def test_log_steps_value(self, tmp_path):
+        for raw, want in (("yes", True), ("false", False)):
+            cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC
+                                          + f"log_steps = {raw}\n"))
+            assert cfg.log_steps is want
+        with pytest.raises(ConfigError, match="bad value for 'log_steps'"):
+            parse_config(_write_cfg(tmp_path / "b.cfg",
+                                    GOOD_MMC + "log_steps = maybe\n"))
+
     def test_unknown_method(self, tmp_path):
         text = GOOD_MMC.replace("method = mmc", "method = abc")
         with pytest.raises(ConfigError, match="unknown method"):
@@ -170,20 +191,17 @@ class TestParseConfig:
 
 
 class TestRegisteredModel:
-    """A model registered outside the package, with its own config key,
-    runs from a config file like the shipped ones."""
+    """A model added to benchmarks.MODELS from outside the package, with its
+    own config key, runs from a config file like the shipped ones."""
 
     @pytest.fixture
     def toy(self, monkeypatch):
-        monkeypatch.setattr(gpmmc.problem, "_REGISTRY",
-                            dict(gpmmc.problem._REGISTRY))
-
         def shifted_normal(shift=0.0):
             return gaussian_model("shifted", lambda X: X[:, 0] + shift,
                                   np.zeros(1), np.ones(1))
 
-        register_model("shifted", shifted_normal,
-                       {"toy_shift": ("shift", float)})
+        monkeypatch.setitem(gpmmc.benchmarks.MODELS, "shifted",
+                            (shifted_normal, {"toy_shift": ("shift", float)}))
 
     TEXT = """
 model = shifted
@@ -252,12 +270,11 @@ initial_design = 20
 
     def test_summary_and_report_are_valid_json(self, monkeypatch, tmp_path,
                                                capsys):
-        monkeypatch.setattr(gpmmc.problem, "_REGISTRY",
-                            dict(gpmmc.problem._REGISTRY))
-        register_model("huge", lambda: gaussian_model(
-            "huge", lambda X: np.array([1e170 * math.sin(7.0 * x[0])
-                                        for x in X]),
-            np.zeros(1), np.ones(1)), {})
+        monkeypatch.setitem(gpmmc.benchmarks.MODELS, "huge", (
+            lambda: gaussian_model(
+                "huge", lambda X: np.array([1e170 * math.sin(7.0 * x[0])
+                                            for x in X]),
+                np.zeros(1), np.ones(1)), {}))
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", self.TEXT))
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -339,6 +356,24 @@ class TestRunExperimentMmc:
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
         summary = run_experiment(cfg, tmp_path / "out")
         assert summary["burn_in"] == 30  # a tenth of 300
+
+    def test_uncounted_true_evaluation_is_caught(self, tmp_path,
+                                                 monkeypatch):
+        # the ledger must equal the sum of its causes: one true evaluation
+        # that no breakdown term counts fails the run
+        class LeakyKernel(gpmmc.harness.ExactKernel):
+            leaked = False
+
+            def step(self, rng, state, log_theta):
+                if not self.leaked:
+                    self.leaked = True
+                    evaluate(self.model, state.x, self.ledger)
+                return super().step(rng, state, log_theta)
+
+        monkeypatch.setattr(gpmmc.harness, "ExactKernel", LeakyKernel)
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC))
+        with pytest.raises(RuntimeError, match="ledger mismatch"):
+            run_experiment(cfg, tmp_path / "out")
 
     def test_step_log(self, tmp_path):
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC),
@@ -485,6 +520,10 @@ def mmc_histogram(tmp_path_factory):
 def _damaged(lines, damage):
     if damage == "truncated":  # cut inside iteration 1
         return lines[:14]
+    if damage == "header_only":
+        return lines[:1]
+    if damage == "wrong_header":
+        return [lines[0].replace("pdf", "density")] + lines[1:]
     rows = [line.split(",") for line in lines[1:]]
     if damage == "garbled":
         rows[3][5] = "x"
@@ -566,6 +605,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, lines", [
+        ("min_distance", "dimension = 3\ncenters = 1,2 ; 3,4"),
+        ("min_distance", "dimension = 0"),
+        ("poisson_kl", "grid_nodes = 9\nkl_modes = 100")],
+        ids=["centers_of_other_dimension", "no_dimension", "too_many_modes"])
+    def test_bad_model_value_is_reported_before_the_run(self, tmp_path,
+                                                        capsys, model, lines):
+        text = GOOD_MMC.replace("model = min_distance", f"model = {model}")
+        cfg_path = _write_cfg(tmp_path / "a.cfg", text + lines + "\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: model {model!r}")
+        assert not out.exists()
+
     def test_moments_of_an_empty_range_are_reported(self, tmp_path, capsys):
         text = (GOOD_MMC.replace("method = mmc", "method = mc")
                 .replace("range_lo = -1.0", "range_lo = 100.0")
@@ -583,7 +636,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["moments", "compare"])
     @pytest.mark.parametrize("damage", ["truncated", "garbled", "short_row",
                                         "negative_count", "empty_iteration",
-                                        "zero_theta"])
+                                        "zero_theta", "wrong_header",
+                                        "header_only"])
     def test_damaged_histogram_is_reported(self, tmp_path, capsys,
                                            mmc_histogram, command, damage):
         good = tmp_path / "good.csv"

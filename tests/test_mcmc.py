@@ -27,8 +27,13 @@ def _start(model, x0):
 
 class TestProposal:
     def test_isotropic(self):
-        p = Proposal.isotropic(0.4, 3)
-        np.testing.assert_array_equal(p.scale, [0.4, 0.4, 0.4])
+        # one scale serves every coordinate, with the same bits as a vector
+        # of that scale repeated
+        x = np.array([1.0, -2.0, 0.5])
+        a = propose(np.random.default_rng(7), x, Proposal(0.4))
+        b = propose(np.random.default_rng(7), x, Proposal(np.full(3, 0.4)))
+        assert a.shape == (3,)
+        np.testing.assert_array_equal(a, b)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -76,8 +81,7 @@ class TestMhStep:
     def test_rejection_returns_same_object(self):
         model = _normal_model()
         # big enough to see both outcomes
-        kernel = ExactKernel(model, WIDE, Proposal.isotropic(2.5, 1),
-                             EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal(2.5), EvalLedger())
         rng = np.random.default_rng(0)
         state = _start(model, np.zeros(1))
         saw_reject = saw_accept = False
@@ -92,8 +96,7 @@ class TestMhStep:
 
     def test_exact_kernel_records_decision(self):
         model = _normal_model()
-        kernel = ExactKernel(model, WIDE, Proposal.isotropic(50.0, 1),
-                             EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal(50.0), EvalLedger())
         rng = np.random.default_rng(0)
         state = _start(model, np.zeros(1))
         for _ in range(50):
@@ -107,7 +110,7 @@ class TestMhStep:
     def test_ledger_counts_every_step(self):
         model = _normal_model()
         ledger = EvalLedger()
-        kernel = ExactKernel(model, WIDE, Proposal.isotropic(1.0, 1), ledger)
+        kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
         rng = np.random.default_rng(4)
         state = _start(model, np.zeros(1))
         for _ in range(200):
@@ -118,8 +121,7 @@ class TestMhStep:
         """A move with higher target density is accepted regardless of the
         accept uniform, so a chain started in the tail drifts inward."""
         model = _normal_model()
-        kernel = ExactKernel(model, WIDE, Proposal.isotropic(0.1, 1),
-                             EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal(0.1), EvalLedger())
         rng = np.random.default_rng(11)
         x0 = np.array([8.0])
         state = _start(model, x0)
@@ -133,8 +135,7 @@ class TestMhStep:
         model = dataclasses.replace(_normal_model(),
                                     log_prior_fn=lambda x: 0.0)
         cut = Binning(-1e6, 0.5, 1)
-        kernel = ExactKernel(model, cut, Proposal.isotropic(1.0, 1),
-                             EvalLedger())
+        kernel = ExactKernel(model, cut, Proposal(1.0), EvalLedger())
         rng = np.random.default_rng(3)
         state = ChainState(np.zeros(1), 0.0, 0.0)
         for _ in range(500):
@@ -150,7 +151,7 @@ class TestErgodicAverages:
     def test_standard_normal_moments(self):
         model = _normal_model()
         ledger = EvalLedger()
-        kernel = ExactKernel(model, WIDE, Proposal.isotropic(1.0, 1), ledger)
+        kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
         rng = np.random.default_rng(123)
         state = _start(model, np.zeros(1))
         n = 100_000
@@ -187,8 +188,7 @@ class TestErgodicAverages:
             np.trapezoid(np.where(grid >= cuts[1], dens, 0.0), grid),
         ]
 
-        kernel = ExactKernel(model, WIDE, Proposal.isotropic(1.5, 1),
-                             EvalLedger())
+        kernel = ExactKernel(model, WIDE, Proposal(1.5), EvalLedger())
         rng = np.random.default_rng(42)
         state = _start(model, np.zeros(1))
         for _ in range(2000):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gpmmc import (ConfigError, EvalLedger, EvaluationError, build_model,
-                   evaluate, gaussian_model, log_prior_density,
-                   model_config_keys, registered_models, sample_prior)
+from gpmmc import (EvalLedger, EvaluationError, evaluate, gaussian_model,
+                   log_prior_density, min_distance_model, sample_prior)
+from gpmmc.benchmarks import MODELS
 
 
 def _unit_normal_2d(eval_fn=lambda X: X[:, 0]):
@@ -14,16 +14,16 @@ def _unit_normal_2d(eval_fn=lambda X: X[:, 0]):
 
 class TestEvaluate:
     def test_min_distance_at_center(self):
-        m = build_model("min_distance")
+        m = min_distance_model()
         assert evaluate(m, np.array([3.0, 3.0])) == -1.0
 
     def test_min_distance_at_origin(self):
-        m = build_model("min_distance")
+        m = min_distance_model()
         got = evaluate(m, np.zeros(2))
         assert got == pytest.approx(17.0, abs=1e-12)
 
     def test_ledger_counts_each_call_once(self):
-        m = build_model("min_distance")
+        m = min_distance_model()
         ledger = EvalLedger()
         for k in range(5):
             evaluate(m, np.zeros(2), ledger)
@@ -31,7 +31,7 @@ class TestEvaluate:
         assert ledger.surrogate_evals == 0
 
     def test_dimension_mismatch(self):
-        m = build_model("min_distance")
+        m = min_distance_model()
         with pytest.raises(ValueError):
             evaluate(m, np.zeros(3))
 
@@ -42,12 +42,12 @@ class TestEvaluate:
         np.testing.assert_array_equal(err.value.point, [1.0, 2.0])
 
     def test_deterministic(self):
-        m = build_model("min_distance")
+        m = min_distance_model()
         x = np.array([0.3, -1.7])
         assert evaluate(m, x) == evaluate(m, x)
 
     def test_block_charges_ledger_once_per_row(self):
-        m = build_model("min_distance")
+        m = min_distance_model()
         ledger = EvalLedger()
         X = np.random.default_rng(4).normal(size=(7, 2))
         ys = evaluate(m, X, ledger)
@@ -57,7 +57,7 @@ class TestEvaluate:
         assert type(evaluate(m, X[0])) is float
 
     def test_block_width_mismatch(self):
-        m = build_model("min_distance")
+        m = min_distance_model()
         for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 4, 2)),
                     np.float64(1.0)):
             with pytest.raises(ValueError):
@@ -141,18 +141,13 @@ class TestSamplePrior:
 
 class TestRegistry:
     def test_benchmarks_registered(self):
-        assert {"min_distance", "beam", "poisson_kl"} <= set(registered_models())
-
-    def test_unknown_model(self):
-        with pytest.raises(ConfigError):
-            build_model("no_such_model")
-        with pytest.raises(ConfigError, match="unknown model"):
-            model_config_keys("no_such_model")
+        assert set(MODELS) == {"min_distance", "beam", "poisson_kl"}
 
     def test_models_declare_their_config_keys(self):
-        assert model_config_keys("poisson_kl")["kl_modes"] == ("n_modes", int)
-        assert set(model_config_keys("beam")) == {"e_mean"}
-        keys = model_config_keys("min_distance")
+        assert MODELS["poisson_kl"][1]["kl_modes"] == ("n_modes", int)
+        assert set(MODELS["beam"][1]) == {"e_mean"}
+        factory, keys = MODELS["min_distance"]
+        assert factory is min_distance_model
         assert keys["dimension"] == ("dimension", int)
         kw, parse = keys["centers"]
         assert kw == "centers"
@@ -164,3 +159,9 @@ class TestGaussianModelValidation:
         with pytest.raises(ValueError):
             gaussian_model("bad", lambda X: np.zeros(len(X)), np.zeros(2),
                            np.array([1.0, 0.0]))
+
+    def test_empty_mean_rejected(self):
+        # a zero-dimensional model has no input to sample
+        with pytest.raises(ValueError, match="non-empty"):
+            gaussian_model("bad", lambda X: np.zeros(len(X)), np.zeros(0),
+                           np.ones(0))

@@ -88,7 +88,7 @@ class TestConfigValidation:
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 2)
         good = dict(gamma=0.1, beta_max=0.05,
-                    prop=Proposal.isotropic(0.5, 1))
+                    prop=Proposal(0.5))
 
         def kernel(**kw):
             return SurrogateKernel(model, _unit_store(), binning,
@@ -117,8 +117,7 @@ def _unit_store(d=1):
 
 def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
     return SurrogateKernel(model, store, binning, gamma, beta_max,
-                           Proposal.isotropic(scale, model.dimension),
-                           EvalLedger())
+                           Proposal(scale), EvalLedger())
 
 
 def _support(kernel, x):
@@ -225,8 +224,7 @@ class TestSurrogateKernel:
         for v in np.linspace(-4.0, 4.0, 9):
             store.insert(np.array([v]), v)
         sk = _make_kernel(model, binning, store, gamma=1.0, scale=0.7)
-        ek = ExactKernel(model, binning, Proposal.isotropic(0.7, 1),
-                         EvalLedger())
+        ek = ExactKernel(model, binning, Proposal(0.7), EvalLedger())
 
         rng_s = np.random.default_rng([99, 0])
         rng_e = np.random.default_rng([99, 0])
@@ -286,12 +284,11 @@ class TestSurrogateKernel:
         ledger = EvalLedger()
         kernel = fit_surrogate_kernel(model, binning, 1, initial_design=20,
                                       gamma=1e-4, beta_max=0.05, p=2,
-                                      prop=Proposal.isotropic(0.5, 1),
-                                      ledger=ledger)
+                                      prop=Proposal(0.5), ledger=ledger)
         builds = _record_builds(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = run_mmc(model, binning, MmcConfig(
-                iterations=2, samples_per_iteration=300, seed=1), kernel)
+            res = run_mmc(kernel, MmcConfig(
+                iterations=2, samples_per_iteration=300, seed=1))
         assert kernel.steps == 2 * (300 + 30)
         assert kernel.refine_fallback > 0
         assert ledger.true_evals == (20 + res.start_draws
@@ -460,8 +457,7 @@ class TestDecisionAwareRefinement:
         binning = Binning(-1.0, 54.0, 55)
         return fit_surrogate_kernel(model, binning, 17, initial_design=20,
                                     gamma=0.0, beta_max=0.05, p=2,
-                                    prop=Proposal.isotropic(1.0, 2),
-                                    ledger=EvalLedger())
+                                    prop=Proposal(1.0), ledger=EvalLedger())
 
     def test_screened_step_is_never_accepted(self, monkeypatch):
         """A served candidate whose bin beta is above beta_max was predicted
@@ -538,8 +534,7 @@ class TestModelCache:
             kernel = fit_surrogate_kernel(model, binning, 17,
                                           initial_design=50, gamma=1e-2,
                                           beta_max=0.075, p=p,
-                                          prop=Proposal.isotropic(1.0, 2),
-                                          ledger=ledger)
+                                          prop=Proposal(1.0), ledger=ledger)
             x0 = kernel.store.points[0].copy()
             y0 = float(kernel.store.values[0])
             log_theta, state = _flat_start(model, binning, x0, y0)
@@ -594,8 +589,7 @@ class TestModelCache:
         for x in rng.normal(size=(260, d)):
             store.insert(x, float(np.sin(x).sum()))
         kernel = SurrogateKernel(model, store, Binning(-10.0, 10.0, 20), 0.0,
-                                 0.05, Proposal.isotropic(0.5, d),
-                                 EvalLedger())
+                                 0.05, Proposal(0.5), EvalLedger())
         bound = 2**18 // 209**2
         queries = rng.normal(size=(12, d))
         models = []
@@ -617,7 +611,7 @@ class TestFitSurrogateKernel:
         model = gaussian_model("plane", lambda X: X[:, 0] + 2.0 * X[:, 1],
                                np.zeros(2), np.ones(2))
         binning = Binning(-6.0, 6.0, 12)
-        prop = Proposal.isotropic(0.5, 2)
+        prop = Proposal(0.5)
         ledger = EvalLedger()
         kernel = fit_surrogate_kernel(model, binning, 3, initial_design=20,
                                       gamma=0.01, beta_max=0.05, p=2,
@@ -649,8 +643,7 @@ class TestFitSurrogateKernel:
         model = dataclasses.replace(base, eval_fn=recording)
         fit_surrogate_kernel(model, Binning(-3.0, 3.0, 6), 3,
                              initial_design=20, gamma=0.01, beta_max=0.05,
-                             p=2, prop=Proposal.isotropic(0.5, 2),
-                             ledger=EvalLedger())
+                             p=2, prop=Proposal(0.5), ledger=EvalLedger())
         assert sizes == [20]
 
     def test_exponent_checked_before_any_evaluation(self):
@@ -659,6 +652,5 @@ class TestFitSurrogateKernel:
             fit_surrogate_kernel(_identity_model(2), Binning(-3.0, 3.0, 6), 3,
                                  initial_design=20, gamma=0.01,
                                  beta_max=0.05, p=3,
-                                 prop=Proposal.isotropic(0.5, 2),
-                                 ledger=ledger)
+                                 prop=Proposal(0.5), ledger=ledger)
         assert ledger.true_evals == 0
