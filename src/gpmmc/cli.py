@@ -28,12 +28,8 @@ def _cmd_run(args) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.log_steps:
-        overrides["log_steps"] = True
     cfg = parse_config(args.config, overrides)
-    summary = run_experiment(cfg)
+    summary = run_experiment(cfg, args.out, args.log_steps)
     print(f"method            {summary['method']}")
     print(f"model             {summary['model']}")
     print(f"seed              {summary['seed']}")
@@ -48,7 +44,7 @@ def _cmd_run(args) -> int:
         for line in _moments_lines(summary["moments"], prefix="  "):
             print(line)
     print(f"runtime           {summary['runtime_seconds']:.2f} s")
-    print(f"results in        {cfg.out}")
+    print(f"results in        {args.out}")
     return 0
 
 
@@ -93,8 +89,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--out", default=None,
-                       help="override the output directory")
+    p_run.add_argument("--out", required=True,
+                       help="output directory, created if missing")
     p_run.add_argument("--log-steps", action="store_true",
                        help="write a per-step kernel log (steps.csv)")
     p_run.set_defaults(fn=_cmd_run)
@@ -115,7 +111,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

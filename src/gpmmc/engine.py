@@ -61,9 +61,9 @@ class WeightTable:
 class MmcConfig:
     """Run parameters for the multicanonical iteration.
 
-    burn_in defaults to a tenth of the per-iteration sample count and is
-    discarded at the start of every iteration. The proposal belongs to the
-    step kernel.
+    burn_in steps are discarded at the start of every iteration; None
+    becomes a tenth of the per-iteration sample count when the config is
+    made. The proposal belongs to the step kernel.
     """
 
     iterations: int
@@ -76,14 +76,11 @@ class MmcConfig:
             raise ValueError("need at least one iteration")
         if self.samples_per_iteration < 1:
             raise ValueError("need at least one sample per iteration")
-        if self.effective_burn_in < 0 or self.effective_burn_in >= self.samples_per_iteration:
-            raise ValueError("burn_in must lie in [0, samples_per_iteration)")
-
-    @property
-    def effective_burn_in(self) -> int:
         if self.burn_in is None:
-            return self.samples_per_iteration // 10
-        return self.burn_in
+            object.__setattr__(self, "burn_in",
+                               self.samples_per_iteration // 10)
+        if self.burn_in < 0 or self.burn_in >= self.samples_per_iteration:
+            raise ValueError("burn_in must lie in [0, samples_per_iteration)")
 
 
 @dataclass
@@ -93,8 +90,8 @@ class MmcResult:
     weights[k] is the table in force while iteration k sampled, the flat
     table for k = 0 and the update from iterations 0..k-1 after that. pdf is
     combined_probability over the bin width (pdf * delta gives the bin
-    probabilities) and moments are its moments. The run's evaluation counts
-    stay on the kernel's ledger.
+    probabilities) and moments are its moments. The run's true-evaluation
+    count stays on the kernel's ledger.
     """
 
     weights: list[WeightTable]
@@ -237,9 +234,9 @@ def run_mmc(kernel, config: MmcConfig,
     to draw the start, tally the samples and charge every true evaluation.
     log_theta is the iteration's log weights, as a list taken once per
     iteration. The chain starts from an in-range prior draw, keeps its state
-    across iterations, and discards config.effective_burn_in steps at the
-    start of each one. Samples are tallied from the y values the kernel
-    reports, so nothing is ever re-evaluated. A fixed seed makes the result
+    across iterations, and discards config.burn_in steps at the start of
+    each one. Samples are tallied from the y values the kernel reports, so
+    nothing is ever re-evaluated. A fixed seed makes the result
     bit-identical across runs.
     """
     model, binning = kernel.model, kernel.binning
@@ -255,7 +252,7 @@ def run_mmc(kernel, config: MmcConfig,
     hists: list[Histogram] = []
     flatness: list[float] = []
     acceptance: list[float] = []
-    burn = config.effective_burn_in
+    burn = config.burn_in
     n = config.samples_per_iteration
     step_index = 0
     state: ChainState | None = None

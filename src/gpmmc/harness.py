@@ -1,6 +1,6 @@
 """Experiment harness: config files in, result files out.
 
-A run writes into its output directory:
+A run writes into the output directory its caller names:
 
   histogram.csv   one row per (iteration, bin) with the weights in force,
                   the tallied counts, and that iteration's own density
@@ -9,7 +9,7 @@ A run writes into its output directory:
   summary.json    scalar results and diagnostics, among them the moments of
                   the run's density, deterministic for a fixed config and
                   seed except for the runtime_seconds entry
-  steps.csv       per-step kernel log (only when step logging is on)
+  steps.csv       per-step kernel log (when the caller asks for it)
   store.csv       the exact-evaluation store (surrogate runs only)
 
 Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
@@ -47,14 +47,6 @@ __all__ = ["RunConfig", "parse_config", "run_experiment", "ComparisonReport",
 HISTOGRAM_HEADER = "iter,bin,center,lo,hi,count,H_hat,theta,P_i,pdf"
 
 
-def _bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(raw)
-
-
 def _vector(raw: str) -> float | np.ndarray:
     parts = [float(p) for p in raw.split(",")]
     return parts[0] if len(parts) == 1 else np.array(parts)
@@ -65,7 +57,6 @@ CONFIG_KEYS = {
     "model": str,                   # a name in benchmarks.MODELS
     "method": str,                  # mc | mmc | gpmmc
     "seed": int,                    # required
-    "out": str,                     # output directory
     # output binning
     "bins": int,
     "range_lo": float,
@@ -76,7 +67,6 @@ CONFIG_KEYS = {
     "samples_per_iteration": int,
     "burn_in": int,                 # default: samples_per_iteration // 10
     "proposal_scale": _vector,      # scalar or one value per coordinate
-    "log_steps": _bool,
     # surrogate policy (gpmmc)
     "gamma": float,
     "beta_max": float,
@@ -96,13 +86,11 @@ class RunConfig:
     bins: int
     iterations: int
     samples_per_iteration: int
-    out: str | None = None
     range_lo: float | None = None
     range_hi: float | None = None
     auto_range: bool = False
     burn_in: int | None = None
     proposal_scale: float | np.ndarray = 0.5
-    log_steps: bool = False
     gamma: float = 1e-4
     beta_max: float = 0.05
     kernel_p: int = 1
@@ -158,7 +146,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read a flat key = value config file into a RunConfig.
 
     overrides (already-typed values keyed like the file) win over the file;
-    the CLI uses this for --seed, --out, and --log-steps.
+    the CLI uses this for --seed.
     """
     overrides = overrides or {}
     known = set(CONFIG_KEYS).union(*(keys for _, keys in MODELS.values()))
@@ -292,17 +280,15 @@ def read_histogram_csv(path: str | Path) -> dict:
             "final_p": p_i, "final_pdf": p_i / binning.delta}
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
-    """Execute one configured run and write its result files.
+def run_experiment(cfg: RunConfig, out_dir: str | Path,
+                   log_steps: bool = False) -> dict:
+    """Execute one configured run and write its result files into out_dir,
+    which is created if missing; log_steps also writes steps.csv for an
+    mmc or gpmmc run.
 
-    Returns the summary dict (also written to summary.json). The output
-    directory comes from out_dir or cfg.out and is created if missing.
+    Returns the summary dict (also written to summary.json).
     """
-    out = Path(out_dir if out_dir is not None else (cfg.out or ""))
-    if str(out) in ("", "."):
-        raise ConfigError("no output directory: set out in the config or "
-                          "pass --out")
-
+    out = Path(out_dir)
     t0 = time.perf_counter()
     factory = _model(cfg.model)[0]
     try:
@@ -318,7 +304,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
         lo, hi = cfg.range_lo, cfg.range_hi
     binning = Binning(lo, hi, cfg.bins)
     breakdown = {"pilot": ledger.true_evals}
-    screened = 0
+    screened = surrogate_evals = 0
 
     summary = {
         "method": cfg.method,
@@ -341,7 +327,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
                    if result.histogram.in_range > 0 else None}
     else:
         mmc_cfg = cfg._mmc_config()
-        burn_in = mmc_cfg.effective_burn_in
+        burn_in = mmc_cfg.burn_in
         if cfg.method == "mmc":
             kernel = ExactKernel(model, binning, prop, ledger)
             breakdown["initial_design"] = 0
@@ -354,7 +340,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
 
         step_file = None
         on_step = None
-        if cfg.log_steps:
+        if log_steps:
             step_file = open(out / "steps.csv", "w")
             step_file.write("step,used_surrogate,beta,refined,accepted\n")
 
@@ -382,6 +368,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
                               ("refine_random", "refine_beta",
                                "refine_fallback")})
             screened = counters["screened"]
+            surrogate_evals = (counters["surrogate_steps"]
+                               + counters["refine_beta"])
         results = {"acceptance": result.acceptance,
                    "flatness": result.flatness, "moments": result.moments}
         if cfg.method == "gpmmc":
@@ -395,7 +383,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
             f"ledger mismatch: {ledger.true_evals} true evaluations, "
             f"breakdown accounts for {sum(breakdown.values())}")
     summary.update(burn_in=burn_in, true_evals=ledger.true_evals,
-                   surrogate_evals=ledger.surrogate_evals, screened=screened,
+                   surrogate_evals=surrogate_evals, screened=screened,
                    eval_breakdown=breakdown, **results)
 
     summary["runtime_seconds"] = time.perf_counter() - t0

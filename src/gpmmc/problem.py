@@ -7,7 +7,7 @@ n outputs, and evaluate passes one point as a block of one. Models are pure:
 evaluating the same point twice, alone or inside any block, returns
 bit-identical results. The package's own models, and the config keys each
 takes, are listed in benchmarks.MODELS.
-The ledger is a plain counter pair; the samplers and engines in this package
+The ledger is a plain counter; the samplers and engines in this package
 run sequentially, so increments need no locking. Callers who evaluate from
 several threads must serialize access themselves.
 """
@@ -34,10 +34,10 @@ __all__ = [
 
 @dataclass
 class EvalLedger:
-    """Counts of true-model and surrogate evaluations. Monotone."""
+    """Count of true-model evaluations. Monotone. A surrogate kernel counts
+    its local-model predictions itself (SurrogateKernel.counters)."""
 
     true_evals: int = 0
-    surrogate_evals: int = 0
 
 
 @dataclass(frozen=True)

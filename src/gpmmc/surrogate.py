@@ -115,10 +115,12 @@ class SurrogateKernel:
     A StepRecord's beta is what the rule compared with beta_max: the bin
     beta, or on a screened rejection the mass in the accepting bins.
 
-    Tracks how every true evaluation was triggered (random gate, beta above
-    threshold, or surrogate construction failure) so a run's cost can be
-    reconciled exactly from the counters. screened counts the served steps
-    (among surrogate_steps) rejected with a bin beta above beta_max.
+    Each step is served (surrogate_steps) or refined by the random gate, by
+    beta above threshold, or by a surrogate build failure; the refine counts
+    reconcile a run's true evaluations exactly, and the four sum to steps.
+    Each local posterior made is served or refined by beta. screened counts
+    the served steps (among surrogate_steps) rejected with a bin beta above
+    beta_max.
 
     Local models are cached by support set, least recently used first out,
     and the cache never changes a result: a hit returns the model a fresh
@@ -141,7 +143,6 @@ class SurrogateKernel:
         self._models: dict[bytes, LocalGP] = {}
         self._max_models = max(1,
                                MODEL_CACHE_ENTRIES // self._support_size**2)
-        self.steps = 0
         self.refine_random = 0
         self.refine_beta = 0
         self.refine_fallback = 0
@@ -181,7 +182,6 @@ class SurrogateKernel:
             except SurrogateError:
                 self.refine_fallback += 1
             else:
-                self.ledger.surrogate_evals += 1
                 sigma = math.sqrt(var)
                 beta = misassignment_probability(mu, sigma, self.binning)
                 if beta > self.beta_max:
@@ -201,7 +201,6 @@ class SurrogateKernel:
 
         new = metropolis_accept(u, state, x_new, y_new, log_bias_density(
             log_theta, self.binning, self.model, x_new, y_new))
-        self.steps += 1
         return new, StepRecord(used_surrogate=used_surrogate, beta=beta,
                                refined=not used_surrogate,
                                accepted=new is not state)
@@ -222,7 +221,8 @@ class SurrogateKernel:
 
     def counters(self) -> dict:
         return {
-            "steps": self.steps,
+            "steps": (self.surrogate_steps + self.refine_random
+                      + self.refine_beta + self.refine_fallback),
             "surrogate_steps": self.surrogate_steps,
             "screened": self.screened,
             "refine_random": self.refine_random,

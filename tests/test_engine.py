@@ -81,7 +81,7 @@ class TestLogBiasDensity:
                                   burn_in=20, seed=4))
         assert len(calls) == 3 * (1 + 200 + 20)
         if surrogate:
-            assert 0 < kernel.surrogate_steps < kernel.steps
+            assert 0 < kernel.surrogate_steps < kernel.counters()["steps"]
 
 
 class TestUpdateWeights:

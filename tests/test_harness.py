@@ -146,14 +146,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown model 'nope'"):
             run_experiment(cfg, tmp_path / "out")
 
-    def test_log_steps_value(self, tmp_path):
-        for raw, want in (("yes", True), ("false", False)):
-            cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC
-                                          + f"log_steps = {raw}\n"))
-            assert cfg.log_steps is want
-        with pytest.raises(ConfigError, match="bad value for 'log_steps'"):
-            parse_config(_write_cfg(tmp_path / "b.cfg",
-                                    GOOD_MMC + "log_steps = maybe\n"))
+    @pytest.mark.parametrize("line", ["out = x", "log_steps = true"])
+    def test_output_keys_are_unknown(self, tmp_path, line):
+        # where a run writes and whether it logs steps are the caller's
+        # arguments to run_experiment, not config keys
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"unknown key {key!r}"):
+            parse_config(_write_cfg(tmp_path / "a.cfg",
+                                    GOOD_MMC + line + "\n"))
 
     def test_unknown_method(self, tmp_path):
         text = GOOD_MMC.replace("method = mmc", "method = abc")
@@ -162,9 +162,8 @@ class TestParseConfig:
 
     def test_overrides_win(self, tmp_path):
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC),
-                           overrides={"seed": 99, "out": "somewhere"})
+                           overrides={"seed": 99})
         assert cfg.seed == 99
-        assert cfg.out == "somewhere"
 
     def test_malformed_line(self, tmp_path):
         with pytest.raises(ConfigError, match="expected key = value"):
@@ -319,10 +318,14 @@ class TestRunExperimentMc:
         assert summary["true_evals"] == 1600
         assert summary["binning"]["lo"] < summary["binning"]["hi"]
 
-    def test_output_dir_required(self, tmp_path):
-        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC))
-        with pytest.raises(ConfigError, match="output directory"):
-            run_experiment(cfg)
+    def test_output_dir_required(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC)
+        with pytest.raises(TypeError, match="out_dir"):
+            run_experiment(parse_config(cfg_path))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", cfg_path])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
 
 class TestRunExperimentMmc:
@@ -376,9 +379,10 @@ class TestRunExperimentMmc:
             run_experiment(cfg, tmp_path / "out")
 
     def test_step_log(self, tmp_path):
-        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC),
-                           overrides={"log_steps": True})
-        run_experiment(cfg, tmp_path / "out")
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC))
+        run_experiment(cfg, tmp_path / "plain")
+        assert not (tmp_path / "plain" / "steps.csv").exists()
+        run_experiment(cfg, tmp_path / "out", log_steps=True)
         lines = (tmp_path / "out" / "steps.csv").read_text().splitlines()
         assert lines[0] == "step,used_surrogate,beta,refined,accepted"
         assert len(lines) - 1 == 2 * (300 + 30)
@@ -560,13 +564,40 @@ class TestCli:
         assert report["max_rel_err"] == 0.0
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
-        assert cli_main(["run", str(tmp_path / "nope.cfg")]) == 2
+        assert cli_main(["run", str(tmp_path / "nope.cfg"),
+                         "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC + "bogus = 1\n")
-        assert cli_main(["run", cfg_path]) == 2
+        assert cli_main(["run", cfg_path, "--out",
+                         str(tmp_path / "out")]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["out_is_a_file", "parent_is_a_file"])
+    def test_unusable_output_dir_is_reported(self, tmp_path, capsys, under):
+        cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+        assert cli_main(["run", cfg_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert afile.read_text() == "kept\n"
+        assert list(tmp_path.rglob("summary.json")) == []
+
+    def test_logged_gpmmc_run(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_GPMMC)
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out),
+                         "--log-steps"]) == 0
+        assert "surrogate calls" in capsys.readouterr().out
+        rows = [line.split(",") for line in
+                (out / "steps.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 * (300 + 30)
+        summary = json.loads((out / "summary.json").read_text())
+        # every local posterior made left its beta in the step log
+        assert summary["surrogate_evals"] == sum(r[2] != "" for r in rows)
 
     @pytest.mark.parametrize("line", ["kernel_p = 3", "gamma = 2",
                                       "beta_max = 0", "initial_design = 1"])
@@ -632,6 +663,10 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["moments", hist]) == 2
         assert capsys.readouterr().err.startswith(f"error: {hist}")
+        # nor is it a baseline to compare against
+        assert cli_main(["compare", hist, hist]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {hist}: baseline density is all zero\n")
 
     @pytest.mark.parametrize("command", ["moments", "compare"])
     @pytest.mark.parametrize("damage", ["truncated", "garbled", "short_row",

@@ -28,7 +28,7 @@ class TestEvaluate:
         for k in range(5):
             evaluate(m, np.zeros(2), ledger)
             assert ledger.true_evals == k + 1
-        assert ledger.surrogate_evals == 0
+        assert vars(ledger) == {"true_evals": 5}
 
     def test_dimension_mismatch(self):
         m = min_distance_model()
