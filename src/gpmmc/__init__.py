@@ -3,9 +3,9 @@ Monte Carlo, optionally accelerated with adaptively refined local
 Gaussian-process surrogates."""
 
 from .binning import Binning, Histogram, tally
-from .engine import (MmcConfig, MmcResult, PlainMcResult, WeightTable,
-                     combined_probability, estimate_moments, flatness_cv,
-                     run_mmc, run_plain_mc, update_weights)
+from .engine import (MmcConfig, MmcResult, WeightTable, combined_probability,
+                     estimate_moments, flatness_cv, run_mmc, run_plain_mc,
+                     update_weights)
 from .errors import ConfigError, EvaluationError, SurrogateError
 from .gp import (EvaluationStore, LocalGP, QuadraticMean,
                  build_local_surrogate, calibrate_lengthscales,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Binning", "Histogram", "tally",
-    "WeightTable", "MmcConfig", "MmcResult", "PlainMcResult",
+    "WeightTable", "MmcConfig", "MmcResult",
     "log_bias_density", "combined_probability", "update_weights",
     "estimate_moments",
     "flatness_cv", "run_mmc", "run_plain_mc",

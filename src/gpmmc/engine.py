@@ -26,9 +26,9 @@ from .binning import Binning, Histogram, tally
 from .mcmc import ChainState, StepRecord, log_bias_density
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
-__all__ = ["WeightTable", "MmcConfig", "MmcResult", "PlainMcResult",
-           "combined_probability", "update_weights", "estimate_moments",
-           "flatness_cv", "run_mmc", "run_plain_mc"]
+__all__ = ["WeightTable", "MmcConfig", "MmcResult", "combined_probability",
+           "update_weights", "estimate_moments", "flatness_cv", "run_mmc",
+           "run_plain_mc"]
 
 MAX_START_DRAWS = 1000
 # Fixed-point iteration of the multiple-histogram estimate: stop once no bin
@@ -101,15 +101,6 @@ class MmcResult:
     pdf: np.ndarray
     moments: dict
     start_draws: int
-
-
-@dataclass
-class PlainMcResult:
-    """Baseline estimate from independent prior draws."""
-
-    histogram: Histogram
-    pdf: np.ndarray
-    in_range_fraction: float
 
 
 def combined_probability(tables: Sequence[WeightTable],
@@ -296,15 +287,14 @@ def run_mmc(kernel, config: MmcConfig,
 
 
 def run_plain_mc(model: PerformanceModel, binning: Binning, n: int,
-                 seed: int, ledger: EvalLedger) -> PlainMcResult:
-    """Histogram density from n independent prior draws.
+                 seed: int, ledger: EvalLedger) -> Histogram:
+    """Histogram of n independent prior draws, total n.
 
     Draws, evaluates and tallies PLAIN_MC_CHUNK draws at a time, each chunk
     one block for the true model; the RNG stream [seed, 0] yields the same
     draws in chunks as in one block, so the summed histogram equals one
-    tally of all n. The pdf is counts / (n * delta), so it integrates to the
-    in-range fraction rather than one; with a binned range that covers
-    essentially all the output mass the two coincide.
+    tally of all n. Its density is combined_probability under the flat
+    table over the bin width, the one a run's histogram.csv holds.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -313,9 +303,6 @@ def run_plain_mc(model: PerformanceModel, binning: Binning, n: int,
     for start in range(0, n, PLAIN_MC_CHUNK):
         xs = sample_prior(model, rng, min(PLAIN_MC_CHUNK, n - start))
         chunks.append(tally(binning, evaluate(model, xs, ledger)))
-    hist = Histogram(counts=sum(h.counts for h in chunks), total=n,
+    return Histogram(counts=sum(h.counts for h in chunks), total=n,
                      overflow_low=sum(h.overflow_low for h in chunks),
                      overflow_high=sum(h.overflow_high for h in chunks))
-    pdf = hist.counts / (n * binning.delta)
-    return PlainMcResult(histogram=hist, pdf=pdf,
-                         in_range_fraction=hist.in_range / n)

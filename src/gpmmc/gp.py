@@ -33,11 +33,12 @@ A local model depends only on the set of stored evaluations in its support:
 EvaluationStore.nearest reports the support as ascending store indices, and
 build_local_surrogate builds from the rows in that order, never in the
 query's distance order. Two queries with the same support set therefore get
-the same model bit for bit, and SurrogateKernel builds each one once and
-reuses it. A reused model stays exact because the store is append-only (a
+the same model bit for bit, so EvaluationStore.local_model builds each one
+once and serves it again from a least-recently-used cache keyed by the
+support. A reused model stays exact because the store is append-only (a
 stored row never changes, and a near-duplicate is skipped on insert rather
 than overwriting one) and the lengthscales and exponent are fixed when the
-store is built.
+store is built. The store is the only place a model is cached.
 
 The per-query algebra calls LAPACK directly through scipy.linalg.lapack
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
@@ -71,6 +72,11 @@ STORE_CAPACITY = 256
 AMPLITUDE_FLOOR = 1e-12
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+# Size of an EvaluationStore's model cache, in correlation-matrix entries: it
+# holds MODEL_CACHE_ENTRIES // n**2 models of support size n, and at least
+# one (3,236 at n = 9 in 2-D, 6 at n = 209 in 10-D), about 2 MB of Cholesky
+# factors.
+MODEL_CACHE_ENTRIES = 2**18
 # Lengthscale calibration: grid points per coordinate, grid span in units of
 # the coordinate's data standard deviation, and full coordinate sweeps.
 CALIBRATION_GRID = 13
@@ -137,6 +143,9 @@ class EvaluationStore:
     Points closer than 1e-12 (Euclidean) to a stored point are considered
     duplicates and silently skipped on insert, so the correlation matrices
     built from any subset never contain an exactly repeated row.
+
+    It also serves the local models built on it, each cached by its support
+    set (local_model); the module docstring says why a hit is exact.
     """
 
     def __init__(self, dimension: int, lengths, p: int):
@@ -150,6 +159,9 @@ class EvaluationStore:
         self._xs = np.empty_like(self._x)
         self._y = np.empty(STORE_CAPACITY)
         self._n = 0
+        self._support_size = local_size(dimension)
+        self._models: dict[bytes, LocalGP] = {}
+        self._max_models = max(1, MODEL_CACHE_ENTRIES // self._support_size**2)
 
     @property
     def size(self) -> int:
@@ -216,6 +228,21 @@ class EvaluationStore:
             # points tied at the cutoff: keep the earliest inserted
             idx = np.sort(idx[np.lexsort((idx, dist[idx]))[:n]])
         return idx, dist[idx]
+
+    def local_model(self, x: np.ndarray) -> tuple[LocalGP, np.ndarray]:
+        """The local model at x and the kernel distances from x to its
+        support, the local_size(dimension) nearest evaluations. A model is
+        built only on a cache miss, least recently used out first, and a
+        failed build (SurrogateError, as for an empty store) is not cached."""
+        idx, dist = self.nearest(x, self._support_size)
+        key = idx.tobytes()
+        gp = self._models.pop(key, None)
+        if gp is None:
+            gp = build_local_surrogate(self, idx)
+            if len(self._models) >= self._max_models:
+                del self._models[next(iter(self._models))]
+        self._models[key] = gp
+        return gp, dist
 
     def save_csv(self, path) -> None:
         """Write a header x_1..x_d,y and one row per stored evaluation, in
@@ -458,8 +485,9 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
     once so posterior queries are two triangular solves. Because the rows
     come in index order, the model is a function of the support set alone:
     every query whose support is this set gets the same model, bit for bit,
-    which is what lets SurrogateKernel build it once and reuse it. The
-    correlations come from the store's scaled rows, in its frozen metric.
+    which is what lets EvaluationStore.local_model build it once and reuse
+    it. The correlations come from _corr_matrix, as in calibration, in the
+    store's frozen metric.
     Raises SurrogateError when the correlation matrix cannot be factored at
     the maximum jitter or the amplitude is not finite; callers fall back to
     the true model in that case.
@@ -467,9 +495,7 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
     Xs = store.points[idx]
     ys = store.values[idx]
     mean, r = fit_quadratic_mean(Xs, ys)
-    scaled = store._xs[idx]
-    corr = np.exp(-cdist(scaled, scaled, _metric(store.p)))
-    L, _ = _chol_with_jitter(corr)
+    L, _ = _chol_with_jitter(_corr_matrix(Xs, store.lengths, store.p))
     alpha, _ = dpotrs(L, r, lower=1)
     # residuals near 1e170 overflow here; the SurrogateError is the signal
     with np.errstate(over="ignore", invalid="ignore"):

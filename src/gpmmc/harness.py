@@ -317,14 +317,15 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
 
     if cfg.method == "mc":
         n_total = cfg.iterations * cfg.samples_per_iteration
-        result = run_plain_mc(model, binning, n_total, cfg.seed, ledger)
-        _write_histogram_csv(out / "histogram.csv", binning,
-                             [(np.ones(binning.m), result.histogram)])
+        hist = run_plain_mc(model, binning, n_total, cfg.seed, ledger)
+        tables, hists = [WeightTable.flat(binning.m)], [hist]
         breakdown["samples"] = n_total
         burn_in = 0
-        results = {"in_range_fraction": result.in_range_fraction,
-                   "moments": estimate_moments(result.pdf, binning)
-                   if result.histogram.in_range > 0 else None}
+        # the density read_histogram_csv recomputes from the file
+        results = {"in_range_fraction": hist.in_range / n_total,
+                   "moments": estimate_moments(
+                       combined_probability(tables, hists) / binning.delta,
+                       binning) if hist.in_range > 0 else None}
     else:
         mmc_cfg = cfg._mmc_config()
         burn_in = mmc_cfg.burn_in
@@ -355,9 +356,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             if step_file is not None:
                 step_file.close()
 
-        _write_histogram_csv(out / "histogram.csv", binning,
-                             [(w.theta, h) for w, h in
-                              zip(result.weights, result.histograms)])
+        tables, hists = result.weights, result.histograms
         breakdown["start_draws"] = result.start_draws
         if cfg.method == "mmc":
             breakdown["chain"] = cfg.iterations * (cfg.samples_per_iteration
@@ -375,6 +374,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         if cfg.method == "gpmmc":
             kernel.store.save_csv(out / "store.csv")
             results["store_size"] = kernel.store.size
+
+    _write_histogram_csv(out / "histogram.csv", binning,
+                         [(t.theta, h) for t, h in zip(tables, hists)])
 
     # each breakdown term counts the true evaluations of one cause, so the
     # terms must add up to the ledger

@@ -23,7 +23,8 @@ in mcmc.py exists for.
 
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). The kernel
-keeps the local models it built in a least-recently-used cache keyed by the
+asks its store for each local model (EvaluationStore.local_model), which
+keeps the models it built in a least-recently-used cache keyed by the
 support's store indices and builds one only on a miss; see gp.py for why a
 cached model equals the one a fresh build would return.
 """
@@ -37,8 +38,7 @@ from scipy.special import ndtr
 
 from .binning import Binning
 from .errors import SurrogateError
-from .gp import (EvaluationStore, LocalGP, _check_exponent,
-                 build_local_surrogate, calibrate_lengthscales, local_size)
+from .gp import EvaluationStore, _check_exponent, calibrate_lengthscales
 from .mcmc import (ChainState, Proposal, StepRecord, log_bias_density,
                    metropolis_accept, propose)
 from .problem import (EvalLedger, PerformanceModel, evaluate,
@@ -48,11 +48,6 @@ __all__ = ["misassignment_probability", "SurrogateKernel",
            "fit_surrogate_kernel"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Size of a SurrogateKernel's model cache, in correlation-matrix entries: it
-# holds MODEL_CACHE_ENTRIES // n**2 models of support size n, and at least
-# one (3,236 at n = 9 in 2-D, 6 at n = 209 in 10-D), about 2 MB of Cholesky
-# factors.
-MODEL_CACHE_ENTRIES = 2**18
 
 
 def _phi(z: float) -> float:
@@ -61,8 +56,9 @@ def _phi(z: float) -> float:
 
 def _check_settings(gamma: float, beta_max: float) -> None:
     """ValueError unless gamma lies in [0, 1] and beta_max in (0, 1).
-    SurrogateKernel runs these checks when it is built, and a run config
-    runs them when it is parsed, before the run spends a true evaluation."""
+    SurrogateKernel runs these checks when it is built, fit_surrogate_kernel
+    before its design, and a run config when it is parsed, so a bad setting
+    costs no true evaluation."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if not 0.0 < beta_max < 1.0:
@@ -122,10 +118,10 @@ class SurrogateKernel:
     the served steps (among surrogate_steps) rejected with a bin beta above
     beta_max.
 
-    Local models are cached by support set, least recently used first out,
-    and the cache never changes a result: a hit returns the model a fresh
-    build would return. A build that raises SurrogateError is not cached, so
-    every step that meets it again refines and counts a refine_fallback.
+    Local models come from the store (EvaluationStore.local_model), which
+    caches them by support set; a hit returns the model a fresh build would
+    return. A build that raises SurrogateError is not cached, so every step
+    that meets it again refines and counts a refine_fallback.
     """
 
     def __init__(self, model: PerformanceModel, store: EvaluationStore,
@@ -139,29 +135,11 @@ class SurrogateKernel:
         self.beta_max = beta_max
         self.prop = prop
         self.ledger = ledger
-        self._support_size = local_size(store.dimension)
-        self._models: dict[bytes, LocalGP] = {}
-        self._max_models = max(1,
-                               MODEL_CACHE_ENTRIES // self._support_size**2)
         self.refine_random = 0
         self.refine_beta = 0
         self.refine_fallback = 0
         self.surrogate_steps = 0
         self.screened = 0
-
-    def _local_model(self, x: np.ndarray) -> tuple[LocalGP, np.ndarray]:
-        """The local model at x and the kernel distances from x to its
-        support, building the model only when its support set is not
-        cached. SurrogateError when the store is empty or the build fails."""
-        idx, dist = self.store.nearest(x, self._support_size)
-        key = idx.tobytes()
-        gp = self._models.pop(key, None)
-        if gp is None:
-            gp = build_local_surrogate(self.store, idx)
-            if len(self._models) >= self._max_models:
-                del self._models[next(iter(self._models))]
-        self._models[key] = gp
-        return gp, dist
 
     def step(self, rng: np.random.Generator, state: ChainState,
              log_theta: list[float]) -> tuple[ChainState, StepRecord]:
@@ -177,7 +155,7 @@ class SurrogateKernel:
             self.refine_random += 1
         else:
             try:
-                gp, dist = self._local_model(x_new)
+                gp, dist = self.store.local_model(x_new)
                 mu, var = gp.posterior(x_new, dist)
             except SurrogateError:
                 self.refine_fallback += 1
@@ -239,8 +217,12 @@ def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,
     the RNG stream [seed, 1] as one block, calibrate the lengthscales on
     them, and return the kernel over a fresh store of them in that metric.
     The design's true evaluations are charged to ledger, which the kernel
-    then keeps. The kernel exponent p is checked before any evaluation."""
+    then keeps. The exponent p, gamma, beta_max and initial_design >= 2 are
+    checked before any evaluation."""
     _check_exponent(p)
+    _check_settings(gamma, beta_max)
+    if initial_design < 2:
+        raise ValueError("need at least two points to calibrate lengthscales")
     rng = np.random.default_rng([seed, 1])
     X = sample_prior(model, rng, initial_design)
     y = evaluate(model, X, ledger)

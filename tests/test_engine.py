@@ -376,20 +376,22 @@ class TestRunPlainMc:
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 4)
         ledger = EvalLedger()
-        res = run_plain_mc(model, binning, 2000, seed=5, ledger=ledger)
+        hist = run_plain_mc(model, binning, 2000, seed=5, ledger=ledger)
         assert ledger.true_evals == 2000
-        np.testing.assert_allclose(
-            res.pdf, res.histogram.counts / (2000 * binning.delta), rtol=1e-14)
-        assert res.in_range_fraction == res.histogram.in_range / 2000
+        assert hist.total == 2000
+        assert hist.in_range + hist.overflow_low + hist.overflow_high == 2000
+        # under the flat table the density is the in-range count density
+        p = combined_probability([WeightTable.flat(4)], [hist])
+        np.testing.assert_allclose(p, hist.counts / hist.in_range, rtol=1e-14)
 
     def test_matches_normal_mass(self):
         from scipy.stats import norm
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 2)
-        res = run_plain_mc(model, binning, 200_000, seed=8,
-                           ledger=EvalLedger())
+        hist = run_plain_mc(model, binning, 200_000, seed=8,
+                            ledger=EvalLedger())
         want = (norm.cdf(1.0) - norm.cdf(0.0))
-        got = res.pdf[1] * binning.delta
+        got = hist.counts[1] / hist.total
         assert got == pytest.approx(want, rel=0.02)
 
     def test_draws_in_chunks(self):
@@ -419,7 +421,6 @@ class TestRunPlainMc:
         # the first coordinates
         xs = base.prior_sampler(np.random.default_rng([3, 0]), n)
         whole = tally(binning, xs[:, 0])
-        np.testing.assert_array_equal(res.histogram.counts, whole.counts)
-        assert ((res.histogram.total, res.histogram.overflow_low,
-                 res.histogram.overflow_high)
+        np.testing.assert_array_equal(res.counts, whole.counts)
+        assert ((res.total, res.overflow_low, res.overflow_high)
                 == (whole.total, whole.overflow_low, whole.overflow_high))

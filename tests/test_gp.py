@@ -5,10 +5,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import gpmmc.gp
-from gpmmc import (Binning, EvalLedger, EvaluationStore, LocalGP, Proposal,
-                   SurrogateError, SurrogateKernel, build_local_surrogate,
-                   calibrate_lengthscales, fit_quadratic_mean, gaussian_model,
-                   local_size)
+from gpmmc import (EvaluationStore, LocalGP, SurrogateError,
+                   build_local_surrogate, calibrate_lengthscales,
+                   fit_quadratic_mean, local_size)
 from gpmmc.gp import (STORE_CAPACITY, QuadraticMean, _check_kernel,
                       _chol_with_jitter, _corr_matrix)
 
@@ -570,11 +569,7 @@ class TestPosterior:
         store = unit_store(1)
         for v in np.linspace(-5.0, 5.0, 30):
             store.insert(np.array([v]), v * v)
-        model = gaussian_model("square", lambda X: X[:, 0] ** 2,
-                               np.zeros(1), np.ones(1))
-        kernel = SurrogateKernel(model, store, Binning(0.0, 25.0, 5), 0.0,
-                                 0.05, Proposal(1.0), EvalLedger())
-        _, dist = kernel._local_model(np.array([0.1]))
+        _, dist = store.local_model(np.array([0.1]))
         assert dist.size == local_size(1) == 3
         # support is the nearest three grid points to 0.1
         want = sorted((np.linspace(-5.0, 5.0, 30) - 0.1) ** 2)[:3]

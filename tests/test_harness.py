@@ -13,8 +13,17 @@ from gpmmc import (ConfigError, compare_pdfs, estimate_moments, evaluate,
                    run_experiment)
 from gpmmc.cli import main as cli_main
 
-PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs")
-                 .glob("*.cfg"))
+ROOT = Path(__file__).resolve().parent.parent
+# the shipped configs and the benchmark's workloads, read as files only
+PRESETS = (sorted((ROOT / "configs").glob("*.cfg"))
+           + sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")))
+
+
+def _preset_id(path: Path) -> str:
+    """A shipped config by its name, a workload by its path in the repo (two
+    of them share a name with a shipped config)."""
+    return (path.name if path.parent.name == "configs"
+            else path.relative_to(ROOT).as_posix())
 
 
 def _write_cfg(path, text):
@@ -169,11 +178,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="expected key = value"):
             parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC + "oops\n"))
 
-    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("preset", PRESETS, ids=_preset_id)
     def test_shipped_preset_parses(self, preset):
         assert parse_config(preset).method in ("mc", "mmc", "gpmmc")
 
-    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("preset", PRESETS, ids=_preset_id)
     def test_shipped_preset_runs(self, preset, tmp_path):
         # a full preset run takes minutes to an hour: cut the effort and the
         # Poisson grid, keep the model, method, binning, proposal and
@@ -307,6 +316,16 @@ class TestRunExperimentMc:
         data = read_histogram_csv(tmp_path / "out" / "histogram.csv")
         assert data["counts"][-1].sum() == summary["true_evals"] * \
             summary["in_range_fraction"]
+
+    def test_file_density_is_the_run_density(self, tmp_path):
+        """The summary moments are those of the density histogram.csv holds,
+        as gpmmc moments and gpmmc compare read it, bit for bit."""
+        text = GOOD_MMC.replace("method = mmc", "method = mc")
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
+        summary = run_experiment(cfg, tmp_path / "out")
+        data = read_histogram_csv(tmp_path / "out" / "histogram.csv")
+        assert estimate_moments(data["final_pdf"], data["binning"]) == \
+            summary["moments"]
 
     def test_auto_range_runs_pilot(self, tmp_path):
         text = GOOD_MMC.replace("method = mmc", "method = mc")

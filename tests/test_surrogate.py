@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import gpmmc.gp
 import gpmmc.surrogate
 from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
                    ExactKernel, MmcConfig, Proposal, SurrogateError,
                    SurrogateKernel, fit_surrogate_kernel,
-                   gaussian_model, log_bias_density, log_prior_density,
-                   metropolis_accept, misassignment_probability, run_mmc,
-                   sample_prior)
+                   gaussian_model, local_size, log_bias_density,
+                   log_prior_density, metropolis_accept,
+                   misassignment_probability, run_mmc, sample_prior)
 from gpmmc.benchmarks import min_distance_model
 
 
@@ -120,18 +121,18 @@ def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
                            Proposal(scale), EvalLedger())
 
 
-def _support(kernel, x):
-    """The support rows of the 1-D kernel's local model at x, in store
+def _support(store, x):
+    """The support rows of the 1-D store's local model at x, in store
     order, as the points' coordinates."""
-    idx, _ = kernel.store.nearest(np.array([x]), kernel._support_size)
-    return kernel.store.points[idx, 0]
+    idx, _ = store.nearest(np.array([x]), local_size(store.dimension))
+    return store.points[idx, 0]
 
 
 def _record_builds(monkeypatch):
-    """Route the kernel's local-model builds through a recorder; returns
+    """Route the stores' local-model builds through a recorder; returns
     the list it appends (support key, build succeeded) to, one per build."""
     calls = []
-    build = gpmmc.surrogate.build_local_surrogate
+    build = gpmmc.gp.build_local_surrogate
 
     def recorded(store, idx):
         try:
@@ -142,7 +143,7 @@ def _record_builds(monkeypatch):
         calls.append((idx.tobytes(), True))
         return gp
 
-    monkeypatch.setattr(gpmmc.surrogate, "build_local_surrogate", recorded)
+    monkeypatch.setattr(gpmmc.gp, "build_local_surrogate", recorded)
     return calls
 
 
@@ -302,7 +303,7 @@ class TestSurrogateKernel:
         failed = [key for key, ok in builds if not ok]
         assert kernel.refine_fallback == len(failed)
         assert len(set(failed)) < len(failed)
-        assert not set(failed) & kernel._models.keys()
+        assert not set(failed) & kernel.store._models.keys()
 
 
 class _ScriptedRng:
@@ -355,7 +356,8 @@ class TestDecisionAwareRefinement:
         model = gaussian_model("identity", identity, np.zeros(1), np.ones(1))
         kernel = _make_kernel(model, RULE_BINS, _unit_store(), gamma=0.0,
                               beta_max=beta_max)
-        kernel._local_model = lambda x: (_Prediction(mu, sigma**2), None)
+        kernel.store.local_model = lambda x: (_Prediction(mu, sigma**2),
+                                              None)
         _, state = _flat_start(model, RULE_BINS, np.array([0.5]), 0.5)
         new, rec = kernel.step(rng, state, RULE_LOG_THETA)
         assert rng.drawn == 2 and not rng.uniforms
@@ -508,7 +510,7 @@ class TestDecisionAwareRefinement:
             state = ChainState(x0, y0, log_bias_density(log_theta, binning,
                                                         model, x0, y0))
             z = rng.normal(size=2)
-            gp, dist = kernel._local_model(x0 + z)
+            gp, dist = kernel.store.local_model(x0 + z)
             mu, var = gp.posterior(x0 + z, dist)
             old = misassignment_probability(mu, math.sqrt(var),
                                             binning) > kernel.beta_max
@@ -524,7 +526,7 @@ class TestModelCache:
     @pytest.mark.parametrize("p", [1, 2])
     def test_cache_is_invisible(self, p, monkeypatch):
         """A 2-D two-center chain takes the same steps, pays the same true
-        evaluations and grows the same store whether the kernel reuses its
+        evaluations and grows the same store whether the store reuses its
         local models or rebuilds one at every step."""
         builds = _record_builds(monkeypatch)
 
@@ -544,7 +546,7 @@ class TestModelCache:
             builds.clear()
             for _ in range(400):
                 if clear:
-                    kernel._models.clear()
+                    kernel.store._models.clear()
                 state, rec = kernel.step(rng, state, log_theta)
                 trace.append((tuple(state.x), state.y, state.log_q, rec))
             return (kernel, ledger, trace, len(builds))
@@ -566,45 +568,39 @@ class TestModelCache:
         store = _unit_store()
         for v in (0.0, 1.0, 2.0, 3.0, 4.0):
             store.insert(np.array([v]), v * v)
-        kernel = _make_kernel(_identity_model(), Binning(-4.0, 4.0, 8),
-                              store, gamma=0.0)
         # both supports are the points 0, 1 and 2: nearest first, 1, 0, 2
         # from 0.9 and 1, 2, 0 from 1.1
-        gp, dist = kernel._local_model(np.array([0.9]))
-        again, dist_again = kernel._local_model(np.array([1.1]))
+        gp, dist = store.local_model(np.array([0.9]))
+        again, dist_again = store.local_model(np.array([1.1]))
         assert again is gp
-        np.testing.assert_array_equal(_support(kernel, 0.9), [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(_support(store, 0.9), [0.0, 1.0, 2.0])
         assert dist[0] < dist[2] and dist_again[2] < dist_again[0]
         # a new point that enters the support makes a new model
         assert store.insert(np.array([1.05]), 1.05**2)
-        moved, _ = kernel._local_model(np.array([0.9]))
+        moved, _ = store.local_model(np.array([0.9]))
         assert moved is not gp
-        np.testing.assert_array_equal(_support(kernel, 0.9), [0.0, 1.0, 1.05])
+        np.testing.assert_array_equal(_support(store, 0.9), [0.0, 1.0, 1.05])
 
     def test_memory_bound_at_209_point_supports(self):
         d = 10
-        model = gaussian_model("sines", lambda X: np.sin(X).sum(axis=1),
-                               np.zeros(d), np.ones(d))
         rng = np.random.default_rng(8)
         store = EvaluationStore(d, np.full(d, 4.0), 2)
         for x in rng.normal(size=(260, d)):
             store.insert(x, float(np.sin(x).sum()))
-        kernel = SurrogateKernel(model, store, Binning(-10.0, 10.0, 20), 0.0,
-                                 0.05, Proposal(0.5), EvalLedger())
         bound = 2**18 // 209**2
         queries = rng.normal(size=(12, d))
         models = []
         for q in queries:
-            models.append(kernel._local_model(q)[0])
-            assert len(kernel._models) <= bound
+            models.append(store.local_model(q)[0])
+            assert len(store._models) <= bound
         assert len({id(gp) for gp in models}) == 12
-        assert len(kernel._models) == bound == 6
+        assert len(store._models) == bound == 6
         # least recently used goes first: after a hit on the oldest model
         # held, the next miss evicts the one after it
-        assert kernel._local_model(queries[6])[0] is models[6]
-        kernel._local_model(rng.normal(size=d))
-        assert kernel._local_model(queries[6])[0] is models[6]
-        assert kernel._local_model(queries[7])[0] is not models[7]
+        assert store.local_model(queries[6])[0] is models[6]
+        store.local_model(rng.normal(size=d))
+        assert store.local_model(queries[6])[0] is models[6]
+        assert store.local_model(queries[7])[0] is not models[7]
 
 
 class TestFitSurrogateKernel:
@@ -654,4 +650,18 @@ class TestFitSurrogateKernel:
                                  initial_design=20, gamma=0.01,
                                  beta_max=0.05, p=3,
                                  prop=Proposal(0.5), ledger=ledger)
+        assert ledger.true_evals == 0
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(gamma=2.0), "gamma"),
+        (dict(beta_max=1.0), "beta_max"),
+        (dict(initial_design=1), "two points"),
+    ], ids=["gamma", "beta_max", "initial_design"])
+    def test_settings_checked_before_any_evaluation(self, bad, match):
+        ledger = EvalLedger()
+        settings = dict(initial_design=20, gamma=0.01, beta_max=0.05) | bad
+        with pytest.raises(ValueError, match=match):
+            fit_surrogate_kernel(_identity_model(2), Binning(-3.0, 3.0, 6), 3,
+                                 p=2, prop=Proposal(0.5), ledger=ledger,
+                                 **settings)
         assert ledger.true_evals == 0
