@@ -63,7 +63,7 @@ class MmcConfig:
 
     burn_in steps are discarded at the start of every iteration; None
     becomes a tenth of the per-iteration sample count when the config is
-    made. The proposal belongs to the step kernel.
+    made; seed must be nonnegative. The proposal belongs to the step kernel.
     """
 
     iterations: int
@@ -81,6 +81,8 @@ class MmcConfig:
                                self.samples_per_iteration // 10)
         if self.burn_in < 0 or self.burn_in >= self.samples_per_iteration:
             raise ValueError("burn_in must lie in [0, samples_per_iteration)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -90,7 +92,8 @@ class MmcResult:
     weights[k] is the table in force while iteration k sampled, the flat
     table for k = 0 and the update from iterations 0..k-1 after that. pdf is
     combined_probability over the bin width (pdf * delta gives the bin
-    probabilities) and moments are its moments. The run's true-evaluation
+    probabilities) and moments are its moments. causes counts every step,
+    burn-in included, by its StepRecord.cause. The run's true-evaluation
     count stays on the kernel's ledger.
     """
 
@@ -101,6 +104,7 @@ class MmcResult:
     pdf: np.ndarray
     moments: dict
     start_draws: int
+    causes: dict
 
 
 def combined_probability(tables: Sequence[WeightTable],
@@ -227,8 +231,8 @@ def run_mmc(kernel, config: MmcConfig,
     iteration. The chain starts from an in-range prior draw, keeps its state
     across iterations, and discards config.burn_in steps at the start of
     each one. Samples are tallied from the y values the kernel reports, so
-    nothing is ever re-evaluated. A fixed seed makes the result
-    bit-identical across runs.
+    nothing is ever re-evaluated, and every step's record is counted by its
+    cause. A fixed seed makes the result bit-identical across runs.
     """
     model, binning = kernel.model, kernel.binning
     if binning.m > config.samples_per_iteration:
@@ -246,6 +250,7 @@ def run_mmc(kernel, config: MmcConfig,
     burn = config.burn_in
     n = config.samples_per_iteration
     step_index = 0
+    causes: dict[str, int] = {}
     state: ChainState | None = None
 
     for k in range(config.iterations):
@@ -261,6 +266,7 @@ def run_mmc(kernel, config: MmcConfig,
         ys = np.empty(n)
         for t in range(-burn, n):  # t < 0: burn-in, discarded
             state, rec = kernel.step(rng, state, log_theta)
+            causes[rec.cause] = causes.get(rec.cause, 0) + 1
             if on_step is not None:
                 on_step(step_index, rec)
             step_index += 1
@@ -283,6 +289,7 @@ def run_mmc(kernel, config: MmcConfig,
         pdf=pdf,
         moments=estimate_moments(pdf, binning),
         start_draws=start_draws,
+        causes=causes,
     )
 
 

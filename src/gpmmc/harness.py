@@ -16,10 +16,11 @@ Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
 maps each run key to its parser; each model's own keys come from its entry in
 benchmarks.MODELS, and a key the config leaves out takes the default of the
 model's factory. Run keys are checked at parse time by the objects they become
-(Binning, MmcConfig, Proposal), so a bad value is a ConfigError before any
-true evaluation; a model key value its factory rejects is a ConfigError
-naming the model, before the output directory is made. Identical config and seed reproduce
-identical output files byte for byte, runtime_seconds aside.
+(Binning, MmcConfig, Proposal, the surrogate settings), whatever the method,
+so a bad value is a ConfigError before any true evaluation; a model key value
+its factory rejects is a ConfigError naming the model, before the output
+directory is made. Identical config and seed reproduce identical output files
+byte for byte, runtime_seconds aside.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class RunConfig:
                                   "range = auto, not both")
         elif self.range_lo is None or self.range_hi is None:
             raise ConfigError("give range_lo and range_hi, or range = auto")
-        if self.method == "gpmmc" and self.initial_design < 2:
-            raise ConfigError("gpmmc needs initial_design >= 2")
+        if self.initial_design < 2:
+            raise ConfigError("initial_design must be at least 2")
         # fail here, not after the pilot and the design's true evaluations;
         # an auto range is not known yet, so only its bin count is checked
         try:
@@ -115,9 +116,8 @@ class RunConfig:
                       else (self.range_lo, self.range_hi)), self.bins)
             self._mmc_config()
             Proposal(self.proposal_scale)
-            if self.method == "gpmmc":
-                _check_settings(self.gamma, self.beta_max)
-                _check_exponent(self.kernel_p)
+            _check_settings(self.gamma, self.beta_max)
+            _check_exponent(self.kernel_p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -358,17 +358,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
 
         tables, hists = result.weights, result.histograms
         breakdown["start_draws"] = result.start_draws
-        if cfg.method == "mmc":
-            breakdown["chain"] = cfg.iterations * (cfg.samples_per_iteration
-                                                   + burn_in)
-        else:
-            counters = kernel.counters()
-            breakdown.update({k: counters[k] for k in
-                              ("refine_random", "refine_beta",
-                               "refine_fallback")})
-            screened = counters["screened"]
-            surrogate_evals = (counters["surrogate_steps"]
-                               + counters["refine_beta"])
+        # the chain's true evaluations by cause, zero counts included
+        causes = result.causes
+        breakdown.update((k, causes.get(k, 0)) for k in (
+            ("chain",) if cfg.method == "mmc"
+            else ("refine_random", "refine_beta", "refine_fallback")))
+        screened = causes.get("screened", 0)
+        surrogate_evals = (causes.get("served", 0) + screened
+                           + causes.get("refine_beta", 0))
         results = {"acceptance": result.acceptance,
                    "flatness": result.flatness, "moments": result.moments}
         if cfg.method == "gpmmc":

@@ -6,7 +6,8 @@ Both step kernels in this package, ExactKernel below and SurrogateKernel in
 iteration's log weights log_theta at every step. They build the candidate
 with ``propose``, score it with ``log_bias_density`` (the one definition of
 log q) and decide with ``metropolis_accept``; they differ only in where the
-candidate's output comes from. Both consume the identical per-step RNG layout:
+candidate's output comes from, which each step's StepRecord names as its
+cause. Both consume the identical per-step RNG layout:
 
     1. one standard-normal vector for the proposal,
     2. one uniform for the refinement gate,
@@ -65,12 +66,21 @@ class Proposal:
 
 @dataclass(slots=True)
 class StepRecord:
-    """What one kernel step did, for diagnostics and run logs."""
+    """What one kernel step did. cause names where the candidate's output
+    came from: "chain" (ExactKernel) or one of SurrogateKernel's causes;
+    run_mmc counts them into MmcResult.causes."""
 
-    used_surrogate: bool
+    cause: str
     beta: float | None
-    refined: bool
     accepted: bool
+
+    @property
+    def used_surrogate(self) -> bool:
+        return self.cause == "served" or self.cause == "screened"
+
+    @property
+    def refined(self) -> bool:
+        return self.cause.startswith("refine")
 
 
 def propose(rng: np.random.Generator, x: np.ndarray, prop: Proposal) -> np.ndarray:
@@ -126,6 +136,5 @@ class ExactKernel:
         new = metropolis_accept(rng.random(), state, x_new, y_new,
                                 log_bias_density(log_theta, self.binning,
                                                  self.model, x_new, y_new))
-        rec = StepRecord(used_surrogate=False, beta=None, refined=False,
-                         accepted=new is not state)
-        return new, rec
+        return new, StepRecord(cause="chain", beta=None,
+                               accepted=new is not state)

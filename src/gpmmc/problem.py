@@ -34,8 +34,9 @@ __all__ = [
 
 @dataclass
 class EvalLedger:
-    """Count of true-model evaluations. Monotone. A surrogate kernel counts
-    its local-model predictions itself (SurrogateKernel.counters)."""
+    """Count of true-model evaluations, taken inside evaluate. Monotone.
+    Kept apart from the causes run_mmc counts from the step records
+    (MmcResult.causes), so a run's accounting compares two sources."""
 
     true_evals: int = 0
 

@@ -19,7 +19,8 @@ independent gate evaluates the true model with small probability gamma
 regardless of beta, so the store keeps growing even where the surrogate is
 confident; gamma = 1 degenerates to the exact kernel and replays its
 trajectory from the same seed, which is what the fixed per-step RNG layout
-in mcmc.py exists for.
+in mcmc.py exists for. The kernel counts nothing; each step's record names
+its cause.
 
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). The kernel
@@ -111,17 +112,18 @@ class SurrogateKernel:
     A StepRecord's beta is what the rule compared with beta_max: the bin
     beta, or on a screened rejection the mass in the accepting bins.
 
-    Each step is served (surrogate_steps) or refined by the random gate, by
-    beta above threshold, or by a surrogate build failure; the refine counts
-    reconcile a run's true evaluations exactly, and the four sum to steps.
-    Each local posterior made is served or refined by beta. screened counts
-    the served steps (among surrogate_steps) rejected with a bin beta above
-    beta_max.
+    Each step's StepRecord.cause says what it did: "served" its prediction,
+    "screened" (served a prediction as a rejection although its bin beta
+    exceeds beta_max), or refined by the random gate ("refine_random"), by
+    beta above threshold ("refine_beta") or after a surrogate build failure
+    ("refine_fallback"). Only the three refine causes evaluate the true
+    model, and each local posterior made ends served, screened or
+    refine_beta. The kernel itself keeps only the policy and its store.
 
     Local models come from the store (EvaluationStore.local_model), which
     caches them by support set; a hit returns the model a fresh build would
     return. A build that raises SurrogateError is not cached, so every step
-    that meets it again refines and counts a refine_fallback.
+    that meets it again refines with cause refine_fallback.
     """
 
     def __init__(self, model: PerformanceModel, store: EvaluationStore,
@@ -135,43 +137,34 @@ class SurrogateKernel:
         self.beta_max = beta_max
         self.prop = prop
         self.ledger = ledger
-        self.refine_random = 0
-        self.refine_beta = 0
-        self.refine_fallback = 0
-        self.surrogate_steps = 0
-        self.screened = 0
 
     def step(self, rng: np.random.Generator, state: ChainState,
              log_theta: list[float]) -> tuple[ChainState, StepRecord]:
         x_new = propose(rng, state.x, self.prop)
         beta = None
-        used_surrogate = False
         # both uniforms come first: building the local model draws no random
         # numbers, so a step the gate refines needs no model at all, and the
         # refinement decision can see the accept uniform
         gate = rng.random()
         u = rng.random()
         if gate < self.gamma:
-            self.refine_random += 1
+            cause = "refine_random"
         else:
             try:
                 gp, dist = self.store.local_model(x_new)
                 mu, var = gp.posterior(x_new, dist)
             except SurrogateError:
-                self.refine_fallback += 1
+                cause = "refine_fallback"
             else:
                 sigma = math.sqrt(var)
                 beta = misassignment_probability(mu, sigma, self.binning)
+                cause = "served"
                 if beta > self.beta_max:
                     beta = self._flip_probability(u, state, x_new, log_theta,
                                                   mu, sigma, beta)
-                    self.screened += beta <= self.beta_max
-                used_surrogate = beta <= self.beta_max
-                if used_surrogate:
-                    self.surrogate_steps += 1
-                else:
-                    self.refine_beta += 1
-        if used_surrogate:
+                    cause = ("screened" if beta <= self.beta_max
+                             else "refine_beta")
+        if cause == "served" or cause == "screened":
             y_new = mu
         else:
             y_new = evaluate(self.model, x_new, self.ledger)
@@ -179,8 +172,7 @@ class SurrogateKernel:
 
         new = metropolis_accept(u, state, x_new, y_new, log_bias_density(
             log_theta, self.binning, self.model, x_new, y_new))
-        return new, StepRecord(used_surrogate=used_surrogate, beta=beta,
-                               refined=not used_surrogate,
+        return new, StepRecord(cause=cause, beta=beta,
                                accepted=new is not state)
 
     def _flip_probability(self, u: float, state: ChainState,
@@ -196,17 +188,6 @@ class SurrogateKernel:
             return beta
         cdf = ndtr((self.binning.edges - mu) / sigma)
         return float(np.diff(cdf)[accepting].sum())
-
-    def counters(self) -> dict:
-        return {
-            "steps": (self.surrogate_steps + self.refine_random
-                      + self.refine_beta + self.refine_fallback),
-            "surrogate_steps": self.surrogate_steps,
-            "screened": self.screened,
-            "refine_random": self.refine_random,
-            "refine_beta": self.refine_beta,
-            "refine_fallback": self.refine_fallback,
-        }
 
 
 def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,

@@ -178,7 +178,6 @@ def reduced_two_center_run():
                     burn_in=1_000, seed=REDUCED_SEED)
     res = run_mmc(kernel, cfg, on_step=on_step)
     return {"result": res, "betas": betas, "accepted_betas": accepted_betas,
-            "counters": kernel.counters(),
             "true_evals": ledger.true_evals, "binning": binning,
             "model": model}
 
@@ -191,19 +190,20 @@ def test_surrogate_quality_audit(reduced_two_center_run):
     run = reduced_two_center_run
     betas = np.array(run["betas"])
     accepted_betas = np.array(run["accepted_betas"])
-    counters = run["counters"]
-    T = counters["steps"]
+    causes = run["result"].causes
+    T = sum(causes.values())
+    gate = causes.get("refine_random", 0)
     expect = T * REDUCED_GAMMA
     slack = 4.0 * math.sqrt(T * REDUCED_GAMMA * (1.0 - REDUCED_GAMMA))
     all_within = bool((betas <= REDUCED_BETA_MAX).all()
                       and (accepted_betas <= REDUCED_BETA_MAX).all())
-    gate_ok = abs(counters["refine_random"] - expect) <= slack
+    gate_ok = abs(gate - expect) <= slack
     ok = all_within and gate_ok
     _check(5, ok, f"{betas.size} surrogate steps, max beta "
                   f"{betas.max():.4f} <= {REDUCED_BETA_MAX}; "
                   f"{accepted_betas.size} accepted, max beta "
                   f"{accepted_betas.max():.4f}; open-gate "
-                  f"refinements {counters['refine_random']} within "
+                  f"refinements {gate} within "
                   f"{expect:.1f} +- {slack:.1f}")
 
 
@@ -219,7 +219,7 @@ def test_reduced_run_matches_mc_baseline(reduced_two_center_run):
     mask = base > 0
     rel = np.abs(run["result"].pdf[mask] - base[mask]) / base[mask]
     evals = run["true_evals"]
-    refine_beta = run["counters"]["refine_beta"]
+    refine_beta = run["result"].causes.get("refine_beta", 0)
     ok = (rel.mean() <= 0.15 and rel.max() <= 0.45
           and evals <= 3000 and refine_beta > 0)
     _check(6, ok, f"avg rel err {rel.mean():.4f} <= 0.15, max "

@@ -77,11 +77,14 @@ class TestLogBiasDensity:
                                           ledger=EvalLedger())
         else:
             kernel = ExactKernel(model, binning, prop, EvalLedger())
-        run_mmc(kernel, MmcConfig(iterations=3, samples_per_iteration=200,
-                                  burn_in=20, seed=4))
+        res = run_mmc(kernel, MmcConfig(iterations=3,
+                                        samples_per_iteration=200,
+                                        burn_in=20, seed=4))
         assert len(calls) == 3 * (1 + 200 + 20)
         if surrogate:
-            assert 0 < kernel.surrogate_steps < kernel.counters()["steps"]
+            causes = res.causes
+            served = causes.get("served", 0) + causes.get("screened", 0)
+            assert 0 < served < sum(causes.values())
 
 
 class TestUpdateWeights:
@@ -342,6 +345,42 @@ class TestRunMmc:
         kernel = ExactKernel(model, binning, Proposal(1.0), ledger)
         res = run_mmc(kernel, cfg)
         assert ledger.true_evals == 4 * (250 + 50) + res.start_draws
+
+    @pytest.mark.parametrize("surrogate", [False, True],
+                             ids=["exact", "surrogate"])
+    def test_causes_tally_every_step(self, surrogate):
+        """result.causes counts the cause of every step record on_step sees,
+        burn-in included, and its true-evaluation causes with the design and
+        the start draws account for the whole ledger."""
+        model = _identity_model()
+        binning = Binning(-3.0, 3.0, 6)
+        ledger = EvalLedger()
+        if surrogate:
+            kernel = fit_surrogate_kernel(model, binning, 5,
+                                          initial_design=10, gamma=0.1,
+                                          beta_max=0.05, p=2,
+                                          prop=Proposal(1.0), ledger=ledger)
+            design = 10
+        else:
+            kernel = ExactKernel(model, binning, Proposal(1.0), ledger)
+            design = 0
+        seen: dict = {}
+
+        def on_step(index, rec):
+            seen[rec.cause] = seen.get(rec.cause, 0) + 1
+
+        res = run_mmc(kernel, MmcConfig(iterations=3,
+                                        samples_per_iteration=200,
+                                        burn_in=20, seed=5), on_step=on_step)
+        assert res.causes == seen
+        assert sum(res.causes.values()) == 3 * (200 + 20)
+        true_causes = ({"refine_random", "refine_beta", "refine_fallback"}
+                       if surrogate else {"chain"})
+        assert set(res.causes) <= true_causes | {"served", "screened"}
+        assert ledger.true_evals == (design + res.start_draws + sum(
+            res.causes.get(k, 0) for k in true_causes))
+        if surrogate:
+            assert res.causes["served"] and res.causes["refine_random"]
 
     def test_mass_conservation_and_probabilities(self):
         model = _identity_model()

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
+import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,19 @@ def _preset_id(path: Path) -> str:
     of them share a name with a shipped config)."""
     return (path.name if path.parent.name == "configs"
             else path.relative_to(ROOT).as_posix())
+
+
+@functools.cache
+def _bench_checks():
+    """check_outputs and comparable_files of the benchmark's runner, which
+    puts its own directory on sys.path when imported; restored after."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        run = importlib.import_module("run")
+    finally:
+        sys.path[:] = saved
+    return run.check_outputs, run.comparable_files
 
 
 def _write_cfg(path, text):
@@ -196,6 +212,15 @@ class TestParseConfig:
         assert summary["method"] == cfg.method
         data = read_histogram_csv(tmp_path / "histogram.csv")
         assert data["binning"].m == cfg.bins
+        if preset.parent.name == "workloads":
+            # the benchmark's own output checks, on the files it reads
+            check_outputs, comparable_files = _bench_checks()
+            written = json.loads((tmp_path / "summary.json").read_text())
+            assert check_outputs(tmp_path, written) == []
+            expect = {"histogram.csv", "summary.json"}
+            if cfg.method == "gpmmc":
+                expect.add("store.csv")
+            assert set(comparable_files(tmp_path)) == expect
 
 
 class TestRegisteredModel:
@@ -630,6 +655,17 @@ class TestCli:
         assert not (out / "summary.json").exists()
         assert not out.exists()  # rejected before the run began
 
+    @pytest.mark.parametrize("method", ["mc", "mmc", "gpmmc"])
+    def test_negative_seed_option_is_reported_before_the_run(
+            self, tmp_path, capsys, method):
+        text = GOOD_GPMMC.replace("method = gpmmc", f"method = {method}")
+        cfg_path = _write_cfg(tmp_path / "a.cfg", text)
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--seed", "-1",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         cfg_path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC)
         assert cli_main(["run", cfg_path, "--seed", "12",
@@ -641,7 +677,10 @@ class TestCli:
         "bins = 0", "iterations = 0", "samples_per_iteration = 0",
         "burn_in = 300", "range_hi = -1.0", "proposal_scale = 0.5, 0",
         # an auto range would spend 1,000 pilot evaluations first
-        "range = auto\nproposal_scale = -1"])
+        "range = auto\nproposal_scale = -1", "seed = -3",
+        # surrogate keys are checked on runs that do not use them too
+        "gamma = 7", "kernel_p = 9", "initial_design = 0",
+        "method = mc\nbeta_max = 1"])
     def test_bad_run_key_is_reported_before_the_run(self, tmp_path, capsys,
                                                     line):
         # the later line wins, so this replaces the good value; range = auto

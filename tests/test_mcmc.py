@@ -102,6 +102,7 @@ class TestMhStep:
         for _ in range(50):
             new, rec = kernel.step(rng, state, FLAT)
             assert isinstance(rec, StepRecord)
+            assert rec.cause == "chain" and rec.beta is None
             assert rec.used_surrogate is False
             assert rec.refined is False
             assert rec.accepted == (new is not state)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import math
@@ -121,6 +122,16 @@ def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
                            Proposal(scale), EvalLedger())
 
 
+def _walk(kernel, rng, state, log_theta, steps):
+    """steps kernel steps from state: the last state and the count of each
+    StepRecord cause."""
+    causes = collections.Counter()
+    for _ in range(steps):
+        state, rec = kernel.step(rng, state, log_theta)
+        causes[rec.cause] += 1
+    return state, causes
+
+
 def _support(store, x):
     """The support rows of the 1-D store's local model at x, in store
     order, as the points' coordinates."""
@@ -156,7 +167,7 @@ class TestSurrogateKernel:
         rng = np.random.default_rng(0)
         log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         state, rec = kernel.step(rng, state, log_theta)
-        assert kernel.refine_fallback == 1
+        assert rec.cause == "refine_fallback"
         assert store.size == 1
         assert rec.used_surrogate is False
         assert rec.refined is True
@@ -170,14 +181,13 @@ class TestSurrogateKernel:
         kernel = _make_kernel(model, binning, store, gamma=0.2)
         rng = np.random.default_rng(1)
         log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
-        for _ in range(300):
-            state, _ = kernel.step(rng, state, log_theta)
-        c = kernel.counters()
-        assert c["steps"] == 300
-        assert (c["surrogate_steps"] + c["refine_random"] + c["refine_beta"]
-                + c["refine_fallback"]) == 300
+        _, c = _walk(kernel, rng, state, log_theta, 300)
+        assert set(c) <= {"served", "screened", "refine_random",
+                          "refine_beta", "refine_fallback"}
+        assert (c["served"] + c["screened"] + c["refine_random"]
+                + c["refine_beta"] + c["refine_fallback"]) == 300
         assert c["refine_random"] > 0
-        assert c["surrogate_steps"] > 0
+        assert c["served"] + c["screened"] > 0
 
     def test_surrogate_steps_respect_beta_threshold(self):
         model = _identity_model()
@@ -189,14 +199,17 @@ class TestSurrogateKernel:
                               beta_max=0.05)
         rng = np.random.default_rng(2)
         log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
+        causes = collections.Counter()
         for _ in range(400):
             state, rec = kernel.step(rng, state, log_theta)
+            causes[rec.cause] += 1
             if rec.used_surrogate:
                 assert rec.beta is not None and rec.beta <= 0.05
             elif rec.beta is not None:
                 assert rec.beta > 0.05
-        assert kernel.surrogate_steps > 200  # dense design: mostly surrogate
-        assert kernel.refine_random == 0
+        # dense design: mostly surrogate
+        assert causes["served"] + causes["screened"] > 200
+        assert causes["refine_random"] == 0
 
     def test_every_refinement_grows_the_store(self):
         model = _identity_model()
@@ -207,10 +220,8 @@ class TestSurrogateKernel:
         rng = np.random.default_rng(3)
         log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         before = store.size
-        for _ in range(200):
-            state, _ = kernel.step(rng, state, log_theta)
-        refined = (kernel.refine_random + kernel.refine_beta
-                   + kernel.refine_fallback)
+        _, c = _walk(kernel, rng, state, log_theta, 200)
+        refined = c["refine_random"] + c["refine_beta"] + c["refine_fallback"]
         assert store.size == before + refined
         assert kernel.ledger.true_evals == refined
 
@@ -231,14 +242,16 @@ class TestSurrogateKernel:
         rng_s = np.random.default_rng([99, 0])
         rng_e = np.random.default_rng([99, 0])
         xs = xe = start
+        causes = collections.Counter()
         for _ in range(500):
             xs, rs = sk.step(rng_s, xs, log_theta)
             xe, re = ek.step(rng_e, xe, log_theta)
+            causes[rs.cause] += 1
             assert xs.x[0] == xe.x[0]
             assert xs.y == xe.y
             assert rs.accepted == re.accepted
-        assert sk.surrogate_steps == 0
-        assert sk.refine_random + sk.refine_fallback == 500
+        assert causes["served"] + causes["screened"] == 0
+        assert causes["refine_random"] + causes["refine_fallback"] == 500
         assert sk.ledger.true_evals == ek.ledger.true_evals
         # the gate refines before any local model is built
         assert builds == []
@@ -291,17 +304,18 @@ class TestSurrogateKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             res = run_mmc(kernel, MmcConfig(
                 iterations=2, samples_per_iteration=300, seed=1))
-        assert kernel.counters()["steps"] == 2 * (300 + 30)
-        assert kernel.refine_fallback > 0
+        causes = collections.Counter(res.causes)
+        assert sum(causes.values()) == 2 * (300 + 30)
+        assert causes["refine_fallback"] > 0
         assert ledger.true_evals == (20 + res.start_draws
-                                     + kernel.refine_random
-                                     + kernel.refine_beta
-                                     + kernel.refine_fallback)
+                                     + causes["refine_random"]
+                                     + causes["refine_beta"]
+                                     + causes["refine_fallback"])
         assert np.all(np.isfinite(res.pdf))
         # a failed build is never cached: each fallback is a build that
         # raised, also for a support that failed before
         failed = [key for key, ok in builds if not ok]
-        assert kernel.refine_fallback == len(failed)
+        assert causes["refine_fallback"] == len(failed)
         assert len(set(failed)) < len(failed)
         assert not set(failed) & kernel.store._models.keys()
 
@@ -374,7 +388,7 @@ class TestDecisionAwareRefinement:
         kernel, rec, new, at_eval = self._step(mu, sigma)
         assert rec.refined and not rec.used_surrogate
         assert rec.beta == bin_beta
-        assert kernel.refine_beta == 1 and kernel.ledger.true_evals == 1
+        assert rec.cause == "refine_beta" and kernel.ledger.true_evals == 1
         # the refinement was decided with the accept uniform in hand
         assert at_eval == [2]
 
@@ -390,7 +404,7 @@ class TestDecisionAwareRefinement:
         kernel, rec, new, at_eval = self._step(mu, sigma)
         assert rec.used_surrogate and not rec.refined and not rec.accepted
         assert rec.beta == pytest.approx(mass, rel=1e-9)
-        assert kernel.surrogate_steps == 1 and kernel.refine_beta == 0
+        assert rec.cause == "screened"
         assert kernel.ledger.true_evals == 0 and at_eval == []
         assert kernel.store.size == 0
 
@@ -401,7 +415,7 @@ class TestDecisionAwareRefinement:
         kernel, rec, new, at_eval = self._step(mu, sigma)
         assert rec.refined and not rec.used_surrogate
         assert rec.beta == pytest.approx(mass, rel=1e-9)
-        assert kernel.refine_beta == 1 and at_eval == [2]
+        assert rec.cause == "refine_beta" and at_eval == [2]
 
     def test_beta_max_bounds_the_accepting_mass(self):
         mu, sigma = 2.2, 0.3
@@ -483,16 +497,17 @@ class TestDecisionAwareRefinement:
         state = ChainState(x0, y0, log_bias_density(log_theta, binning,
                                                     model, x0, y0))
         rng = np.random.default_rng(6)
-        screened = 0
+        screened = recorded_screened = 0
         for _ in range(2000):
             bin_betas.clear()
             before = state
             state, rec = kernel.step(rng, state, log_theta)
+            recorded_screened += rec.cause == "screened"
             if rec.used_surrogate and bin_betas[0] > kernel.beta_max:
                 screened += 1
                 assert not rec.accepted and state is before
         assert screened > 20
-        assert kernel.counters()["screened"] == screened
+        assert recorded_screened == screened
 
     def test_refines_a_subset_of_the_bin_rule(self):
         """On the same store, state, candidate and u, a step refines only if
@@ -554,15 +569,17 @@ class TestModelCache:
         cached, cached_ledger, cached_trace, cached_builds = run(False)
         fresh, fresh_ledger, fresh_trace, fresh_builds = run(True)
         assert cached_trace == fresh_trace
-        assert cached.counters() == fresh.counters()
+        cached_causes = collections.Counter(t[-1].cause for t in cached_trace)
+        fresh_causes = collections.Counter(t[-1].cause for t in fresh_trace)
+        assert cached_causes == fresh_causes
         assert cached_ledger == fresh_ledger
         np.testing.assert_array_equal(cached.store.points, fresh.store.points)
         np.testing.assert_array_equal(cached.store.values, fresh.store.values)
         # every step past the gate built a model without the cache, and
         # some reused one with it
-        assert fresh_builds == 400 - fresh.refine_random
+        assert fresh_builds == 400 - fresh_causes["refine_random"]
         assert cached_builds < fresh_builds
-        assert cached.surrogate_steps > 200
+        assert cached_causes["served"] + cached_causes["screened"] > 200
 
     def test_same_support_set_shares_one_model(self):
         store = _unit_store()
@@ -619,7 +636,6 @@ class TestFitSurrogateKernel:
                                       design[:, 0] + 2.0 * design[:, 1])
         assert kernel.ledger is ledger
         assert ledger.true_evals == 20
-        assert set(kernel.counters().values()) == {0}
         assert (kernel.gamma, kernel.beta_max, kernel.store.p,
                 kernel.prop) == (0.01, 0.05, 2, prop)
         lengths = kernel.store.lengths
