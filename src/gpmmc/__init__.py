@@ -2,6 +2,16 @@
 Monte Carlo, optionally accelerated with adaptively refined local
 Gaussian-process surrogates."""
 
+import os
+
+# One BLAS thread unless the caller set a count: the local-GP algebra is many
+# small dense solves, which two threads made about 4x slower on the Poisson
+# runs. BLAS reads these when numpy is first imported, so this has no effect
+# if numpy was imported before gpmmc.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .binning import Binning, Histogram, tally
 from .engine import (MmcConfig, MmcResult, WeightTable, combined_probability,
                      estimate_moments, flatness_cv, run_mmc, run_plain_mc,

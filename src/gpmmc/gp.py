@@ -23,22 +23,33 @@ and exponent: it checks them once, when it is built, and keeps each point
 also in scaled coordinates, from which distances and correlations come.
 
 The support size follows a square-root rule between the number of quadratic
-basis terms and the cost of the dense solve:
+basis terms, t(d) = (d + 1)(d + 2)/2, and the cost of the dense solve:
 
-    n(d) = ceil(sqrt(d) * (d + 1) * (d + 2) / 2)
+    n(d) = ceil(sqrt(d) * t(d))
 
 which gives 9 points in 2 dimensions, 47 in 5, and 209 in 10.
 
 A local model depends only on the set of stored evaluations in its support:
 EvaluationStore.nearest reports the support as ascending store indices, and
 build_local_surrogate builds from the rows in that order, never in the
-query's distance order. Two queries with the same support set therefore get
-the same model bit for bit, so EvaluationStore.local_model builds each one
-once and serves it again from a least-recently-used cache keyed by the
-support. A reused model stays exact because the store is append-only (a
-stored row never changes, and a near-duplicate is skipped on insert rather
-than overwriting one) and the lengthscales and exponent are fixed when the
-store is built. The store is the only place a model is cached.
+query's distance order, so two queries with the same support set get the
+same model bit for bit. EvaluationStore.local_model keeps the models it
+built in a least-recently-used cache and serves a query from it in two
+cases. A model whose support is the query's (an exact hit) is the model a
+fresh build would return. Otherwise the most recently used model serves the
+query when its support holds the query's t(d) = (d + 1)(d + 2)/2 nearest
+evaluations (the quadratic trend's term count) and every evaluation of the
+query's support that it lacks was already stored when it was built. Such a
+model differs from a fresh build only in evaluations farther than the
+query's t(d) nearest, and its posterior is still the GP posterior
+conditioned on true evaluations, at the distances from the query to its own
+rows. A point stored after a model was built that enters a query's support
+makes a new model; this is the moving local design of laGP (Gramacy &
+Apley 2015), with one model checked per query. A cached model stays valid
+because the store is append-only (a stored row never changes, and a
+near-duplicate is skipped on insert rather than overwriting one) and the
+lengthscales and exponent are fixed when the store is built. The store is
+the only place a model is cached.
 
 The per-query algebra calls LAPACK directly through scipy.linalg.lapack
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
@@ -86,11 +97,17 @@ CALIBRATION_SWEEPS = 2
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _trend_terms(d: int) -> int:
+    """t(d) = (d + 1)(d + 2)/2, the terms of a full quadratic in d
+    coordinates."""
+    return (d + 1) * (d + 2) // 2
+
+
 def local_size(d: int) -> int:
     """Support size n(d); see the module docstring."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    return math.ceil(math.sqrt(d) * (d + 1) * (d + 2) / 2)
+    return math.ceil(math.sqrt(d) * _trend_terms(d))
 
 
 def _check_exponent(p: int) -> None:
@@ -144,8 +161,8 @@ class EvaluationStore:
     duplicates and silently skipped on insert, so the correlation matrices
     built from any subset never contain an exactly repeated row.
 
-    It also serves the local models built on it, each cached by its support
-    set (local_model); the module docstring says why a hit is exact.
+    It also serves the local models built on it from a cache (local_model);
+    the module docstring says when a cached model serves a query.
     """
 
     def __init__(self, dimension: int, lengths, p: int):
@@ -160,6 +177,7 @@ class EvaluationStore:
         self._y = np.empty(STORE_CAPACITY)
         self._n = 0
         self._support_size = local_size(dimension)
+        self._core_size = _trend_terms(dimension)
         self._models: dict[bytes, LocalGP] = {}
         self._max_models = max(1, MODEL_CACHE_ENTRIES // self._support_size**2)
 
@@ -203,15 +221,20 @@ class EvaluationStore:
         self._n += 1
         return True
 
-    def nearest(self, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, x: np.ndarray, n: int,
+                core: int = 1) -> tuple[np.ndarray, np.ndarray, float]:
         """The support of a local model at x: the store indices of the n
         evaluations nearest to x in the kernel's metric, sum_i |x_i - x'_i|^p
         / l_i, so the most correlated ones, with exact ties at the cutoff
-        broken by insertion order; and the kernel distances from x to those
-        evaluations. The indices come in ascending order, so they name the
-        support as a set, whatever the query; the distances are in the same
-        order. Returns the whole store when it holds fewer than n points,
-        and raises SurrogateError when it holds none."""
+        broken by insertion order. The indices come in ascending order, so
+        they name the support as a set, whatever the query. Also returns the
+        kernel distances from x to every stored evaluation, by store index
+        (dist[idx] are the support's), and the distance from x to its
+        core-th nearest evaluation (core <= n; the nearest by default), from
+        the same partition: x's core nearest are the support's evaluations
+        within it, less any tied at it past the core-th. The support is the
+        whole store when it holds fewer than n points; raises SurrogateError
+        when it holds none."""
         if self._n == 0:
             raise SurrogateError("evaluation store is empty")
         x = np.asarray(x, dtype=float)
@@ -219,30 +242,42 @@ class EvaluationStore:
             raise ValueError(f"expected shape ({self.dimension},), got {x.shape}")
         dist = cdist(self._xs[:self._n], x[None, :] / self._root,
                      _metric(self.p))[:, 0]
-        if n >= self._n:
-            return np.arange(self._n), dist
+        n = min(n, self._n)
+        core = min(core, n)
         part = dist.copy()
-        part.partition(n - 1)
+        part.partition((core - 1, n - 1))
         idx = (dist <= part[n - 1]).nonzero()[0]
-        if idx.size > n:
-            # points tied at the cutoff: keep the earliest inserted
-            idx = np.sort(idx[np.lexsort((idx, dist[idx]))[:n]])
-        return idx, dist[idx]
+        return _earliest(dist, idx, n), dist, part[core - 1]
 
     def local_model(self, x: np.ndarray) -> tuple[LocalGP, np.ndarray]:
-        """The local model at x and the kernel distances from x to its
-        support, the local_size(dimension) nearest evaluations. A model is
-        built only on a cache miss, least recently used out first, and a
-        failed build (SurrogateError, as for an empty store) is not cached."""
-        idx, dist = self.nearest(x, self._support_size)
+        """The local model at x and the kernel distances from x to its rows,
+        in store-index order. The model is the cached one on x's support,
+        the local_size(dimension) nearest evaluations, or else the most
+        recently used one if its support holds x's core, the
+        (d + 1)(d + 2)/2 nearest, and lacks no evaluation of x's support
+        stored after it was built; the module docstring says why. Only
+        otherwise is a model built and cached, least recently used out
+        first; a failed build (SurrogateError, as for an empty store) is
+        not cached."""
+        idx, dist, radius = self.nearest(x, self._support_size,
+                                         self._core_size)
         key = idx.tobytes()
         gp = self._models.pop(key, None)
+        if gp is None and self._models:
+            recent = self._models[next(reversed(self._models))]
+            # x's support holds nothing stored since that model's build, so
+            # its mask covers x's core, which is cut only here, on a miss
+            if idx[-1] < recent.member.size:
+                core = _earliest(dist, idx[dist[idx] <= radius],
+                                 self._core_size)
+                if recent.member[core].all():
+                    return recent, dist[recent.idx]
         if gp is None:
             gp = build_local_surrogate(self, idx)
             if len(self._models) >= self._max_models:
                 del self._models[next(iter(self._models))]
         self._models[key] = gp
-        return gp, dist
+        return gp, dist[gp.idx]
 
     def save_csv(self, path) -> None:
         """Write a header x_1..x_d,y and one row per stored evaluation, in
@@ -254,6 +289,14 @@ class EvaluationStore:
                 row = [repr(float(v)) for v in self._x[i]]
                 row.append(repr(float(self._y[i])))
                 fh.write(",".join(row) + "\n")
+
+
+def _earliest(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
+    """idx (ascending store indices) cut to its k nearest by distance when
+    ties at the cutoff left more, keeping the earliest inserted."""
+    if idx.size > k:
+        idx = np.sort(idx[np.lexsort((idx, dist[idx]))[:k]])
+    return idx
 
 
 def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,23 +492,27 @@ class LocalGP:
 
     Holds the fitted trend, the local amplitude a of the kernel K(x, x') =
     a * exp(-sum_i |x_i - x'_i|^p / l_i), the Cholesky factor of the
-    jittered unit-amplitude correlation matrix C, and the precomputed weight
-    vector alpha = C^{-1} (y - trend). The support (X, y) stays in the
-    store, as the rows idx the model was built from. The kernel's
-    lengthscales and exponent stay with the store too, whose nearest
-    returns the distances posterior takes."""
+    jittered unit-amplitude correlation matrix C, the precomputed weight
+    vector alpha = C^{-1} (y - trend), and its support: idx, the ascending
+    store indices of the rows (X, y) it was built from, which stay in the
+    store, and member, a boolean mask over the store at its build, true at
+    idx, whose length is the store size then. The kernel's lengthscales and
+    exponent stay with the store, whose nearest returns the distances
+    posterior takes, gathered at idx."""
 
     mean: Callable
     a: float
     chol: np.ndarray
     alpha: np.ndarray
+    idx: np.ndarray
+    member: np.ndarray
 
     def posterior(self, x: np.ndarray,
                   dist: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a single point x, given dist, the
         kernel distances sum_j |x_j - X_ij|^p / l_j from x to each support
-        row X_i, in store-index order. EvaluationStore.nearest returns exactly
-        these with the support, so a query computes them once. Raises
+        row X_i, in store-index order: dist[idx] of the distances
+        EvaluationStore.nearest returns, so a query computes them once. Raises
         SurrogateError when the mean or the variance is not finite."""
         c = np.exp(-dist)
         w, _ = dpotrs(self.chol, c, lower=1)
@@ -486,8 +533,9 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
     come in index order, the model is a function of the support set alone:
     every query whose support is this set gets the same model, bit for bit,
     which is what lets EvaluationStore.local_model build it once and reuse
-    it. The correlations come from _corr_matrix, as in calibration, in the
-    store's frozen metric.
+    it. The model keeps idx and its membership mask over the store as it
+    is now. The correlations come from _corr_matrix, as in calibration, in
+    the store's frozen metric.
     Raises SurrogateError when the correlation matrix cannot be factored at
     the maximum jitter or the amplitude is not finite; callers fall back to
     the true model in that case.
@@ -502,4 +550,7 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
         a = float(r @ alpha) / r.size
     if not math.isfinite(a):
         raise SurrogateError(f"local kernel amplitude is {a}")
-    return LocalGP(mean=mean, a=max(a, AMPLITUDE_FLOOR), chol=L, alpha=alpha)
+    member = np.zeros(store.size, dtype=bool)
+    member[idx] = True
+    return LocalGP(mean=mean, a=max(a, AMPLITUDE_FLOOR), chol=L, alpha=alpha,
+                   idx=idx, member=member)

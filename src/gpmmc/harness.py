@@ -343,12 +343,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         on_step = None
         if log_steps:
             step_file = open(out / "steps.csv", "w")
-            step_file.write("step,used_surrogate,beta,refined,accepted\n")
+            step_file.write(
+                "step,used_surrogate,beta,refined,accepted,cause\n")
 
             def on_step(index, rec, _fh=step_file):
                 beta = "" if rec.beta is None else repr(rec.beta)
                 _fh.write(f"{index},{int(rec.used_surrogate)},{beta},"
-                          f"{int(rec.refined)},{int(rec.accepted)}\n")
+                          f"{int(rec.refined)},{int(rec.accepted)},"
+                          f"{rec.cause}\n")
 
         try:
             result = run_mmc(kernel, mmc_cfg, on_step=on_step)

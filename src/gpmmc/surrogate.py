@@ -23,11 +23,11 @@ in mcmc.py exists for. The kernel counts nothing; each step's record names
 its cause.
 
 Chains revisit the same regions, so most candidates share their support set
-with an earlier one (in the 2-D two-center run over 90% of them). The kernel
-asks its store for each local model (EvaluationStore.local_model), which
-keeps the models it built in a least-recently-used cache keyed by the
-support's store indices and builds one only on a miss; see gp.py for why a
-cached model equals the one a fresh build would return.
+with an earlier one (in the 2-D two-center run over 90% of them), and in 10-D
+a candidate's support mostly differs from the last one's by a few far
+points. The kernel asks its store for each local model
+(EvaluationStore.local_model), which caches the models it built and builds
+one only when no cached model serves the candidate; gp.py says which do.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ class SurrogateKernel:
     refine_beta. The kernel itself keeps only the policy and its store.
 
     Local models come from the store (EvaluationStore.local_model), which
-    caches them by support set; a hit returns the model a fresh build would
-    return. A build that raises SurrogateError is not cached, so every step
-    that meets it again refines with cause refine_fallback.
+    caches them. A build that raises SurrogateError is not cached, so a
+    step that meets it again, with no cached model to serve it, refines
+    with cause refine_fallback.
     """
 
     def __init__(self, model: PerformanceModel, store: EvaluationStore,

@@ -57,7 +57,7 @@ def test_local_gp_interpolates_its_support():
         for xi, yi in zip(X, y):
             store.insert(xi, float(yi))
         # n covers the whole store, so every query's support is idx itself
-        idx, _ = store.nearest(X[0], n)
+        idx, _, _ = store.nearest(X[0], n)
         gp = build_local_surrogate(store, idx)
         support = store.points[idx]
         for xi, yi in zip(support, store.values[idx]):

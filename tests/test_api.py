@@ -1,9 +1,10 @@
 """The public surface: every exported name resolves, in the package and in
 each of its modules, and so does every callable the benchmark's tracer wraps
 by module and name; importing the package leaves the sparse solvers
-unloaded."""
+unloaded and BLAS at one thread unless the caller chose otherwise."""
 
 import importlib
+import os
 import pkgutil
 import subprocess
 import sys
@@ -59,3 +60,21 @@ def test_import_leaves_sparse_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+])
+def test_import_defaults_blas_to_one_thread(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(preset)
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import os, gpmmc; "
+            f"print(*(os.environ[k] for k in {BLAS_THREADS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == want

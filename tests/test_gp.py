@@ -9,7 +9,7 @@ from gpmmc import (EvaluationStore, LocalGP, SurrogateError,
                    build_local_surrogate, calibrate_lengthscales,
                    fit_quadratic_mean, local_size)
 from gpmmc.gp import (STORE_CAPACITY, QuadraticMean, _check_kernel,
-                      _chol_with_jitter, _corr_matrix)
+                      _chol_with_jitter, _corr_matrix, _trend_terms)
 
 def unit_store(d):
     """A d-D store with unit lengthscales and p = 2: its kernel distance is
@@ -57,7 +57,8 @@ class TestKernel:
 
     def test_absolute_differences_and_amplitude(self):
         gp = LocalGP(mean=lambda x: 0.0, a=2.0, chol=np.array([[1.0]]),
-                     alpha=np.zeros(1))
+                     alpha=np.zeros(1), idx=np.array([0]),
+                     member=np.array([True]))
         # one support point at distance 3: c = exp(-1.5), var = a (1 - c^2)
         _, var = posterior_at(gp, np.array([[0.0]]), [3.0], np.array([2.0]),
                               1)
@@ -153,32 +154,36 @@ class TestEvaluationStore:
         for v in (5.0, 1.0, 3.0, 2.0):
             store.insert(np.array([v]), v)
         # the support is the nearest points as a set, in store-index order,
-        # with each one's kernel distance (here the squared distance)
-        idx, dist = store.nearest(np.array([0.0]), 2)
+        # with every stored point's kernel distance (here the squared
+        # distance)
+        idx, dist, _ = store.nearest(np.array([0.0]), 2)
         np.testing.assert_array_equal(idx, [1, 3])
         np.testing.assert_array_equal(store.values[idx], [1.0, 2.0])
-        np.testing.assert_array_equal(dist, [1.0, 4.0])
-        idx, dist = store.nearest(np.array([0.0]), 3)
+        np.testing.assert_array_equal(dist, [25.0, 1.0, 9.0, 4.0])
+        idx, dist, radius = store.nearest(np.array([0.0]), 3, 2)
         np.testing.assert_array_equal(idx, [1, 2, 3])
         np.testing.assert_array_equal(store.values[idx], [1.0, 3.0, 2.0])
-        np.testing.assert_array_equal(dist, [1.0, 9.0, 4.0])
+        np.testing.assert_array_equal(dist[idx], [1.0, 9.0, 4.0])
+        assert radius == 4.0
 
     def test_nearest_breaks_ties_by_insertion_order(self):
         store = unit_store(1)
         for v in (1.0, -1.0, 3.0, -3.0):
             store.insert(np.array([v]), v)
-        idx, _ = store.nearest(np.array([0.0]), 2)
+        idx, _, _ = store.nearest(np.array([0.0]), 2)
         np.testing.assert_array_equal(store.values[idx], [1.0, -1.0])
         # 3 and -3 tie at the cutoff: the earlier insert wins
-        idx, dist = store.nearest(np.array([0.0]), 3)
+        idx, dist, radius = store.nearest(np.array([0.0]), 3, 1)
         np.testing.assert_array_equal(store.values[idx], [1.0, -1.0, 3.0])
-        np.testing.assert_array_equal(dist, [1.0, 1.0, 9.0])
+        np.testing.assert_array_equal(dist[idx], [1.0, 1.0, 9.0])
+        assert radius == 1.0
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_nearest_matches_a_stable_sort(self, d, p):
         """nearest is the first n of a stable sort by (distance, index),
-        as a set, on stores just below, at and above n points. Integer
+        as a set, on stores just below, at and above n points, and its
+        radius at t(d) the distance of the t(d)-th in that sort. Integer
         points with unit lengthscales put exact ties at the cutoff, random
         lengthscales on real points none."""
         rng = np.random.default_rng(10 * d + p)
@@ -204,9 +209,11 @@ class TestEvaluationStore:
                     dist = kernel_distance(X, q, lengths, p)
                     order = np.lexsort((np.arange(size), dist))
                     want = np.sort(order[:n])
-                    idx, got = store.nearest(q, n)
+                    t = min(_trend_terms(d), size)
+                    idx, got, radius = store.nearest(q, n, t)
                     np.testing.assert_array_equal(idx, want)
-                    np.testing.assert_array_equal(got, dist[want])
+                    np.testing.assert_array_equal(got, dist)
+                    assert radius == dist[order[t - 1]]
                     if size > n:  # a tie at the cutoff leaves a point out
                         ties += np.count_nonzero(
                             dist <= dist[order[n - 1]]) > n
@@ -215,9 +222,10 @@ class TestEvaluationStore:
     def test_nearest_clamps_to_size(self):
         store = unit_store(1)
         store.insert(np.array([1.0]), 1.0)
-        idx, dist = store.nearest(np.array([0.0]), 10)
+        idx, dist, radius = store.nearest(np.array([0.0]), 10, 5)
         np.testing.assert_array_equal(idx, [0])
         np.testing.assert_array_equal(dist, [1.0])
+        assert radius == 1.0
 
     def test_nearest_empty_store(self):
         store = unit_store(1)
@@ -512,7 +520,8 @@ class TestPosterior:
         trend = 1.5
         y0 = 3.0
         gp = LocalGP(mean=lambda x: trend, a=2.0, chol=np.array([[1.0]]),
-                     alpha=np.array([y0 - trend]))
+                     alpha=np.array([y0 - trend]), idx=np.array([0]),
+                     member=np.array([True]))
         x = np.array([1.3])
         c = math.exp(-(0.8 ** 2) / 0.8)
         mu, var = posterior_at(gp, np.array([[0.5]]), x, np.array([0.8]), 2)
@@ -521,7 +530,8 @@ class TestPosterior:
 
     def test_non_finite_mean_raises_surrogate_error(self):
         gp = LocalGP(mean=lambda x: 1e308, a=1.0, chol=np.array([[1.0]]),
-                     alpha=np.array([1e308]))
+                     alpha=np.array([1e308]), idx=np.array([0]),
+                     member=np.array([True]))
         with pytest.raises(SurrogateError, match="not finite"):
             gp.posterior(np.array([0.0]), np.zeros(1))
 
@@ -558,7 +568,7 @@ class TestPosterior:
         store = EvaluationStore(2, lengths, 1)
         for _ in range(30):
             store.insert(rng.normal(size=2), float(rng.normal()))
-        idx, _ = store.nearest(np.zeros(2), local_size(2))
+        idx, _, _ = store.nearest(np.zeros(2), local_size(2))
         gp = build_local_surrogate(store, idx)
         for _ in range(200):
             _, var = posterior_at(gp, store.points[idx],
@@ -588,12 +598,12 @@ class TestPosterior:
         for xi in X[:STORE_CAPACITY]:
             store.insert(xi, float(np.sin(xi).sum()))
         query = np.array([0.2, -0.1, 0.4])
-        idx, _ = store.nearest(query, local_size(3))
+        idx, _, _ = store.nearest(query, local_size(3))
         before = build_local_surrogate(store, idx)
         for xi in X[STORE_CAPACITY:]:
             store.insert(xi, float(np.sin(xi).sum()))
         assert store.size == X.shape[0]
-        _, dist = store.nearest(query, store.size)
+        _, dist, _ = store.nearest(query, store.size)
         np.testing.assert_array_equal(
             dist, kernel_distance(X, query, lengths, p))
         after = build_local_surrogate(store, idx)
@@ -612,14 +622,14 @@ class TestPosterior:
         for xi in X:
             store.insert(xi, float(xi[0] ** 2 + 0.1 * xi[1]))
         query = np.array([0.1, -0.4])
-        idx, dist = store.nearest(query, local_size(2))
+        idx, dist, _ = store.nearest(query, local_size(2))
         corr = np.array([kernel_eval(1.0, lengths, p, xi, query) for xi in X])
         want = np.sort(np.argsort(-corr, kind="stable")[:local_size(2)])
         np.testing.assert_array_equal(idx, want)
         np.testing.assert_array_equal(store.points[idx], X[want])
-        # the query's distances are those of the support alone, bit for bit
+        # the query's distances to the support, bit for bit
         np.testing.assert_array_equal(
-            dist, kernel_distance(X[want], query, lengths, p))
+            dist[idx], kernel_distance(X[want], query, lengths, p))
         raw = X[np.argsort(((X - query) ** 2).sum(axis=1))[:local_size(2)]]
         assert {tuple(r) for r in raw} != {tuple(r) for r in X[want]}
 
@@ -629,7 +639,7 @@ class TestPosterior:
         store = EvaluationStore(2, lengths, 1)
         for _ in range(25):
             store.insert(rng.normal(size=2), float(rng.normal()))
-        idx, _ = store.nearest(np.array([0.3, -0.2]), local_size(2))
+        idx, _, _ = store.nearest(np.array([0.3, -0.2]), local_size(2))
         g1 = build_local_surrogate(store, idx)
         g2 = build_local_surrogate(store, idx)
         assert g1.a == g2.a
@@ -637,6 +647,83 @@ class TestPosterior:
         support = store.points[idx]
         assert (posterior_at(g1, support, q, lengths, 1)
                 == posterior_at(g2, support, q, lengths, 1))
+
+
+def random_store(rng, d, size, lengths, p):
+    store = EvaluationStore(d, lengths, p)
+    for x in rng.normal(size=(size, d)):
+        store.insert(x, float(np.sin(x).sum()))
+    return store
+
+
+class TestModelReuse:
+    """EvaluationStore.local_model serves a query whose support has no
+    model from the most recently used one, if that model holds the query's
+    t(d) nearest evaluations and lacks none of its support stored after
+    its build."""
+
+    @pytest.mark.parametrize("d, p", [(2, 1), (2, 2), (10, 2)])
+    def test_reused_model_holds_the_core_and_serves_its_own_rows(self, d, p):
+        rng = np.random.default_rng(30 + d + p)
+        lengths = rng.uniform(0.5, 2.0, d)
+        store = random_store(rng, d, 3 * local_size(d), lengths, p)
+        n, t = local_size(d), _trend_terms(d)
+        q = np.zeros(d)
+        reused = 0
+        for _ in range(300):
+            q = q + rng.normal(scale=0.02, size=d)
+            idx, dist, _ = store.nearest(q, n)
+            core, _, _ = store.nearest(q, t)
+            gp, gp_dist = store.local_model(q)
+            np.testing.assert_array_equal(gp_dist, dist[gp.idx])
+            # bit for bit the posterior at the distances to its own rows
+            assert (gp.posterior(q, gp_dist)
+                    == posterior_at(gp, store.points[gp.idx], q, lengths, p))
+            if not np.array_equal(gp.idx, idx):
+                reused += 1
+                assert np.isin(core, gp.idx).all()
+        assert reused > 10
+
+    def test_late_point_in_the_support_forces_a_rebuild(self):
+        rng = np.random.default_rng(33)
+        lengths = np.ones(2)
+        store = random_store(rng, 2, 60, lengths, 2)
+        n, t = local_size(2), _trend_terms(2)
+        gp, _ = store.local_model(np.zeros(2))
+        # walk off until the support moves but the core stays in gp's rows
+        step = rng.normal(size=2)
+        for k in range(1, 1000):
+            q = 1e-3 * k * step
+            idx, dist, _ = store.nearest(q, n)
+            if not np.array_equal(idx, gp.idx):
+                break
+        assert not np.array_equal(idx, gp.idx)
+        core, _, _ = store.nearest(q, t)
+        assert np.isin(core, gp.idx).all()
+        assert store.local_model(q)[0] is gp
+        # a new point between the query's (n - 1)-th and n-th nearest
+        # enters its support but not its core
+        ranked = np.sort(dist)
+        r = 0.5 * (ranked[n - 2] + ranked[n - 1])
+        assert store.insert(q + np.array([math.sqrt(r), 0.0]), 0.0)
+        new_idx, _, _ = store.nearest(q, n)
+        assert store.size - 1 in new_idx
+        np.testing.assert_array_equal(store.nearest(q, t)[0], core)
+        rebuilt, _ = store.local_model(q)
+        assert rebuilt is not gp
+        np.testing.assert_array_equal(rebuilt.idx, new_idx)
+        assert rebuilt.member.size == store.size
+
+    def test_exact_support_hit_returns_the_same_object(self):
+        rng = np.random.default_rng(34)
+        store = random_store(rng, 2, 60, np.ones(2), 1)
+        a, b = np.array([0.5, 0.5]), np.array([-1.5, -1.0])
+        first, _ = store.local_model(a)
+        second, _ = store.local_model(b)
+        assert second is not first
+        # first is no longer the most recent model, and its support is a's
+        assert store.local_model(a)[0] is first
+        assert store.local_model(b)[0] is second
 
 
 class TestLengthscaleCalibration:

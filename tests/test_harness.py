@@ -428,8 +428,9 @@ class TestRunExperimentMmc:
         assert not (tmp_path / "plain" / "steps.csv").exists()
         run_experiment(cfg, tmp_path / "out", log_steps=True)
         lines = (tmp_path / "out" / "steps.csv").read_text().splitlines()
-        assert lines[0] == "step,used_surrogate,beta,refined,accepted"
+        assert lines[0] == "step,used_surrogate,beta,refined,accepted,cause"
         assert len(lines) - 1 == 2 * (300 + 30)
+        assert {line.split(",")[-1] for line in lines[1:]} == {"chain"}
 
 
 class TestRunExperimentGpmmc:
@@ -642,6 +643,12 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         # every local posterior made left its beta in the step log
         assert summary["surrogate_evals"] == sum(r[2] != "" for r in rows)
+        # and its cause: the screened steps and each refinement cause can
+        # be picked out of the file
+        causes = [r[5] for r in rows]
+        assert summary["screened"] == causes.count("screened")
+        for cause in ("refine_random", "refine_beta", "refine_fallback"):
+            assert summary["eval_breakdown"][cause] == causes.count(cause)
 
     @pytest.mark.parametrize("line", ["kernel_p = 3", "gamma = 2",
                                       "beta_max = 0", "initial_design = 1"])

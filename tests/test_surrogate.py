@@ -135,7 +135,7 @@ def _walk(kernel, rng, state, log_theta, steps):
 def _support(store, x):
     """The support rows of the 1-D store's local model at x, in store
     order, as the points' coordinates."""
-    idx, _ = store.nearest(np.array([x]), local_size(store.dimension))
+    idx, _, _ = store.nearest(np.array([x]), local_size(store.dimension))
     return store.points[idx, 0]
 
 
@@ -539,47 +539,47 @@ class TestDecisionAwareRefinement:
 
 class TestModelCache:
     @pytest.mark.parametrize("p", [1, 2])
-    def test_cache_is_invisible(self, p, monkeypatch):
-        """A 2-D two-center chain takes the same steps, pays the same true
-        evaluations and grows the same store whether the store reuses its
-        local models or rebuilds one at every step."""
+    def test_reused_models_meet_both_conditions(self, p, monkeypatch):
+        """In a 2-D two-center chain, every local model served to a query
+        whose support it was not built on holds the query's t(d) nearest
+        evaluations and lacks no evaluation of the query's support stored
+        after its build, checked on the model at the step that reuses it.
+        The distances served are those to the model's own rows, and only a
+        query no model serves builds one."""
         builds = _record_builds(monkeypatch)
+        model = min_distance_model(2)
+        binning = Binning(-1.0, 54.0, 55)
+        kernel = fit_surrogate_kernel(model, binning, 17, initial_design=50,
+                                      gamma=1e-2, beta_max=0.075, p=p,
+                                      prop=Proposal(1.0), ledger=EvalLedger())
+        store = kernel.store
+        serve = store.local_model
+        served = collections.Counter()
 
-        def run(clear):
-            model = min_distance_model(2)
-            binning = Binning(-1.0, 54.0, 55)
-            ledger = EvalLedger()
-            kernel = fit_surrogate_kernel(model, binning, 17,
-                                          initial_design=50, gamma=1e-2,
-                                          beta_max=0.075, p=p,
-                                          prop=Proposal(1.0), ledger=ledger)
-            x0 = kernel.store.points[0].copy()
-            y0 = float(kernel.store.values[0])
-            log_theta, state = _flat_start(model, binning, x0, y0)
-            rng = np.random.default_rng([17, 0])
-            trace = []
-            builds.clear()
-            for _ in range(400):
-                if clear:
-                    kernel.store._models.clear()
-                state, rec = kernel.step(rng, state, log_theta)
-                trace.append((tuple(state.x), state.y, state.log_q, rec))
-            return (kernel, ledger, trace, len(builds))
+        def checked(x):
+            idx, dist, _ = store.nearest(x, local_size(2))
+            core, _, _ = store.nearest(x, gpmmc.gp._trend_terms(2))
+            cached = idx.tobytes() in store._models
+            gp, gp_dist = serve(x)
+            np.testing.assert_array_equal(gp.member.nonzero()[0], gp.idx)
+            np.testing.assert_array_equal(gp_dist, dist[gp.idx])
+            if np.array_equal(gp.idx, idx):
+                served["cached" if cached else "built"] += 1
+                return gp, gp_dist
+            assert np.isin(core, gp.idx).all()
+            assert (np.setdiff1d(idx, gp.idx) < gp.member.size).all()
+            served["reused"] += 1
+            return gp, gp_dist
 
-        cached, cached_ledger, cached_trace, cached_builds = run(False)
-        fresh, fresh_ledger, fresh_trace, fresh_builds = run(True)
-        assert cached_trace == fresh_trace
-        cached_causes = collections.Counter(t[-1].cause for t in cached_trace)
-        fresh_causes = collections.Counter(t[-1].cause for t in fresh_trace)
-        assert cached_causes == fresh_causes
-        assert cached_ledger == fresh_ledger
-        np.testing.assert_array_equal(cached.store.points, fresh.store.points)
-        np.testing.assert_array_equal(cached.store.values, fresh.store.values)
-        # every step past the gate built a model without the cache, and
-        # some reused one with it
-        assert fresh_builds == 400 - fresh_causes["refine_random"]
-        assert cached_builds < fresh_builds
-        assert cached_causes["served"] + cached_causes["screened"] > 200
+        monkeypatch.setattr(store, "local_model", checked)
+        x0 = store.points[0].copy()
+        log_theta, state = _flat_start(model, binning, x0,
+                                       float(store.values[0]))
+        rng = np.random.default_rng([17, 0])
+        _, causes = _walk(kernel, rng, state, log_theta, 400)
+        assert served["built"] == len(builds)
+        assert sum(served.values()) == 400 - causes["refine_random"]
+        assert served["reused"] > 10 and served["cached"] > 50
 
     def test_same_support_set_shares_one_model(self):
         store = _unit_store()
@@ -605,9 +605,12 @@ class TestModelCache:
         for x in rng.normal(size=(260, d)):
             store.insert(x, float(np.sin(x).sum()))
         bound = 2**18 // 209**2
-        queries = rng.normal(size=(12, d))
+        # far out along distinct axes, so no query's nearest evaluations
+        # all lie in the previous query's support and each one misses
+        queries = 5.0 * np.vstack([np.eye(d), -np.eye(d)])[
+            [0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 5, 15, 6]]
         models = []
-        for q in queries:
+        for q in queries[:12]:
             models.append(store.local_model(q)[0])
             assert len(store._models) <= bound
         assert len({id(gp) for gp in models}) == 12
@@ -615,7 +618,7 @@ class TestModelCache:
         # least recently used goes first: after a hit on the oldest model
         # held, the next miss evicts the one after it
         assert store.local_model(queries[6])[0] is models[6]
-        store.local_model(rng.normal(size=d))
+        store.local_model(queries[12])
         assert store.local_model(queries[6])[0] is models[6]
         assert store.local_model(queries[7])[0] is not models[7]
 
