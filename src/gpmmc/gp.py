@@ -36,25 +36,29 @@ query's distance order, so two queries with the same support set get the
 same model bit for bit. EvaluationStore.local_model keeps the models it
 built in a least-recently-used cache and serves a query from it in two
 cases. A model whose support is the query's (an exact hit) is the model a
-fresh build would return. Otherwise the most recently used model serves the
-query when its support holds the query's t(d) = (d + 1)(d + 2)/2 nearest
-evaluations (the quadratic trend's term count) and every evaluation of the
-query's support that it lacks was already stored when it was built. Such a
-model differs from a fresh build only in evaluations farther than the
-query's t(d) nearest, and its posterior is still the GP posterior
-conditioned on true evaluations, at the distances from the query to its own
-rows. A point stored after a model was built that enters a query's support
-makes a new model; this is the moving local design of laGP (Gramacy &
-Apley 2015), with one model checked per query. A cached model stays valid
-because the store is append-only (a stored row never changes, and a
+fresh build would return. Otherwise a cached model may serve the query when
+its support holds the query's t(d) = (d + 1)(d + 2)/2 nearest evaluations
+(the quadratic trend's term count) and every evaluation of the query's
+support that it lacks was already stored when it was built; of the models
+that may, the most recently used serves. Such a model differs from a fresh
+build only in evaluations farther than the query's t(d) nearest, and its
+posterior is still the GP posterior conditioned on true evaluations, at the
+distances from the query to its own rows. A point stored after a model was
+built that enters a query's support rules that model out; this is the
+moving local design of laGP (Gramacy & Apley 2015), with every cached model
+a candidate. The store tests them all at once against a table of which
+stored evaluations each model holds, and remembers which model served a
+support, so a support seen before is again one lookup. A cached model stays
+valid because the store is append-only (a stored row never changes, and a
 near-duplicate is skipped on insert rather than overwriting one) and the
 lengthscales and exponent are fixed when the store is built. The store is
 the only place a model is cached.
 
-The per-query algebra calls LAPACK directly through scipy.linalg.lapack
+The per-query algebra calls LAPACK and BLAS directly through scipy.linalg
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
-correlation matrix): on supports this small, the argument checks of the
-numpy.linalg and scipy.linalg wrappers cost more than the factorizations.
+correlation matrix; dtrsv for the posterior variance): on supports this
+small, the argument checks of the numpy.linalg and scipy.linalg wrappers
+cost more than the factorizations.
 For the same reason the trend at a single query builds no design: it
 fills a row QuadraticMean owns with the floats of the one-row design and
 takes the same product, so mean(x) == mean(x[None, :])[0] bit for bit.
@@ -67,6 +71,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dgeqp3, dormqr, dpotrf, dpotrs, dtrtrs
 from scipy.spatial.distance import cdist
 
@@ -162,7 +167,13 @@ class EvaluationStore:
     built from any subset never contain an exactly repeated row.
 
     It also serves the local models built on it from a cache (local_model);
-    the module docstring says when a cached model serves a query.
+    the module docstring says when a cached model serves a query. The cache
+    has MODEL_CACHE_ENTRIES // n**2 slots for support size n. Per slot the
+    store keeps the model, a column of a boolean table over store rows that
+    is true at the model's support, the store size at the model's build,
+    its last use, and the supports whose queries it serves: the one it was
+    built on and aliases, supports it has served without being built on
+    them. models_built counts the models built and cached.
     """
 
     def __init__(self, dimension: int, lengths, p: int):
@@ -178,8 +189,18 @@ class EvaluationStore:
         self._n = 0
         self._support_size = local_size(dimension)
         self._core_size = _trend_terms(dimension)
-        self._models: dict[bytes, LocalGP] = {}
-        self._max_models = max(1, MODEL_CACHE_ENTRIES // self._support_size**2)
+        slots = max(1, MODEL_CACHE_ENTRIES // self._support_size**2)
+        self._models: list[LocalGP | None] = [None] * slots
+        # slots are columns, so the rows of a query's core gather as a few
+        # contiguous runs
+        self._held = np.zeros((STORE_CAPACITY, slots), dtype=bool)
+        self._born = np.zeros(slots, dtype=np.intp)
+        self._used = np.zeros(slots, dtype=np.int64)
+        self._clock = 0
+        # support key -> (slot, alias); a slot's keys go when it is refilled
+        self._keys: dict[bytes, tuple[int, bool]] = {}
+        self._slot_keys: list[list[bytes]] = [[] for _ in range(slots)]
+        self.models_built = 0
 
     @property
     def size(self) -> int:
@@ -199,6 +220,7 @@ class EvaluationStore:
         self._x = np.concatenate([self._x, np.empty_like(self._x)])
         self._xs = np.concatenate([self._xs, np.empty_like(self._xs)])
         self._y = np.concatenate([self._y, np.empty_like(self._y)])
+        self._held = np.concatenate([self._held, np.zeros_like(self._held)])
 
     def insert(self, x: np.ndarray, y: float) -> bool:
         """Add one evaluation; returns False when skipped as a duplicate."""
@@ -251,33 +273,55 @@ class EvaluationStore:
 
     def local_model(self, x: np.ndarray) -> tuple[LocalGP, np.ndarray]:
         """The local model at x and the kernel distances from x to its rows,
-        in store-index order. The model is the cached one on x's support,
-        the local_size(dimension) nearest evaluations, or else the most
-        recently used one if its support holds x's core, the
+        in store-index order. The model is the cached one built on x's
+        support, the local_size(dimension) nearest evaluations, or else the
+        most recently used cached model whose support holds x's core, the
         (d + 1)(d + 2)/2 nearest, and lacks no evaluation of x's support
         stored after it was built; the module docstring says why. Only
         otherwise is a model built and cached, least recently used out
         first; a failed build (SurrogateError, as for an empty store) is
-        not cached."""
+        not cached. The support is then an alias of the model that serves
+        it: the next query on it checks that one model first, by the same
+        rule, since another query's core may differ."""
         idx, dist, radius = self.nearest(x, self._support_size,
                                          self._core_size)
         key = idx.tobytes()
-        gp = self._models.pop(key, None)
-        if gp is None and self._models:
-            recent = self._models[next(reversed(self._models))]
-            # x's support holds nothing stored since that model's build, so
-            # its mask covers x's core, which is cut only here, on a miss
-            if idx[-1] < recent.member.size:
-                core = _earliest(dist, idx[dist[idx] <= radius],
-                                 self._core_size)
-                if recent.member[core].all():
-                    return recent, dist[recent.idx]
-        if gp is None:
-            gp = build_local_surrogate(self, idx)
-            if len(self._models) >= self._max_models:
-                del self._models[next(iter(self._models))]
-        self._models[key] = gp
+        slot, alias = self._keys.get(key, (-1, True))
+        if alias:
+            # x's core is cut only here, off the exact-hit path
+            core = _earliest(dist, idx[dist[idx] <= radius], self._core_size)
+            if slot < 0 or not (self._held[core, slot].all()
+                                and self._born[slot] > idx[-1]):
+                fits = self._held[core].all(axis=0) & (self._born > idx[-1])
+                if fits.any():
+                    slot = int(np.where(fits, self._used, -1).argmax())
+                else:
+                    slot, alias = self._build(idx), False
+                self._keys[key] = (slot, alias)
+                self._slot_keys[slot].append(key)
+        self._clock += 1
+        self._used[slot] = self._clock
+        gp = self._models[slot]
         return gp, dist[gp.idx]
+
+    def _build(self, idx: np.ndarray) -> int:
+        """Build the model on support idx into an empty slot, else the least
+        recently used one, whose model and keys go; returns the slot."""
+        gp = build_local_surrogate(self, idx)
+        slot = int(self._used.argmin())
+        old = self._models[slot]
+        if old is not None:
+            self._held[old.idx, slot] = False
+            for k in self._slot_keys[slot]:
+                # a key moved to another slot since stays with that one
+                if self._keys.get(k, (-1,))[0] == slot:
+                    del self._keys[k]
+            self._slot_keys[slot] = []
+        self._models[slot] = gp
+        self._held[idx, slot] = True
+        self._born[slot] = self._n
+        self.models_built += 1
+        return slot
 
     def save_csv(self, path) -> None:
         """Write a header x_1..x_d,y and one row per stored evaluation, in
@@ -402,14 +446,16 @@ def _chol_with_jitter(corr: np.ndarray,
     these levels are relative to the kernel amplitude after scaling.
 
     The factor is computed in work (a Fortran-ordered n x n buffer, fresh
-    when not given) and returned in it; corr is left intact."""
+    when not given) and returned in it; corr is left intact. corr must be
+    exactly symmetric, as _corr_matrix's are: it is copied in as its
+    transpose, a contiguous copy."""
     n = corr.shape[0]
     if work is None:
         work = np.empty((n, n), order="F")
     diag = np.diag_indices(n)
     jitter = JITTER_START
     while jitter <= JITTER_MAX * (1 + 1e-9):
-        work[...] = corr
+        work.T[...] = corr
         work[diag] += jitter
         L, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
         if info == 0:
@@ -495,29 +541,28 @@ class LocalGP:
     jittered unit-amplitude correlation matrix C, the precomputed weight
     vector alpha = C^{-1} (y - trend), and its support: idx, the ascending
     store indices of the rows (X, y) it was built from, which stay in the
-    store, and member, a boolean mask over the store at its build, true at
-    idx, whose length is the store size then. The kernel's lengthscales and
-    exponent stay with the store, whose nearest returns the distances
-    posterior takes, gathered at idx."""
+    store. The kernel's lengthscales and exponent stay with the store, whose
+    nearest returns the distances posterior takes, gathered at idx."""
 
     mean: Callable
     a: float
     chol: np.ndarray
     alpha: np.ndarray
     idx: np.ndarray
-    member: np.ndarray
 
     def posterior(self, x: np.ndarray,
                   dist: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a single point x, given dist, the
         kernel distances sum_j |x_j - X_ij|^p / l_j from x to each support
         row X_i, in store-index order: dist[idx] of the distances
-        EvaluationStore.nearest returns, so a query computes them once. Raises
-        SurrogateError when the mean or the variance is not finite."""
+        EvaluationStore.nearest returns, so a query computes them once. The
+        variance is a (1 - v.v) with v = L^{-1} c, one triangular solve
+        (Rasmussen & Williams 2006, Algorithm 2.1). Raises SurrogateError
+        when the mean or the variance is not finite."""
         c = np.exp(-dist)
-        w, _ = dpotrs(self.chol, c, lower=1)
         mu = float(self.mean(x)) + float(c @ self.alpha)
-        var = self.a * (1.0 - float(c @ w))
+        v = dtrsv(self.chol, c, lower=1, overwrite_x=1)
+        var = self.a * (1.0 - float(v @ v))
         if not (math.isfinite(mu) and math.isfinite(var)):
             raise SurrogateError(f"local posterior is not finite: {mu}, {var}")
         return mu, max(var, 0.0)
@@ -529,13 +574,12 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
 
     Fits the trend on the rows in index order, recalibrates the amplitude in
     closed form from the trend residuals, and factors the correlation matrix
-    once so posterior queries are two triangular solves. Because the rows
+    once so a posterior query is one triangular solve. Because the rows
     come in index order, the model is a function of the support set alone:
     every query whose support is this set gets the same model, bit for bit,
     which is what lets EvaluationStore.local_model build it once and reuse
-    it. The model keeps idx and its membership mask over the store as it
-    is now. The correlations come from _corr_matrix, as in calibration, in
-    the store's frozen metric.
+    it. The model keeps idx. The correlations come from _corr_matrix, as in
+    calibration, in the store's frozen metric.
     Raises SurrogateError when the correlation matrix cannot be factored at
     the maximum jitter or the amplitude is not finite; callers fall back to
     the true model in that case.
@@ -550,7 +594,5 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
         a = float(r @ alpha) / r.size
     if not math.isfinite(a):
         raise SurrogateError(f"local kernel amplitude is {a}")
-    member = np.zeros(store.size, dtype=bool)
-    member[idx] = True
     return LocalGP(mean=mean, a=max(a, AMPLITUDE_FLOOR), chol=L, alpha=alpha,
-                   idx=idx, member=member)
+                   idx=idx)

@@ -304,7 +304,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         lo, hi = cfg.range_lo, cfg.range_hi
     binning = Binning(lo, hi, cfg.bins)
     breakdown = {"pilot": ledger.true_evals}
-    screened = surrogate_evals = 0
+    screened = surrogate_evals = local_models_built = 0
 
     summary = {
         "method": cfg.method,
@@ -373,6 +373,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         if cfg.method == "gpmmc":
             kernel.store.save_csv(out / "store.csv")
             results["store_size"] = kernel.store.size
+            local_models_built = kernel.store.models_built
 
     _write_histogram_csv(out / "histogram.csv", binning,
                          [(t.theta, h) for t, h in zip(tables, hists)])
@@ -384,7 +385,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             f"ledger mismatch: {ledger.true_evals} true evaluations, "
             f"breakdown accounts for {sum(breakdown.values())}")
     summary.update(burn_in=burn_in, true_evals=ledger.true_evals,
-                   surrogate_evals=surrogate_evals, screened=screened,
+                   surrogate_evals=surrogate_evals,
+                   local_models_built=local_models_built, screened=screened,
                    eval_breakdown=breakdown, **results)
 
     summary["runtime_seconds"] = time.perf_counter() - t0

@@ -23,11 +23,12 @@ in mcmc.py exists for. The kernel counts nothing; each step's record names
 its cause.
 
 Chains revisit the same regions, so most candidates share their support set
-with an earlier one (in the 2-D two-center run over 90% of them), and in 10-D
-a candidate's support mostly differs from the last one's by a few far
-points. The kernel asks its store for each local model
-(EvaluationStore.local_model), which caches the models it built and builds
-one only when no cached model serves the candidate; gp.py says which do.
+with an earlier one (in the 2-D two-center run over 90% of them). In 10-D
+few do, but most candidates' nearest evaluations lie in the support of a
+model built a few candidates before, not always the last one. The kernel
+asks its store for each local model (EvaluationStore.local_model), which
+caches the models it built and builds one only when no cached model serves
+the candidate; gp.py says which do.
 """
 
 from __future__ import annotations

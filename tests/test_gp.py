@@ -1,7 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
 import gpmmc.gp
@@ -57,8 +59,7 @@ class TestKernel:
 
     def test_absolute_differences_and_amplitude(self):
         gp = LocalGP(mean=lambda x: 0.0, a=2.0, chol=np.array([[1.0]]),
-                     alpha=np.zeros(1), idx=np.array([0]),
-                     member=np.array([True]))
+                     alpha=np.zeros(1), idx=np.array([0]))
         # one support point at distance 3: c = exp(-1.5), var = a (1 - c^2)
         _, var = posterior_at(gp, np.array([[0.0]]), [3.0], np.array([2.0]),
                               1)
@@ -75,6 +76,21 @@ class TestKernel:
         C = _corr_matrix(X, np.array([0.7, 1.3]), 1)
         assert C[0, 1] == C[1, 0]
         np.testing.assert_array_equal(np.diag(C), [1.0, 1.0])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("d", [2, 4, 10])
+    def test_exactly_symmetric(self, d, p):
+        # _chol_with_jitter copies the matrix in as its transpose
+        rng = np.random.default_rng(40 + d + p)
+        lengths = rng.uniform(0.5, 4.0, d)
+        for n in (50, 209, 400):
+            C = _corr_matrix(rng.normal(size=(n, d)), lengths, p,
+                             out=np.empty((n, n)))
+            np.testing.assert_array_equal(C, C.T)
+            L, jitter = _chol_with_jitter(C)
+            want, info = dpotrf(C + jitter * np.eye(n), lower=1, clean=1)
+            assert info == 0
+            np.testing.assert_array_equal(L, want)
 
     def test_validation(self):
         np.testing.assert_array_equal(_check_kernel([2], 1, 1), [2.0])
@@ -520,8 +536,7 @@ class TestPosterior:
         trend = 1.5
         y0 = 3.0
         gp = LocalGP(mean=lambda x: trend, a=2.0, chol=np.array([[1.0]]),
-                     alpha=np.array([y0 - trend]), idx=np.array([0]),
-                     member=np.array([True]))
+                     alpha=np.array([y0 - trend]), idx=np.array([0]))
         x = np.array([1.3])
         c = math.exp(-(0.8 ** 2) / 0.8)
         mu, var = posterior_at(gp, np.array([[0.5]]), x, np.array([0.8]), 2)
@@ -530,8 +545,7 @@ class TestPosterior:
 
     def test_non_finite_mean_raises_surrogate_error(self):
         gp = LocalGP(mean=lambda x: 1e308, a=1.0, chol=np.array([[1.0]]),
-                     alpha=np.array([1e308]), idx=np.array([0]),
-                     member=np.array([True]))
+                     alpha=np.array([1e308]), idx=np.array([0]))
         with pytest.raises(SurrogateError, match="not finite"):
             gp.posterior(np.array([0.0]), np.zeros(1))
 
@@ -574,6 +588,30 @@ class TestPosterior:
             _, var = posterior_at(gp, store.points[idx],
                                   rng.normal(scale=2.0, size=2), lengths, 1)
             assert var >= 0.0
+
+    @pytest.mark.parametrize("d, p", [(2, 1), (2, 2), (10, 2)])
+    def test_one_solve_variance_matches_two_solves(self, d, p):
+        # a (1 - v.v) with v = L^{-1} c against a (1 - c' C^{-1} c) from
+        # dpotrs's two solves, on the same jittered factor
+        rng = np.random.default_rng(50 + d + p)
+        lengths = rng.uniform(0.5, 2.0, d)
+        store = EvaluationStore(d, lengths, p)
+        for x in rng.normal(size=(2 * local_size(d), d)):
+            store.insert(x, float(np.sin(x).sum()))
+        for _ in range(5):
+            idx, _, _ = store.nearest(rng.normal(size=d), local_size(d))
+            gp = build_local_surrogate(store, idx)
+            support = store.points[idx]
+            for x in rng.normal(scale=0.5, size=(20, d)):
+                c = np.exp(-kernel_distance(support, x, lengths, p))
+                w, _ = dpotrs(gp.chol, c, lower=1)
+                want = max(gp.a * (1.0 - float(c @ w)), 0.0)
+                _, var = posterior_at(gp, support, x, lengths, p)
+                assert abs(var - want) <= 1e-12 * gp.a
+            # on the support the variance is jitter-sized, and never negative
+            for x in support:
+                _, var = posterior_at(gp, support, x, lengths, p)
+                assert 0.0 <= var <= 1e-6 * gp.a
 
     def test_build_uses_local_support_size(self):
         store = unit_store(1)
@@ -656,33 +694,68 @@ def random_store(rng, d, size, lengths, p):
     return store
 
 
+def slot_of(store, gp):
+    """The cache slot of store that holds gp."""
+    return next(s for s, m in enumerate(store._models) if m is gp)
+
+
+def fits(store, gp, x):
+    """The reuse rule from first principles: gp, cached in store, holds x's
+    t(d) nearest evaluations, and every evaluation of x's support it lacks
+    was stored before its build."""
+    d = store.dimension
+    idx, _, _ = store.nearest(x, local_size(d))
+    core, _, _ = store.nearest(x, _trend_terms(d))
+    born = store._born[slot_of(store, gp)]
+    return bool(np.isin(core, gp.idx).all()
+                and (np.setdiff1d(idx, gp.idx) < born).all())
+
+
+def reusing_query(store, gp, q0, rng):
+    """A query near q0 whose support is not gp's but which gp may serve."""
+    n = local_size(store.dimension)
+    for _ in range(100):
+        step = rng.normal(size=store.dimension)
+        for k in range(1, 1000):
+            q = q0 + 1e-3 * k * step
+            if not np.array_equal(store.nearest(q, n)[0], gp.idx):
+                break
+        if fits(store, gp, q):
+            return q
+    raise AssertionError("no query near q0 may reuse gp")
+
+
 class TestModelReuse:
     """EvaluationStore.local_model serves a query whose support has no
-    model from the most recently used one, if that model holds the query's
+    model from the most recently used cached model that holds the query's
     t(d) nearest evaluations and lacks none of its support stored after
     its build."""
 
     @pytest.mark.parametrize("d, p", [(2, 1), (2, 2), (10, 2)])
-    def test_reused_model_holds_the_core_and_serves_its_own_rows(self, d, p):
+    def test_reused_model_meets_the_rule_and_serves_its_own_rows(self, d, p):
         rng = np.random.default_rng(30 + d + p)
         lengths = rng.uniform(0.5, 2.0, d)
         store = random_store(rng, d, 3 * local_size(d), lengths, p)
-        n, t = local_size(d), _trend_terms(d)
+        n = local_size(d)
         q = np.zeros(d)
         reused = 0
         for _ in range(300):
             q = q + rng.normal(scale=0.02, size=d)
             idx, dist, _ = store.nearest(q, n)
-            core, _, _ = store.nearest(q, t)
             gp, gp_dist = store.local_model(q)
             np.testing.assert_array_equal(gp_dist, dist[gp.idx])
             # bit for bit the posterior at the distances to its own rows
             assert (gp.posterior(q, gp_dist)
                     == posterior_at(gp, store.points[gp.idx], q, lengths, p))
+            # the store's table holds exactly the model's support
+            np.testing.assert_array_equal(
+                store._held[:, slot_of(store, gp)].nonzero()[0], gp.idx)
             if not np.array_equal(gp.idx, idx):
                 reused += 1
-                assert np.isin(core, gp.idx).all()
+                assert fits(store, gp, q)
         assert reused > 10
+        assert store.models_built == sum(m is not None
+                                         for m in store._models)
 
     def test_late_point_in_the_support_forces_a_rebuild(self):
         rng = np.random.default_rng(33)
@@ -712,7 +785,8 @@ class TestModelReuse:
         rebuilt, _ = store.local_model(q)
         assert rebuilt is not gp
         np.testing.assert_array_equal(rebuilt.idx, new_idx)
-        assert rebuilt.member.size == store.size
+        assert store._born[slot_of(store, rebuilt)] == store.size
+        assert store.models_built == 2
 
     def test_exact_support_hit_returns_the_same_object(self):
         rng = np.random.default_rng(34)
@@ -724,6 +798,94 @@ class TestModelReuse:
         # first is no longer the most recent model, and its support is a's
         assert store.local_model(a)[0] is first
         assert store.local_model(b)[0] is second
+        assert store.models_built == 2
+
+    def test_model_that_is_not_the_most_recent_serves(self):
+        rng = np.random.default_rng(35)
+        store = random_store(rng, 2, 60, np.ones(2), 2)
+        first, _ = store.local_model(np.zeros(2))
+        second, _ = store.local_model(np.array([3.0, 3.0]))
+        assert second is not first
+        q = reusing_query(store, first, np.zeros(2), rng)
+        # the most recent model may not serve q; first may
+        assert not fits(store, second, q)
+        assert store.local_model(q)[0] is first
+        assert store.models_built == 2
+
+    def test_most_recent_of_the_models_that_may_serve_serves(self):
+        rng = np.random.default_rng(36)
+        store = random_store(rng, 2, 80, np.ones(2), 2)
+        built_at = {}
+        for q in rng.normal(scale=0.7, size=(40, 2)):
+            before = store.models_built
+            gp, _ = store.local_model(q)
+            if store.models_built > before:
+                built_at[slot_of(store, gp)] = q
+        for q in rng.normal(scale=0.7, size=(2000, 2)):
+            if store.nearest(q, local_size(2))[0].tobytes() in store._keys:
+                continue
+            slots = [s for s in built_at if fits(store, store._models[s], q)]
+            if len(slots) >= 2:
+                break
+        assert len(slots) >= 2
+        other = next(s for s in built_at if s not in slots)
+        for s in slots:
+            trial = copy.deepcopy(store)
+            # exact hits on the supports they were built on make s the most
+            # recently used model that may serve q, and other, which may
+            # not, the most recently used of all
+            assert slot_of(trial, trial.local_model(built_at[s])[0]) == s
+            trial.local_model(built_at[other])
+            assert slot_of(trial, trial.local_model(q)[0]) == s
+            assert trial.models_built == store.models_built
+
+    def test_alias_checks_the_rule_again(self):
+        # two queries on one support whose cores differ: the model that
+        # served the first may not serve the second
+        rng = np.random.default_rng(37)
+        store = random_store(rng, 2, 60, np.ones(2), 2)
+        n = local_size(2)
+        for q0 in rng.normal(scale=0.5, size=(200, 2)):
+            gp, _ = store.local_model(q0)
+            q1 = reusing_query(store, gp, q0, rng)
+            support = store.nearest(q1, n)[0]
+            for q2 in q1 + rng.normal(scale=0.05, size=(200, 2)):
+                if (np.array_equal(store.nearest(q2, n)[0], support)
+                        and not fits(store, gp, q2)):
+                    break
+            else:
+                continue
+            break
+        else:
+            raise AssertionError("no such pair of queries")
+        assert store.local_model(q1)[0] is gp
+        assert store._keys[support.tobytes()] == (slot_of(store, gp), True)
+        served, _ = store.local_model(q2)
+        assert served is not gp and fits(store, served, q2)
+
+    def test_eviction_takes_the_slots_aliases(self, monkeypatch):
+        monkeypatch.setattr(gpmmc.gp, "MODEL_CACHE_ENTRIES",
+                            2 * local_size(2)**2)
+        rng = np.random.default_rng(38)
+        store = random_store(rng, 2, 60, np.ones(2), 2)
+        first, _ = store.local_model(np.zeros(2))
+        q = reusing_query(store, first, np.zeros(2), rng)
+        assert store.local_model(q)[0] is first
+        alias = store.nearest(q, local_size(2))[0].tobytes()
+        assert store._keys[alias] == (slot_of(store, first), True)
+        store.local_model(np.array([3.0, 3.0]))
+        assert len(store._keys) == 3
+        # a third build refills first's slot, the least recently used
+        slot = slot_of(store, first)
+        third, _ = store.local_model(np.array([-3.0, -3.0]))
+        assert store._models[slot] is third
+        assert store.models_built == 3
+        assert alias not in store._keys and len(store._keys) == 2
+        # the refilled slot does not inherit the alias: q gets a model
+        # that may serve it
+        assert not fits(store, third, q)
+        served, _ = store.local_model(q)
+        assert served is not third and fits(store, served, q)
 
 
 class TestLengthscaleCalibration:

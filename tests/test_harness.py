@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gpmmc.benchmarks
+import gpmmc.gp
 import gpmmc.harness
 from gpmmc import (ConfigError, compare_pdfs, estimate_moments, evaluate,
                    gaussian_model, parse_config, read_histogram_csv,
@@ -337,6 +338,7 @@ class TestRunExperimentMc:
         assert summary["true_evals"] == 600
         assert summary["eval_breakdown"] == {"pilot": 0, "samples": 600}
         assert summary["surrogate_evals"] == summary["screened"] == 0
+        assert summary["local_models_built"] == 0
         assert 0.9 <= summary["in_range_fraction"] <= 1.0
         data = read_histogram_csv(tmp_path / "out" / "histogram.csv")
         assert data["counts"][-1].sum() == summary["true_evals"] * \
@@ -380,6 +382,7 @@ class TestRunExperimentMmc:
         assert summary["true_evals"] == (bd["pilot"] + bd["initial_design"]
                                          + bd["start_draws"] + bd["chain"])
         assert bd["chain"] == 2 * (300 + 30)
+        assert summary["local_models_built"] == 0
         assert summary["burn_in"] == 30
         assert len(summary["flatness"]) == 2
         assert len(summary["acceptance"]) == 2
@@ -434,9 +437,20 @@ class TestRunExperimentMmc:
 
 
 class TestRunExperimentGpmmc:
-    def test_outputs_and_accounting(self, tmp_path):
+    def test_outputs_and_accounting(self, tmp_path, monkeypatch):
+        builds = []
+        build = gpmmc.gp.build_local_surrogate
+
+        def counted(store, idx):
+            gp = build(store, idx)
+            builds.append(idx)
+            return gp
+
+        monkeypatch.setattr(gpmmc.gp, "build_local_surrogate", counted)
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_GPMMC))
         summary = run_experiment(cfg, tmp_path / "out")
+        # every model built and cached, and nothing else
+        assert summary["local_models_built"] == len(builds) > 0
         bd = summary["eval_breakdown"]
         assert bd["initial_design"] == 30
         refines = (bd["refine_random"] + bd["refine_beta"]

@@ -317,7 +317,7 @@ class TestSurrogateKernel:
         failed = [key for key, ok in builds if not ok]
         assert causes["refine_fallback"] == len(failed)
         assert len(set(failed)) < len(failed)
-        assert not set(failed) & kernel.store._models.keys()
+        assert not set(failed) & kernel.store._keys.keys()
 
 
 class _ScriptedRng:
@@ -559,15 +559,18 @@ class TestModelCache:
         def checked(x):
             idx, dist, _ = store.nearest(x, local_size(2))
             core, _, _ = store.nearest(x, gpmmc.gp._trend_terms(2))
-            cached = idx.tobytes() in store._models
+            built = store.models_built
             gp, gp_dist = serve(x)
-            np.testing.assert_array_equal(gp.member.nonzero()[0], gp.idx)
+            slot = next(s for s, m in enumerate(store._models) if m is gp)
+            np.testing.assert_array_equal(
+                store._held[:, slot].nonzero()[0], gp.idx)
             np.testing.assert_array_equal(gp_dist, dist[gp.idx])
             if np.array_equal(gp.idx, idx):
-                served["cached" if cached else "built"] += 1
+                served["built" if store.models_built > built
+                       else "cached"] += 1
                 return gp, gp_dist
             assert np.isin(core, gp.idx).all()
-            assert (np.setdiff1d(idx, gp.idx) < gp.member.size).all()
+            assert (np.setdiff1d(idx, gp.idx) < store._born[slot]).all()
             served["reused"] += 1
             return gp, gp_dist
 
@@ -577,7 +580,7 @@ class TestModelCache:
                                        float(store.values[0]))
         rng = np.random.default_rng([17, 0])
         _, causes = _walk(kernel, rng, state, log_theta, 400)
-        assert served["built"] == len(builds)
+        assert served["built"] == len(builds) == store.models_built
         assert sum(served.values()) == 400 - causes["refine_random"]
         assert served["reused"] > 10 and served["cached"] > 50
 
@@ -612,9 +615,13 @@ class TestModelCache:
         models = []
         for q in queries[:12]:
             models.append(store.local_model(q)[0])
-            assert len(store._models) <= bound
         assert len({id(gp) for gp in models}) == 12
+        assert store.models_built == 12
         assert len(store._models) == bound == 6
+        # the cache holds the six most recent models, and only their keys
+        assert ([id(gp) for gp in store._models]
+                == [id(gp) for gp in models[6:]])
+        assert len(store._keys) == 6
         # least recently used goes first: after a hit on the oldest model
         # held, the next miss evicts the one after it
         assert store.local_model(queries[6])[0] is models[6]
