@@ -191,8 +191,8 @@ class EvaluationStore:
         self._core_size = _trend_terms(dimension)
         slots = max(1, MODEL_CACHE_ENTRIES // self._support_size**2)
         self._models: list[LocalGP | None] = [None] * slots
-        # slots are columns, so the rows of a query's core gather as a few
-        # contiguous runs
+        # slots are columns: gathering a query's core copies one contiguous
+        # row per core evaluation
         self._held = np.zeros((STORE_CAPACITY, slots), dtype=bool)
         self._born = np.zeros(slots, dtype=np.intp)
         self._used = np.zeros(slots, dtype=np.int64)

@@ -25,10 +25,10 @@ its cause.
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). In 10-D
 few do, but most candidates' nearest evaluations lie in the support of a
-model built a few candidates before, not always the last one. The kernel
-asks its store for each local model (EvaluationStore.local_model), which
-caches the models it built and builds one only when no cached model serves
-the candidate; gp.py says which do.
+model already built for an earlier candidate, not always the last one. The
+kernel asks its store for each local model (EvaluationStore.local_model),
+which caches the models it built and builds one only when no cached model
+serves the candidate; gp.py says which do.
 """
 
 from __future__ import annotations

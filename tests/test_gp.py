@@ -732,7 +732,7 @@ class TestModelReuse:
     its build."""
 
     @pytest.mark.parametrize("d, p", [(2, 1), (2, 2), (10, 2)])
-    def test_reused_model_meets_the_rule_and_serves_its_own_rows(self, d, p):
+    def test_reused_model_holds_the_core_and_serves_its_own_rows(self, d, p):
         rng = np.random.default_rng(30 + d + p)
         lengths = rng.uniform(0.5, 2.0, d)
         store = random_store(rng, d, 3 * local_size(d), lengths, p)
