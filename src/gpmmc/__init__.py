@@ -1,6 +1,6 @@
 """Full-distribution estimation of scalar model outputs by multicanonical
-Monte Carlo, optionally accelerated with adaptively refined local
-Gaussian-process surrogates."""
+Monte Carlo, optionally accelerated with local Gaussian-process surrogates
+that true evaluations refine where the chain needs them."""
 
 import os
 

@@ -34,8 +34,9 @@ def _cmd_run(args) -> int:
     print(f"model             {summary['model']}")
     print(f"seed              {summary['seed']}")
     print(f"true evaluations  {summary['true_evals']}")
-    if summary.get("surrogate_evals"):
-        print(f"surrogate calls   {summary['surrogate_evals']}")
+    if summary["causes"]:
+        print("steps by cause    " + "  ".join(
+            f"{k} {n}" for k, n in summary["causes"].items()))
     if summary.get("flatness"):
         flat = summary["flatness"]
         print(f"flatness          first {flat[0]:.4f}  last {flat[-1]:.4f}")

@@ -7,9 +7,9 @@ A run writes into the output directory its caller names:
                   estimate; the run's density pools the counts and weights
                   of all iterations (read_histogram_csv recomputes it)
   summary.json    scalar results and diagnostics, among them the moments of
-                  the run's density, deterministic for a fixed config and
-                  seed except for the runtime_seconds entry
-  steps.csv       per-step kernel log (when the caller asks for it)
+                  the run's density and its steps by cause, deterministic
+                  for a fixed config and seed but for runtime_seconds
+  steps.csv       per-step log: step,cause,beta,accepted (on request)
   store.csv       the exact-evaluation store (surrogate runs only)
 
 Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
@@ -46,6 +46,12 @@ __all__ = ["RunConfig", "parse_config", "run_experiment", "ComparisonReport",
            "compare_pdfs", "read_histogram_csv", "CONFIG_KEYS"]
 
 HISTOGRAM_HEADER = "iter,bin,center,lo,hi,count,H_hat,theta,P_i,pdf"
+_OUTPUT_FILES = ("histogram.csv", "summary.json", "steps.csv", "store.csv")
+# every step cause of each chain method's kernel, in the order summary.json
+# lists them; all but served and screened cost a true evaluation
+_STEP_CAUSES = {"mmc": ("chain",),
+                "gpmmc": ("served", "screened", "refine_random",
+                          "refine_beta", "refine_fallback")}
 
 
 def _vector(raw: str) -> float | np.ndarray:
@@ -283,8 +289,8 @@ def read_histogram_csv(path: str | Path) -> dict:
 def run_experiment(cfg: RunConfig, out_dir: str | Path,
                    log_steps: bool = False) -> dict:
     """Execute one configured run and write its result files into out_dir,
-    which is created if missing; log_steps also writes steps.csv for an
-    mmc or gpmmc run.
+    which is created if missing, after removing those an earlier run left
+    there; log_steps also writes steps.csv for an mmc or gpmmc run.
 
     Returns the summary dict (also written to summary.json).
     """
@@ -297,6 +303,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         raise ConfigError(f"model {cfg.model!r}: {exc}") from None
     prop = _proposal_for(cfg, model.dimension)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUT_FILES:
+        (out / name).unlink(missing_ok=True)
     ledger = EvalLedger()
     if cfg.auto_range:
         lo, hi = pilot_output_range(model, cfg.seed, ledger)
@@ -304,7 +312,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         lo, hi = cfg.range_lo, cfg.range_hi
     binning = Binning(lo, hi, cfg.bins)
     breakdown = {"pilot": ledger.true_evals}
-    screened = surrogate_evals = local_models_built = 0
+    causes, local_models_built = {}, 0
 
     summary = {
         "method": cfg.method,
@@ -343,14 +351,11 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         on_step = None
         if log_steps:
             step_file = open(out / "steps.csv", "w")
-            step_file.write(
-                "step,used_surrogate,beta,refined,accepted,cause\n")
+            step_file.write("step,cause,beta,accepted\n")
 
             def on_step(index, rec, _fh=step_file):
                 beta = "" if rec.beta is None else repr(rec.beta)
-                _fh.write(f"{index},{int(rec.used_surrogate)},{beta},"
-                          f"{int(rec.refined)},{int(rec.accepted)},"
-                          f"{rec.cause}\n")
+                _fh.write(f"{index},{rec.cause},{beta},{int(rec.accepted)}\n")
 
         try:
             result = run_mmc(kernel, mmc_cfg, on_step=on_step)
@@ -360,14 +365,11 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
 
         tables, hists = result.weights, result.histograms
         breakdown["start_draws"] = result.start_draws
-        # the chain's true evaluations by cause, zero counts included
-        causes = result.causes
-        breakdown.update((k, causes.get(k, 0)) for k in (
-            ("chain",) if cfg.method == "mmc"
-            else ("refine_random", "refine_beta", "refine_fallback")))
-        screened = causes.get("screened", 0)
-        surrogate_evals = (causes.get("served", 0) + screened
-                           + causes.get("refine_beta", 0))
+        # every step by cause, zero counts included; the chain's true
+        # evaluations are the causes that are not served predictions
+        causes = {k: result.causes.get(k, 0) for k in _STEP_CAUSES[cfg.method]}
+        breakdown.update((k, n) for k, n in causes.items()
+                         if k not in ("served", "screened"))
         results = {"acceptance": result.acceptance,
                    "flatness": result.flatness, "moments": result.moments}
         if cfg.method == "gpmmc":
@@ -385,8 +387,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             f"ledger mismatch: {ledger.true_evals} true evaluations, "
             f"breakdown accounts for {sum(breakdown.values())}")
     summary.update(burn_in=burn_in, true_evals=ledger.true_evals,
-                   surrogate_evals=surrogate_evals,
-                   local_models_built=local_models_built, screened=screened,
+                   local_models_built=local_models_built, causes=causes,
                    eval_breakdown=breakdown, **results)
 
     summary["runtime_seconds"] = time.perf_counter() - t0

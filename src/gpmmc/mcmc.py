@@ -66,21 +66,13 @@ class Proposal:
 
 @dataclass(slots=True)
 class StepRecord:
-    """What one kernel step did. cause names where the candidate's output
-    came from: "chain" (ExactKernel) or one of SurrogateKernel's causes;
-    run_mmc counts them into MmcResult.causes."""
+    """What one kernel step did. cause, the one record of where the
+    candidate's output came from, is "chain" (ExactKernel) or one of
+    SurrogateKernel's causes; run_mmc counts them into MmcResult.causes."""
 
     cause: str
     beta: float | None
     accepted: bool
-
-    @property
-    def used_surrogate(self) -> bool:
-        return self.cause == "served" or self.cause == "screened"
-
-    @property
-    def refined(self) -> bool:
-        return self.cause.startswith("refine")
 
 
 def propose(rng: np.random.Generator, x: np.ndarray, prop: Proposal) -> np.ndarray:

@@ -9,10 +9,10 @@ mcmc.log_bias_density). A prediction (mu, sigma) is served when its bin beta,
 
 the predictive mass outside the bin mu falls in, is at most beta_max. Above
 that, the kernel screens the candidate as delayed-acceptance MCMC does
-(Christen & Fox 2005), with the accept uniform u already drawn: a predicted
-acceptance is refined, since a wrong bin would be kept, and a predicted
-rejection is refined only if the predictive mass in the bins that accept at
-u exceeds beta_max; else it is served and rejected. So every state kept from
+(Christen & Fox 2005), with the accept uniform u already drawn: it refines
+a predicted acceptance, since a wrong bin would be kept, and a predicted
+rejection only if the predictive mass in the bins that accept at u exceeds
+beta_max; else the rejection is served. So every state kept from
 a prediction has bin beta <= beta_max. Refinements feed the evaluation store,
 shrinking the surrogate's uncertainty exactly where the chain visits. An
 independent gate evaluates the true model with small probability gamma
@@ -115,11 +115,12 @@ class SurrogateKernel:
 
     Each step's StepRecord.cause says what it did: "served" its prediction,
     "screened" (served a prediction as a rejection although its bin beta
-    exceeds beta_max), or refined by the random gate ("refine_random"), by
+    exceeds beta_max), or refine, by the random gate ("refine_random"), by
     beta above threshold ("refine_beta") or after a surrogate build failure
     ("refine_fallback"). Only the three refine causes evaluate the true
     model, and each local posterior made ends served, screened or
-    refine_beta. The kernel itself keeps only the policy and its store.
+    refine_beta. The kernel itself keeps only the policy and its store;
+    run_mmc tallies the causes, which a run's summary.json lists.
 
     Local models come from the store (EvaluationStore.local_model), which
     caches them. A build that raises SurrogateError is not cached, so a

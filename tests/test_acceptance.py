@@ -169,7 +169,7 @@ def reduced_two_center_run():
     accepted_betas = []
 
     def on_step(index, rec):
-        if rec.used_surrogate:
+        if rec.cause in ("served", "screened"):
             betas.append(rec.beta)
             if rec.accepted:
                 accepted_betas.append(rec.beta)

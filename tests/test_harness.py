@@ -200,7 +200,7 @@ class TestParseConfig:
         assert parse_config(preset).method in ("mc", "mmc", "gpmmc")
 
     @pytest.mark.parametrize("preset", PRESETS, ids=_preset_id)
-    def test_shipped_preset_runs(self, preset, tmp_path):
+    def test_shipped_preset_runs(self, preset, tmp_path, monkeypatch):
         # a full preset run takes minutes to an hour: cut the effort and the
         # Poisson grid, keep the model, method, binning, proposal and
         # surrogate keys
@@ -209,10 +209,37 @@ class TestParseConfig:
         if "grid_nodes" in preset.read_text():
             overrides["grid_nodes"] = 17
         cfg = parse_config(preset, overrides)
-        summary = run_experiment(cfg, tmp_path)
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(run_mmc(*args, **kwargs))
+            return results[-1]
+
+        run_mmc = gpmmc.harness.run_mmc
+        monkeypatch.setattr(gpmmc.harness, "run_mmc", recorded)
+        summary = run_experiment(cfg, tmp_path, log_steps=True)
         assert summary["method"] == cfg.method
         data = read_histogram_csv(tmp_path / "histogram.csv")
         assert data["binning"].m == cfg.bins
+        causes = summary["causes"]
+        if cfg.method == "mc":
+            assert causes == {} and results == []
+            assert not (tmp_path / "steps.csv").exists()
+        else:
+            # the three records of the steps agree: the step log, the
+            # summary's table and the run's own tally, zeros filled in
+            logged = [line.split(",")[1] for line in (
+                tmp_path / "steps.csv").read_text().splitlines()[1:]]
+            assert causes == {k: logged.count(k) for k in causes}
+            assert sum(causes.values()) == len(logged)
+            assert causes == {k: results[0].causes.get(k, 0)
+                              for k in causes}
+            assert set(results[0].causes) <= set(causes)
+            # and eval_breakdown's step terms are the true-evaluation causes
+            bd = summary["eval_breakdown"]
+            assert {k: bd[k] for k in bd if k in causes} == {
+                k: n for k, n in causes.items()
+                if k not in ("served", "screened")}
         if preset.parent.name == "workloads":
             # the benchmark's own output checks, on the files it reads
             check_outputs, comparable_files = _bench_checks()
@@ -337,7 +364,7 @@ class TestRunExperimentMc:
         assert (tmp_path / "out" / "summary.json").exists()
         assert summary["true_evals"] == 600
         assert summary["eval_breakdown"] == {"pilot": 0, "samples": 600}
-        assert summary["surrogate_evals"] == summary["screened"] == 0
+        assert summary["causes"] == {}
         assert summary["local_models_built"] == 0
         assert 0.9 <= summary["in_range_fraction"] <= 1.0
         data = read_histogram_csv(tmp_path / "out" / "histogram.csv")
@@ -382,6 +409,7 @@ class TestRunExperimentMmc:
         assert summary["true_evals"] == (bd["pilot"] + bd["initial_design"]
                                          + bd["start_draws"] + bd["chain"])
         assert bd["chain"] == 2 * (300 + 30)
+        assert summary["causes"] == {"chain": bd["chain"]}
         assert summary["local_models_built"] == 0
         assert summary["burn_in"] == 30
         assert len(summary["flatness"]) == 2
@@ -431,9 +459,9 @@ class TestRunExperimentMmc:
         assert not (tmp_path / "plain" / "steps.csv").exists()
         run_experiment(cfg, tmp_path / "out", log_steps=True)
         lines = (tmp_path / "out" / "steps.csv").read_text().splitlines()
-        assert lines[0] == "step,used_surrogate,beta,refined,accepted,cause"
+        assert lines[0] == "step,cause,beta,accepted"
         assert len(lines) - 1 == 2 * (300 + 30)
-        assert {line.split(",")[-1] for line in lines[1:]} == {"chain"}
+        assert {line.split(",")[1] for line in lines[1:]} == {"chain"}
 
 
 class TestRunExperimentGpmmc:
@@ -459,8 +487,10 @@ class TestRunExperimentGpmmc:
                                          + bd["start_draws"] + refines)
         # the surrogate answered most steps
         assert summary["true_evals"] < 2 * (300 + 30) * 0.8 + 30
-        assert summary["surrogate_evals"] > 0
-        assert 0 <= summary["screened"] < summary["surrogate_evals"]
+        causes = summary["causes"]
+        assert list(causes) == ["served", "screened", "refine_random",
+                                "refine_beta", "refine_fallback"]
+        assert causes["served"] > 0
         assert (tmp_path / "out" / "store.csv").exists()
         assert summary["store_size"] >= 30
 
@@ -470,6 +500,31 @@ class TestRunExperimentGpmmc:
         rows = np.loadtxt(tmp_path / "out" / "store.csv", delimiter=",",
                           skiprows=1)
         assert rows.shape == (summary["store_size"], 3)
+
+    def test_rerun_leaves_no_file_of_an_earlier_run(self, tmp_path,
+                                                    monkeypatch):
+        """A run into a directory that holds another run's files removes
+        them first: an mmc run after a logged gpmmc run leaves no store or
+        step log, and a run that fails leaves no summary."""
+        out = tmp_path / "out"
+        (out / "notes.txt").parent.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        run_experiment(parse_config(_write_cfg(tmp_path / "a.cfg",
+                                               GOOD_GPMMC)),
+                       out, log_steps=True)
+        assert (out / "store.csv").exists() and (out / "steps.csv").exists()
+        mmc = parse_config(_write_cfg(tmp_path / "b.cfg", GOOD_MMC))
+        run_experiment(mmc, out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "histogram.csv", "notes.txt", "summary.json"]
+
+        def failed(*args, **kwargs):
+            raise RuntimeError("chain failed")
+
+        monkeypatch.setattr(gpmmc.harness, "run_mmc", failed)
+        with pytest.raises(RuntimeError, match="chain failed"):
+            run_experiment(mmc, out)
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
     def test_small_design_rejected(self, tmp_path):
         text = GOOD_GPMMC.replace("initial_design = 30",
@@ -650,17 +705,20 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", cfg_path, "--out", str(out),
                          "--log-steps"]) == 0
-        assert "surrogate calls" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert "steps by cause    " + "  ".join(
+            f"{k} {n}" for k, n in summary["causes"].items()) in \
+            capsys.readouterr().out
         rows = [line.split(",") for line in
                 (out / "steps.csv").read_text().splitlines()[1:]]
         assert len(rows) == 2 * (300 + 30)
-        summary = json.loads((out / "summary.json").read_text())
         # every local posterior made left its beta in the step log
-        assert summary["surrogate_evals"] == sum(r[2] != "" for r in rows)
-        # and its cause: the screened steps and each refinement cause can
-        # be picked out of the file
-        causes = [r[5] for r in rows]
-        assert summary["screened"] == causes.count("screened")
+        c = summary["causes"]
+        assert c["served"] + c["screened"] + c["refine_beta"] == sum(
+            r[2] != "" for r in rows)
+        # and its cause: each cause can be picked out of the file
+        causes = [r[1] for r in rows]
+        assert c == {k: causes.count(k) for k in c}
         for cause in ("refine_random", "refine_beta", "refine_fallback"):
             assert summary["eval_breakdown"][cause] == causes.count(cause)
 

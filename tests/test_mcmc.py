@@ -103,8 +103,8 @@ class TestMhStep:
             new, rec = kernel.step(rng, state, FLAT)
             assert isinstance(rec, StepRecord)
             assert rec.cause == "chain" and rec.beta is None
-            assert rec.used_surrogate is False
-            assert rec.refined is False
+            assert [f.name for f in dataclasses.fields(rec)] == [
+                "cause", "beta", "accepted"]
             assert rec.accepted == (new is not state)
             state = new
 

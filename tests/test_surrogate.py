@@ -16,6 +16,9 @@ from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
                    misassignment_probability, run_mmc, sample_prior)
 from gpmmc.benchmarks import min_distance_model
 
+# the causes of a step whose candidate output is a served prediction
+SERVED = ("served", "screened")
+
 
 def _phi(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
@@ -169,8 +172,6 @@ class TestSurrogateKernel:
         state, rec = kernel.step(rng, state, log_theta)
         assert rec.cause == "refine_fallback"
         assert store.size == 1
-        assert rec.used_surrogate is False
-        assert rec.refined is True
 
     def test_counters_partition_steps(self):
         model = _identity_model()
@@ -203,7 +204,7 @@ class TestSurrogateKernel:
         for _ in range(400):
             state, rec = kernel.step(rng, state, log_theta)
             causes[rec.cause] += 1
-            if rec.used_surrogate:
+            if rec.cause in SERVED:
                 assert rec.beta is not None and rec.beta <= 0.05
             elif rec.beta is not None:
                 assert rec.beta > 0.05
@@ -386,7 +387,6 @@ class TestDecisionAwareRefinement:
         bin_beta = misassignment_probability(mu, sigma, RULE_BINS)
         assert bin_beta > 0.4
         kernel, rec, new, at_eval = self._step(mu, sigma)
-        assert rec.refined and not rec.used_surrogate
         assert rec.beta == bin_beta
         assert rec.cause == "refine_beta" and kernel.ledger.true_evals == 1
         # the refinement was decided with the accept uniform in hand
@@ -402,9 +402,8 @@ class TestDecisionAwareRefinement:
         mass = self._accepting_mass(mu, sigma)
         assert mass <= 0.05
         kernel, rec, new, at_eval = self._step(mu, sigma)
-        assert rec.used_surrogate and not rec.refined and not rec.accepted
+        assert rec.cause == "screened" and not rec.accepted
         assert rec.beta == pytest.approx(mass, rel=1e-9)
-        assert rec.cause == "screened"
         assert kernel.ledger.true_evals == 0 and at_eval == []
         assert kernel.store.size == 0
 
@@ -413,7 +412,6 @@ class TestDecisionAwareRefinement:
         mass = self._accepting_mass(mu, sigma)
         assert 0.05 < mass < misassignment_probability(mu, sigma, RULE_BINS)
         kernel, rec, new, at_eval = self._step(mu, sigma)
-        assert rec.refined and not rec.used_surrogate
         assert rec.beta == pytest.approx(mass, rel=1e-9)
         assert rec.cause == "refine_beta" and at_eval == [2]
 
@@ -422,7 +420,7 @@ class TestDecisionAwareRefinement:
         mass = self._accepting_mass(mu, sigma)
         _, served, _, _ = self._step(mu, sigma, beta_max=mass * 1.001)
         _, refined, _, _ = self._step(mu, sigma, beta_max=mass * 0.999)
-        assert served.used_surrogate and refined.refined
+        assert (served.cause, refined.cause) == ("screened", "refine_beta")
 
     def test_zero_uniform_makes_every_bin_accept(self):
         state = ChainState(np.zeros(1), 0.0, 0.0)
@@ -432,8 +430,8 @@ class TestDecisionAwareRefinement:
         assert accepting(0.0, state, 0.0, log_theta).all()
         # at u = 0 the prediction that rejects at u = 0.5 accepts: refined
         kernel, rec, new, at_eval = self._step(3.0, 0.3, u=0.0)
-        assert rec.refined and rec.beta == misassignment_probability(
-            3.0, 0.3, RULE_BINS)
+        assert rec.cause == "refine_beta" and rec.beta == (
+            misassignment_probability(3.0, 0.3, RULE_BINS))
         assert at_eval == [2]
 
     def test_accepting_set_matches_metropolis_accept(self):
@@ -503,7 +501,7 @@ class TestDecisionAwareRefinement:
             before = state
             state, rec = kernel.step(rng, state, log_theta)
             recorded_screened += rec.cause == "screened"
-            if rec.used_surrogate and bin_betas[0] > kernel.beta_max:
+            if rec.cause in SERVED and bin_betas[0] > kernel.beta_max:
                 screened += 1
                 assert not rec.accepted and state is before
         assert screened > 20
@@ -531,9 +529,9 @@ class TestDecisionAwareRefinement:
                                             binning) > kernel.beta_max
             _, rec = kernel.step(_ScriptedRng(z, [0.5, rng.random()]), state,
                                  log_theta)
-            assert not rec.refined or old
+            assert not rec.cause.startswith("refine") or old
             bin_rule_refined += old
-            served_instead += old and rec.used_surrogate
+            served_instead += old and rec.cause in SERVED
         assert bin_rule_refined > 50 and served_instead > 10
 
 
