@@ -16,9 +16,10 @@ support as it does in the correlations.
 Lengthscales are calibrated once from the initial design by a coordinate-wise
 grid search on the profile marginal likelihood of the trend residuals,
 divided by their largest magnitude so the search does not depend on the
-scale of y, and then frozen; the amplitude a is recalibrated in closed form
-for every local model, so the predictive variance tracks the local residual
-scale as the store grows. The EvaluationStore owns the frozen lengthscales
+scale of y, and then frozen; the candidates for one coordinate share its
+distances and those over the others. The amplitude a is recalibrated in
+closed form for every local model, so the predictive variance tracks the
+local residual scale as the store grows. The EvaluationStore owns the frozen lengthscales
 and exponent: it checks them once, when it is built, and keeps each point
 also in scaled coordinates, from which distances and correlations come.
 
@@ -58,7 +59,8 @@ The per-query algebra calls LAPACK and BLAS directly through scipy.linalg
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
 correlation matrix; dtrsv for the posterior variance): on supports this
 small, the argument checks of the numpy.linalg and scipy.linalg wrappers
-cost more than the factorizations.
+cost more than the factorizations. Calibration calls dpotrf (clean=0:
+the factor is discarded) and dpotrs on the strict lower triangle alone.
 For the same reason the trend at a single query builds no design: it
 fills a row QuadraticMean owns with the floats of the one-row design and
 takes the same product, so mean(x) == mean(x[None, :])[0] bit for bit.
@@ -73,7 +75,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dgeqp3, dormqr, dpotrf, dpotrs, dtrtrs
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import SurrogateError
 
@@ -439,11 +441,19 @@ def fit_quadratic_mean(X: np.ndarray,
         return QuadraticMean(degree, center, scale, coef), y - B @ coef
 
 
+def _jitter_ladder():
+    """Jitters to try in turn on a unit-diagonal correlation matrix (so
+    relative to the amplitude), tenfold from JITTER_START to JITTER_MAX."""
+    jitter = JITTER_START
+    while jitter <= JITTER_MAX * (1 + 1e-9):
+        yield jitter
+        jitter *= 10.0
+
+
 def _chol_with_jitter(corr: np.ndarray,
                       work: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of corr + jitter*I, escalating jitter tenfold
-    from 1e-10 to 1e-4 before giving up. The matrix has unit diagonal, so
-    these levels are relative to the kernel amplitude after scaling.
+    """Lower Cholesky factor of corr + jitter*I at the first jitter of
+    _jitter_ladder that factors; SurrogateError past the last.
 
     The factor is computed in work (a Fortran-ordered n x n buffer, fresh
     when not given) and returned in it; corr is left intact. corr must be
@@ -453,35 +463,15 @@ def _chol_with_jitter(corr: np.ndarray,
     if work is None:
         work = np.empty((n, n), order="F")
     diag = np.diag_indices(n)
-    jitter = JITTER_START
-    while jitter <= JITTER_MAX * (1 + 1e-9):
+    for jitter in _jitter_ladder():
         work.T[...] = corr
         work[diag] += jitter
         L, info = dpotrf(work, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
-        jitter *= 10.0
     raise SurrogateError(
         f"correlation matrix of size {corr.shape[0]} not positive definite "
         f"even with jitter {JITTER_MAX}")
-
-
-def _profile_loglik(X: np.ndarray, r: np.ndarray, lengths: np.ndarray,
-                    p: int, corr: np.ndarray, work: np.ndarray) -> float:
-    """Marginal log likelihood of the residuals with the amplitude profiled
-    out, up to constants: -n log(r' C^{-1} r / n) - log det C.
-
-    corr (C-ordered) and work (Fortran-ordered) are n x n scratch buffers,
-    reused across calls so a calibration allocates no matrices."""
-    n = r.size
-    try:
-        L, _ = _chol_with_jitter(_corr_matrix(X, lengths, p, out=corr), work)
-    except SurrogateError:
-        return -math.inf
-    alpha, _ = dpotrs(L, r, lower=1)
-    a_hat = max(float(r @ alpha) / n, AMPLITUDE_FLOOR)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    return -n * math.log(a_hat) - logdet
 
 
 def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -490,13 +480,21 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     Each coordinate gets a log-spaced grid of CALIBRATION_GRID points spanning
     CALIBRATION_SPAN times its data standard deviation. Starting from the grid
     centers, coordinates are optimized one at a time against the profile
-    marginal likelihood of the trend residuals, with CALIBRATION_SWEEPS full
-    sweeps rather than iterating to convergence. The residuals are divided
-    by their largest magnitude first, so the search sees the same numbers
-    whatever the scale of y (outputs near 1e170 would otherwise overflow
-    every likelihood on the grid). Degenerate data with no residual signal,
+    marginal likelihood of the trend residuals r, -n log(r' C^{-1} r / n) -
+    log det C up to constants, with CALIBRATION_SWEEPS full sweeps rather
+    than iterating to convergence. The residuals are divided by their
+    largest magnitude first, so the search sees the same numbers whatever
+    the scale of y (outputs near 1e170 would otherwise overflow every
+    likelihood on the grid). Degenerate data with no residual signal,
     max|r| <= 1e-12 max|y|, falls back to the per-coordinate data ranges.
     ValueError unless the kernel exponent p is 1 or 2.
+
+    Coordinate j's sweep computes, once, the kernel distance over the other
+    coordinates at the current lengths and |x_j - x'_j|^p, over the n(n -
+    1)/2 pairs; a candidate l_j costs a divide-add, the exp and a
+    factorization of C's strict lower triangle. The sweep's starting value
+    is the best at its start, so it is not scored again: a search scores
+    1 + CALIBRATION_SWEEPS * d * (CALIBRATION_GRID - 1) likelihoods.
     """
     _check_exponent(p)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -516,19 +514,43 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     lo, hi = CALIBRATION_SPAN
     grids = [np.geomspace(lo * s, hi * s, CALIBRATION_GRID) for s in std]
     lengths = np.array([g[CALIBRATION_GRID // 2] for g in grids])
-    corr = np.empty((n, n))
-    work = np.empty((n, n), order="F")
-    best = _profile_loglik(X, r, lengths, p, corr, work)
+    # work.T[upper] is work's strict lower triangle column by column, the
+    # order in which pdist lists the pairs i < j
+    work = np.zeros((n, n), order="F")
+    upper = np.arange(n) > np.arange(n)[:, None]
+    corr = np.empty(n * (n - 1) // 2)
+
+    def loglik(rest: np.ndarray, dist_j: np.ndarray, length: float) -> float:
+        """The likelihood at C's pairs exp(-rest - dist_j / length)."""
+        np.divide(dist_j, -length, out=corr)
+        np.subtract(corr, rest, out=corr)
+        np.exp(corr, out=corr)
+        for jitter in _jitter_ladder():
+            work.T[upper] = corr
+            np.fill_diagonal(work, 1.0 + jitter)
+            L, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                alpha, _ = dpotrs(L, r, lower=1)
+                a_hat = max(float(r @ alpha) / n, AMPLITUDE_FLOOR)
+                return (-n * math.log(a_hat)
+                        - 2.0 * float(np.log(np.diag(L)).sum()))
+        return -math.inf
+
+    best = None
     for _ in range(CALIBRATION_SWEEPS):
         for j in range(d):
+            others = np.arange(d) != j
+            rest = pdist(X[:, others] / _root(lengths[others], p), _metric(p))
+            dist_j = pdist(X[:, j:j + 1], _metric(p))
+            start = lengths[j]
+            if best is None:
+                best = loglik(rest, dist_j, start)
             for cand in grids[j]:
-                if cand == lengths[j]:
-                    continue  # scores exactly best, so it cannot win
-                trial = lengths.copy()
-                trial[j] = cand
-                ll = _profile_loglik(X, r, trial, p, corr, work)
+                if cand == start:
+                    continue  # scored as best at the sweep's start
+                ll = loglik(rest, dist_j, cand)
                 if ll > best:
-                    best, lengths = ll, trial
+                    best, lengths[j] = ll, cand
     return lengths
 
 

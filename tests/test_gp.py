@@ -7,11 +7,14 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
 import gpmmc.gp
-from gpmmc import (EvaluationStore, LocalGP, SurrogateError,
-                   build_local_surrogate, calibrate_lengthscales,
-                   fit_quadratic_mean, local_size)
-from gpmmc.gp import (STORE_CAPACITY, QuadraticMean, _check_kernel,
-                      _chol_with_jitter, _corr_matrix, _trend_terms)
+from gpmmc import (EvalLedger, EvaluationStore, LocalGP, SurrogateError,
+                   build_local_surrogate, calibrate_lengthscales, evaluate,
+                   fit_quadratic_mean, local_size, sample_prior)
+from gpmmc.benchmarks import min_distance_model, poisson_kl_model
+from gpmmc.gp import (AMPLITUDE_FLOOR, CALIBRATION_GRID, CALIBRATION_SPAN,
+                      CALIBRATION_SWEEPS, STORE_CAPACITY, QuadraticMean,
+                      _check_kernel, _chol_with_jitter, _corr_matrix,
+                      _trend_terms)
 
 def unit_store(d):
     """A d-D store with unit lengthscales and p = 2: its kernel distance is
@@ -938,3 +941,153 @@ class TestLengthscaleCalibration:
         l2 = calibrate_lengthscales(X, y, p=1)
         np.testing.assert_array_equal(l1, l2)
         assert np.all(l1 > 0)
+
+
+def oracle_lengthscales(X, y, p):
+    """Oracle: the per-candidate search, one full correlation matrix from
+    _corr_matrix per candidate, factored by _chol_with_jitter and solved by
+    dpotrs, skipping each sweep's starting value. Data with residual signal
+    only."""
+    n, d = X.shape
+    _, r = fit_quadratic_mean(X, y)
+    r = r / np.max(np.abs(r))
+    std = X.std(axis=0)
+    std[std <= 0] = 1.0
+    lo, hi = CALIBRATION_SPAN
+    grids = [np.geomspace(lo * s, hi * s, CALIBRATION_GRID) for s in std]
+    lengths = np.array([g[CALIBRATION_GRID // 2] for g in grids])
+
+    def loglik(lengths):
+        try:
+            L, _ = _chol_with_jitter(_corr_matrix(X, lengths, p))
+        except SurrogateError:
+            return -math.inf
+        alpha, _ = dpotrs(L, r, lower=1)
+        a_hat = max(float(r @ alpha) / n, AMPLITUDE_FLOOR)
+        return -n * math.log(a_hat) - 2.0 * float(np.log(np.diag(L)).sum())
+
+    best = loglik(lengths)
+    for _ in range(CALIBRATION_SWEEPS):
+        for j in range(d):
+            start = lengths[j]
+            for cand in grids[j]:
+                if cand == start:
+                    continue
+                trial = lengths.copy()
+                trial[j] = cand
+                ll = loglik(trial)
+                if ll > best:
+                    best, lengths = ll, trial
+    return lengths
+
+
+def prior_design(model, seed, n):
+    """The initial design fit_surrogate_kernel evaluates: n prior draws
+    from the RNG stream [seed, 1] and their true outputs."""
+    X = sample_prior(model, np.random.default_rng([seed, 1]), n)
+    return X, evaluate(model, X, EvalLedger())
+
+
+@pytest.fixture(scope="module")
+def poisson_design():
+    """Criterion 10's initial design: 400 points of the 10-D KL Poisson
+    model at seed 20260819."""
+    return prior_design(poisson_kl_model(nodes=33), 20260819, 400)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls calibration makes to the LAPACK routine name."""
+    calls = [0]
+    routine = getattr(gpmmc.gp, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(gpmmc.gp, name, counted)
+    return calls
+
+
+class TestCalibrationSearch:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_oracle_on_two_center_designs(self, p):
+        model = min_distance_model()
+        for seed in range(10):
+            X, y = prior_design(model, seed, 50)
+            np.testing.assert_array_equal(calibrate_lengthscales(X, y, p),
+                                          oracle_lengthscales(X, y, p))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_oracle_on_poisson_design(self, poisson_design, p):
+        X, y = poisson_design
+        np.testing.assert_array_equal(calibrate_lengthscales(X, y, p),
+                                      oracle_lengthscales(X, y, p))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_oracle_with_near_duplicate_pair(self, p):
+        rng = np.random.default_rng(25)
+        X = rng.uniform(-1.0, 1.0, size=(30, 2))
+        X = np.vstack([X, X[0] + 1e-9])
+        y = np.sin(3.0 * X[:, 0]) + X.sum(axis=1) ** 3
+        np.testing.assert_array_equal(calibrate_lengthscales(X, y, p),
+                                      oracle_lengthscales(X, y, p))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_oracle_up_the_jitter_ladder(self, monkeypatch, p):
+        # no design tried here needs more than the first jitter (a valid
+        # design's correlation matrix is within n eps of a positive
+        # definite one), so dpotrf is made to refuse it: both searches
+        # climb the shared ladder, one rung per likelihood
+        real = gpmmc.gp.dpotrf
+
+        def refuse_first_rung(a, **kwargs):
+            if a[0, 0] < 1.0 + 5e-10:
+                return a, 1
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(gpmmc.gp, "dpotrf", refuse_first_rung)
+        calls = count_calls(monkeypatch, "dpotrf")
+        rng = np.random.default_rng(25)
+        X = rng.uniform(-1.0, 1.0, size=(30, 2))
+        X = np.vstack([X, X[0] + 1e-9])
+        y = np.sin(3.0 * X[:, 0]) + X.sum(axis=1) ** 3
+        lengths = calibrate_lengthscales(X, y, p)
+        assert calls[0] == 2 * (1 + CALIBRATION_SWEEPS * 2
+                                * (CALIBRATION_GRID - 1))
+        np.testing.assert_array_equal(lengths, oracle_lengthscales(X, y, p))
+
+    def test_matches_oracle_at_any_scale_of_y(self):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(20, 1))
+        y = np.sin(7.0 * X[:, 0])
+        want = oracle_lengthscales(X, y, 2)
+        for scale in (1.0, 1e170, 1e-170):
+            np.testing.assert_array_equal(
+                calibrate_lengthscales(X, scale * y, 2), want)
+
+    def test_scores_each_candidate_once(self, monkeypatch):
+        # a candidate wins in some sweep here, after which the search that
+        # skipped only the current value scored the sweep's start again
+        rng = np.random.default_rng(22)
+        X = rng.uniform(-1.0, 1.0, size=(30, 2))
+        y = np.sin(X[:, 0] * 3.0) * np.cos(X[:, 1])
+        factors = count_calls(monkeypatch, "dpotrf")
+        solves = count_calls(monkeypatch, "dpotrs")
+        lengths = calibrate_lengthscales(X, y, p=1)
+        assert not np.allclose(lengths, X.std(axis=0))  # the grid centers
+        want = 1 + CALIBRATION_SWEEPS * 2 * (CALIBRATION_GRID - 1)
+        assert factors[0] == solves[0] == want
+
+    def test_pinned_lengths(self, poisson_design):
+        # the lengths the search has chosen on criterion 10's design and on
+        # the reduced two-center design since before it shared distances;
+        # a search that picks another grid point fails here first
+        X, y = poisson_design
+        np.testing.assert_array_equal(calibrate_lengthscales(X, y, 2), [
+            4.619618446138654, 47.688371018883686, 98.28151587118835,
+            95.24776993030855, 99.99658297754289, 93.51480787215422,
+            93.13810180610135, 94.55729856513227, 99.73922031710633,
+            97.06655353003329])
+        X, y = prior_design(min_distance_model(), 17, 50)
+        np.testing.assert_array_equal(calibrate_lengthscales(X, y, 1),
+                                      [49.14463546309973, 2.308131947382079])
