@@ -148,12 +148,10 @@ def _metric(p: int) -> str:
     return "cityblock" if p == 1 else "sqeuclidean"
 
 
-def _corr_matrix(X: np.ndarray, lengths: np.ndarray, p: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Unit-amplitude correlation matrix of the rows of X; written into out
-    (C-contiguous, n x n) when given."""
+def _corr_matrix(X: np.ndarray, lengths: np.ndarray, p: int) -> np.ndarray:
+    """Unit-amplitude correlation matrix of the rows of X."""
     Xs = X / _root(lengths, p)
-    D = cdist(Xs, Xs, _metric(p), out=out)
+    D = cdist(Xs, Xs, _metric(p))
     np.negative(D, out=D)
     return np.exp(D, out=D)
 
@@ -450,18 +448,15 @@ def _jitter_ladder():
         jitter *= 10.0
 
 
-def _chol_with_jitter(corr: np.ndarray,
-                      work: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(corr: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of corr + jitter*I at the first jitter of
     _jitter_ladder that factors; SurrogateError past the last.
 
-    The factor is computed in work (a Fortran-ordered n x n buffer, fresh
-    when not given) and returned in it; corr is left intact. corr must be
-    exactly symmetric, as _corr_matrix's are: it is copied in as its
-    transpose, a contiguous copy."""
+    The factor is computed in a fresh Fortran-ordered buffer; corr is left
+    intact. corr must be exactly symmetric, as _corr_matrix's are: it is
+    copied in as its transpose, a contiguous copy."""
     n = corr.shape[0]
-    if work is None:
-        work = np.empty((n, n), order="F")
+    work = np.empty((n, n), order="F")
     diag = np.diag_indices(n)
     for jitter in _jitter_ladder():
         work.T[...] = corr

@@ -87,8 +87,7 @@ class TestKernel:
         rng = np.random.default_rng(40 + d + p)
         lengths = rng.uniform(0.5, 4.0, d)
         for n in (50, 209, 400):
-            C = _corr_matrix(rng.normal(size=(n, d)), lengths, p,
-                             out=np.empty((n, n)))
+            C = _corr_matrix(rng.normal(size=(n, d)), lengths, p)
             np.testing.assert_array_equal(C, C.T)
             L, jitter = _chol_with_jitter(C)
             want, info = dpotrf(C + jitter * np.eye(n), lower=1, clean=1)
