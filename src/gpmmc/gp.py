@@ -19,9 +19,10 @@ divided by their largest magnitude so the search does not depend on the
 scale of y, and then frozen; the candidates for one coordinate share its
 distances and those over the others. The amplitude a is recalibrated in
 closed form for every local model, so the predictive variance tracks the
-local residual scale as the store grows. The EvaluationStore owns the frozen lengthscales
-and exponent: it checks them once, when it is built, and keeps each point
-also in scaled coordinates, from which distances and correlations come.
+local residual scale as the store grows. The EvaluationStore owns the
+frozen lengthscales and exponent: it checks them once, when it is built,
+and keeps each point also in scaled coordinates, from which distances and
+correlations come.
 
 The support size follows a square-root rule between the number of quadratic
 basis terms, t(d) = (d + 1)(d + 2)/2, and the cost of the dense solve:
@@ -485,8 +486,8 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     ValueError unless the kernel exponent p is 1 or 2.
 
     Coordinate j's sweep computes, once, the kernel distance over the other
-    coordinates at the current lengths and |x_j - x'_j|^p, over the n(n -
-    1)/2 pairs; a candidate l_j costs a divide-add, the exp and a
+    coordinates at the current lengths and |x_j - x'_j|^p, over the
+    n(n - 1)/2 pairs; a candidate l_j costs a divide-add, the exp and a
     factorization of C's strict lower triangle. The sweep's starting value
     is the best at its start, so it is not scored again: a search scores
     1 + CALIBRATION_SWEEPS * d * (CALIBRATION_GRID - 1) likelihoods.

@@ -918,6 +918,7 @@ class TestLengthscaleCalibration:
         lengths = calibrate_lengthscales(X, y, p=2)
         grid = np.geomspace(0.01 * X.std(), 100.0 * X.std(), 13)
         assert lengths[0] in grid and lengths[0] != grid[6]
+        np.testing.assert_array_equal(lengths, oracle_lengthscales(X, y, 2))
         for scale in (1e170, 1e-170):
             np.testing.assert_array_equal(
                 calibrate_lengthscales(X, scale * y, p=2), lengths)
@@ -994,6 +995,13 @@ def poisson_design():
     return prior_design(poisson_kl_model(nodes=33), 20260819, 400)
 
 
+def near_duplicate_design():
+    """30 uniform points in 2-D and a copy of the first 1e-9 away."""
+    X = np.random.default_rng(25).uniform(-1.0, 1.0, size=(30, 2))
+    X = np.vstack([X, X[0] + 1e-9])
+    return X, np.sin(3.0 * X[:, 0]) + X.sum(axis=1) ** 3
+
+
 def count_calls(monkeypatch, name):
     """Count the calls calibration makes to the LAPACK routine name."""
     calls = [0]
@@ -1024,10 +1032,7 @@ class TestCalibrationSearch:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_oracle_with_near_duplicate_pair(self, p):
-        rng = np.random.default_rng(25)
-        X = rng.uniform(-1.0, 1.0, size=(30, 2))
-        X = np.vstack([X, X[0] + 1e-9])
-        y = np.sin(3.0 * X[:, 0]) + X.sum(axis=1) ** 3
+        X, y = near_duplicate_design()
         np.testing.assert_array_equal(calibrate_lengthscales(X, y, p),
                                       oracle_lengthscales(X, y, p))
 
@@ -1046,27 +1051,15 @@ class TestCalibrationSearch:
 
         monkeypatch.setattr(gpmmc.gp, "dpotrf", refuse_first_rung)
         calls = count_calls(monkeypatch, "dpotrf")
-        rng = np.random.default_rng(25)
-        X = rng.uniform(-1.0, 1.0, size=(30, 2))
-        X = np.vstack([X, X[0] + 1e-9])
-        y = np.sin(3.0 * X[:, 0]) + X.sum(axis=1) ** 3
+        X, y = near_duplicate_design()
         lengths = calibrate_lengthscales(X, y, p)
         assert calls[0] == 2 * (1 + CALIBRATION_SWEEPS * 2
                                 * (CALIBRATION_GRID - 1))
         np.testing.assert_array_equal(lengths, oracle_lengthscales(X, y, p))
 
-    def test_matches_oracle_at_any_scale_of_y(self):
-        rng = np.random.default_rng(24)
-        X = rng.normal(size=(20, 1))
-        y = np.sin(7.0 * X[:, 0])
-        want = oracle_lengthscales(X, y, 2)
-        for scale in (1.0, 1e170, 1e-170):
-            np.testing.assert_array_equal(
-                calibrate_lengthscales(X, scale * y, 2), want)
-
     def test_scores_each_candidate_once(self, monkeypatch):
-        # a candidate wins in some sweep here, after which the search that
-        # skipped only the current value scored the sweep's start again
+        # a candidate wins in some sweep here, so a search that skipped
+        # only the current grid value would score the sweep's start twice
         rng = np.random.default_rng(22)
         X = rng.uniform(-1.0, 1.0, size=(30, 2))
         y = np.sin(X[:, 0] * 3.0) * np.cos(X[:, 1])
@@ -1078,9 +1071,9 @@ class TestCalibrationSearch:
         assert factors[0] == solves[0] == want
 
     def test_pinned_lengths(self, poisson_design):
-        # the lengths the search has chosen on criterion 10's design and on
-        # the reduced two-center design since before it shared distances;
-        # a search that picks another grid point fails here first
+        # criterion 10's design and the reduced two-center design: a search
+        # that picks another grid point fails here, not only in every
+        # criterion pinned downstream of these lengths
         X, y = poisson_design
         np.testing.assert_array_equal(calibrate_lengthscales(X, y, 2), [
             4.619618446138654, 47.688371018883686, 98.28151587118835,
