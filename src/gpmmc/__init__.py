@@ -20,8 +20,7 @@ from .errors import ConfigError, EvaluationError, SurrogateError
 from .gp import (EvaluationStore, LocalGP, QuadraticMean,
                  build_local_surrogate, calibrate_lengthscales,
                  fit_quadratic_mean, local_size)
-from .mcmc import (ChainState, ExactKernel, Proposal, StepRecord,
-                   log_bias_density, metropolis_accept, propose)
+from .mcmc import ExactKernel, Proposal, StepRecord, log_bias_density
 from .problem import (EvalLedger, PerformanceModel, evaluate, gaussian_model,
                       log_prior_density, sample_prior)
 from .surrogate import (SurrogateKernel, fit_surrogate_kernel,
@@ -41,8 +40,7 @@ __all__ = [
     "log_bias_density", "combined_probability", "update_weights",
     "estimate_moments",
     "flatness_cv", "run_mmc", "run_plain_mc",
-    "ChainState", "Proposal", "StepRecord", "propose", "metropolis_accept",
-    "ExactKernel",
+    "Proposal", "StepRecord", "ExactKernel",
     "EvaluationStore", "QuadraticMean", "LocalGP", "local_size",
     "fit_quadratic_mean", "calibrate_lengthscales", "build_local_surrogate",
     "SurrogateKernel", "misassignment_probability", "fit_surrogate_kernel",

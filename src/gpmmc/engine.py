@@ -2,15 +2,29 @@
 final density estimate.
 
 The engine samples the biased density q(x) = p(x) / theta_i(y(x)) restricted
-to inputs whose output falls in the binned range, handing the step kernel
-each iteration's log theta table (see mcmc.log_bias_density). After every
-iteration it pools the histograms of all iterations so far, each under the
-weights it was sampled with, into one estimate of the bin probabilities (the
-multiple histogram method of Ferrenberg and Swendsen); that estimate sets
-the next weights and, after the last iteration and divided by the bin width,
-is the output density. The weights converge toward the bin probabilities,
-which makes the sampled histogram flat and spreads samples evenly across the
-whole output range instead of concentrating them near the mode.
+to inputs whose output falls in the binned range (see mcmc.log_bias_density)
+by random-walk Metropolis. After every iteration it pools the histograms of
+all iterations so far, each under the weights it was sampled with, into one
+estimate of the bin probabilities (the multiple histogram method of
+Ferrenberg and Swendsen); that estimate sets the next weights and, after the
+last iteration and divided by the bin width, is the output density. The
+weights converge toward the bin probabilities, which makes the sampled
+histogram flat and spreads samples evenly across the whole output range
+instead of concentrating them near the mode.
+
+The Metropolis step is written once, in the iteration loop _sample, for
+both step kernels, which supply only the candidate's output (kernel.step).
+Each step draws from the chain's generator, before it asks the kernel:
+
+    1. one standard-normal vector for the proposal,
+    2. one uniform for the surrogate kernel's refinement gate,
+    3. one uniform u for the accept decision.
+
+The exact kernel ignores slot 2; the surrogate kernel's refinement rule
+needs u, since it asks which bins would accept at this u. No kernel draws,
+so a surrogate run with refine probability 1 replays the exact kernel's
+trajectory step for step from the same seed, the cheapest end-to-end check
+of the surrogate machinery.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binning import Binning, Histogram, tally
-from .mcmc import ChainState, StepRecord, log_bias_density
+from .mcmc import StepRecord, log_bias_density
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
 __all__ = ["WeightTable", "MmcConfig", "MmcResult", "combined_probability",
@@ -220,27 +234,76 @@ def _find_start(kernel, rng: np.random.Generator) -> tuple[np.ndarray, float, in
         "the range is likely far from the prior mass")
 
 
+def _sample(kernel, rng: np.random.Generator, x: np.ndarray, y: float,
+            log_theta: list[float], burn: int, ys: np.ndarray,
+            causes: dict[str, int],
+            on_step: Callable[[int, StepRecord], None] | None,
+            step_index: int) -> tuple[np.ndarray, float, int]:
+    """Run burn + ys.size steps of kernel from the in-range state (x, y)
+    under log_theta; return the last x and y and how many of the steps
+    after the burn-in accepted, whose y values fill ys.
+
+    A step's candidate is x + prop.scale * z. It is accepted when log u <
+    log_q_new - log_q, never at log_q_new = -inf (output out of range) and
+    always at u == 0 otherwise; a start or accepted state without a finite
+    log q is a ValueError. Causes are counted into causes, and on_step gets
+    each step's StepRecord, numbered on from step_index.
+    """
+    model, binning, step = kernel.model, kernel.binning, kernel.step
+    scale, d = kernel.prop.scale, x.size
+    normal, uniform = rng.standard_normal, rng.random
+    target, log, isfinite, never = (log_bias_density, math.log,
+                                    math.isfinite, -math.inf)
+    log_q = target(log_theta, binning, model, x, y)
+    if not isfinite(log_q):
+        raise ValueError("chain state must have finite log density")
+    accepted = 0
+    for t in range(-burn, ys.size):  # t < 0: burn-in, discarded
+        x_new = x + scale * normal(d)
+        gate = uniform()
+        u = uniform()
+        y_new, cause, beta = step(x_new, gate, u, log_q, log_theta)
+        log_q_new = target(log_theta, binning, model, x_new, y_new)
+        # u == 0.0 cannot fail the comparison: log(0) is -inf < finite ratio
+        moved = log_q_new != never and (
+            u == 0.0 or log(u) < log_q_new - log_q)
+        if moved:
+            if not isfinite(log_q_new):
+                raise ValueError("chain state must have finite log density")
+            x, y, log_q = x_new, y_new, log_q_new
+        causes[cause] = causes.get(cause, 0) + 1
+        if on_step is not None:
+            on_step(step_index, StepRecord(cause, beta, moved))
+        step_index += 1
+        if t >= 0:
+            accepted += moved
+            ys[t] = y
+    return x, y, accepted
+
+
 def run_mmc(kernel, config: MmcConfig,
             on_step: Callable[[int, StepRecord], None] | None = None) -> MmcResult:
     """Run the full multicanonical iteration with the given step kernel.
 
-    The kernel must expose step(rng, state, log_theta) -> (state, record)
-    and the model, binning and ledger it steps with, which the run uses too:
-    to draw the start, tally the samples and charge every true evaluation.
-    log_theta is the iteration's log weights, as a list taken once per
-    iteration. The chain starts from an in-range prior draw, keeps its state
-    across iterations, and discards config.burn_in steps at the start of
-    each one. Samples are tallied from the y values the kernel reports, so
-    nothing is ever re-evaluated, and every step's record is counted by its
-    cause. A fixed seed makes the result bit-identical across runs.
+    The kernel must expose step(x_new, gate, u, log_q, log_theta) -> (y,
+    cause, beta), the output at a candidate for the engine's Metropolis
+    step (_sample), and the model, binning, proposal and ledger it steps
+    with, which the run uses too: to draw the start, form the candidates,
+    tally the samples and charge every true evaluation. log_theta is the
+    iteration's log weights, as a list taken once per iteration. The chain
+    starts from an in-range prior draw, keeps its state across iterations,
+    and discards config.burn_in steps at the start of each one. Samples are
+    tallied from the y values the kernel reports, so nothing is ever
+    re-evaluated, and every step is counted by its cause. A fixed seed
+    makes the result bit-identical across runs.
     """
-    model, binning = kernel.model, kernel.binning
+    binning = kernel.binning
     if binning.m > config.samples_per_iteration:
         warnings.warn(
             f"samples per iteration ({config.samples_per_iteration}) below bin "
             f"count ({binning.m}); histograms will be sparse", stacklevel=2)
     rng = np.random.default_rng([config.seed, 0])
-    x0, y0, start_draws = _find_start(kernel, rng)
+    x, y, start_draws = _find_start(kernel, rng)
 
     weights = WeightTable.flat(binning.m)
     tables: list[WeightTable] = []
@@ -249,31 +312,16 @@ def run_mmc(kernel, config: MmcConfig,
     acceptance: list[float] = []
     burn = config.burn_in
     n = config.samples_per_iteration
-    step_index = 0
     causes: dict[str, int] = {}
-    state: ChainState | None = None
 
     for k in range(config.iterations):
         if k:
             weights = update_weights(tables, hists)
         log_theta = [math.log(t) for t in weights.theta]
-        # the start point, or the same point under new weights
-        x, y = (x0, y0) if state is None else (state.x, state.y)
-        state = ChainState(x, y, log_bias_density(log_theta, binning, model,
-                                                  x, y))
-
-        accepted = 0
         ys = np.empty(n)
-        for t in range(-burn, n):  # t < 0: burn-in, discarded
-            state, rec = kernel.step(rng, state, log_theta)
-            causes[rec.cause] = causes.get(rec.cause, 0) + 1
-            if on_step is not None:
-                on_step(step_index, rec)
-            step_index += 1
-            if t >= 0:
-                accepted += rec.accepted
-                ys[t] = state.y
-
+        # from the start point, or the last state under the new weights
+        x, y, accepted = _sample(kernel, rng, x, y, log_theta, burn, ys,
+                                 causes, on_step, k * (burn + n))
         hist = tally(binning, ys)
         tables.append(weights)
         hists.append(hist)

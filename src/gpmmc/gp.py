@@ -418,10 +418,12 @@ def fit_quadratic_mean(X: np.ndarray,
         raise ValueError("X and y lengths differ")
     if n < 1:
         raise ValueError("cannot fit a trend to an empty support")
+    # X.std(axis=0) and (X - center) / scale, bit for bit, centring once
     center = X.mean(axis=0)
-    scale = X.std(axis=0)
+    Z = X - center
+    scale = np.sqrt(np.add.reduce(Z * Z, axis=0) / n)
     scale[scale == 0] = 1.0
-    Z = (X - center) / scale
+    Z /= scale
     cutoff = np.finfo(float).eps * n
     for degree in (2, 1, 0):
         B = _design(Z, degree)

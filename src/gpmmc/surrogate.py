@@ -18,9 +18,10 @@ shrinking the surrogate's uncertainty exactly where the chain visits. An
 independent gate evaluates the true model with small probability gamma
 regardless of beta, so the store keeps growing even where the surrogate is
 confident; gamma = 1 degenerates to the exact kernel and replays its
-trajectory from the same seed, which is what the fixed per-step RNG layout
-in mcmc.py exists for. The kernel counts nothing; each step's record names
-its cause.
+trajectory from the same seed, since the engine draws every step's randoms
+in one layout for both kernels (see engine.py). The kernel draws nothing and
+counts nothing; the engine hands it the step's gate and accept uniforms, and
+each step's record names its cause.
 
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). In 10-D
@@ -41,8 +42,7 @@ from scipy.special import ndtr
 from .binning import Binning
 from .errors import SurrogateError
 from .gp import EvaluationStore, _check_exponent, calibrate_lengthscales
-from .mcmc import (ChainState, Proposal, StepRecord, log_bias_density,
-                   metropolis_accept, propose)
+from .mcmc import Proposal
 from .problem import (EvalLedger, PerformanceModel, evaluate,
                       log_prior_density, sample_prior)
 
@@ -67,16 +67,16 @@ def _check_settings(gamma: float, beta_max: float) -> None:
         raise ValueError(f"beta_max must lie in (0, 1), got {beta_max}")
 
 
-def _accepting_bins(u: float, state: ChainState, lp: float,
+def _accepting_bins(u: float, log_q: float, lp: float,
                     log_theta: list[float]) -> np.ndarray:
-    """Which output bins metropolis_accept(u, state, ...) accepts a candidate
-    with log prior density lp in: bin i accepts when (lp - log_theta[i]) -
-    state.log_q > log u, the floats it compares, and every bin with a
-    finite log q accepts when u == 0."""
-    log_q = lp - np.asarray(log_theta)
+    """Which output bins the engine's accept rule, at uniform u from a state
+    of log target log_q, accepts a candidate with log prior density lp in:
+    bin i accepts when (lp - log_theta[i]) - log_q > log u, the floats it
+    compares, and every bin with a finite log q accepts when u == 0."""
+    log_q_new = lp - np.asarray(log_theta)
     if u == 0.0:
-        return log_q != -math.inf
-    return log_q - state.log_q > math.log(u)
+        return log_q_new != -math.inf
+    return log_q_new - log_q > math.log(u)
 
 
 def misassignment_probability(mu: float, sigma: float,
@@ -140,15 +140,17 @@ class SurrogateKernel:
         self.prop = prop
         self.ledger = ledger
 
-    def step(self, rng: np.random.Generator, state: ChainState,
-             log_theta: list[float]) -> tuple[ChainState, StepRecord]:
-        x_new = propose(rng, state.x, self.prop)
+    def step(self, x_new: np.ndarray, gate: float, u: float, log_q: float,
+             log_theta: list[float]) -> tuple[float, str, float | None]:
+        """The output at the candidate x_new for the engine's Metropolis step,
+        with the step's cause and beta. gate is the step's refinement-gate
+        uniform and u its accept uniform, both drawn by the engine before
+        any local model is built, so a step the gate refines needs no model
+        and the refinement rule sees u; log_q is the current state's log
+        target and log_theta the iteration's log weights. A served or
+        screened step returns the prediction mu; a refinement evaluates the
+        true model, charges the ledger and stores the evaluation."""
         beta = None
-        # both uniforms come first: building the local model draws no random
-        # numbers, so a step the gate refines needs no model at all, and the
-        # refinement decision can see the accept uniform
-        gate = rng.random()
-        u = rng.random()
         if gate < self.gamma:
             cause = "refine_random"
         else:
@@ -160,30 +162,24 @@ class SurrogateKernel:
             else:
                 sigma = math.sqrt(var)
                 beta = misassignment_probability(mu, sigma, self.binning)
-                cause = "served"
-                if beta > self.beta_max:
-                    beta = self._flip_probability(u, state, x_new, log_theta,
-                                                  mu, sigma, beta)
-                    cause = ("screened" if beta <= self.beta_max
-                             else "refine_beta")
-        if cause == "served" or cause == "screened":
-            y_new = mu
-        else:
-            y_new = evaluate(self.model, x_new, self.ledger)
-            self.store.insert(x_new, y_new)
+                if beta <= self.beta_max:
+                    return mu, "served", beta
+                beta = self._flip_probability(u, log_q, x_new, log_theta,
+                                              mu, sigma, beta)
+                if beta <= self.beta_max:
+                    return mu, "screened", beta
+                cause = "refine_beta"
+        y_new = evaluate(self.model, x_new, self.ledger)
+        self.store.insert(x_new, y_new)
+        return y_new, cause, beta
 
-        new = metropolis_accept(u, state, x_new, y_new, log_bias_density(
-            log_theta, self.binning, self.model, x_new, y_new))
-        return new, StepRecord(cause=cause, beta=beta,
-                               accepted=new is not state)
-
-    def _flip_probability(self, u: float, state: ChainState,
-                          x_new: np.ndarray, log_theta: list[float],
-                          mu: float, sigma: float, beta: float) -> float:
+    def _flip_probability(self, u: float, log_q: float, x_new: np.ndarray,
+                          log_theta: list[float], mu: float, sigma: float,
+                          beta: float) -> float:
         """Probability that serving (mu, sigma), whose bin beta exceeds
         beta_max, makes the wrong transition: beta for a predicted
         acceptance, else the predictive mass in the accepting bins."""
-        accepting = _accepting_bins(u, state, log_prior_density(
+        accepting = _accepting_bins(u, log_q, log_prior_density(
             self.model, x_new), log_theta)
         i = self.binning.index(mu)
         if i is not None and accepting[i]:

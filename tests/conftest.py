@@ -6,6 +6,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
 import pytest
 
 # Criterion results recorded by tests/test_acceptance.py: number -> (ok, detail).
@@ -18,6 +19,36 @@ _ALL_CRITERIA = range(1, 11)
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:
     _criteria[number] = (ok, detail)
+
+
+class ScriptedRng:
+    """Stands in for the chain's generator: the proposal draws z, and the
+    uniforms come from a list."""
+
+    def __init__(self, z, uniforms):
+        self.z = np.atleast_1d(np.asarray(z, dtype=float))
+        self.uniforms = list(uniforms)
+
+    def standard_normal(self, n):
+        assert n == self.z.size
+        return self.z
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+def engine_steps(kernel, rng, x, y, log_theta, steps):
+    """steps Metropolis steps of kernel from the in-range state (x, y) under
+    log_theta, run by the engine's iteration loop as run_mmc runs them: the
+    last state's x and y, the y after each step and each step's StepRecord.
+    """
+    from gpmmc.engine import _sample
+
+    ys = np.empty(steps)
+    records = []
+    x, y, _ = _sample(kernel, rng, x, y, log_theta, 0, ys, {},
+                      lambda index, rec: records.append(rec), 0)
+    return x, y, ys, records
 
 
 def pytest_addoption(parser):

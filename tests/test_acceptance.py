@@ -13,13 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import engine_steps, record_criterion
 from gpmmc.benchmarks import (beam_model, interpolate_bilinear,
                               min_distance_model, poisson_kl_model,
                               solve_poisson)
 from gpmmc.engine import Binning, MmcConfig, run_mmc, run_plain_mc
 from gpmmc.gp import EvaluationStore, build_local_surrogate, local_size
-from gpmmc.mcmc import ChainState, ExactKernel, Proposal, log_bias_density
+from gpmmc.mcmc import ExactKernel, Proposal
 from gpmmc.problem import EvalLedger, gaussian_model
 from gpmmc.surrogate import fit_surrogate_kernel
 
@@ -82,13 +82,9 @@ def test_random_walk_chain_recovers_gaussian_moments():
     kernel = ExactKernel(model, wide, Proposal(2.4), ledger)
     rng = np.random.default_rng(20260819)
 
-    x0 = np.zeros(1)
-    state = ChainState(x0, 0.0, log_bias_density(log_theta, wide, model,
-                                                 x0, 0.0))
-    xs = np.empty(100_000)
-    for t in range(xs.size):
-        state, _ = kernel.step(rng, state, log_theta)
-        xs[t] = state.x[0]
+    # the engine's own steps; y = x, so the outputs are the positions
+    _, _, xs, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, log_theta,
+                               100_000)
     mean, var = float(xs.mean()), float(xs.var())
     ok = abs(mean) <= 0.05 and abs(var - 1.0) <= 0.05
     _check(2, ok, f"chain mean {mean:+.4f} (|.| <= 0.05), "

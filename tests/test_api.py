@@ -1,9 +1,12 @@
 """The public surface: every exported name resolves, in the package and in
-each of its modules, and so does every callable the benchmark's tracer wraps
-by module and name; importing the package leaves the sparse solvers
-unloaded and BLAS at one thread unless the caller chose otherwise."""
+each of its modules, and so does every callable the benchmark's tracer
+(perfbench/tracing.py, imported by its path) wraps by module and name, and
+the tracer installs over a run; importing the package leaves the sparse
+solvers unloaded and BLAS at one thread unless the caller chose
+otherwise."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -34,12 +37,17 @@ def test_module_exports_resolve(module):
     assert not missing, f"gpmmc.{module}.__all__ names missing: {missing}"
 
 
+def _tracing():
+    """perfbench/tracing.py, imported by its path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _layer_spans():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module("tracing").LAYER_SPANS
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    return _tracing().LAYER_SPANS
 
 
 @pytest.mark.parametrize("span", _layer_spans(),
@@ -50,6 +58,50 @@ def test_traced_callable_resolves(span):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+TRACED_RUNS = """
+import importlib.util, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+import gpmmc.engine as engine
+from gpmmc import (Binning, EvalLedger, ExactKernel, MmcConfig, Proposal,
+                   fit_surrogate_kernel)
+from gpmmc.benchmarks import min_distance_model
+spec = importlib.util.spec_from_file_location("tracing", {tracing!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install(tracing.LAYER_SPANS)
+model, binning = min_distance_model(2), Binning(-1.0, 54.0, 55)
+cfg = MmcConfig(iterations=2, samples_per_iteration=200, burn_in=20, seed=5)
+engine.run_mmc(ExactKernel(model, binning, Proposal(1.0), EvalLedger()),
+               cfg)
+engine.run_mmc(fit_surrogate_kernel(model, binning, 5, initial_design=20,
+                                    gamma=0.05, beta_max=0.05, p=2,
+                                    prop=Proposal(1.0), ledger=EvalLedger()),
+               cfg)
+ids = np.frombuffer(tracer.name_id, dtype=np.int32)
+for name in ("engine.loop", "engine.target", "mcmc.step", "surrogate.step"):
+    print(name, int((ids == tracer.names.index(name)).sum()))
+"""
+
+
+def test_tracer_installs_and_counts_one_kernel_step_per_step():
+    """perfbench's Tracer, installed over every layer span as a traced
+    bench run installs it, runs an exact and a surrogate chain and sees
+    each run's loop once, each kernel's step once per step, and the log
+    target once per step and once per iteration start. In a fresh process,
+    because installing replaces package attributes for good."""
+    code = TRACED_RUNS.format(src=str(ROOT / "src"),
+                              tracing=str(PERFBENCH / "tracing.py"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    calls = dict(line.split() for line in out.stdout.splitlines())
+    steps = 2 * (200 + 20)
+    assert calls == {"engine.loop": "2",
+                     "engine.target": str(2 * (steps + 2)),
+                     "mcmc.step": str(steps), "surrogate.step": str(steps)}
 
 
 def test_import_leaves_sparse_solvers_unloaded():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import gpmmc.engine
+from conftest import engine_steps
 from gpmmc import (Binning, EvalLedger, ExactKernel, Histogram, MmcConfig,
-                   Proposal, WeightTable, combined_probability,
+                   Proposal, SurrogateError, WeightTable, combined_probability,
                    estimate_moments, fit_surrogate_kernel, flatness_cv,
                    gaussian_model, log_bias_density, run_mmc, run_plain_mc,
                    tally, update_weights)
+from gpmmc.benchmarks import min_distance_model
 from gpmmc.engine import PLAIN_MC_CHUNK
 
 
@@ -320,16 +322,9 @@ class TestRunMmc:
         log_theta = [math.log(t) for t in WeightTable(theta).theta]
         rng = np.random.default_rng(123)
 
-        from gpmmc import ChainState
-        x0 = np.zeros(1)
-        state = ChainState(x0, 0.0, log_bias_density(log_theta, binning,
-                                                     model, x0, 0.0))
-        ys = np.empty(100_000)
-        for t in range(2000):
-            state, _ = kernel.step(rng, state, log_theta)
-        for t in range(ys.size):
-            state, _ = kernel.step(rng, state, log_theta)
-            ys[t] = state.y
+        x, y, _, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, log_theta,
+                                  2000)
+        _, _, ys, _ = engine_steps(kernel, rng, x, y, log_theta, 100_000)
         h = tally(binning, ys)
         strong = masses >= 1e-6
         counts = h.counts[strong]
@@ -408,6 +403,89 @@ class TestRunMmc:
         kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
         with pytest.raises(RuntimeError, match="no prior draw"):
             run_mmc(kernel, cfg)
+
+
+class _RecordingRng:
+    """Wraps a Generator and logs every draw made through it; any draw
+    other than standard_normal and random fails."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def standard_normal(self, size=None):
+        self._log.append(("standard_normal", size))
+        return self._rng.standard_normal(size)
+
+    def random(self, size=None):
+        self._log.append(("random", size))
+        return self._rng.random(size)
+
+
+class TestRngLayout:
+    SURROGATE_CAUSES = {"served", "screened", "refine_random", "refine_beta",
+                        "refine_fallback"}
+
+    @pytest.mark.parametrize("surrogate", [False, True],
+                             ids=["exact", "surrogate"])
+    def test_each_step_draws_one_normal_then_two_uniforms(self, surrogate,
+                                                          monkeypatch):
+        """Every step of a run, whatever its cause, draws one
+        standard_normal(d) and then two random() from the chain's generator,
+        all before the kernel is asked for the candidate's output, and
+        kernel.step draws nothing. Both kernels thus consume the one layout
+        the engine draws, so a surrogate kernel that always refines (gamma
+        = 1) replays the exact kernel's trajectory by construction, as
+        criterion 4 checks end to end."""
+        model = min_distance_model(2)
+        binning = Binning(-1.0, 54.0, 55)
+        if surrogate:
+            kernel = fit_surrogate_kernel(model, binning, 3,
+                                          initial_design=20, gamma=0.05,
+                                          beta_max=0.05, p=2,
+                                          prop=Proposal(1.0),
+                                          ledger=EvalLedger())
+            # every 25th local model fails, so refine_fallback occurs too
+            serve, queries = kernel.store.local_model, []
+
+            def failing(x):
+                queries.append(None)
+                if len(queries) % 25 == 0:
+                    raise SurrogateError("forced build failure")
+                return serve(x)
+
+            kernel.store.local_model = failing
+        else:
+            kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
+        log = []
+        step = kernel.step
+
+        def marked(*args):
+            log.append("step")
+            out = step(*args)
+            log.append("returned")
+            return out
+
+        kernel.step = marked
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _RecordingRng(default_rng(seed), log))
+        res = run_mmc(kernel, MmcConfig(iterations=2,
+                                        samples_per_iteration=300,
+                                        burn_in=30, seed=3),
+                      on_step=lambda i, rec: log.append(rec.cause))
+        # the start draws come first: one prior draw each
+        start = res.start_draws
+        assert log[:start] == [("standard_normal", (1, 2))] * start
+        steps = log[start:]
+        n = sum(res.causes.values())
+        assert n == 2 * (300 + 30) and len(steps) == 6 * n
+        seen = set()
+        for k in range(n):
+            group = steps[6 * k:6 * k + 6]
+            assert group[:5] == [("standard_normal", 2), ("random", None),
+                                 ("random", None), "step", "returned"], k
+            seen.add(group[5])
+        assert seen == (self.SURROGATE_CAUSES if surrogate else {"chain"})
 
 
 class TestRunPlainMc:

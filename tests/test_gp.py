@@ -338,6 +338,22 @@ class TestQuadraticMean:
         assert mean.degree == {2: 0, 4: 1, 15: 2}[n]
         np.testing.assert_array_equal(r, y - mean(X))
 
+    def test_standardization_is_numpy_std(self):
+        # the fit centres once and takes the scale from the centred design;
+        # that must be X.mean and X.std bit for bit, a constant column
+        # (standard deviation 0) scaled by 1
+        rng = np.random.default_rng(12)
+        for n, d in ((2, 1), (9, 2), (30, 5), (209, 10), (400, 10)):
+            X = (rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d)
+                 + rng.uniform(-50.0, 50.0, size=d))
+            X[:, 0] = 0.75
+            mean, r = fit_quadratic_mean(X, np.sin(X).sum(axis=1))
+            std = X.std(axis=0)
+            assert std[0] == 0.0
+            np.testing.assert_array_equal(mean.center, X.mean(axis=0))
+            np.testing.assert_array_equal(mean.scale,
+                                          np.where(std == 0.0, 1.0, std))
+
 
 def random_trend(rng, d, degree):
     """A QuadraticMean of the given degree in d dimensions with random

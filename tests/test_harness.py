@@ -442,11 +442,11 @@ class TestRunExperimentMmc:
         class LeakyKernel(gpmmc.harness.ExactKernel):
             leaked = False
 
-            def step(self, rng, state, log_theta):
+            def step(self, x_new, *rest):
                 if not self.leaked:
                     self.leaked = True
-                    evaluate(self.model, state.x, self.ledger)
-                return super().step(rng, state, log_theta)
+                    evaluate(self.model, x_new, self.ledger)
+                return super().step(x_new, *rest)
 
         monkeypatch.setattr(gpmmc.harness, "ExactKernel", LeakyKernel)
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC))

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gpmmc import (Binning, ChainState, EvalLedger, ExactKernel, Proposal,
-                   StepRecord, gaussian_model, log_bias_density,
-                   metropolis_accept, propose)
+from conftest import ScriptedRng, engine_steps
+from gpmmc import (Binning, EvalLedger, ExactKernel, Proposal, StepRecord,
+                   evaluate, gaussian_model)
 
 # One bin wider than any chain below walks, under log theta = 0: the target
 # log q is the model's log prior.
@@ -19,62 +19,90 @@ def _normal_model(d=1, mean=0.0, std=1.0):
                           np.full(d, mean), np.full(d, std))
 
 
-def _start(model, x0):
-    """Chain state at x0 (where y = x0[0]) under the flat table."""
-    y0 = float(x0[0])
-    return ChainState(x0, y0, log_bias_density(FLAT, WIDE, model, x0, y0))
-
-
 class TestProposal:
     def test_isotropic(self):
         # one scale serves every coordinate, with the same bits as a vector
         # of that scale repeated
+        model = _normal_model(3)
         x = np.array([1.0, -2.0, 0.5])
-        a = propose(np.random.default_rng(7), x, Proposal(0.4))
-        b = propose(np.random.default_rng(7), x, Proposal(np.full(3, 0.4)))
-        assert a.shape == (3,)
-        np.testing.assert_array_equal(a, b)
+        walks = [engine_steps(ExactKernel(model, WIDE, prop, EvalLedger()),
+                              np.random.default_rng(7), x, 1.0, FLAT, 50)
+                 for prop in (Proposal(0.4), Proposal(np.full(3, 0.4)))]
+        (xa, _, ya, _), (xb, _, yb, _) = walks
+        assert xa.shape == (3,)
+        np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(ya, yb)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             Proposal(np.array([0.5, 0.0]))
 
     def test_propose_distribution(self):
-        rng = np.random.default_rng(9)
-        p = Proposal(np.array([0.5, 2.0]))
-        x = np.array([1.0, -1.0])
-        steps = np.array([propose(rng, x, p) - x for _ in range(20_000)])
+        # the output is in range only at the start, so the chain never moves
+        # and every candidate is one proposal step from it
+        x0 = np.array([1.0, -1.0])
+        model = gaussian_model(
+            "start", lambda X: np.where((X == x0).all(axis=1), 0.0, 9.0),
+            np.zeros(2), np.ones(2))
+        seen = []
+
+        class Recording(ExactKernel):
+            def step(self, x_new, *rest):
+                seen.append(x_new)
+                return super().step(x_new, *rest)
+
+        kernel = Recording(model, Binning(-1.0, 1.0, 1),
+                           Proposal(np.array([0.5, 2.0])), EvalLedger())
+        x, _, _, records = engine_steps(kernel, np.random.default_rng(9),
+                                        x0, 0.0, FLAT, 20_000)
+        assert x is x0 and not any(rec.accepted for rec in records)
+        steps = np.array(seen) - x0
         np.testing.assert_allclose(steps.mean(axis=0), [0.0, 0.0], atol=0.03)
         np.testing.assert_allclose(steps.std(axis=0), [0.5, 2.0], rtol=0.03)
 
 
+def _sloped_model():
+    """y = x on a 1-D input whose log prior is -x / 2: from x = 0 to x = 1
+    the log target falls by 0.5 in the wide bin."""
+    return dataclasses.replace(_normal_model(),
+                               log_prior_fn=lambda x: -0.5 * float(x[0]))
+
+
 class TestMetropolisAccept:
     def test_draws_one_uniform_and_decides_on_it(self):
-        """The caller draws one uniform, slot 3; the rule decides on it and
-        draws nothing itself."""
-        state = ChainState(np.zeros(1), 0.0, 0.0)
-        x_new = np.ones(1)
+        """The engine decides on the step's third draw, the accept uniform
+        u: it accepts exactly when log u < log_q_new - log_q."""
+        kernel = ExactKernel(_sloped_model(), WIDE, Proposal(1.0),
+                             EvalLedger())
+        x0 = np.zeros(1)
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            u = rng.random()
-            new = metropolis_accept(u, state, x_new, 1.0, -0.5)
-            assert rng.random() == np.random.default_rng(seed).random(2)[1]
+            u = np.random.default_rng(seed).random()
+            rng = ScriptedRng(1.0, [0.25, u])
+            x, y, _, (rec,) = engine_steps(kernel, rng, x0, 0.0, FLAT, 1)
+            assert not rng.uniforms
             if math.log(u) < -0.5:
-                assert new.x is x_new and (new.y, new.log_q) == (1.0, -0.5)
+                assert rec.accepted and (x[0], y) == (1.0, 1.0)
             else:
-                assert new is state
+                assert not rec.accepted and x is x0 and y == 0.0
 
     def test_zero_density_rejected_after_the_draw(self):
-        state = ChainState(np.zeros(1), 0.0, 0.0)
-        rng = np.random.default_rng(1)
-        assert metropolis_accept(rng.random(), state, np.ones(1), 1.0,
-                                 -math.inf) is state
-        assert rng.random() == np.random.default_rng(1).random(2)[1]
-        # not even u == 0, which accepts every finite log q
-        assert metropolis_accept(0.0, state, np.ones(1), 1.0,
-                                 -math.inf) is state
-        assert metropolis_accept(0.0, state, np.ones(1), 1.0,
-                                 -1e300).log_q == -1e300
+        # the candidate's output, 1.0, is above the one bin's top edge
+        cut = Binning(-1.0, 0.5, 1)
+        kernel = ExactKernel(_sloped_model(), cut, Proposal(1.0),
+                             EvalLedger())
+        x0 = np.zeros(1)
+        for u in (0.3, 0.0):
+            # not even u == 0, which accepts every finite log q
+            rng = ScriptedRng(1.0, [0.9, u])
+            x, _, _, (rec,) = engine_steps(kernel, rng, x0, 0.0, FLAT, 1)
+            assert not rng.uniforms and not rec.accepted and x is x0
+        # a log target of -1e300 is finite, and u == 0 accepts it
+        steep = dataclasses.replace(
+            _normal_model(), log_prior_fn=lambda x: -1e300 * float(x[0]))
+        kernel = ExactKernel(steep, WIDE, Proposal(1.0), EvalLedger())
+        x, _, _, (rec,) = engine_steps(kernel, ScriptedRng(1.0, [0.9, 0.0]),
+                                       x0, 0.0, FLAT, 1)
+        assert rec.accepted and x[0] == 1.0
 
 
 class TestMhStep:
@@ -83,39 +111,51 @@ class TestMhStep:
         # big enough to see both outcomes
         kernel = ExactKernel(model, WIDE, Proposal(2.5), EvalLedger())
         rng = np.random.default_rng(0)
-        state = _start(model, np.zeros(1))
+        x, y = np.zeros(1), 0.0
         saw_reject = saw_accept = False
         for _ in range(200):
-            new, _ = kernel.step(rng, state, FLAT)
-            if new is state:
-                saw_reject = True
-            else:
+            new_x, new_y, _, (rec,) = engine_steps(kernel, rng, x, y, FLAT, 1)
+            if rec.accepted:
                 saw_accept = True
-            state = new
+                assert new_x is not x
+            else:
+                saw_reject = True
+                assert new_x is x and new_y == y
+            x, y = new_x, new_y
         assert saw_reject and saw_accept
 
     def test_exact_kernel_records_decision(self):
         model = _normal_model()
         kernel = ExactKernel(model, WIDE, Proposal(50.0), EvalLedger())
         rng = np.random.default_rng(0)
-        state = _start(model, np.zeros(1))
+        x, y = np.zeros(1), 0.0
         for _ in range(50):
-            new, rec = kernel.step(rng, state, FLAT)
+            new_x, y, _, (rec,) = engine_steps(kernel, rng, x, y, FLAT, 1)
             assert isinstance(rec, StepRecord)
             assert rec.cause == "chain" and rec.beta is None
             assert [f.name for f in dataclasses.fields(rec)] == [
                 "cause", "beta", "accepted"]
-            assert rec.accepted == (new is not state)
-            state = new
+            assert rec.accepted == (new_x is not x)
+            x = new_x
+
+    def test_exact_kernel_step_is_one_true_evaluation(self):
+        """The kernel's part of a step: the true output at the candidate,
+        cause "chain" and no beta, whatever the step's uniforms and log q."""
+        model = _normal_model(2)
+        ledger = EvalLedger()
+        kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
+        x_new = np.array([0.3, -1.2])
+        for gate, u, log_q in ((0.0, 0.0, 0.0), (0.99, 0.5, -7.0)):
+            assert kernel.step(x_new, gate, u, log_q, FLAT) == (
+                evaluate(model, x_new), "chain", None)
+        assert ledger.true_evals == 2
 
     def test_ledger_counts_every_step(self):
         model = _normal_model()
         ledger = EvalLedger()
         kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
-        rng = np.random.default_rng(4)
-        state = _start(model, np.zeros(1))
-        for _ in range(200):
-            state, _ = kernel.step(rng, state, FLAT)
+        engine_steps(kernel, np.random.default_rng(4), np.zeros(1), 0.0,
+                     FLAT, 200)
         assert ledger.true_evals == 200
 
     def test_uphill_always_accepted(self):
@@ -123,12 +163,9 @@ class TestMhStep:
         accept uniform, so a chain started in the tail drifts inward."""
         model = _normal_model()
         kernel = ExactKernel(model, WIDE, Proposal(0.1), EvalLedger())
-        rng = np.random.default_rng(11)
-        x0 = np.array([8.0])
-        state = _start(model, x0)
-        for _ in range(3000):
-            state, _ = kernel.step(rng, state, FLAT)
-        assert abs(state.x[0]) < 4.0
+        x, _, _, _ = engine_steps(kernel, np.random.default_rng(11),
+                                  np.array([8.0]), 8.0, FLAT, 3000)
+        assert abs(x[0]) < 4.0
 
     def test_minus_inf_target_never_accepted(self):
         # log q = 0 up to y = x = 0.5, the top edge of the one bin, and
@@ -137,15 +174,24 @@ class TestMhStep:
                                     log_prior_fn=lambda x: 0.0)
         cut = Binning(-1e6, 0.5, 1)
         kernel = ExactKernel(model, cut, Proposal(1.0), EvalLedger())
-        rng = np.random.default_rng(3)
-        state = ChainState(np.zeros(1), 0.0, 0.0)
-        for _ in range(500):
-            state, _ = kernel.step(rng, state, FLAT)
-            assert state.x[0] <= 0.5
+        _, _, ys, _ = engine_steps(kernel, np.random.default_rng(3),
+                                   np.zeros(1), 0.0, FLAT, 500)
+        assert np.all(ys <= 0.5)
 
     def test_finite_log_q_required(self):
-        with pytest.raises(ValueError):
-            ChainState(np.zeros(1), 0.0, -math.inf)
+        # a start out of range has log q -inf
+        kernel = ExactKernel(_normal_model(), Binning(-1.0, 1.0, 1),
+                             Proposal(1.0), EvalLedger())
+        with pytest.raises(ValueError, match="finite log density"):
+            engine_steps(kernel, np.random.default_rng(0), np.zeros(1), 5.0,
+                         FLAT, 1)
+        # an accepted candidate of log q +inf
+        model = dataclasses.replace(
+            _normal_model(), log_prior_fn=lambda x: math.inf * float(x[0]))
+        kernel = ExactKernel(model, WIDE, Proposal(1.0), EvalLedger())
+        with pytest.raises(ValueError, match="finite log density"):
+            engine_steps(kernel, ScriptedRng(1.0, [0.5, 0.5]), np.zeros(1),
+                         0.0, FLAT, 1)
 
 
 class TestErgodicAverages:
@@ -154,14 +200,9 @@ class TestErgodicAverages:
         ledger = EvalLedger()
         kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
         rng = np.random.default_rng(123)
-        state = _start(model, np.zeros(1))
-        n = 100_000
-        xs = np.empty(n)
-        for _ in range(1000):
-            state, _ = kernel.step(rng, state, FLAT)
-        for t in range(n):
-            state, _ = kernel.step(rng, state, FLAT)
-            xs[t] = state.x[0]
+        x, y, _, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, FLAT, 1000)
+        # y = x, so the outputs are the chain's positions
+        _, _, xs, _ = engine_steps(kernel, rng, x, y, FLAT, 100_000)
         assert xs.mean() == pytest.approx(0.0, abs=0.05)
         assert xs.var() == pytest.approx(1.0, rel=0.05)
 
@@ -191,14 +232,12 @@ class TestErgodicAverages:
 
         kernel = ExactKernel(model, WIDE, Proposal(1.5), EvalLedger())
         rng = np.random.default_rng(42)
-        state = _start(model, np.zeros(1))
-        for _ in range(2000):
-            state, _ = kernel.step(rng, state, FLAT)
+        x, y, _, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, FLAT, 2000)
         occ = np.zeros(3)
         n = 150_000
-        for _ in range(n):
-            state, _ = kernel.step(rng, state, FLAT)
-            v = state.x[0]
+        # y = x, so the outputs are the chain's positions
+        _, _, vs, _ = engine_steps(kernel, rng, x, y, FLAT, n)
+        for v in vs:
             occ[0 if v < cuts[0] else (1 if v < cuts[1] else 2)] += 1
         occ /= n
         np.testing.assert_allclose(occ, masses, rtol=0.05)

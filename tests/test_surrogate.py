@@ -8,11 +8,11 @@ import pytest
 
 import gpmmc.gp
 import gpmmc.surrogate
-from gpmmc import (Binning, ChainState, EvalLedger, EvaluationStore,
-                   ExactKernel, MmcConfig, Proposal, SurrogateError,
-                   SurrogateKernel, fit_surrogate_kernel,
-                   gaussian_model, local_size, log_bias_density,
-                   log_prior_density, metropolis_accept,
+from conftest import ScriptedRng, engine_steps
+from gpmmc import (Binning, EvalLedger, EvaluationStore, ExactKernel,
+                   MmcConfig, Proposal, SurrogateError, SurrogateKernel,
+                   fit_surrogate_kernel, gaussian_model, local_size,
+                   log_bias_density, log_prior_density,
                    misassignment_probability, run_mmc, sample_prior)
 from gpmmc.benchmarks import min_distance_model
 
@@ -29,12 +29,9 @@ def _identity_model(d=1):
                           np.zeros(d), np.ones(d))
 
 
-def _flat_start(model, binning, x0, y0):
-    """The flat table (log theta = 0 in every bin) and the chain state at
-    (x0, y0) under it."""
-    log_theta = [0.0] * binning.m
-    return log_theta, ChainState(x0, y0, log_bias_density(log_theta, binning,
-                                                          model, x0, y0))
+def _flat(binning):
+    """The flat table: log theta = 0 in every bin."""
+    return [0.0] * binning.m
 
 
 class TestMisassignmentProbability:
@@ -125,14 +122,11 @@ def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
                            Proposal(scale), EvalLedger())
 
 
-def _walk(kernel, rng, state, log_theta, steps):
-    """steps kernel steps from state: the last state and the count of each
-    StepRecord cause."""
-    causes = collections.Counter()
-    for _ in range(steps):
-        state, rec = kernel.step(rng, state, log_theta)
-        causes[rec.cause] += 1
-    return state, causes
+def _walk(kernel, rng, x, y, log_theta, steps):
+    """The count of each StepRecord cause over steps engine steps of kernel
+    from the state (x, y)."""
+    _, _, _, records = engine_steps(kernel, rng, x, y, log_theta, steps)
+    return collections.Counter(rec.cause for rec in records)
 
 
 def _support(store, x):
@@ -168,8 +162,8 @@ class TestSurrogateKernel:
         store = _unit_store()
         kernel = _make_kernel(model, binning, store, gamma=0.0)
         rng = np.random.default_rng(0)
-        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
-        state, rec = kernel.step(rng, state, log_theta)
+        _, _, _, (rec,) = engine_steps(kernel, rng, np.zeros(1), 0.0,
+                                       _flat(binning), 1)
         assert rec.cause == "refine_fallback"
         assert store.size == 1
 
@@ -181,8 +175,7 @@ class TestSurrogateKernel:
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.2)
         rng = np.random.default_rng(1)
-        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
-        _, c = _walk(kernel, rng, state, log_theta, 300)
+        c = _walk(kernel, rng, np.zeros(1), 0.0, _flat(binning), 300)
         assert set(c) <= {"served", "screened", "refine_random",
                           "refine_beta", "refine_fallback"}
         assert (c["served"] + c["screened"] + c["refine_random"]
@@ -199,10 +192,10 @@ class TestSurrogateKernel:
         kernel = _make_kernel(model, binning, store, gamma=0.0,
                               beta_max=0.05)
         rng = np.random.default_rng(2)
-        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
+        _, _, _, records = engine_steps(kernel, rng, np.zeros(1), 0.0,
+                                        _flat(binning), 400)
         causes = collections.Counter()
-        for _ in range(400):
-            state, rec = kernel.step(rng, state, log_theta)
+        for rec in records:
             causes[rec.cause] += 1
             if rec.cause in SERVED:
                 assert rec.beta is not None and rec.beta <= 0.05
@@ -219,9 +212,8 @@ class TestSurrogateKernel:
         store.insert(np.array([0.0]), 0.0)
         kernel = _make_kernel(model, binning, store, gamma=0.3)
         rng = np.random.default_rng(3)
-        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
         before = store.size
-        _, c = _walk(kernel, rng, state, log_theta, 200)
+        c = _walk(kernel, rng, np.zeros(1), 0.0, _flat(binning), 200)
         refined = c["refine_random"] + c["refine_beta"] + c["refine_fallback"]
         assert store.size == before + refined
         assert kernel.ledger.true_evals == refined
@@ -231,7 +223,7 @@ class TestSurrogateKernel:
         kernel must walk the exact kernel's trajectory from the same seed."""
         model = _identity_model()
         binning = Binning(-4.0, 4.0, 16)
-        log_theta, start = _flat_start(model, binning, np.zeros(1), 0.0)
+        log_theta = _flat(binning)
 
         store = _unit_store()
         for v in np.linspace(-4.0, 4.0, 9):
@@ -240,17 +232,16 @@ class TestSurrogateKernel:
         ek = ExactKernel(model, binning, Proposal(0.7), EvalLedger())
         builds = _record_builds(monkeypatch)
 
-        rng_s = np.random.default_rng([99, 0])
-        rng_e = np.random.default_rng([99, 0])
-        xs = xe = start
-        causes = collections.Counter()
-        for _ in range(500):
-            xs, rs = sk.step(rng_s, xs, log_theta)
-            xe, re = ek.step(rng_e, xe, log_theta)
-            causes[rs.cause] += 1
-            assert xs.x[0] == xe.x[0]
-            assert xs.y == xe.y
-            assert rs.accepted == re.accepted
+        walks = [engine_steps(kernel, np.random.default_rng([99, 0]),
+                              np.zeros(1), 0.0, log_theta, 500)
+                 for kernel in (sk, ek)]
+        (xs, _, ys_s, recs_s), (xe, _, ys_e, recs_e) = walks
+        # y = x: the outputs after every step are the positions
+        np.testing.assert_array_equal(ys_s, ys_e)
+        assert xs[0] == xe[0]
+        assert ([r.accepted for r in recs_s]
+                == [r.accepted for r in recs_e])
+        causes = collections.Counter(r.cause for r in recs_s)
         assert causes["served"] + causes["screened"] == 0
         assert causes["refine_random"] + causes["refine_fallback"] == 500
         assert sk.ledger.true_evals == ek.ledger.true_evals
@@ -265,14 +256,15 @@ class TestSurrogateKernel:
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.0, scale=2.0)
         rng = np.random.default_rng(4)
-        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
+        x, y = np.zeros(1), 0.0
         saw = False
         for _ in range(50):
-            new, rec = kernel.step(rng, state, log_theta)
+            new_x, new_y, _, (rec,) = engine_steps(kernel, rng, x, y,
+                                                   _flat(binning), 1)
             if not rec.accepted:
-                assert new is state
+                assert new_x is x and new_y == y
                 saw = True
-            state = new
+            x, y = new_x, new_y
         assert saw
 
     def test_surrogate_never_moves_chain_out_of_range(self):
@@ -283,10 +275,9 @@ class TestSurrogateKernel:
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.05, scale=1.0)
         rng = np.random.default_rng(5)
-        log_theta, state = _flat_start(model, binning, np.zeros(1), 0.0)
-        for _ in range(500):
-            state, _ = kernel.step(rng, state, log_theta)
-            assert binning.index(state.y) is not None
+        _, _, ys, _ = engine_steps(kernel, rng, np.zeros(1), 0.0,
+                                   _flat(binning), 500)
+        assert all(binning.index(y) is not None for y in ys)
 
     def test_non_finite_local_model_falls_back_to_true_model(self,
                                                              monkeypatch):
@@ -321,22 +312,15 @@ class TestSurrogateKernel:
         assert not set(failed) & kernel.store._keys.keys()
 
 
-class _ScriptedRng:
-    """Stands in for the step's generator: the proposal draws z, and the
-    uniforms come from a list. Counts the uniforms drawn so far."""
+class _Fixed(ExactKernel):
+    """A step kernel whose candidate output is always y."""
 
-    def __init__(self, z, uniforms):
-        self.z = np.atleast_1d(np.asarray(z, dtype=float))
-        self.uniforms = list(uniforms)
-        self.drawn = 0
+    def __init__(self, model, binning, y):
+        super().__init__(model, binning, Proposal(1.0), EvalLedger())
+        self.y = y
 
-    def standard_normal(self, n):
-        assert n == self.z.size
-        return self.z
-
-    def random(self):
-        self.drawn += 1
-        return self.uniforms.pop(0)
+    def step(self, x_new, gate, u, log_q, log_theta):
+        return self.y, "fixed", None
 
 
 class _Prediction:
@@ -357,15 +341,15 @@ RULE_LOG_THETA = [0.0, 0.0, 5.0, 5.0]
 
 class TestDecisionAwareRefinement:
     def _step(self, mu, sigma, u=0.5, beta_max=0.05):
-        """One step from (x, y) = (0.5, 0.5) to the candidate x = 0.5 with
-        the prediction (mu, sigma) and accept uniform u. Returns the kernel,
-        the record, the new state and, per true evaluation, how many
-        uniforms had been drawn when it ran."""
-        rng = _ScriptedRng(0.0, [0.9, u])
-        at_eval = []
+        """The kernel's part of one step from (x, y) = (0.5, 0.5) to the
+        candidate x = 0.5 with the prediction (mu, sigma), gate uniform 0.9
+        and accept uniform u, called as the engine calls it. Returns the
+        kernel, the step's (y, cause, beta) and the number of true
+        evaluations it made."""
+        evals = []
 
         def identity(X):
-            at_eval.append(rng.drawn)
+            evals.append(len(X))
             return X[:, 0]
 
         model = gaussian_model("identity", identity, np.zeros(1), np.ones(1))
@@ -373,10 +357,10 @@ class TestDecisionAwareRefinement:
                               beta_max=beta_max)
         kernel.store.local_model = lambda x: (_Prediction(mu, sigma**2),
                                               None)
-        _, state = _flat_start(model, RULE_BINS, np.array([0.5]), 0.5)
-        new, rec = kernel.step(rng, state, RULE_LOG_THETA)
-        assert rng.drawn == 2 and not rng.uniforms
-        return kernel, rec, new, at_eval
+        x = np.array([0.5])
+        log_q = log_bias_density(RULE_LOG_THETA, RULE_BINS, model, x, 0.5)
+        out = kernel.step(x, 0.9, u, log_q, RULE_LOG_THETA)
+        return kernel, out, sum(evals)
 
     @staticmethod
     def _accepting_mass(mu, sigma):
@@ -386,11 +370,11 @@ class TestDecisionAwareRefinement:
         mu, sigma = 1.0 + 1e-3, 0.5  # in bin 1, on its lower edge
         bin_beta = misassignment_probability(mu, sigma, RULE_BINS)
         assert bin_beta > 0.4
-        kernel, rec, new, at_eval = self._step(mu, sigma)
-        assert rec.beta == bin_beta
-        assert rec.cause == "refine_beta" and kernel.ledger.true_evals == 1
-        # the refinement was decided with the accept uniform in hand
-        assert at_eval == [2]
+        kernel, (y, cause, beta), evals = self._step(mu, sigma)
+        assert beta == bin_beta
+        assert cause == "refine_beta" and kernel.ledger.true_evals == 1
+        # the refinement's output is the true value at the candidate
+        assert evals == 1 and y == 0.5
 
     @pytest.mark.parametrize("mu", [3.0, 4.05])
     def test_predicted_rejection_with_small_accepting_mass_is_served(self,
@@ -401,43 +385,45 @@ class TestDecisionAwareRefinement:
         assert misassignment_probability(mu, sigma, RULE_BINS) > 0.4
         mass = self._accepting_mass(mu, sigma)
         assert mass <= 0.05
-        kernel, rec, new, at_eval = self._step(mu, sigma)
-        assert rec.cause == "screened" and not rec.accepted
-        assert rec.beta == pytest.approx(mass, rel=1e-9)
-        assert kernel.ledger.true_evals == 0 and at_eval == []
+        kernel, (y, cause, beta), evals = self._step(mu, sigma)
+        # the served prediction lands in a rejecting bin, or out of range
+        assert cause == "screened" and y == mu
+        assert RULE_BINS.index(y) in (None, 2, 3)
+        assert beta == pytest.approx(mass, rel=1e-9)
+        assert kernel.ledger.true_evals == 0 and evals == 0
         assert kernel.store.size == 0
 
     def test_predicted_rejection_with_large_accepting_mass_refines(self):
         mu, sigma = 2.2, 0.3  # in rejecting bin 2, near accepting bin 1
         mass = self._accepting_mass(mu, sigma)
         assert 0.05 < mass < misassignment_probability(mu, sigma, RULE_BINS)
-        kernel, rec, new, at_eval = self._step(mu, sigma)
-        assert rec.beta == pytest.approx(mass, rel=1e-9)
-        assert rec.cause == "refine_beta" and at_eval == [2]
+        kernel, (y, cause, beta), evals = self._step(mu, sigma)
+        assert beta == pytest.approx(mass, rel=1e-9)
+        assert cause == "refine_beta" and evals == 1
 
     def test_beta_max_bounds_the_accepting_mass(self):
         mu, sigma = 2.2, 0.3
         mass = self._accepting_mass(mu, sigma)
-        _, served, _, _ = self._step(mu, sigma, beta_max=mass * 1.001)
-        _, refined, _, _ = self._step(mu, sigma, beta_max=mass * 0.999)
-        assert (served.cause, refined.cause) == ("screened", "refine_beta")
+        _, (_, served, _), _ = self._step(mu, sigma, beta_max=mass * 1.001)
+        _, (_, refined, _), _ = self._step(mu, sigma, beta_max=mass * 0.999)
+        assert (served, refined) == ("screened", "refine_beta")
 
     def test_zero_uniform_makes_every_bin_accept(self):
-        state = ChainState(np.zeros(1), 0.0, 0.0)
+        # from a state of log q 0
         log_theta = [0.0, 1e6, 1e300, 50.0]
         accepting = gpmmc.surrogate._accepting_bins
-        assert not accepting(0.5, state, 0.0, log_theta)[1:].any()
-        assert accepting(0.0, state, 0.0, log_theta).all()
+        assert not accepting(0.5, 0.0, 0.0, log_theta)[1:].any()
+        assert accepting(0.0, 0.0, 0.0, log_theta).all()
         # at u = 0 the prediction that rejects at u = 0.5 accepts: refined
-        kernel, rec, new, at_eval = self._step(3.0, 0.3, u=0.0)
-        assert rec.cause == "refine_beta" and rec.beta == (
+        kernel, (y, cause, beta), evals = self._step(3.0, 0.3, u=0.0)
+        assert cause == "refine_beta" and beta == (
             misassignment_probability(3.0, 0.3, RULE_BINS))
-        assert at_eval == [2]
+        assert evals == 1
 
-    def test_accepting_set_matches_metropolis_accept(self):
-        """One value per bin through log_bias_density and metropolis_accept
-        decides exactly as the vector rule, also for u placed on a bin's
-        acceptance threshold."""
+    def test_accepting_set_matches_the_engine_rule(self):
+        """The engine's step, given a candidate output in each bin in turn,
+        accepts exactly in the bins of the vector rule, also for u placed on
+        a bin's acceptance threshold."""
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 12)
         rng = np.random.default_rng(11)
@@ -446,21 +432,23 @@ class TestDecisionAwareRefinement:
             log_theta = list(rng.normal(scale=3.0, size=binning.m))
             x0 = rng.normal(size=1)
             y0 = float(rng.uniform(-3.0, 3.0))
-            state = ChainState(x0, y0, log_bias_density(log_theta, binning,
-                                                        model, x0, y0))
-            x_new = x0 + rng.normal(size=1)
+            log_q = log_bias_density(log_theta, binning, model, x0, y0)
+            z = rng.normal(size=1)
+            x_new = x0 + z  # the engine's candidate at proposal scale 1
             lp = log_prior_density(model, x_new)
             log_qs = [log_bias_density(log_theta, binning, model, x_new, y)
                       for y in binning.centers]
             u = float(rng.random())
             j = int(rng.integers(binning.m))
-            if log_qs[j] - state.log_q < 0.0:
-                u = math.exp(log_qs[j] - state.log_q)
+            if log_qs[j] - log_q < 0.0:
+                u = math.exp(log_qs[j] - log_q)
                 on_edge += 1
-            accepting = gpmmc.surrogate._accepting_bins(u, state, lp,
+            accepting = gpmmc.surrogate._accepting_bins(u, log_q, lp,
                                                         log_theta)
-            brute = [metropolis_accept(u, state, x_new, y, q) is not state
-                     for y, q in zip(binning.centers, log_qs)]
+            brute = [engine_steps(_Fixed(model, binning, y),
+                                  ScriptedRng(z, [0.5, u]), x0, y0,
+                                  log_theta, 1)[3][0].accepted
+                     for y in binning.centers]
             assert accepting.tolist() == brute
         assert on_edge > 50
 
@@ -490,20 +478,18 @@ class TestDecisionAwareRefinement:
         model, binning = kernel.model, kernel.binning
         # low weights, so high acceptance, only in bins 10 to 20
         log_theta = [0.0 if 10 <= i <= 20 else 4.0 for i in range(binning.m)]
-        x0 = np.zeros(2)
-        y0 = float(model.eval_fn(x0[None, :])[0])
-        state = ChainState(x0, y0, log_bias_density(log_theta, binning,
-                                                    model, x0, y0))
+        x = np.zeros(2)
+        y = float(model.eval_fn(x[None, :])[0])
         rng = np.random.default_rng(6)
         screened = recorded_screened = 0
         for _ in range(2000):
             bin_betas.clear()
-            before = state
-            state, rec = kernel.step(rng, state, log_theta)
+            before = x
+            x, y, _, (rec,) = engine_steps(kernel, rng, x, y, log_theta, 1)
             recorded_screened += rec.cause == "screened"
             if rec.cause in SERVED and bin_betas[0] > kernel.beta_max:
                 screened += 1
-                assert not rec.accepted and state is before
+                assert not rec.accepted and x is before
         assert screened > 20
         assert recorded_screened == screened
 
@@ -520,18 +506,17 @@ class TestDecisionAwareRefinement:
             log_theta = list(rng.normal(scale=2.0, size=binning.m))
             x0 = rng.normal(size=2) * 1.5
             y0 = float(model.eval_fn(x0[None, :])[0])
-            state = ChainState(x0, y0, log_bias_density(log_theta, binning,
-                                                        model, x0, y0))
+            log_q = log_bias_density(log_theta, binning, model, x0, y0)
             z = rng.normal(size=2)
             gp, dist = kernel.store.local_model(x0 + z)
             mu, var = gp.posterior(x0 + z, dist)
             old = misassignment_probability(mu, math.sqrt(var),
                                             binning) > kernel.beta_max
-            _, rec = kernel.step(_ScriptedRng(z, [0.5, rng.random()]), state,
-                                 log_theta)
-            assert not rec.cause.startswith("refine") or old
+            _, cause, _ = kernel.step(x0 + z, 0.5, rng.random(), log_q,
+                                      log_theta)
+            assert not cause.startswith("refine") or old
             bin_rule_refined += old
-            served_instead += old and rec.cause in SERVED
+            served_instead += old and cause in SERVED
         assert bin_rule_refined > 50 and served_instead > 10
 
 
@@ -574,10 +559,9 @@ class TestModelCache:
 
         monkeypatch.setattr(store, "local_model", checked)
         x0 = store.points[0].copy()
-        log_theta, state = _flat_start(model, binning, x0,
-                                       float(store.values[0]))
         rng = np.random.default_rng([17, 0])
-        _, causes = _walk(kernel, rng, state, log_theta, 400)
+        causes = _walk(kernel, rng, x0, float(store.values[0]),
+                       _flat(binning), 400)
         assert served["built"] == len(builds) == store.models_built
         assert sum(served.values()) == 400 - causes["refine_random"]
         assert served["reused"] > 10 and served["cached"] > 50
