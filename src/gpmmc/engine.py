@@ -14,7 +14,10 @@ instead of concentrating them near the mode.
 
 The Metropolis step is written once, in the iteration loop _sample, for
 both step kernels, which supply only the candidate's output (kernel.step).
-Each step draws from the chain's generator, before it asks the kernel:
+The engine owns the rest of the step: the proposal scale comes from the
+run's MmcConfig, and the step's cause, beta and decision go to on_step as
+arguments. Each step draws from the chain's generator, before it asks the
+kernel:
 
     1. one standard-normal vector for the proposal,
     2. one uniform for the surrogate kernel's refinement gate,
@@ -37,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binning import Binning, Histogram, tally
-from .mcmc import StepRecord, log_bias_density
+from .mcmc import log_bias_density
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
 __all__ = ["WeightTable", "MmcConfig", "MmcResult", "combined_probability",
@@ -75,13 +78,18 @@ class WeightTable:
 class MmcConfig:
     """Run parameters for the multicanonical iteration.
 
-    burn_in steps are discarded at the start of every iteration; None
-    becomes a tenth of the per-iteration sample count when the config is
-    made; seed must be nonnegative. The proposal belongs to the step kernel.
+    proposal_scale is the random-walk step: a candidate is x + scale * z
+    with z standard normal. A float is one scale for every coordinate; a
+    vector, one per coordinate, is kept as a tuple of floats so the config
+    stays hashable. Every scale must be positive and finite. burn_in steps
+    are discarded at the start of every iteration; None becomes a tenth of
+    the per-iteration sample count when the config is made; seed must be
+    nonnegative.
     """
 
     iterations: int
     samples_per_iteration: int
+    proposal_scale: float | tuple[float, ...]
     burn_in: int | None = None
     seed: int = 0
 
@@ -97,6 +105,14 @@ class MmcConfig:
             raise ValueError("burn_in must lie in [0, samples_per_iteration)")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        scale = np.asarray(self.proposal_scale, dtype=float)
+        if scale.ndim > 1 or scale.size < 1:
+            raise ValueError("proposal_scale must be one value or a "
+                             f"non-empty vector, got shape {scale.shape}")
+        if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
+            raise ValueError("proposal scales must be positive and finite")
+        object.__setattr__(self, "proposal_scale", float(scale)
+                           if scale.ndim == 0 else tuple(scale.tolist()))
 
 
 @dataclass
@@ -107,8 +123,9 @@ class MmcResult:
     table for k = 0 and the update from iterations 0..k-1 after that. pdf is
     combined_probability over the bin width (pdf * delta gives the bin
     probabilities) and moments are its moments. causes counts every step,
-    burn-in included, by its StepRecord.cause. The run's true-evaluation
-    count stays on the kernel's ledger.
+    burn-in included, by its cause: one entry per cause of kernel.CAUSES,
+    in that order, zeros kept. The run's true-evaluation count stays on the
+    kernel's ledger.
     """
 
     weights: list[WeightTable]
@@ -234,23 +251,25 @@ def _find_start(kernel, rng: np.random.Generator) -> tuple[np.ndarray, float, in
         "the range is likely far from the prior mass")
 
 
-def _sample(kernel, rng: np.random.Generator, x: np.ndarray, y: float,
-            log_theta: list[float], burn: int, ys: np.ndarray,
-            causes: dict[str, int],
-            on_step: Callable[[int, StepRecord], None] | None,
+def _sample(kernel, scale: np.ndarray, rng: np.random.Generator,
+            x: np.ndarray, y: float, log_theta: list[float], burn: int,
+            ys: np.ndarray, causes: dict[str, int],
+            on_step: Callable[[int, str, float | None, bool], None] | None,
             step_index: int) -> tuple[np.ndarray, float, int]:
     """Run burn + ys.size steps of kernel from the in-range state (x, y)
     under log_theta; return the last x and y and how many of the steps
     after the burn-in accepted, whose y values fill ys.
 
-    A step's candidate is x + prop.scale * z. It is accepted when log u <
+    A step's candidate is x + scale * z. It is accepted when log u <
     log_q_new - log_q, never at log_q_new = -inf (output out of range) and
     always at u == 0 otherwise; a start or accepted state without a finite
-    log q is a ValueError. Causes are counted into causes, and on_step gets
-    each step's StepRecord, numbered on from step_index.
+    log q is a ValueError. Each step adds one to its cause's entry of
+    causes, which must hold every cause the kernel returns (a KeyError
+    otherwise), and on_step gets the step's index, numbered on from
+    step_index, its cause, its beta and whether it moved.
     """
     model, binning, step = kernel.model, kernel.binning, kernel.step
-    scale, d = kernel.prop.scale, x.size
+    d = x.size
     normal, uniform = rng.standard_normal, rng.random
     target, log, isfinite, never = (log_bias_density, math.log,
                                     math.isfinite, -math.inf)
@@ -271,9 +290,9 @@ def _sample(kernel, rng: np.random.Generator, x: np.ndarray, y: float,
             if not isfinite(log_q_new):
                 raise ValueError("chain state must have finite log density")
             x, y, log_q = x_new, y_new, log_q_new
-        causes[cause] = causes.get(cause, 0) + 1
+        causes[cause] += 1
         if on_step is not None:
-            on_step(step_index, StepRecord(cause, beta, moved))
+            on_step(step_index, cause, beta, moved)
         step_index += 1
         if t >= 0:
             accepted += moved
@@ -282,20 +301,26 @@ def _sample(kernel, rng: np.random.Generator, x: np.ndarray, y: float,
 
 
 def run_mmc(kernel, config: MmcConfig,
-            on_step: Callable[[int, StepRecord], None] | None = None) -> MmcResult:
+            on_step: Callable[[int, str, float | None, bool], None]
+            | None = None) -> MmcResult:
     """Run the full multicanonical iteration with the given step kernel.
 
     The kernel must expose step(x_new, gate, u, log_q, log_theta) -> (y,
     cause, beta), the output at a candidate for the engine's Metropolis
-    step (_sample), and the model, binning, proposal and ledger it steps
-    with, which the run uses too: to draw the start, form the candidates,
-    tally the samples and charge every true evaluation. log_theta is the
-    iteration's log weights, as a list taken once per iteration. The chain
-    starts from an in-range prior draw, keeps its state across iterations,
-    and discards config.burn_in steps at the start of each one. Samples are
-    tallied from the y values the kernel reports, so nothing is ever
-    re-evaluated, and every step is counted by its cause. A fixed seed
-    makes the result bit-identical across runs.
+    step (_sample), and the model, binning and ledger it steps with, which
+    the run uses too: to draw the start, tally the samples and charge every
+    true evaluation. Its class must declare CAUSES, every cause its step
+    returns, in the order MmcResult.causes lists them; a step with any
+    other cause raises KeyError. log_theta is the iteration's log weights,
+    as a list taken once per iteration. Candidates are formed with
+    config.proposal_scale, as an array made once per run (0-d for one
+    scale). The chain starts from an in-range prior draw, keeps its state
+    across iterations, and discards config.burn_in steps at the start of
+    each one. Samples are tallied from the y values the kernel reports, so
+    nothing is ever re-evaluated, and every step is counted by its cause.
+    on_step, if given, is called after every step, burn-in included, as
+    on_step(index, cause, beta, accepted). A fixed seed makes the result
+    bit-identical across runs.
     """
     binning = kernel.binning
     if binning.m > config.samples_per_iteration:
@@ -312,7 +337,8 @@ def run_mmc(kernel, config: MmcConfig,
     acceptance: list[float] = []
     burn = config.burn_in
     n = config.samples_per_iteration
-    causes: dict[str, int] = {}
+    causes = dict.fromkeys(kernel.CAUSES, 0)
+    scale = np.asarray(config.proposal_scale, dtype=float)
 
     for k in range(config.iterations):
         if k:
@@ -320,8 +346,8 @@ def run_mmc(kernel, config: MmcConfig,
         log_theta = [math.log(t) for t in weights.theta]
         ys = np.empty(n)
         # from the start point, or the last state under the new weights
-        x, y, accepted = _sample(kernel, rng, x, y, log_theta, burn, ys,
-                                 causes, on_step, k * (burn + n))
+        x, y, accepted = _sample(kernel, scale, rng, x, y, log_theta, burn,
+                                 ys, causes, on_step, k * (burn + n))
         hist = tally(binning, ys)
         tables.append(weights)
         hists.append(hist)

@@ -7,7 +7,8 @@ A run writes into the output directory its caller names:
                   estimate; the run's density pools the counts and weights
                   of all iterations (read_histogram_csv recomputes it)
   summary.json    scalar results and diagnostics, among them the moments of
-                  the run's density and its steps by cause, deterministic
+                  the run's density and its steps by cause (every cause the
+                  kernel declares, in its order, zeros kept), deterministic
                   for a fixed config and seed but for runtime_seconds
   steps.csv       per-step log: step,cause,beta,accepted (on request)
   store.csv       the exact-evaluation store (surrogate runs only)
@@ -16,11 +17,11 @@ Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
 maps each run key to its parser; each model's own keys come from its entry in
 benchmarks.MODELS, and a key the config leaves out takes the default of the
 model's factory. Run keys are checked at parse time by the objects they become
-(Binning, MmcConfig, Proposal, the surrogate settings), whatever the method,
-so a bad value is a ConfigError before any true evaluation; a model key value
-its factory rejects is a ConfigError naming the model, before the output
-directory is made. Identical config and seed reproduce identical output files
-byte for byte, runtime_seconds aside.
+(Binning, MmcConfig with its proposal scale, the surrogate settings), whatever
+the method, so a bad value is a ConfigError before any true evaluation; a
+model key value its factory rejects is a ConfigError naming the model, before
+the output directory is made. Identical config and seed reproduce identical
+output files byte for byte, runtime_seconds aside.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .engine import (MmcConfig, WeightTable, combined_probability,
                      estimate_moments, run_mmc, run_plain_mc)
 from .errors import ConfigError
 from .gp import _check_exponent
-from .mcmc import ExactKernel, Proposal
+from .mcmc import ExactKernel
 from .problem import EvalLedger
 from .surrogate import _check_settings, fit_surrogate_kernel
 from .benchmarks import MODELS, pilot_output_range
@@ -47,16 +48,11 @@ __all__ = ["RunConfig", "parse_config", "run_experiment", "ComparisonReport",
 
 HISTOGRAM_HEADER = "iter,bin,center,lo,hi,count,H_hat,theta,P_i,pdf"
 _OUTPUT_FILES = ("histogram.csv", "summary.json", "steps.csv", "store.csv")
-# every step cause of each chain method's kernel, in the order summary.json
-# lists them; all but served and screened cost a true evaluation
-_STEP_CAUSES = {"mmc": ("chain",),
-                "gpmmc": ("served", "screened", "refine_random",
-                          "refine_beta", "refine_fallback")}
 
 
-def _vector(raw: str) -> float | np.ndarray:
+def _vector(raw: str) -> float | tuple[float, ...]:
     parts = [float(p) for p in raw.split(",")]
-    return parts[0] if len(parts) == 1 else np.array(parts)
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 CONFIG_KEYS = {
@@ -97,7 +93,7 @@ class RunConfig:
     range_hi: float | None = None
     auto_range: bool = False
     burn_in: int | None = None
-    proposal_scale: float | np.ndarray = 0.5
+    proposal_scale: float | tuple[float, ...] = 0.5
     gamma: float = 1e-4
     beta_max: float = 0.05
     kernel_p: int = 1
@@ -121,7 +117,6 @@ class RunConfig:
             Binning(*((0.0, 1.0) if self.auto_range
                       else (self.range_lo, self.range_hi)), self.bins)
             self._mmc_config()
-            Proposal(self.proposal_scale)
             _check_settings(self.gamma, self.beta_max)
             _check_exponent(self.kernel_p)
         except ValueError as exc:
@@ -130,6 +125,7 @@ class RunConfig:
     def _mmc_config(self) -> MmcConfig:
         return MmcConfig(iterations=self.iterations,
                          samples_per_iteration=self.samples_per_iteration,
+                         proposal_scale=self.proposal_scale,
                          burn_in=self.burn_in, seed=self.seed)
 
 
@@ -200,14 +196,6 @@ def _config_from_values(values: dict, source: str) -> RunConfig:
         model_params[model_keys[key][0]] = values.pop(key)
     return RunConfig(model=model, auto_range=range_mode == "auto",
                      model_params=model_params, **values)
-
-
-def _proposal_for(cfg: RunConfig, dimension: int) -> Proposal:
-    prop = Proposal(cfg.proposal_scale)
-    if prop.scale.size not in (1, dimension):
-        raise ConfigError(f"proposal_scale has {prop.scale.size} entries, "
-                          f"model dimension is {dimension}")
-    return prop
 
 
 def _fmt(v: float) -> str:
@@ -301,7 +289,10 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         model = factory(**cfg.model_params)
     except ValueError as exc:
         raise ConfigError(f"model {cfg.model!r}: {exc}") from None
-    prop = _proposal_for(cfg, model.dimension)
+    n_scales = np.size(cfg.proposal_scale)
+    if n_scales not in (1, model.dimension):
+        raise ConfigError(f"proposal_scale has {n_scales} entries, "
+                          f"model dimension is {model.dimension}")
     out.mkdir(parents=True, exist_ok=True)
     for name in _OUTPUT_FILES:
         (out / name).unlink(missing_ok=True)
@@ -338,13 +329,13 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         mmc_cfg = cfg._mmc_config()
         burn_in = mmc_cfg.burn_in
         if cfg.method == "mmc":
-            kernel = ExactKernel(model, binning, prop, ledger)
+            kernel = ExactKernel(model, binning, ledger)
             breakdown["initial_design"] = 0
         else:
             kernel = fit_surrogate_kernel(
                 model, binning, cfg.seed, initial_design=cfg.initial_design,
                 gamma=cfg.gamma, beta_max=cfg.beta_max, p=cfg.kernel_p,
-                prop=prop, ledger=ledger)
+                ledger=ledger)
             breakdown["initial_design"] = cfg.initial_design
 
         step_file = None
@@ -353,9 +344,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             step_file = open(out / "steps.csv", "w")
             step_file.write("step,cause,beta,accepted\n")
 
-            def on_step(index, rec, _fh=step_file):
-                beta = "" if rec.beta is None else repr(rec.beta)
-                _fh.write(f"{index},{rec.cause},{beta},{int(rec.accepted)}\n")
+            def on_step(index, cause, beta, accepted, _fh=step_file):
+                beta = "" if beta is None else repr(beta)
+                _fh.write(f"{index},{cause},{beta},{int(accepted)}\n")
 
         try:
             result = run_mmc(kernel, mmc_cfg, on_step=on_step)
@@ -367,9 +358,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         breakdown["start_draws"] = result.start_draws
         # every step by cause, zero counts included; the chain's true
         # evaluations are the causes that are not served predictions
-        causes = {k: result.causes.get(k, 0) for k in _STEP_CAUSES[cfg.method]}
+        causes = result.causes
         breakdown.update((k, n) for k, n in causes.items()
-                         if k not in ("served", "screened"))
+                         if k not in kernel.SERVED)
         results = {"acceptance": result.acceptance,
                    "flatness": result.flatness, "moments": result.moments}
         if cfg.method == "gpmmc":

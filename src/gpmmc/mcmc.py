@@ -2,51 +2,25 @@
 q(x) = p(x) / theta_i(y(x)), zero where y(x) leaves the binned range.
 
 The engine's iteration loop (engine.py) runs the step itself: it draws the
-candidate with a kernel's Proposal, asks the kernel for the candidate's
-output, scores it with ``log_bias_density`` (the one definition of log q)
-and applies the accept rule. A step kernel supplies only the output:
-ExactKernel below evaluates the true model, SurrogateKernel in
-``surrogate.py`` serves a local prediction where it can. Each step's
-StepRecord names where the output came from as its cause.
+candidate with the run's proposal scale (MmcConfig.proposal_scale), asks the
+kernel for the candidate's output, scores it with ``log_bias_density`` (the
+one definition of log q) and applies the accept rule. A step kernel supplies
+only the output and names where it came from, its cause: ExactKernel below
+evaluates the true model, SurrogateKernel in ``surrogate.py`` serves a local
+prediction where it can. Each kernel class declares its causes (CAUSES) and
+those that cost no true evaluation (SERVED).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import Binning
 from .problem import EvalLedger, PerformanceModel, evaluate, log_prior_density
 
-__all__ = ["Proposal", "StepRecord", "log_bias_density", "ExactKernel"]
-
-
-@dataclass(frozen=True)
-class Proposal:
-    """Symmetric Gaussian random-walk proposal: the candidate is x + scale * z
-    with z standard normal. scale is one value for every coordinate, kept as
-    a 0-d array (numpy multiplies that into a vector faster than a length-1
-    one), or one value per coordinate."""
-
-    scale: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
-        if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
-            raise ValueError("proposal scales must be positive and finite")
-
-
-@dataclass(slots=True)
-class StepRecord:
-    """What one step did. cause, the one record of where the candidate's
-    output came from, is "chain" (ExactKernel) or one of SurrogateKernel's
-    causes; run_mmc counts them into MmcResult.causes."""
-
-    cause: str
-    beta: float | None
-    accepted: bool
+__all__ = ["log_bias_density", "ExactKernel"]
 
 
 def log_bias_density(log_theta: list[float], binning: Binning,
@@ -60,13 +34,16 @@ def log_bias_density(log_theta: list[float], binning: Binning,
 
 
 class ExactKernel:
-    """Step kernel that evaluates the true model at every candidate."""
+    """Step kernel that evaluates the true model at every candidate: its one
+    cause, "chain", costs a true evaluation."""
+
+    CAUSES = ("chain",)
+    SERVED = ()
 
     def __init__(self, model: PerformanceModel, binning: Binning,
-                 prop: Proposal, ledger: EvalLedger):
+                 ledger: EvalLedger):
         self.model = model
         self.binning = binning
-        self.prop = prop
         self.ledger = ledger
 
     def step(self, x_new: np.ndarray, gate: float, u: float, log_q: float,

@@ -21,7 +21,8 @@ confident; gamma = 1 degenerates to the exact kernel and replays its
 trajectory from the same seed, since the engine draws every step's randoms
 in one layout for both kernels (see engine.py). The kernel draws nothing and
 counts nothing; the engine hands it the step's gate and accept uniforms, and
-each step's record names its cause.
+counts each step under the cause the kernel returns, one of
+SurrogateKernel.CAUSES.
 
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). In 10-D
@@ -42,7 +43,6 @@ from scipy.special import ndtr
 from .binning import Binning
 from .errors import SurrogateError
 from .gp import EvaluationStore, _check_exponent, calibrate_lengthscales
-from .mcmc import Proposal
 from .problem import (EvalLedger, PerformanceModel, evaluate,
                       log_prior_density, sample_prior)
 
@@ -108,19 +108,20 @@ class SurrogateKernel:
     """Step kernel with per-candidate local surrogates and audited refinement.
 
     gamma is the per-step probability of an unconditional true evaluation;
-    beta_max the per-step bound on a wrong transition of a served step; prop
-    the random-walk proposal. The frozen correlation kernel is the store's.
-    A StepRecord's beta is what the rule compared with beta_max: the bin
-    beta, or on a screened rejection the mass in the accepting bins.
+    beta_max the per-step bound on a wrong transition of a served step. The
+    frozen correlation kernel is the store's. A step's beta is what the rule
+    compared with beta_max: the bin beta, or on a screened rejection the
+    mass in the accepting bins.
 
-    Each step's StepRecord.cause says what it did: "served" its prediction,
-    "screened" (served a prediction as a rejection although its bin beta
-    exceeds beta_max), or refine, by the random gate ("refine_random"), by
-    beta above threshold ("refine_beta") or after a surrogate build failure
-    ("refine_fallback"). Only the three refine causes evaluate the true
-    model, and each local posterior made ends served, screened or
-    refine_beta. The kernel itself keeps only the policy and its store;
-    run_mmc tallies the causes, which a run's summary.json lists.
+    Each step's cause, one of CAUSES, says what it did: "served" its
+    prediction, "screened" (served a prediction as a rejection although its
+    bin beta exceeds beta_max), or refine, by the random gate
+    ("refine_random"), by beta above threshold ("refine_beta") or after a
+    surrogate build failure ("refine_fallback"). Only the three refine
+    causes evaluate the true model; SERVED names the other two. Each local
+    posterior made ends served, screened or refine_beta. The kernel itself
+    keeps only the policy and its store; run_mmc tallies the causes, which
+    a run's summary.json lists.
 
     Local models come from the store (EvaluationStore.local_model), which
     caches them. A build that raises SurrogateError is not cached, so a
@@ -128,16 +129,19 @@ class SurrogateKernel:
     with cause refine_fallback.
     """
 
+    CAUSES = ("served", "screened", "refine_random", "refine_beta",
+              "refine_fallback")
+    SERVED = ("served", "screened")
+
     def __init__(self, model: PerformanceModel, store: EvaluationStore,
                  binning: Binning, gamma: float, beta_max: float,
-                 prop: Proposal, ledger: EvalLedger):
+                 ledger: EvalLedger):
         _check_settings(gamma, beta_max)
         self.model = model
         self.store = store
         self.binning = binning
         self.gamma = gamma
         self.beta_max = beta_max
-        self.prop = prop
         self.ledger = ledger
 
     def step(self, x_new: np.ndarray, gate: float, u: float, log_q: float,
@@ -190,8 +194,7 @@ class SurrogateKernel:
 
 def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,
                          initial_design: int, gamma: float, beta_max: float,
-                         p: int, prop: Proposal,
-                         ledger: EvalLedger) -> SurrogateKernel:
+                         p: int, ledger: EvalLedger) -> SurrogateKernel:
     """Surrogate set-up of a run: evaluate initial_design prior draws from
     the RNG stream [seed, 1] as one block, calibrate the lengthscales on
     them, and return the kernel over a fresh store of them in that metric.
@@ -209,5 +212,4 @@ def fit_surrogate_kernel(model: PerformanceModel, binning: Binning, seed: int,
                             calibrate_lengthscales(X, y, p), p)
     for xi, yi in zip(X, y):
         store.insert(xi, yi)
-    return SurrogateKernel(model, store, binning, gamma, beta_max, prop,
-                           ledger)
+    return SurrogateKernel(model, store, binning, gamma, beta_max, ledger)

@@ -1,4 +1,5 @@
 import os
+from typing import NamedTuple
 
 # One BLAS thread unless the caller chose otherwise: the dense solves in the
 # Poisson checks run several times slower on two threads than on one. This
@@ -37,17 +38,27 @@ class ScriptedRng:
         return self.uniforms.pop(0)
 
 
-def engine_steps(kernel, rng, x, y, log_theta, steps):
-    """steps Metropolis steps of kernel from the in-range state (x, y) under
-    log_theta, run by the engine's iteration loop as run_mmc runs them: the
-    last state's x and y, the y after each step and each step's StepRecord.
+class Step(NamedTuple):
+    """The arguments run_mmc's on_step gets for one step, after its index."""
+
+    cause: str
+    beta: float | None
+    accepted: bool
+
+
+def engine_steps(kernel, scale, rng, x, y, log_theta, steps):
+    """steps Metropolis steps of kernel at proposal scale scale from the
+    in-range state (x, y) under log_theta, run by the engine's iteration
+    loop as run_mmc runs them, with the cause table kernel.CAUSES declares:
+    the last state's x and y, the y after each step and each step's Step.
     """
     from gpmmc.engine import _sample
 
     ys = np.empty(steps)
     records = []
-    x, y, _ = _sample(kernel, rng, x, y, log_theta, 0, ys, {},
-                      lambda index, rec: records.append(rec), 0)
+    x, y, _ = _sample(kernel, np.asarray(scale, dtype=float), rng, x, y,
+                      log_theta, 0, ys, dict.fromkeys(kernel.CAUSES, 0),
+                      lambda index, *rec: records.append(Step(*rec)), 0)
     return x, y, ys, records
 
 

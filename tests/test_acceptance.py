@@ -19,7 +19,7 @@ from gpmmc.benchmarks import (beam_model, interpolate_bilinear,
                               solve_poisson)
 from gpmmc.engine import Binning, MmcConfig, run_mmc, run_plain_mc
 from gpmmc.gp import EvaluationStore, build_local_surrogate, local_size
-from gpmmc.mcmc import ExactKernel, Proposal
+from gpmmc.mcmc import ExactKernel
 from gpmmc.problem import EvalLedger, gaussian_model
 from gpmmc.surrogate import fit_surrogate_kernel
 
@@ -79,11 +79,11 @@ def test_random_walk_chain_recovers_gaussian_moments():
     # one bin wider than the chain walks, under log theta = 0: log q is the
     # log prior
     wide, log_theta = Binning(-1e6, 1e6, 1), [0.0]
-    kernel = ExactKernel(model, wide, Proposal(2.4), ledger)
+    kernel = ExactKernel(model, wide, ledger)
     rng = np.random.default_rng(20260819)
 
     # the engine's own steps; y = x, so the outputs are the positions
-    _, _, xs, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, log_theta,
+    _, _, xs, _ = engine_steps(kernel, 2.4, rng, np.zeros(1), 0.0, log_theta,
                                100_000)
     mean, var = float(xs.mean()), float(xs.var())
     ok = abs(mean) <= 0.05 and abs(var - 1.0) <= 0.05
@@ -100,8 +100,8 @@ def test_flat_histogram_run_recovers_gaussian_bin_masses():
     model = _line_model()
     binning = Binning(-4.0, 4.0, 40)
     cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
-                    burn_in=10_000, seed=20260819)
-    kernel = ExactKernel(model, binning, Proposal(1.5), EvalLedger())
+                    proposal_scale=1.5, burn_in=10_000, seed=20260819)
+    kernel = ExactKernel(model, binning, EvalLedger())
     res = run_mmc(kernel, cfg)
 
     edges = np.linspace(-4.0, 4.0, 41)
@@ -125,13 +125,12 @@ def test_always_refining_kernel_matches_exact_kernel():
     model = min_distance_model()
     binning = Binning(-1.0, 54.0, 55)
     seed = 99
-    cfg = MmcConfig(iterations=2, samples_per_iteration=5_000, burn_in=0,
-                    seed=seed)
-    prop = Proposal(1.0)
+    cfg = MmcConfig(iterations=2, samples_per_iteration=5_000,
+                    proposal_scale=1.0, burn_in=0, seed=seed)
 
-    exact = run_mmc(ExactKernel(model, binning, prop, EvalLedger()), cfg)
+    exact = run_mmc(ExactKernel(model, binning, EvalLedger()), cfg)
     kernel = fit_surrogate_kernel(model, binning, seed, initial_design=10,
-                                  gamma=1.0, beta_max=0.05, p=1, prop=prop,
+                                  gamma=1.0, beta_max=0.05, p=1,
                                   ledger=EvalLedger())
     surro = run_mmc(kernel, cfg)
 
@@ -160,18 +159,18 @@ def reduced_two_center_run():
     ledger = EvalLedger()
     kernel = fit_surrogate_kernel(
         model, binning, REDUCED_SEED, initial_design=50, gamma=REDUCED_GAMMA,
-        beta_max=REDUCED_BETA_MAX, p=1, prop=Proposal(1.0), ledger=ledger)
+        beta_max=REDUCED_BETA_MAX, p=1, ledger=ledger)
     betas = []
     accepted_betas = []
 
-    def on_step(index, rec):
-        if rec.cause in ("served", "screened"):
-            betas.append(rec.beta)
-            if rec.accepted:
-                accepted_betas.append(rec.beta)
+    def on_step(index, cause, beta, accepted):
+        if cause in kernel.SERVED:
+            betas.append(beta)
+            if accepted:
+                accepted_betas.append(beta)
 
     cfg = MmcConfig(iterations=10, samples_per_iteration=10_000,
-                    burn_in=1_000, seed=REDUCED_SEED)
+                    proposal_scale=1.0, burn_in=1_000, seed=REDUCED_SEED)
     res = run_mmc(kernel, cfg, on_step=on_step)
     return {"result": res, "betas": betas, "accepted_betas": accepted_betas,
             "true_evals": ledger.true_evals, "binning": binning,
@@ -234,9 +233,9 @@ def test_full_scale_two_center_moments():
     ledger = EvalLedger()
     kernel = fit_surrogate_kernel(
         model, binning, 20260819, initial_design=50, gamma=1e-4,
-        beta_max=0.05, p=1, prop=Proposal(1.0), ledger=ledger)
+        beta_max=0.05, p=1, ledger=ledger)
     cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
-                    burn_in=10_000, seed=20260819)
+                    proposal_scale=1.0, burn_in=10_000, seed=20260819)
     res = run_mmc(kernel, cfg)
     mean = res.moments["mean"]
     var = res.moments["variance"]
@@ -257,17 +256,16 @@ def test_beam_sweep_accuracy_and_cost():
     full support."""
     model = beam_model()
     binning = Binning(0.56, 0.66, 40)
-    prop = Proposal(scale=0.3 * np.sqrt(
-        np.array([1e-3, 1e-4, 100.0, 100.0, 1.45e6])))
+    scale = 0.3 * np.sqrt(np.array([1e-3, 1e-4, 100.0, 100.0, 1.45e6]))
     evals = {}
     featured = None
     for bmax in (0.92, 0.32, 0.003):
         ledger = EvalLedger()
         kernel = fit_surrogate_kernel(
             model, binning, 20260819, initial_design=50, gamma=1e-4,
-            beta_max=bmax, p=1, prop=prop, ledger=ledger)
+            beta_max=bmax, p=1, ledger=ledger)
         cfg = MmcConfig(iterations=10, samples_per_iteration=100_000,
-                        burn_in=10_000, seed=20260819)
+                        proposal_scale=scale, burn_in=10_000, seed=20260819)
         res = run_mmc(kernel, cfg)
         evals[bmax] = ledger.true_evals
         if bmax == 0.32:
@@ -323,19 +321,20 @@ def test_poisson_surrogate_agrees_with_exact_sampler():
     binning = Binning(-1.2, 0.0, 20)
     exact_seed = 7
     surrogate_seed = 20260819
-    prop = Proposal(0.5)
 
     exact_ledger = EvalLedger()
-    exact = run_mmc(ExactKernel(model, binning, prop, exact_ledger),
+    exact = run_mmc(ExactKernel(model, binning, exact_ledger),
                     MmcConfig(iterations=5, samples_per_iteration=2_000,
-                              burn_in=200, seed=exact_seed))
+                              proposal_scale=0.5, burn_in=200,
+                              seed=exact_seed))
     gp_ledger = EvalLedger()
     kernel = fit_surrogate_kernel(
         model, binning, surrogate_seed, initial_design=400, gamma=1e-4,
-        beta_max=0.05, p=2, prop=prop, ledger=gp_ledger)
+        beta_max=0.05, p=2, ledger=gp_ledger)
     surro = run_mmc(kernel,
                     MmcConfig(iterations=5, samples_per_iteration=2_000,
-                              burn_in=200, seed=surrogate_seed))
+                              proposal_scale=0.5, burn_in=200,
+                              seed=surrogate_seed))
 
     mask = exact.pdf * binning.delta >= 1e-4
     rel = np.abs(surro.pdf[mask] - exact.pdf[mask]) / exact.pdf[mask]

@@ -1,9 +1,10 @@
-"""The public surface: every exported name resolves, in the package and in
-each of its modules, and so does every callable the benchmark's tracer
-(perfbench/tracing.py, imported by its path) wraps by module and name, and
-the tracer installs over a run; importing the package leaves the sparse
-solvers unloaded and BLAS at one thread unless the caller chose
-otherwise."""
+"""The public surface: at most 40 names at the top level, every exported
+name resolves, in the package and in each of its modules, the layer
+internals kept out of the top level resolve in their modules, and so does
+every callable the benchmark's tracer (perfbench/tracing.py, imported by its
+path) wraps by module and name, and the tracer installs over a run;
+importing the package leaves the sparse solvers unloaded and BLAS at one
+thread unless the caller chose otherwise."""
 
 import importlib
 import importlib.util
@@ -21,10 +22,41 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
+# Layer internals and the benchmark models' parts: importable from their
+# modules, not exported from the package.
+MODULE_ONLY = [
+    "benchmarks.KLBasis", "benchmarks.kl_decompose",
+    "benchmarks.realize_field", "benchmarks.solve_poisson",
+    "benchmarks.interpolate_bilinear", "benchmarks.beam_eval",
+    "gp.local_size", "gp.QuadraticMean", "gp.build_local_surrogate",
+    "mcmc.log_bias_density",
+]
+
+
 def test_every_exported_name_resolves():
     assert len(gpmmc.__all__) == len(set(gpmmc.__all__))
+    assert len(gpmmc.__all__) <= 40
     for name in gpmmc.__all__:
         assert getattr(gpmmc, name) is not None, name
+
+
+@pytest.mark.parametrize("path", MODULE_ONLY)
+def test_module_only_name_resolves(path):
+    module, name = path.split(".")
+    mod = importlib.import_module(f"gpmmc.{module}")
+    assert name in mod.__all__
+    assert getattr(mod, name) is not None
+    assert name not in gpmmc.__all__ and not hasattr(gpmmc, name)
+
+
+@pytest.mark.parametrize("name", ["Proposal", "StepRecord"])
+def test_removed_name_is_gone(name):
+    """The engine owns the proposal scale (MmcConfig.proposal_scale) and
+    hands on_step its arguments, so neither type exists anywhere."""
+    modules = [importlib.import_module(f"gpmmc.{m.name}")
+               for m in pkgutil.iter_modules(gpmmc.__path__)]
+    for mod in [gpmmc, *modules]:
+        assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -65,7 +97,7 @@ import importlib.util, sys
 sys.path.insert(0, {src!r})
 import numpy as np
 import gpmmc.engine as engine
-from gpmmc import (Binning, EvalLedger, ExactKernel, MmcConfig, Proposal,
+from gpmmc import (Binning, EvalLedger, ExactKernel, MmcConfig,
                    fit_surrogate_kernel)
 from gpmmc.benchmarks import min_distance_model
 spec = importlib.util.spec_from_file_location("tracing", {tracing!r})
@@ -74,12 +106,12 @@ spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install(tracing.LAYER_SPANS)
 model, binning = min_distance_model(2), Binning(-1.0, 54.0, 55)
-cfg = MmcConfig(iterations=2, samples_per_iteration=200, burn_in=20, seed=5)
-engine.run_mmc(ExactKernel(model, binning, Proposal(1.0), EvalLedger()),
-               cfg)
+cfg = MmcConfig(iterations=2, samples_per_iteration=200, proposal_scale=1.0,
+                burn_in=20, seed=5)
+engine.run_mmc(ExactKernel(model, binning, EvalLedger()), cfg)
 engine.run_mmc(fit_surrogate_kernel(model, binning, 5, initial_design=20,
                                     gamma=0.05, beta_max=0.05, p=2,
-                                    prop=Proposal(1.0), ledger=EvalLedger()),
+                                    ledger=EvalLedger()),
                cfg)
 ids = np.frombuffer(tracer.name_id, dtype=np.int32)
 for name in ("engine.loop", "engine.target", "mcmc.step", "surrogate.step"):

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gpmmc import benchmarks
-from gpmmc import (EvalLedger, beam_eval, beam_model, evaluate,
-                   interpolate_bilinear, kl_decompose,
-                   min_distance_model, pilot_output_range,
-                   poisson_kl_model, realize_field, solve_poisson)
-from gpmmc.benchmarks import MODELS, OBSERVE, PILOT_DRAWS, PILOT_PAD
+from gpmmc import (EvalLedger, beam_model, evaluate, min_distance_model,
+                   pilot_output_range, poisson_kl_model)
+from gpmmc.benchmarks import (MODELS, OBSERVE, PILOT_DRAWS, PILOT_PAD,
+                              beam_eval, interpolate_bilinear, kl_decompose,
+                              realize_field, solve_poisson)
 
 # limit of the double Fourier series for the uniform-coefficient problem,
 # evaluated at the center of the square (converges like 1/m^4; summed to

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import sys
@@ -9,12 +10,13 @@ import pytest
 import gpmmc.engine
 from conftest import engine_steps
 from gpmmc import (Binning, EvalLedger, ExactKernel, Histogram, MmcConfig,
-                   Proposal, SurrogateError, WeightTable, combined_probability,
+                   SurrogateError, WeightTable, combined_probability,
                    estimate_moments, fit_surrogate_kernel, flatness_cv,
-                   gaussian_model, log_bias_density, run_mmc, run_plain_mc,
-                   tally, update_weights)
+                   gaussian_model, run_mmc, run_plain_mc, tally,
+                   update_weights)
 from gpmmc.benchmarks import min_distance_model
 from gpmmc.engine import PLAIN_MC_CHUNK
+from gpmmc.mcmc import log_bias_density
 
 
 def _identity_model(d=1):
@@ -32,6 +34,59 @@ class TestWeightTable:
     def test_flat(self):
         w = WeightTable.flat(4)
         np.testing.assert_array_equal(w.theta, np.ones(4))
+
+
+def _config(scale):
+    return MmcConfig(iterations=2, samples_per_iteration=100,
+                     proposal_scale=scale, seed=1)
+
+
+class TestMmcConfig:
+    """The proposal scale is checked when the config is made and kept as a
+    float or a tuple of floats, so the frozen config stays hashable."""
+
+    def test_nonpositive_rejected(self):
+        for scale in (0.0, -1.0, (0.5, 0.0), np.array([0.5, -2.0])):
+            with pytest.raises(ValueError, match="positive and finite"):
+                _config(scale)
+
+    def test_nonfinite_rejected(self):
+        for scale in (math.inf, math.nan, np.array([0.5, math.inf])):
+            with pytest.raises(ValueError, match="positive and finite"):
+                _config(scale)
+
+    @pytest.mark.parametrize("scale", [(), np.ones((2, 2)), [[0.5]]],
+                             ids=["empty", "matrix", "nested"])
+    def test_empty_or_multidimensional_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="proposal_scale"):
+            _config(scale)
+
+    def test_scale_kept_as_float_or_tuple(self):
+        one = _config(np.float64(0.5)).proposal_scale
+        assert one == 0.5 and type(one) is float
+        vector = _config(np.array([0.5, 2.0]))
+        assert vector.proposal_scale == (0.5, 2.0)
+        assert vector == _config([0.5, 2.0])
+        assert hash(vector) == hash(_config((0.5, 2.0)))
+        assert _config([0.5]).proposal_scale == (0.5,)
+
+    @pytest.mark.parametrize("scale, shape", [(0.7, ()), ((0.7, 1.3), (2,))])
+    def test_run_makes_the_scale_an_array_once(self, scale, shape,
+                                               monkeypatch):
+        """One scale becomes a 0-d array (numpy multiplies that into a
+        vector faster than a length-1 one), made once for the whole run."""
+        sample, seen = gpmmc.engine._sample, []
+
+        def recorded(kernel, scale, *rest):
+            seen.append(scale)
+            return sample(kernel, scale, *rest)
+
+        monkeypatch.setattr(gpmmc.engine, "_sample", recorded)
+        run_mmc(ExactKernel(_identity_model(2), Binning(-3.0, 3.0, 6),
+                            EvalLedger()), _config(scale))
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].shape == shape and seen[0].dtype == float
+        np.testing.assert_array_equal(seen[0], scale)
 
 
 class TestLogBiasDensity:
@@ -71,17 +126,17 @@ class TestLogBiasDensity:
                         monkeypatch.setattr(mod, key, counted)
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
-        prop = Proposal(1.0)
         if surrogate:
             kernel = fit_surrogate_kernel(model, binning, 4,
                                           initial_design=10, gamma=0.1,
-                                          beta_max=0.05, p=2, prop=prop,
+                                          beta_max=0.05, p=2,
                                           ledger=EvalLedger())
         else:
-            kernel = ExactKernel(model, binning, prop, EvalLedger())
+            kernel = ExactKernel(model, binning, EvalLedger())
         res = run_mmc(kernel, MmcConfig(iterations=3,
                                         samples_per_iteration=200,
-                                        burn_in=20, seed=4))
+                                        proposal_scale=1.0, burn_in=20,
+                                        seed=4))
         assert len(calls) == 3 * (1 + 200 + 20)
         if surrogate:
             causes = res.causes
@@ -195,9 +250,9 @@ class TestUpdateWeightsFromHistory:
     def test_run_density_pools_all_iterations(self):
         model = _identity_model()
         b = Binning(-3.0, 3.0, 12)
-        res = run_mmc(ExactKernel(model, b, Proposal(1.5), EvalLedger()),
+        res = run_mmc(ExactKernel(model, b, EvalLedger()),
                       MmcConfig(iterations=3, samples_per_iteration=2000,
-                                burn_in=100, seed=5))
+                                proposal_scale=1.5, burn_in=100, seed=5))
         np.testing.assert_array_equal(
             res.pdf, combined_probability(res.weights, res.histograms) / b.delta)
         np.testing.assert_array_equal(
@@ -293,11 +348,11 @@ class TestRunMmc:
     def test_deterministic_given_seed(self):
         model = _identity_model()
         binning = Binning(-2.0, 2.0, 8)
-        cfg = MmcConfig(iterations=3, samples_per_iteration=400, seed=77)
+        cfg = MmcConfig(iterations=3, samples_per_iteration=400,
+                        proposal_scale=1.0, seed=77)
         results, kernels = [], []
         for _ in range(2):
-            kernels.append(ExactKernel(model, binning,
-                                       Proposal(1.0), EvalLedger()))
+            kernels.append(ExactKernel(model, binning, EvalLedger()))
             results.append(run_mmc(kernels[-1], cfg))
         a, b = results
         np.testing.assert_array_equal(a.pdf, b.pdf)
@@ -318,13 +373,13 @@ class TestRunMmc:
         class FixedWeightKernel(ExactKernel):
             pass
 
-        kernel = FixedWeightKernel(model, binning, Proposal(2.0), EvalLedger())
+        kernel = FixedWeightKernel(model, binning, EvalLedger())
         log_theta = [math.log(t) for t in WeightTable(theta).theta]
         rng = np.random.default_rng(123)
 
-        x, y, _, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, log_theta,
-                                  2000)
-        _, _, ys, _ = engine_steps(kernel, rng, x, y, log_theta, 100_000)
+        x, y, _, _ = engine_steps(kernel, 2.0, rng, np.zeros(1), 0.0,
+                                  log_theta, 2000)
+        _, _, ys, _ = engine_steps(kernel, 2.0, rng, x, y, log_theta, 100_000)
         h = tally(binning, ys)
         strong = masses >= 1e-6
         counts = h.counts[strong]
@@ -334,19 +389,21 @@ class TestRunMmc:
     def test_accounting_identity(self):
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
-        cfg = MmcConfig(iterations=4, samples_per_iteration=250, burn_in=50,
-                        seed=3)
+        cfg = MmcConfig(iterations=4, samples_per_iteration=250,
+                        proposal_scale=1.0, burn_in=50, seed=3)
         ledger = EvalLedger()
-        kernel = ExactKernel(model, binning, Proposal(1.0), ledger)
+        kernel = ExactKernel(model, binning, ledger)
         res = run_mmc(kernel, cfg)
         assert ledger.true_evals == 4 * (250 + 50) + res.start_draws
 
     @pytest.mark.parametrize("surrogate", [False, True],
                              ids=["exact", "surrogate"])
     def test_causes_tally_every_step(self, surrogate):
-        """result.causes counts the cause of every step record on_step sees,
-        burn-in included, and its true-evaluation causes with the design and
-        the start draws account for the whole ledger."""
+        """result.causes is the kernel's declared cause table, in order with
+        zeros kept, and counts the cause of every step on_step sees, burn-in
+        included; on_step gets each step's index, cause, beta and decision.
+        The causes not SERVED, with the design and the start draws, account
+        for the whole ledger."""
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
         ledger = EvalLedger()
@@ -354,34 +411,53 @@ class TestRunMmc:
             kernel = fit_surrogate_kernel(model, binning, 5,
                                           initial_design=10, gamma=0.1,
                                           beta_max=0.05, p=2,
-                                          prop=Proposal(1.0), ledger=ledger)
+                                          ledger=ledger)
             design = 10
         else:
-            kernel = ExactKernel(model, binning, Proposal(1.0), ledger)
+            kernel = ExactKernel(model, binning, ledger)
             design = 0
-        seen: dict = {}
-
-        def on_step(index, rec):
-            seen[rec.cause] = seen.get(rec.cause, 0) + 1
-
+        calls = []
         res = run_mmc(kernel, MmcConfig(iterations=3,
                                         samples_per_iteration=200,
-                                        burn_in=20, seed=5), on_step=on_step)
-        assert res.causes == seen
-        assert sum(res.causes.values()) == 3 * (200 + 20)
-        true_causes = ({"refine_random", "refine_beta", "refine_fallback"}
-                       if surrogate else {"chain"})
-        assert set(res.causes) <= true_causes | {"served", "screened"}
+                                        proposal_scale=1.0, burn_in=20,
+                                        seed=5),
+                      on_step=lambda *args: calls.append(args))
+        steps = 3 * (200 + 20)
+        assert [c[0] for c in calls] == list(range(steps))
+        assert all(type(c[3]) is bool for c in calls)
+        seen = collections.Counter(c[1] for c in calls)
+        assert list(res.causes) == list(type(kernel).CAUSES)
+        assert res.causes == {k: seen[k] for k in res.causes}
+        assert sum(res.causes.values()) == steps
+        true_causes = set(kernel.CAUSES) - set(kernel.SERVED)
         assert ledger.true_evals == (design + res.start_draws + sum(
-            res.causes.get(k, 0) for k in true_causes))
+            res.causes[k] for k in true_causes))
         if surrogate:
             assert res.causes["served"] and res.causes["refine_random"]
+            # a declared cause no step took keeps its zero
+            assert res.causes["refine_fallback"] == 0
+        else:
+            assert all(beta is None for _, _, beta, _ in calls)
+
+    def test_undeclared_cause_raises(self):
+        """A step whose cause its kernel does not declare stops the run,
+        instead of adding a key to the cause table."""
+        class Stray(ExactKernel):
+            def step(self, *args):
+                return super().step(*args)[0], "stray", None
+
+        kernel = Stray(_identity_model(), Binning(-3.0, 3.0, 6),
+                       EvalLedger())
+        with pytest.raises(KeyError, match="stray"):
+            run_mmc(kernel, MmcConfig(iterations=1, samples_per_iteration=50,
+                                      proposal_scale=1.0, seed=2))
 
     def test_mass_conservation_and_probabilities(self):
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 6)
-        cfg = MmcConfig(iterations=2, samples_per_iteration=500, seed=21)
-        kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
+        cfg = MmcConfig(iterations=2, samples_per_iteration=500,
+                        proposal_scale=1.0, seed=21)
+        kernel = ExactKernel(model, binning, EvalLedger())
         res = run_mmc(kernel, cfg)
         assert res.pdf @ np.full(6, binning.delta) == pytest.approx(1.0, abs=1e-12)
         assert (res.pdf * binning.delta).sum() == pytest.approx(1.0, abs=1e-12)
@@ -391,16 +467,18 @@ class TestRunMmc:
     def test_sparse_sampling_warns(self):
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 60)
-        cfg = MmcConfig(iterations=1, samples_per_iteration=30, seed=1)
-        kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
+        cfg = MmcConfig(iterations=1, samples_per_iteration=30,
+                        proposal_scale=1.0, seed=1)
+        kernel = ExactKernel(model, binning, EvalLedger())
         with pytest.warns(UserWarning, match="below bin count"):
             run_mmc(kernel, cfg)
 
     def test_unreachable_range_errors(self):
         model = _identity_model()
         binning = Binning(500.0, 501.0, 4)
-        cfg = MmcConfig(iterations=1, samples_per_iteration=100, seed=1)
-        kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
+        cfg = MmcConfig(iterations=1, samples_per_iteration=100,
+                        proposal_scale=1.0, seed=1)
+        kernel = ExactKernel(model, binning, EvalLedger())
         with pytest.raises(RuntimeError, match="no prior draw"):
             run_mmc(kernel, cfg)
 
@@ -442,7 +520,6 @@ class TestRngLayout:
             kernel = fit_surrogate_kernel(model, binning, 3,
                                           initial_design=20, gamma=0.05,
                                           beta_max=0.05, p=2,
-                                          prop=Proposal(1.0),
                                           ledger=EvalLedger())
             # every 25th local model fails, so refine_fallback occurs too
             serve, queries = kernel.store.local_model, []
@@ -455,7 +532,7 @@ class TestRngLayout:
 
             kernel.store.local_model = failing
         else:
-            kernel = ExactKernel(model, binning, Proposal(1.0), EvalLedger())
+            kernel = ExactKernel(model, binning, EvalLedger())
         log = []
         step = kernel.step
 
@@ -471,8 +548,10 @@ class TestRngLayout:
                             lambda seed: _RecordingRng(default_rng(seed), log))
         res = run_mmc(kernel, MmcConfig(iterations=2,
                                         samples_per_iteration=300,
-                                        burn_in=30, seed=3),
-                      on_step=lambda i, rec: log.append(rec.cause))
+                                        proposal_scale=1.0, burn_in=30,
+                                        seed=3),
+                      on_step=lambda i, cause, beta, accepted:
+                      log.append(cause))
         # the start draws come first: one prior draw each
         start = res.start_draws
         assert log[:start] == [("standard_normal", (1, 2))] * start

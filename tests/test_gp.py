@@ -8,13 +8,13 @@ from scipy.spatial.distance import cdist
 
 import gpmmc.gp
 from gpmmc import (EvalLedger, EvaluationStore, LocalGP, SurrogateError,
-                   build_local_surrogate, calibrate_lengthscales, evaluate,
-                   fit_quadratic_mean, local_size, sample_prior)
+                   calibrate_lengthscales, evaluate, fit_quadratic_mean,
+                   sample_prior)
 from gpmmc.benchmarks import min_distance_model, poisson_kl_model
 from gpmmc.gp import (AMPLITUDE_FLOOR, CALIBRATION_GRID, CALIBRATION_SPAN,
                       CALIBRATION_SWEEPS, STORE_CAPACITY, QuadraticMean,
                       _check_kernel, _chol_with_jitter, _corr_matrix,
-                      _trend_terms)
+                      _trend_terms, build_local_surrogate, local_size)
 
 def unit_store(d):
     """A d-D store with unit lengthscales and p = 2: its kernel distance is

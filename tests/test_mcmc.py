@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ScriptedRng, engine_steps
-from gpmmc import (Binning, EvalLedger, ExactKernel, Proposal, StepRecord,
-                   evaluate, gaussian_model)
+from gpmmc import Binning, EvalLedger, ExactKernel, evaluate, gaussian_model
 
 # One bin wider than any chain below walks, under log theta = 0: the target
 # log q is the model's log prior.
@@ -25,17 +24,13 @@ class TestProposal:
         # of that scale repeated
         model = _normal_model(3)
         x = np.array([1.0, -2.0, 0.5])
-        walks = [engine_steps(ExactKernel(model, WIDE, prop, EvalLedger()),
+        walks = [engine_steps(ExactKernel(model, WIDE, EvalLedger()), scale,
                               np.random.default_rng(7), x, 1.0, FLAT, 50)
-                 for prop in (Proposal(0.4), Proposal(np.full(3, 0.4)))]
+                 for scale in (0.4, np.full(3, 0.4))]
         (xa, _, ya, _), (xb, _, yb, _) = walks
         assert xa.shape == (3,)
         np.testing.assert_array_equal(xa, xb)
         np.testing.assert_array_equal(ya, yb)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            Proposal(np.array([0.5, 0.0]))
 
     def test_propose_distribution(self):
         # the output is in range only at the start, so the chain never moves
@@ -51,10 +46,10 @@ class TestProposal:
                 seen.append(x_new)
                 return super().step(x_new, *rest)
 
-        kernel = Recording(model, Binning(-1.0, 1.0, 1),
-                           Proposal(np.array([0.5, 2.0])), EvalLedger())
-        x, _, _, records = engine_steps(kernel, np.random.default_rng(9),
-                                        x0, 0.0, FLAT, 20_000)
+        kernel = Recording(model, Binning(-1.0, 1.0, 1), EvalLedger())
+        x, _, _, records = engine_steps(kernel, (0.5, 2.0),
+                                        np.random.default_rng(9), x0, 0.0,
+                                        FLAT, 20_000)
         assert x is x0 and not any(rec.accepted for rec in records)
         steps = np.array(seen) - x0
         np.testing.assert_allclose(steps.mean(axis=0), [0.0, 0.0], atol=0.03)
@@ -72,13 +67,13 @@ class TestMetropolisAccept:
     def test_draws_one_uniform_and_decides_on_it(self):
         """The engine decides on the step's third draw, the accept uniform
         u: it accepts exactly when log u < log_q_new - log_q."""
-        kernel = ExactKernel(_sloped_model(), WIDE, Proposal(1.0),
-                             EvalLedger())
+        kernel = ExactKernel(_sloped_model(), WIDE, EvalLedger())
         x0 = np.zeros(1)
         for seed in range(20):
             u = np.random.default_rng(seed).random()
             rng = ScriptedRng(1.0, [0.25, u])
-            x, y, _, (rec,) = engine_steps(kernel, rng, x0, 0.0, FLAT, 1)
+            x, y, _, (rec,) = engine_steps(kernel, 1.0, rng, x0, 0.0, FLAT,
+                                           1)
             assert not rng.uniforms
             if math.log(u) < -0.5:
                 assert rec.accepted and (x[0], y) == (1.0, 1.0)
@@ -88,20 +83,21 @@ class TestMetropolisAccept:
     def test_zero_density_rejected_after_the_draw(self):
         # the candidate's output, 1.0, is above the one bin's top edge
         cut = Binning(-1.0, 0.5, 1)
-        kernel = ExactKernel(_sloped_model(), cut, Proposal(1.0),
-                             EvalLedger())
+        kernel = ExactKernel(_sloped_model(), cut, EvalLedger())
         x0 = np.zeros(1)
         for u in (0.3, 0.0):
             # not even u == 0, which accepts every finite log q
             rng = ScriptedRng(1.0, [0.9, u])
-            x, _, _, (rec,) = engine_steps(kernel, rng, x0, 0.0, FLAT, 1)
+            x, _, _, (rec,) = engine_steps(kernel, 1.0, rng, x0, 0.0, FLAT,
+                                           1)
             assert not rng.uniforms and not rec.accepted and x is x0
         # a log target of -1e300 is finite, and u == 0 accepts it
         steep = dataclasses.replace(
             _normal_model(), log_prior_fn=lambda x: -1e300 * float(x[0]))
-        kernel = ExactKernel(steep, WIDE, Proposal(1.0), EvalLedger())
-        x, _, _, (rec,) = engine_steps(kernel, ScriptedRng(1.0, [0.9, 0.0]),
-                                       x0, 0.0, FLAT, 1)
+        kernel = ExactKernel(steep, WIDE, EvalLedger())
+        x, _, _, (rec,) = engine_steps(kernel, 1.0,
+                                       ScriptedRng(1.0, [0.9, 0.0]), x0, 0.0,
+                                       FLAT, 1)
         assert rec.accepted and x[0] == 1.0
 
 
@@ -109,12 +105,13 @@ class TestMhStep:
     def test_rejection_returns_same_object(self):
         model = _normal_model()
         # big enough to see both outcomes
-        kernel = ExactKernel(model, WIDE, Proposal(2.5), EvalLedger())
+        kernel = ExactKernel(model, WIDE, EvalLedger())
         rng = np.random.default_rng(0)
         x, y = np.zeros(1), 0.0
         saw_reject = saw_accept = False
         for _ in range(200):
-            new_x, new_y, _, (rec,) = engine_steps(kernel, rng, x, y, FLAT, 1)
+            new_x, new_y, _, (rec,) = engine_steps(kernel, 2.5, rng, x, y,
+                                                   FLAT, 1)
             if rec.accepted:
                 saw_accept = True
                 assert new_x is not x
@@ -126,16 +123,14 @@ class TestMhStep:
 
     def test_exact_kernel_records_decision(self):
         model = _normal_model()
-        kernel = ExactKernel(model, WIDE, Proposal(50.0), EvalLedger())
+        kernel = ExactKernel(model, WIDE, EvalLedger())
         rng = np.random.default_rng(0)
         x, y = np.zeros(1), 0.0
         for _ in range(50):
-            new_x, y, _, (rec,) = engine_steps(kernel, rng, x, y, FLAT, 1)
-            assert isinstance(rec, StepRecord)
+            new_x, y, _, (rec,) = engine_steps(kernel, 50.0, rng, x, y,
+                                               FLAT, 1)
             assert rec.cause == "chain" and rec.beta is None
-            assert [f.name for f in dataclasses.fields(rec)] == [
-                "cause", "beta", "accepted"]
-            assert rec.accepted == (new_x is not x)
+            assert rec.accepted is (new_x is not x)
             x = new_x
 
     def test_exact_kernel_step_is_one_true_evaluation(self):
@@ -143,7 +138,7 @@ class TestMhStep:
         cause "chain" and no beta, whatever the step's uniforms and log q."""
         model = _normal_model(2)
         ledger = EvalLedger()
-        kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
+        kernel = ExactKernel(model, WIDE, ledger)
         x_new = np.array([0.3, -1.2])
         for gate, u, log_q in ((0.0, 0.0, 0.0), (0.99, 0.5, -7.0)):
             assert kernel.step(x_new, gate, u, log_q, FLAT) == (
@@ -153,17 +148,17 @@ class TestMhStep:
     def test_ledger_counts_every_step(self):
         model = _normal_model()
         ledger = EvalLedger()
-        kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
-        engine_steps(kernel, np.random.default_rng(4), np.zeros(1), 0.0,
-                     FLAT, 200)
+        kernel = ExactKernel(model, WIDE, ledger)
+        engine_steps(kernel, 1.0, np.random.default_rng(4), np.zeros(1),
+                     0.0, FLAT, 200)
         assert ledger.true_evals == 200
 
     def test_uphill_always_accepted(self):
         """A move with higher target density is accepted regardless of the
         accept uniform, so a chain started in the tail drifts inward."""
         model = _normal_model()
-        kernel = ExactKernel(model, WIDE, Proposal(0.1), EvalLedger())
-        x, _, _, _ = engine_steps(kernel, np.random.default_rng(11),
+        kernel = ExactKernel(model, WIDE, EvalLedger())
+        x, _, _, _ = engine_steps(kernel, 0.1, np.random.default_rng(11),
                                   np.array([8.0]), 8.0, FLAT, 3000)
         assert abs(x[0]) < 4.0
 
@@ -173,36 +168,37 @@ class TestMhStep:
         model = dataclasses.replace(_normal_model(),
                                     log_prior_fn=lambda x: 0.0)
         cut = Binning(-1e6, 0.5, 1)
-        kernel = ExactKernel(model, cut, Proposal(1.0), EvalLedger())
-        _, _, ys, _ = engine_steps(kernel, np.random.default_rng(3),
+        kernel = ExactKernel(model, cut, EvalLedger())
+        _, _, ys, _ = engine_steps(kernel, 1.0, np.random.default_rng(3),
                                    np.zeros(1), 0.0, FLAT, 500)
         assert np.all(ys <= 0.5)
 
     def test_finite_log_q_required(self):
         # a start out of range has log q -inf
         kernel = ExactKernel(_normal_model(), Binning(-1.0, 1.0, 1),
-                             Proposal(1.0), EvalLedger())
+                             EvalLedger())
         with pytest.raises(ValueError, match="finite log density"):
-            engine_steps(kernel, np.random.default_rng(0), np.zeros(1), 5.0,
-                         FLAT, 1)
+            engine_steps(kernel, 1.0, np.random.default_rng(0), np.zeros(1),
+                         5.0, FLAT, 1)
         # an accepted candidate of log q +inf
         model = dataclasses.replace(
             _normal_model(), log_prior_fn=lambda x: math.inf * float(x[0]))
-        kernel = ExactKernel(model, WIDE, Proposal(1.0), EvalLedger())
+        kernel = ExactKernel(model, WIDE, EvalLedger())
         with pytest.raises(ValueError, match="finite log density"):
-            engine_steps(kernel, ScriptedRng(1.0, [0.5, 0.5]), np.zeros(1),
-                         0.0, FLAT, 1)
+            engine_steps(kernel, 1.0, ScriptedRng(1.0, [0.5, 0.5]),
+                         np.zeros(1), 0.0, FLAT, 1)
 
 
 class TestErgodicAverages:
     def test_standard_normal_moments(self):
         model = _normal_model()
         ledger = EvalLedger()
-        kernel = ExactKernel(model, WIDE, Proposal(1.0), ledger)
+        kernel = ExactKernel(model, WIDE, ledger)
         rng = np.random.default_rng(123)
-        x, y, _, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, FLAT, 1000)
+        x, y, _, _ = engine_steps(kernel, 1.0, rng, np.zeros(1), 0.0, FLAT,
+                                  1000)
         # y = x, so the outputs are the chain's positions
-        _, _, xs, _ = engine_steps(kernel, rng, x, y, FLAT, 100_000)
+        _, _, xs, _ = engine_steps(kernel, 1.0, rng, x, y, FLAT, 100_000)
         assert xs.mean() == pytest.approx(0.0, abs=0.05)
         assert xs.var() == pytest.approx(1.0, rel=0.05)
 
@@ -230,13 +226,14 @@ class TestErgodicAverages:
             np.trapezoid(np.where(grid >= cuts[1], dens, 0.0), grid),
         ]
 
-        kernel = ExactKernel(model, WIDE, Proposal(1.5), EvalLedger())
+        kernel = ExactKernel(model, WIDE, EvalLedger())
         rng = np.random.default_rng(42)
-        x, y, _, _ = engine_steps(kernel, rng, np.zeros(1), 0.0, FLAT, 2000)
+        x, y, _, _ = engine_steps(kernel, 1.5, rng, np.zeros(1), 0.0, FLAT,
+                                  2000)
         occ = np.zeros(3)
         n = 150_000
         # y = x, so the outputs are the chain's positions
-        _, _, vs, _ = engine_steps(kernel, rng, x, y, FLAT, n)
+        _, _, vs, _ = engine_steps(kernel, 1.5, rng, x, y, FLAT, n)
         for v in vs:
             occ[0 if v < cuts[0] else (1 if v < cuts[1] else 2)] += 1
         occ /= n

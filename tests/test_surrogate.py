@@ -10,14 +10,14 @@ import gpmmc.gp
 import gpmmc.surrogate
 from conftest import ScriptedRng, engine_steps
 from gpmmc import (Binning, EvalLedger, EvaluationStore, ExactKernel,
-                   MmcConfig, Proposal, SurrogateError, SurrogateKernel,
-                   fit_surrogate_kernel, gaussian_model, local_size,
-                   log_bias_density, log_prior_density,
+                   MmcConfig, SurrogateError, SurrogateKernel,
+                   fit_surrogate_kernel, gaussian_model, log_prior_density,
                    misassignment_probability, run_mmc, sample_prior)
 from gpmmc.benchmarks import min_distance_model
+from gpmmc.gp import local_size
+from gpmmc.mcmc import log_bias_density
 
-# the causes of a step whose candidate output is a served prediction
-SERVED = ("served", "screened")
+SERVED = SurrogateKernel.SERVED
 
 
 def _phi(z):
@@ -89,8 +89,7 @@ class TestConfigValidation:
     def test_bounds(self):
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 2)
-        good = dict(gamma=0.1, beta_max=0.05,
-                    prop=Proposal(0.5))
+        good = dict(gamma=0.1, beta_max=0.05)
 
         def kernel(**kw):
             return SurrogateKernel(model, _unit_store(), binning,
@@ -117,15 +116,16 @@ def _unit_store(d=1):
     return EvaluationStore(d, np.ones(d), 2)
 
 
-def _make_kernel(model, binning, store, gamma, beta_max=0.05, scale=0.5):
+def _make_kernel(model, binning, store, gamma, beta_max=0.05):
     return SurrogateKernel(model, store, binning, gamma, beta_max,
-                           Proposal(scale), EvalLedger())
+                           EvalLedger())
 
 
-def _walk(kernel, rng, x, y, log_theta, steps):
-    """The count of each StepRecord cause over steps engine steps of kernel
-    from the state (x, y)."""
-    _, _, _, records = engine_steps(kernel, rng, x, y, log_theta, steps)
+def _walk(kernel, scale, rng, x, y, log_theta, steps):
+    """The count of each cause over steps engine steps of kernel at
+    proposal scale scale from the state (x, y)."""
+    _, _, _, records = engine_steps(kernel, scale, rng, x, y, log_theta,
+                                    steps)
     return collections.Counter(rec.cause for rec in records)
 
 
@@ -162,7 +162,7 @@ class TestSurrogateKernel:
         store = _unit_store()
         kernel = _make_kernel(model, binning, store, gamma=0.0)
         rng = np.random.default_rng(0)
-        _, _, _, (rec,) = engine_steps(kernel, rng, np.zeros(1), 0.0,
+        _, _, _, (rec,) = engine_steps(kernel, 0.5, rng, np.zeros(1), 0.0,
                                        _flat(binning), 1)
         assert rec.cause == "refine_fallback"
         assert store.size == 1
@@ -175,7 +175,7 @@ class TestSurrogateKernel:
             store.insert(np.array([v]), v)
         kernel = _make_kernel(model, binning, store, gamma=0.2)
         rng = np.random.default_rng(1)
-        c = _walk(kernel, rng, np.zeros(1), 0.0, _flat(binning), 300)
+        c = _walk(kernel, 0.5, rng, np.zeros(1), 0.0, _flat(binning), 300)
         assert set(c) <= {"served", "screened", "refine_random",
                           "refine_beta", "refine_fallback"}
         assert (c["served"] + c["screened"] + c["refine_random"]
@@ -192,7 +192,7 @@ class TestSurrogateKernel:
         kernel = _make_kernel(model, binning, store, gamma=0.0,
                               beta_max=0.05)
         rng = np.random.default_rng(2)
-        _, _, _, records = engine_steps(kernel, rng, np.zeros(1), 0.0,
+        _, _, _, records = engine_steps(kernel, 0.5, rng, np.zeros(1), 0.0,
                                         _flat(binning), 400)
         causes = collections.Counter()
         for rec in records:
@@ -213,7 +213,7 @@ class TestSurrogateKernel:
         kernel = _make_kernel(model, binning, store, gamma=0.3)
         rng = np.random.default_rng(3)
         before = store.size
-        c = _walk(kernel, rng, np.zeros(1), 0.0, _flat(binning), 200)
+        c = _walk(kernel, 0.5, rng, np.zeros(1), 0.0, _flat(binning), 200)
         refined = c["refine_random"] + c["refine_beta"] + c["refine_fallback"]
         assert store.size == before + refined
         assert kernel.ledger.true_evals == refined
@@ -228,11 +228,11 @@ class TestSurrogateKernel:
         store = _unit_store()
         for v in np.linspace(-4.0, 4.0, 9):
             store.insert(np.array([v]), v)
-        sk = _make_kernel(model, binning, store, gamma=1.0, scale=0.7)
-        ek = ExactKernel(model, binning, Proposal(0.7), EvalLedger())
+        sk = _make_kernel(model, binning, store, gamma=1.0)
+        ek = ExactKernel(model, binning, EvalLedger())
         builds = _record_builds(monkeypatch)
 
-        walks = [engine_steps(kernel, np.random.default_rng([99, 0]),
+        walks = [engine_steps(kernel, 0.7, np.random.default_rng([99, 0]),
                               np.zeros(1), 0.0, log_theta, 500)
                  for kernel in (sk, ek)]
         (xs, _, ys_s, recs_s), (xe, _, ys_e, recs_e) = walks
@@ -254,12 +254,12 @@ class TestSurrogateKernel:
         store = _unit_store()
         for v in np.linspace(-1.0, 1.0, 21):
             store.insert(np.array([v]), v)
-        kernel = _make_kernel(model, binning, store, gamma=0.0, scale=2.0)
+        kernel = _make_kernel(model, binning, store, gamma=0.0)
         rng = np.random.default_rng(4)
         x, y = np.zeros(1), 0.0
         saw = False
         for _ in range(50):
-            new_x, new_y, _, (rec,) = engine_steps(kernel, rng, x, y,
+            new_x, new_y, _, (rec,) = engine_steps(kernel, 2.0, rng, x, y,
                                                    _flat(binning), 1)
             if not rec.accepted:
                 assert new_x is x and new_y == y
@@ -273,9 +273,9 @@ class TestSurrogateKernel:
         store = _unit_store()
         for v in np.linspace(-2.0, 2.0, 41):
             store.insert(np.array([v]), v)
-        kernel = _make_kernel(model, binning, store, gamma=0.05, scale=1.0)
+        kernel = _make_kernel(model, binning, store, gamma=0.05)
         rng = np.random.default_rng(5)
-        _, _, ys, _ = engine_steps(kernel, rng, np.zeros(1), 0.0,
+        _, _, ys, _ = engine_steps(kernel, 1.0, rng, np.zeros(1), 0.0,
                                    _flat(binning), 500)
         assert all(binning.index(y) is not None for y in ys)
 
@@ -291,11 +291,12 @@ class TestSurrogateKernel:
         ledger = EvalLedger()
         kernel = fit_surrogate_kernel(model, binning, 1, initial_design=20,
                                       gamma=1e-4, beta_max=0.05, p=2,
-                                      prop=Proposal(0.5), ledger=ledger)
+                                      ledger=ledger)
         builds = _record_builds(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             res = run_mmc(kernel, MmcConfig(
-                iterations=2, samples_per_iteration=300, seed=1))
+                iterations=2, samples_per_iteration=300, proposal_scale=0.5,
+                seed=1))
         causes = collections.Counter(res.causes)
         assert sum(causes.values()) == 2 * (300 + 30)
         assert causes["refine_fallback"] > 0
@@ -315,8 +316,10 @@ class TestSurrogateKernel:
 class _Fixed(ExactKernel):
     """A step kernel whose candidate output is always y."""
 
+    CAUSES = ("fixed",)
+
     def __init__(self, model, binning, y):
-        super().__init__(model, binning, Proposal(1.0), EvalLedger())
+        super().__init__(model, binning, EvalLedger())
         self.y = y
 
     def step(self, x_new, gate, u, log_q, log_theta):
@@ -445,7 +448,7 @@ class TestDecisionAwareRefinement:
                 on_edge += 1
             accepting = gpmmc.surrogate._accepting_bins(u, log_q, lp,
                                                         log_theta)
-            brute = [engine_steps(_Fixed(model, binning, y),
+            brute = [engine_steps(_Fixed(model, binning, y), 1.0,
                                   ScriptedRng(z, [0.5, u]), x0, y0,
                                   log_theta, 1)[3][0].accepted
                      for y in binning.centers]
@@ -460,7 +463,7 @@ class TestDecisionAwareRefinement:
         binning = Binning(-1.0, 54.0, 55)
         return fit_surrogate_kernel(model, binning, 17, initial_design=20,
                                     gamma=0.0, beta_max=0.05, p=2,
-                                    prop=Proposal(1.0), ledger=EvalLedger())
+                                    ledger=EvalLedger())
 
     def test_screened_step_is_never_accepted(self, monkeypatch):
         """A served candidate whose bin beta is above beta_max was predicted
@@ -485,7 +488,8 @@ class TestDecisionAwareRefinement:
         for _ in range(2000):
             bin_betas.clear()
             before = x
-            x, y, _, (rec,) = engine_steps(kernel, rng, x, y, log_theta, 1)
+            x, y, _, (rec,) = engine_steps(kernel, 1.0, rng, x, y, log_theta,
+                                           1)
             recorded_screened += rec.cause == "screened"
             if rec.cause in SERVED and bin_betas[0] > kernel.beta_max:
                 screened += 1
@@ -534,7 +538,7 @@ class TestModelCache:
         binning = Binning(-1.0, 54.0, 55)
         kernel = fit_surrogate_kernel(model, binning, 17, initial_design=50,
                                       gamma=1e-2, beta_max=0.075, p=p,
-                                      prop=Proposal(1.0), ledger=EvalLedger())
+                                      ledger=EvalLedger())
         store = kernel.store
         serve = store.local_model
         served = collections.Counter()
@@ -560,7 +564,7 @@ class TestModelCache:
         monkeypatch.setattr(store, "local_model", checked)
         x0 = store.points[0].copy()
         rng = np.random.default_rng([17, 0])
-        causes = _walk(kernel, rng, x0, float(store.values[0]),
+        causes = _walk(kernel, 1.0, rng, x0, float(store.values[0]),
                        _flat(binning), 400)
         assert served["built"] == len(builds) == store.models_built
         assert sum(served.values()) == 400 - causes["refine_random"]
@@ -617,24 +621,23 @@ class TestFitSurrogateKernel:
         model = gaussian_model("plane", lambda X: X[:, 0] + 2.0 * X[:, 1],
                                np.zeros(2), np.ones(2))
         binning = Binning(-6.0, 6.0, 12)
-        prop = Proposal(0.5)
         ledger = EvalLedger()
         kernel = fit_surrogate_kernel(model, binning, 3, initial_design=20,
                                       gamma=0.01, beta_max=0.05, p=2,
-                                      prop=prop, ledger=ledger)
+                                      ledger=ledger)
         design = sample_prior(model, np.random.default_rng([3, 1]), 20)
         np.testing.assert_array_equal(kernel.store.points, design)
         np.testing.assert_array_equal(kernel.store.values,
                                       design[:, 0] + 2.0 * design[:, 1])
         assert kernel.ledger is ledger
         assert ledger.true_evals == 20
-        assert (kernel.gamma, kernel.beta_max, kernel.store.p,
-                kernel.prop) == (0.01, 0.05, 2, prop)
+        assert (kernel.gamma, kernel.beta_max, kernel.store.p) == (
+            0.01, 0.05, 2)
         lengths = kernel.store.lengths
         assert lengths.shape == (2,) and np.all(lengths > 0)
         again = fit_surrogate_kernel(model, binning, 3, initial_design=20,
                                      gamma=0.01, beta_max=0.05, p=2,
-                                     prop=prop, ledger=EvalLedger())
+                                     ledger=EvalLedger())
         np.testing.assert_array_equal(again.store.lengths, lengths)
 
     def test_design_is_one_block(self):
@@ -648,7 +651,7 @@ class TestFitSurrogateKernel:
         model = dataclasses.replace(base, eval_fn=recording)
         fit_surrogate_kernel(model, Binning(-3.0, 3.0, 6), 3,
                              initial_design=20, gamma=0.01, beta_max=0.05,
-                             p=2, prop=Proposal(0.5), ledger=EvalLedger())
+                             p=2, ledger=EvalLedger())
         assert sizes == [20]
 
     def test_exponent_checked_before_any_evaluation(self):
@@ -656,8 +659,7 @@ class TestFitSurrogateKernel:
         with pytest.raises(ValueError, match="exponent"):
             fit_surrogate_kernel(_identity_model(2), Binning(-3.0, 3.0, 6), 3,
                                  initial_design=20, gamma=0.01,
-                                 beta_max=0.05, p=3,
-                                 prop=Proposal(0.5), ledger=ledger)
+                                 beta_max=0.05, p=3, ledger=ledger)
         assert ledger.true_evals == 0
 
     @pytest.mark.parametrize("bad, match", [
@@ -670,6 +672,5 @@ class TestFitSurrogateKernel:
         settings = dict(initial_design=20, gamma=0.01, beta_max=0.05) | bad
         with pytest.raises(ValueError, match=match):
             fit_surrogate_kernel(_identity_model(2), Binning(-3.0, 3.0, 6), 3,
-                                 p=2, prop=Proposal(0.5), ledger=ledger,
-                                 **settings)
+                                 p=2, ledger=ledger, **settings)
         assert ledger.true_evals == 0
