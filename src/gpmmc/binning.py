@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,7 +17,8 @@ class Binning:
     """M equal-width, half-open bins [lo + i*delta, lo + (i+1)*delta).
 
     The single closure point y == hi belongs to the last bin, so the closed
-    interval [lo, hi] is covered exactly once.
+    interval [lo, hi] is covered exactly once. m must be an integer, a
+    Python or a numpy one.
     """
 
     lo: float
@@ -28,6 +30,8 @@ class Binning:
             raise ValueError("bin range must be finite")
         if not self.hi > self.lo:
             raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"bin count m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"need at least one bin, got m={self.m}")
 

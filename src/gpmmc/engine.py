@@ -13,18 +13,18 @@ histogram flat and spreads samples evenly across the whole output range
 instead of concentrating them near the mode.
 
 The Metropolis step is written once, in the iteration loop _sample, for
-both step kernels, which supply only the candidate's output (kernel.step).
-The engine owns the rest of the step: the proposal scale comes from the
-run's MmcConfig, and the step's cause, beta and decision go to on_step as
-arguments. Each step draws from the chain's generator, before it asks the
-kernel:
+both step kernels, which supply only the candidate's output (kernel.step);
+it decides with mcmc.accepts. The engine owns the rest of the step: the
+proposal scale comes from the run's MmcConfig, and the step's cause, beta
+and decision go to on_step as arguments. Each step draws from the chain's
+generator, before it asks the kernel:
 
     1. one standard-normal vector for the proposal,
     2. one uniform for the surrogate kernel's refinement gate,
     3. one uniform u for the accept decision.
 
 The exact kernel ignores slot 2; the surrogate kernel's refinement rule
-needs u, since it asks which bins would accept at this u. No kernel draws,
+needs u: it asks mcmc.accepts which bins accept at this u. No kernel draws,
 so a surrogate run with refine probability 1 replays the exact kernel's
 trajectory step for step from the same seed, the cheapest end-to-end check
 of the surrogate machinery.
@@ -33,6 +33,7 @@ of the surrogate machinery.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binning import Binning, Histogram, tally
-from .mcmc import log_bias_density
+from .mcmc import accepts, log_bias_density
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
 __all__ = ["WeightTable", "MmcConfig", "MmcResult", "combined_probability",
@@ -84,7 +85,8 @@ class MmcConfig:
     stays hashable. Every scale must be positive and finite. burn_in steps
     are discarded at the start of every iteration; None becomes a tenth of
     the per-iteration sample count when the config is made; seed must be
-    nonnegative.
+    nonnegative. The counts and the seed must be integers, Python or numpy
+    ones, so a bad one is refused before a run draws anything.
     """
 
     iterations: int
@@ -94,6 +96,12 @@ class MmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "samples_per_iteration", "burn_in",
+                     "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) and not (
+                    name == "burn_in" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.samples_per_iteration < 1:
@@ -202,14 +210,17 @@ def update_weights(tables: Sequence[WeightTable],
 def estimate_moments(pdf: np.ndarray, binning: Binning) -> dict:
     """Mean and central moments 2..5 by midpoint quadrature over the bins.
 
-    Accepts any nonnegative density table; the bin masses are renormalized
-    before integrating, so an unnormalized estimate gains no bias here. A
-    moment that is not finite (a power of the bin centres overflowed) is
-    reported as None, so the result is valid JSON.
+    Accepts any finite nonnegative density table (ValueError otherwise);
+    the bin masses are renormalized before integrating, so an unnormalized
+    estimate gains no bias here. A moment that is not finite (a power of the
+    bin centres overflowed) is reported as None, so the result is valid
+    JSON.
     """
     pdf = np.asarray(pdf, dtype=float)
     if pdf.shape != (binning.m,):
         raise ValueError("pdf length does not match the binning")
+    if not np.all(np.isfinite(pdf)):
+        raise ValueError("pdf entries must be finite")
     if np.any(pdf < 0):
         raise ValueError("pdf entries must be nonnegative")
     mass = pdf * binning.delta
@@ -260,19 +271,17 @@ def _sample(kernel, scale: np.ndarray, rng: np.random.Generator,
     under log_theta; return the last x and y and how many of the steps
     after the burn-in accepted, whose y values fill ys.
 
-    A step's candidate is x + scale * z. It is accepted when log u <
-    log_q_new - log_q, never at log_q_new = -inf (output out of range) and
-    always at u == 0 otherwise; a start or accepted state without a finite
-    log q is a ValueError. Each step adds one to its cause's entry of
-    causes, which must hold every cause the kernel returns (a KeyError
-    otherwise), and on_step gets the step's index, numbered on from
-    step_index, its cause, its beta and whether it moved.
+    A step's candidate is x + scale * z, accepted as mcmc.accepts decides:
+    never at log_q_new = -inf (output out of range). A start or accepted
+    state without a finite log q is a ValueError. Each step adds one to its
+    cause's entry of causes, which must hold every cause the kernel returns
+    (a KeyError otherwise), and on_step gets the step's index, numbered on
+    from step_index, its cause, its beta and whether it moved.
     """
     model, binning, step = kernel.model, kernel.binning, kernel.step
     d = x.size
     normal, uniform = rng.standard_normal, rng.random
-    target, log, isfinite, never = (log_bias_density, math.log,
-                                    math.isfinite, -math.inf)
+    target, accept, isfinite = log_bias_density, accepts, math.isfinite
     log_q = target(log_theta, binning, model, x, y)
     if not isfinite(log_q):
         raise ValueError("chain state must have finite log density")
@@ -283,9 +292,7 @@ def _sample(kernel, scale: np.ndarray, rng: np.random.Generator,
         u = uniform()
         y_new, cause, beta = step(x_new, gate, u, log_q, log_theta)
         log_q_new = target(log_theta, binning, model, x_new, y_new)
-        # u == 0.0 cannot fail the comparison: log(0) is -inf < finite ratio
-        moved = log_q_new != never and (
-            u == 0.0 or log(u) < log_q_new - log_q)
+        moved = accept(u, log_q, log_q_new)
         if moved:
             if not isfinite(log_q_new):
                 raise ValueError("chain state must have finite log density")

@@ -4,11 +4,11 @@ q(x) = p(x) / theta_i(y(x)), zero where y(x) leaves the binned range.
 The engine's iteration loop (engine.py) runs the step itself: it draws the
 candidate with the run's proposal scale (MmcConfig.proposal_scale), asks the
 kernel for the candidate's output, scores it with ``log_bias_density`` (the
-one definition of log q) and applies the accept rule. A step kernel supplies
-only the output and names where it came from, its cause: ExactKernel below
-evaluates the true model, SurrogateKernel in ``surrogate.py`` serves a local
-prediction where it can. Each kernel class declares its causes (CAUSES) and
-those that cost no true evaluation (SERVED).
+one definition of log q) and applies ``accepts`` (the one accept rule). A
+step kernel supplies only the output and names where it came from, its
+cause: ExactKernel below evaluates the true model, SurrogateKernel in
+``surrogate.py`` serves a local prediction where it can. Each kernel class
+declares its causes (CAUSES) and those that cost no true evaluation (SERVED).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .binning import Binning
 from .problem import EvalLedger, PerformanceModel, evaluate, log_prior_density
 
-__all__ = ["log_bias_density", "ExactKernel"]
+__all__ = ["log_bias_density", "accepts", "ExactKernel"]
 
 
 def log_bias_density(log_theta: list[float], binning: Binning,
@@ -31,6 +31,17 @@ def log_bias_density(log_theta: list[float], binning: Binning,
     if i is None:
         return -math.inf
     return log_prior_density(model, x) - log_theta[i]
+
+
+def accepts(u: float, log_q: float,
+            log_q_new: float | np.ndarray) -> bool | np.ndarray:
+    """The Metropolis accept rule at uniform u, from a state of log target
+    log_q: log_q_new - log_q > log u, and at u == 0 (log u = -inf) every
+    log_q_new but -inf. A float log_q_new gives a bool, an array of them
+    (one per candidate bin, say) a bool array of the same decisions."""
+    if u == 0.0:
+        return log_q_new != -math.inf
+    return log_q_new - log_q > math.log(u)
 
 
 class ExactKernel:

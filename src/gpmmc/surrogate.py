@@ -12,8 +12,9 @@ that, the kernel screens the candidate as delayed-acceptance MCMC does
 (Christen & Fox 2005), with the accept uniform u already drawn: it refines
 a predicted acceptance, since a wrong bin would be kept, and a predicted
 rejection only if the predictive mass in the bins that accept at u exceeds
-beta_max; else the rejection is served. So every state kept from
-a prediction has bin beta <= beta_max. Refinements feed the evaluation store,
+beta_max; else the rejection is served. The bins that accept at u are the
+engine's own rule, mcmc.accepts, asked for every bin at once. So every state
+kept from a prediction has bin beta <= beta_max. Refinements feed the store,
 shrinking the surrogate's uncertainty exactly where the chain visits. An
 independent gate evaluates the true model with small probability gamma
 regardless of beta, so the store keeps growing even where the surrogate is
@@ -43,6 +44,7 @@ from scipy.special import ndtr
 from .binning import Binning
 from .errors import SurrogateError
 from .gp import EvaluationStore, _check_exponent, calibrate_lengthscales
+from .mcmc import accepts
 from .problem import (EvalLedger, PerformanceModel, evaluate,
                       log_prior_density, sample_prior)
 
@@ -65,18 +67,6 @@ def _check_settings(gamma: float, beta_max: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if not 0.0 < beta_max < 1.0:
         raise ValueError(f"beta_max must lie in (0, 1), got {beta_max}")
-
-
-def _accepting_bins(u: float, log_q: float, lp: float,
-                    log_theta: list[float]) -> np.ndarray:
-    """Which output bins the engine's accept rule, at uniform u from a state
-    of log target log_q, accepts a candidate with log prior density lp in:
-    bin i accepts when (lp - log_theta[i]) - log_q > log u, the floats it
-    compares, and every bin with a finite log q accepts when u == 0."""
-    log_q_new = lp - np.asarray(log_theta)
-    if u == 0.0:
-        return log_q_new != -math.inf
-    return log_q_new - log_q > math.log(u)
 
 
 def misassignment_probability(mu: float, sigma: float,
@@ -182,9 +172,10 @@ class SurrogateKernel:
                           beta: float) -> float:
         """Probability that serving (mu, sigma), whose bin beta exceeds
         beta_max, makes the wrong transition: beta for a predicted
-        acceptance, else the predictive mass in the accepting bins."""
-        accepting = _accepting_bins(u, log_q, log_prior_density(
-            self.model, x_new), log_theta)
+        acceptance, else the predictive mass in the bins where
+        mcmc.accepts, at this u, takes the candidate's log q in that bin."""
+        accepting = accepts(u, log_q, log_prior_density(self.model, x_new)
+                            - np.asarray(log_theta))
         i = self.binning.index(mu)
         if i is not None and accepting[i]:
             return beta

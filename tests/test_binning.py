@@ -42,6 +42,20 @@ class TestBinning:
         with pytest.raises(ValueError):
             Binning(0.0, float("inf"), 4)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, np.float64(2.0), "2", None],
+                             ids=["float", "whole", "numpy_float", "str",
+                                  "none"])
+    def test_non_integer_bin_count_rejected(self, m):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Binning(0.0, 1.0, m)
+
+    @pytest.mark.parametrize("m", [2, np.int64(2), np.int32(2), np.uint8(2)],
+                             ids=["int", "int64", "int32", "uint8"])
+    def test_numpy_integer_bin_count_accepted(self, m):
+        b = Binning(0.0, 1.0, m)
+        assert b.index(0.99) == 1 and type(b.index(0.99)) is int
+        assert tally(b, np.array([0.2, 0.7, 0.9])).counts.tolist() == [1, 2]
+
     def test_partition_property(self):
         """Every in-range value lands in exactly one bin whose edges
         bracket it."""

@@ -55,6 +55,26 @@ class TestMmcConfig:
             with pytest.raises(ValueError, match="positive and finite"):
                 _config(scale)
 
+    @pytest.mark.parametrize("name", ["iterations", "samples_per_iteration",
+                                      "burn_in", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), "2"],
+                             ids=["float", "whole", "numpy_float", "str"])
+    def test_non_integer_count_rejected(self, name, value):
+        counts = dict(iterations=2, samples_per_iteration=100, burn_in=10,
+                      seed=1)
+        counts[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MmcConfig(proposal_scale=0.5, **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = MmcConfig(iterations=np.int64(2),
+                        samples_per_iteration=np.int32(100),
+                        proposal_scale=0.5, burn_in=np.uint16(10),
+                        seed=np.int64(1))
+        assert (cfg.iterations, cfg.samples_per_iteration, cfg.burn_in,
+                cfg.seed) == (2, 100, 10, 1)
+        assert MmcConfig(2, np.int64(100), 0.5).burn_in == 10
+
     @pytest.mark.parametrize("scale", [(), np.ones((2, 2)), [[0.5]]],
                              ids=["empty", "matrix", "nested"])
     def test_empty_or_multidimensional_scale_rejected(self, scale):
@@ -315,6 +335,13 @@ class TestEstimateMoments:
                        (5, "central5")):
             want = float(((b.centers - mean) ** r) @ mass)
             assert moments[key] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                estimate_moments(np.array([bad, 1.0]), Binning(0.0, 2.0, 2))
 
     def test_all_zero_rejected(self):
         with pytest.raises(RuntimeError):

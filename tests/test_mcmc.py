@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ScriptedRng, engine_steps
 from gpmmc import Binning, EvalLedger, ExactKernel, evaluate, gaussian_model
+from gpmmc.mcmc import accepts
 
 # One bin wider than any chain below walks, under log theta = 0: the target
 # log q is the model's log prior.
@@ -61,6 +62,47 @@ def _sloped_model():
     the log target falls by 0.5 in the wide bin."""
     return dataclasses.replace(_normal_model(),
                                log_prior_fn=lambda x: -0.5 * float(x[0]))
+
+
+class TestAcceptRule:
+    """mcmc.accepts, the one accept rule: the engine's step asks it for one
+    candidate, the surrogate's screening for one log q per bin."""
+
+    def test_zero_uniform_accepts_every_finite_target(self):
+        for log_q_new in (0.0, -1e300, 1e300, -5e-324, 7.5):
+            assert accepts(0.0, 0.0, log_q_new) is True
+        assert accepts(0.0, 0.0, -math.inf) is False
+        assert accepts(0.0, -1e300, -math.inf) is False
+
+    def test_positive_uniform_compares_strictly(self):
+        exact = 0
+        for u in (0.5, math.exp(-3.0), 1e-300, 1.0 - 2**-53):
+            for log_q in (0.0, -2.0, 40.0):
+                assert accepts(u, log_q, -math.inf) is False
+                edge = log_q + math.log(u)
+                if edge - log_q != math.log(u):
+                    continue  # the sum rounded: not on the threshold
+                exact += 1
+                assert accepts(u, log_q, edge) is False
+                assert accepts(u, log_q, math.nextafter(edge, math.inf))
+                assert not accepts(u, log_q, math.nextafter(edge, -math.inf))
+        assert exact >= 4
+        # an uphill move accepts at any u in (0, 1)
+        assert accepts(1.0 - 2**-53, 0.0, 1e-15) is True
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 0.999])
+    def test_array_matches_the_scalar_rule(self, u):
+        rng = np.random.default_rng(5)
+        log_q_new = np.concatenate([rng.normal(scale=2.0, size=40),
+                                    [-math.inf, math.nan, math.inf, 0.0,
+                                     math.log(u) if u else -1.0]])
+        rng.shuffle(log_q_new)
+        out = accepts(u, 0.0, log_q_new)
+        assert out.dtype == bool and out.shape == log_q_new.shape
+        assert out.tolist() == [accepts(u, 0.0, float(v)) for v in log_q_new]
+        assert out[np.isneginf(log_q_new)].tolist() == [False]
+        # NaN: a state the engine refuses, taken only where u == 0
+        assert out[np.isnan(log_q_new)].tolist() == [u == 0.0]
 
 
 class TestMetropolisAccept:

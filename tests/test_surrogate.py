@@ -15,7 +15,7 @@ from gpmmc import (Binning, EvalLedger, EvaluationStore, ExactKernel,
                    misassignment_probability, run_mmc, sample_prior)
 from gpmmc.benchmarks import min_distance_model
 from gpmmc.gp import local_size
-from gpmmc.mcmc import log_bias_density
+from gpmmc.mcmc import accepts, log_bias_density
 
 SERVED = SurrogateKernel.SERVED
 
@@ -413,10 +413,9 @@ class TestDecisionAwareRefinement:
 
     def test_zero_uniform_makes_every_bin_accept(self):
         # from a state of log q 0
-        log_theta = [0.0, 1e6, 1e300, 50.0]
-        accepting = gpmmc.surrogate._accepting_bins
-        assert not accepting(0.5, 0.0, 0.0, log_theta)[1:].any()
-        assert accepting(0.0, 0.0, 0.0, log_theta).all()
+        log_q_new = 0.0 - np.array([0.0, 1e6, 1e300, 50.0])
+        assert not accepts(0.5, 0.0, log_q_new)[1:].any()
+        assert accepts(0.0, 0.0, log_q_new).all()
         # at u = 0 the prediction that rejects at u = 0.5 accepts: refined
         kernel, (y, cause, beta), evals = self._step(3.0, 0.3, u=0.0)
         assert cause == "refine_beta" and beta == (
@@ -425,8 +424,9 @@ class TestDecisionAwareRefinement:
 
     def test_accepting_set_matches_the_engine_rule(self):
         """The engine's step, given a candidate output in each bin in turn,
-        accepts exactly in the bins of the vector rule, also for u placed on
-        a bin's acceptance threshold."""
+        accepts exactly in the bins where mcmc.accepts, on the array the
+        screening builds (log prior density less log theta), does, also for
+        u placed on a bin's acceptance threshold."""
         model = _identity_model()
         binning = Binning(-3.0, 3.0, 12)
         rng = np.random.default_rng(11)
@@ -446,8 +446,7 @@ class TestDecisionAwareRefinement:
             if log_qs[j] - log_q < 0.0:
                 u = math.exp(log_qs[j] - log_q)
                 on_edge += 1
-            accepting = gpmmc.surrogate._accepting_bins(u, log_q, lp,
-                                                        log_theta)
+            accepting = accepts(u, log_q, lp - np.asarray(log_theta))
             brute = [engine_steps(_Fixed(model, binning, y), 1.0,
                                   ScriptedRng(z, [0.5, u]), x0, y0,
                                   log_theta, 1)[3][0].accepted
