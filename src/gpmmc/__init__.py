@@ -13,7 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 from .binning import Binning, Histogram, tally
-from .engine import (MmcConfig, MmcResult, WeightTable, combined_probability,
+from .engine import (MmcConfig, MmcResult, combined_probability,
                      estimate_moments, flatness_cv, run_mmc, run_plain_mc,
                      update_weights)
 from .errors import ConfigError, EvaluationError, SurrogateError
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Binning", "Histogram", "tally",
-    "WeightTable", "MmcConfig", "MmcResult",
+    "MmcConfig", "MmcResult",
     "combined_probability", "update_weights", "estimate_moments",
     "flatness_cv", "run_mmc", "run_plain_mc",
     "ExactKernel",

@@ -3,14 +3,15 @@ final density estimate.
 
 The engine samples the biased density q(x) = p(x) / theta_i(y(x)) restricted
 to inputs whose output falls in the binned range (see mcmc.log_bias_density)
-by random-walk Metropolis. After every iteration it pools the histograms of
-all iterations so far, each under the weights it was sampled with, into one
-estimate of the bin probabilities (the multiple histogram method of
-Ferrenberg and Swendsen); that estimate sets the next weights and, after the
-last iteration and divided by the bin width, is the output density. The
-weights converge toward the bin probabilities, which makes the sampled
-histogram flat and spreads samples evenly across the whole output range
-instead of concentrating them near the mode.
+by random-walk Metropolis. A run's record is two (iterations, bins) arrays:
+row k of weights is the table iteration k sampled with, row k of counts its
+tally of in-range samples. After every iteration it pools the rows so far
+into one estimate of the bin probabilities (the multiple histogram method of
+Ferrenberg and Swendsen); that estimate sets the next row of weights and,
+after the last iteration and divided by the bin width, is the output
+density. The weights converge toward the bin probabilities, which makes the
+sampled histogram flat and spreads samples evenly across the whole output
+range instead of concentrating them near the mode.
 
 The Metropolis step is written once, in the iteration loop _sample, for
 both step kernels, which supply only the candidate's output (kernel.step);
@@ -36,7 +37,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,9 +45,8 @@ from .binning import Binning, Histogram, tally
 from .mcmc import accepts, log_bias_density
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
-__all__ = ["WeightTable", "MmcConfig", "MmcResult", "combined_probability",
-           "update_weights", "estimate_moments", "flatness_cv", "run_mmc",
-           "run_plain_mc"]
+__all__ = ["MmcConfig", "MmcResult", "combined_probability", "update_weights",
+           "estimate_moments", "flatness_cv", "run_mmc", "run_plain_mc"]
 
 MAX_START_DRAWS = 1000
 # Fixed-point iteration of the multiple-histogram estimate: stop once no bin
@@ -55,24 +55,6 @@ COMBINE_RTOL = 1e-13
 COMBINE_MAX_SWEEPS = 100_000
 # Prior draws run_plain_mc holds at once.
 PLAIN_MC_CHUNK = 2**16
-
-
-@dataclass
-class WeightTable:
-    """Positive per-bin weights theta."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.ndim != 1 or self.theta.size < 1:
-            raise ValueError("theta must be a non-empty 1-D array")
-        if np.any(self.theta <= 0) or not np.all(np.isfinite(self.theta)):
-            raise ValueError("weights must be positive and finite")
-
-    @staticmethod
-    def flat(m: int) -> "WeightTable":
-        return WeightTable(np.ones(m))
 
 
 @dataclass(frozen=True)
@@ -127,17 +109,19 @@ class MmcConfig:
 class MmcResult:
     """Everything a run produced, in iteration order.
 
-    weights[k] is the table in force while iteration k sampled, the flat
-    table for k = 0 and the update from iterations 0..k-1 after that. pdf is
-    combined_probability over the bin width (pdf * delta gives the bin
-    probabilities) and moments are its moments. causes counts every step,
-    burn-in included, by its cause: one entry per cause of kernel.CAUSES,
-    in that order, zeros kept. The run's true-evaluation count stays on the
-    kernel's ledger.
+    weights and counts are float and integer (iterations, bins) arrays:
+    row k of weights is the table iteration k sampled with, all ones for
+    k = 0 and update_weights of rows 0..k-1 after that; row k of counts is
+    its tally, which sums to samples_per_iteration. pdf is
+    combined_probability of the two over the bin width (pdf * delta gives
+    the bin probabilities) and moments are its moments. causes counts every
+    step, burn-in included, by its cause: one entry per cause of
+    kernel.CAUSES, in that order, zeros kept. The run's true-evaluation
+    count stays on the kernel's ledger.
     """
 
-    weights: list[WeightTable]
-    histograms: list[Histogram]
+    weights: np.ndarray
+    counts: np.ndarray
     flatness: list[float]
     acceptance: list[float]
     pdf: np.ndarray
@@ -146,12 +130,14 @@ class MmcResult:
     causes: dict
 
 
-def combined_probability(tables: Sequence[WeightTable],
-                         hists: Sequence[Histogram]) -> np.ndarray:
-    """Bin probabilities pooled from every iteration's histogram.
+def combined_probability(weights: np.ndarray,
+                         counts: np.ndarray) -> np.ndarray:
+    """Bin probabilities pooled from every iteration's counts.
 
-    Iteration k sampled bin i in proportion to P_i / theta_ki, so its share
-    of N_k in-range samples estimates P_i / (theta_ki Z_k), with
+    weights and counts are (iterations, bins) arrays: row k of weights is
+    the table theta_k iteration k sampled with, row k of counts its in-range
+    tally H_k. Iteration k sampled bin i in proportion to P_i / theta_ki, so
+    its share of N_k in-range samples estimates P_i / (theta_ki Z_k), with
     Z_k = sum_j P_j / theta_kj. The multiple-histogram estimate (Ferrenberg
     and Swendsen 1989) pools all of them,
 
@@ -159,21 +145,24 @@ def combined_probability(tables: Sequence[WeightTable],
 
     and is solved for P and the Z_k by fixed-point iteration from a uniform
     start. Bins no iteration visited get zero; the result sums to one. With
-    one table and one histogram this is H_i theta_i / sum_j H_j theta_j.
+    one row each this is H_i theta_i / sum_j H_j theta_j. Arrays of other
+    shapes, a weight that is not positive and finite, or a negative count
+    raise ValueError; a row of counts with no samples, RuntimeError.
     """
-    if not hists or len(tables) != len(hists):
-        raise ValueError("need one weight table per histogram, and at least one")
-    m = tables[0].theta.size
-    if any(t.theta.size != m for t in tables) or any(
-            h.counts.size != m for h in hists):
-        raise ValueError("histogram and weight table sizes differ")
-    if any(h.total <= 0 for h in hists):
-        raise RuntimeError("cannot estimate from an empty histogram")
-    counts = np.array([h.counts for h in hists], dtype=float)
-    inv_theta = 1.0 / np.array([t.theta for t in tables])
+    weights = np.asarray(weights, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    if weights.ndim != 2 or weights.shape != counts.shape or not weights.size:
+        raise ValueError("need weights and counts of one non-empty "
+                         f"(iterations, bins) shape, got {weights.shape} "
+                         f"and {counts.shape}")
+    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be positive and finite")
+    if not np.all(counts >= 0):
+        raise ValueError("counts must be nonnegative")
     n_k = counts.sum(axis=1)
     if np.any(n_k <= 0):
-        raise RuntimeError("no in-range samples; density undefined")
+        raise RuntimeError("cannot estimate from an empty histogram")
+    inv_theta = 1.0 / weights
     pooled = counts.sum(axis=0)
     p = (pooled > 0) / np.count_nonzero(pooled)
     for _ in range(COMBINE_MAX_SWEEPS):
@@ -187,24 +176,22 @@ def combined_probability(tables: Sequence[WeightTable],
     return p
 
 
-def update_weights(tables: Sequence[WeightTable],
-                   hists: Sequence[Histogram]) -> WeightTable:
-    """Multicanonical weight update from every histogram sampled so far.
+def update_weights(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Multicanonical weight update from every iteration sampled so far:
+    the next row of weights.
 
-    tables[k] is the table iteration k sampled with and hists[k] its
-    histogram. Bins visited in any iteration move to their pooled
-    probability estimate (combined_probability). Bins never visited drop to
-    the smallest of those: nothing is known about them beyond "rarer than
-    everything seen", and a larger weight would suppress the sampler's only
-    route into them. The whole table is then rescaled to the total of the
-    last table, pinning the sum to its iteration-zero value for the life of
-    the run.
+    weights and counts are the (iterations, bins) record combined_probability
+    takes. Bins visited in any iteration move to their pooled probability
+    estimate. Bins never visited drop to the smallest of those: nothing is
+    known about them beyond "rarer than everything seen", and a larger
+    weight would suppress the sampler's only route into them. The row is
+    then rescaled to the total of the last row, pinning the sum to its
+    iteration-zero value for the life of the run.
     """
-    p = combined_probability(tables, hists)
+    p = combined_probability(weights, counts)
     visited = p > 0
     pre = np.where(visited, p, np.min(p[visited]))
-    scale = tables[-1].theta.sum() / pre.sum()
-    return WeightTable(pre * scale)
+    return pre * (weights[-1].sum() / pre.sum())
 
 
 def estimate_moments(pdf: np.ndarray, binning: Binning) -> dict:
@@ -240,9 +227,10 @@ def estimate_moments(pdf: np.ndarray, binning: Binning) -> dict:
     return {k: v if math.isfinite(v) else None for k, v in out.items()}
 
 
-def flatness_cv(hist: Histogram) -> float:
-    """Coefficient of variation of the nonzero bin counts."""
-    nz = hist.counts[hist.counts > 0]
+def flatness_cv(counts: np.ndarray) -> float:
+    """Coefficient of variation of the nonzero entries of one row of
+    counts."""
+    nz = counts[counts > 0]
     if nz.size == 0:
         return 0.0
     return float(nz.std() / nz.mean())
@@ -321,15 +309,21 @@ def run_mmc(kernel, config: MmcConfig,
     other cause raises KeyError. log_theta is the iteration's log weights,
     as a list taken once per iteration. Candidates are formed with
     config.proposal_scale, as an array made once per run (0-d for one
-    scale). The chain starts from an in-range prior draw, keeps its state
-    across iterations, and discards config.burn_in steps at the start of
-    each one. Samples are tallied from the y values the kernel reports, so
+    scale); a scale vector whose length is not the model's dimension is a
+    ValueError before the first draw. The chain starts from an in-range
+    prior draw, keeps its state across iterations, and discards
+    config.burn_in steps at the start of each one. Samples are tallied from
+    the y values the kernel reports into the rows of MmcResult.counts, so
     nothing is ever re-evaluated, and every step is counted by its cause.
     on_step, if given, is called after every step, burn-in included, as
     on_step(index, cause, beta, accepted). A fixed seed makes the result
     bit-identical across runs.
     """
-    binning = kernel.binning
+    binning, d = kernel.binning, kernel.model.dimension
+    scale = np.asarray(config.proposal_scale, dtype=float)
+    if scale.size not in (1, d):
+        raise ValueError(f"proposal_scale has {scale.size} entries, "
+                         f"model dimension is {d}")
     if binning.m > config.samples_per_iteration:
         warnings.warn(
             f"samples per iteration ({config.samples_per_iteration}) below bin "
@@ -337,34 +331,30 @@ def run_mmc(kernel, config: MmcConfig,
     rng = np.random.default_rng([config.seed, 0])
     x, y, start_draws = _find_start(kernel, rng)
 
-    weights = WeightTable.flat(binning.m)
-    tables: list[WeightTable] = []
-    hists: list[Histogram] = []
-    flatness: list[float] = []
-    acceptance: list[float] = []
     burn = config.burn_in
     n = config.samples_per_iteration
+    weights = np.ones((config.iterations, binning.m))
+    counts = np.zeros((config.iterations, binning.m), dtype=np.int64)
+    flatness: list[float] = []
+    acceptance: list[float] = []
     causes = dict.fromkeys(kernel.CAUSES, 0)
-    scale = np.asarray(config.proposal_scale, dtype=float)
+    ys = np.empty(n)
 
     for k in range(config.iterations):
         if k:
-            weights = update_weights(tables, hists)
-        log_theta = [math.log(t) for t in weights.theta]
-        ys = np.empty(n)
+            weights[k] = update_weights(weights[:k], counts[:k])
+        log_theta = [math.log(t) for t in weights[k]]
         # from the start point, or the last state under the new weights
         x, y, accepted = _sample(kernel, scale, rng, x, y, log_theta, burn,
                                  ys, causes, on_step, k * (burn + n))
-        hist = tally(binning, ys)
-        tables.append(weights)
-        hists.append(hist)
-        flatness.append(flatness_cv(hist))
+        counts[k] = tally(binning, ys).counts
+        flatness.append(flatness_cv(counts[k]))
         acceptance.append(accepted / n)
 
-    pdf = combined_probability(tables, hists) / binning.delta
+    pdf = combined_probability(weights, counts) / binning.delta
     return MmcResult(
-        weights=tables,
-        histograms=hists,
+        weights=weights,
+        counts=counts,
         flatness=flatness,
         acceptance=acceptance,
         pdf=pdf,
@@ -381,11 +371,12 @@ def run_plain_mc(model: PerformanceModel, binning: Binning, n: int,
     Draws, evaluates and tallies PLAIN_MC_CHUNK draws at a time, each chunk
     one block for the true model; the RNG stream [seed, 0] yields the same
     draws in chunks as in one block, so the summed histogram equals one
-    tally of all n. Its density is combined_probability under the flat
-    table over the bin width, the one a run's histogram.csv holds.
+    tally of all n. Its density is combined_probability of its counts under
+    all-one weights over the bin width, the one a run's histogram.csv holds.
+    n must be an integer, a Python or a numpy one.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer n >= 1 samples, got {n!r}")
     rng = np.random.default_rng([seed, 0])
     chunks = []
     for start in range(0, n, PLAIN_MC_CHUNK):

@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import Binning, Histogram
-from .engine import (MmcConfig, WeightTable, combined_probability,
-                     estimate_moments, run_mmc, run_plain_mc)
+from .binning import Binning
+from .engine import (MmcConfig, combined_probability, estimate_moments,
+                     run_mmc, run_plain_mc)
 from .errors import ConfigError
 from .gp import _check_exponent
 from .mcmc import ExactKernel
@@ -202,22 +202,24 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_histogram_csv(path: Path, binning: Binning,
-                         iterations: list[tuple[np.ndarray, Histogram]]) -> None:
-    """iterations: (theta, histogram) pairs in run order."""
+def _write_histogram_csv(path: Path, binning: Binning, weights: np.ndarray,
+                         counts: np.ndarray, totals) -> None:
+    """Row k of weights and counts is iteration k's weights and in-range
+    counts, and totals[k] the number of samples it tallied, out-of-range
+    ones included."""
     centers = binning.centers
     edges = binning.edges
     with open(path, "w") as fh:
         fh.write(HISTOGRAM_HEADER + "\n")
-        for k, (theta, hist) in enumerate(iterations):
-            h = hist.counts / hist.total if hist.total > 0 else np.zeros(binning.m)
+        for k, (theta, count, n) in enumerate(zip(weights, counts, totals)):
+            h = count / n if n > 0 else np.zeros(binning.m)
             raw = h * theta
             total = raw.sum()
             p = raw / total if total > 0 else raw
             pdf = p / binning.delta
             for i in range(binning.m):
                 row = [str(k), str(i), _fmt(centers[i]), _fmt(edges[i]),
-                       _fmt(edges[i + 1]), str(int(hist.counts[i])),
+                       _fmt(edges[i + 1]), str(int(count[i])),
                        _fmt(h[i]), _fmt(theta[i]), _fmt(p[i]), _fmt(pdf[i])]
                 fh.write(",".join(row) + "\n")
 
@@ -225,10 +227,10 @@ def _write_histogram_csv(path: Path, binning: Binning,
 def read_histogram_csv(path: str | Path) -> dict:
     """Parse a histogram.csv back into binning, counts, and the run's density.
 
-    Returns a dict with the reconstructed Binning, the per-iteration count
-    and theta arrays, and the run's bin probabilities (final_p) and density
-    (final_pdf): the estimate pooled from every iteration's counts and
-    thetas, the same one the run's summary.json moments come from. A file
+    Returns a dict with the reconstructed Binning, the run's counts and
+    thetas as (iterations, bins) arrays, and its bin probabilities (final_p)
+    and density (final_pdf): combined_probability of those arrays, the
+    estimate the run's summary.json moments come from. A file
     with no in-range counts reports zero density. A malformed row or number,
     a missing or repeated (iteration, bin) row, a negative count, a theta
     that is not positive and finite, or an iteration with no counts beside
@@ -260,17 +262,18 @@ def read_histogram_csv(path: str | Path) -> dict:
         raise ConfigError(f"{path}: need exactly one row per (iteration, "
                           f"bin), for {len(iters)} iterations of {m} bins")
     counts = np.array([r[4] for r in rows], dtype=np.int64).reshape(-1, m)
+    thetas = np.array([r[5] for r in rows]).reshape(-1, m)
     try:
         binning = Binning(min(r[2] for r in rows), max(r[3] for r in rows), m)
-        tables = [WeightTable(t) for t in
-                  np.array([r[5] for r in rows]).reshape(-1, m)]
-        hists = [Histogram(c, total=int(c.sum())) for c in counts]
-        p_i = (combined_probability(tables, hists)
-               if any(h.total > 0 for h in hists) else np.zeros(m))
-    except (ValueError, RuntimeError) as exc:
+        p_i = combined_probability(thetas, counts)
+    except RuntimeError as exc:  # an iteration with no counts
+        if counts.any():
+            raise ConfigError(f"{path}: {exc}") from None
+        p_i = np.zeros(m)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return {"binning": binning, "iterations": iters,
-            "counts": list(counts), "thetas": [t.theta for t in tables],
+            "counts": counts, "thetas": thetas,
             "final_p": p_i, "final_pdf": p_i / binning.delta}
 
 
@@ -317,13 +320,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
     if cfg.method == "mc":
         n_total = cfg.iterations * cfg.samples_per_iteration
         hist = run_plain_mc(model, binning, n_total, cfg.seed, ledger)
-        tables, hists = [WeightTable.flat(binning.m)], [hist]
+        weights, counts, totals = (np.ones((1, binning.m)), hist.counts[None],
+                                   [hist.total])
         breakdown["samples"] = n_total
         burn_in = 0
         # the density read_histogram_csv recomputes from the file
         results = {"in_range_fraction": hist.in_range / n_total,
                    "moments": estimate_moments(
-                       combined_probability(tables, hists) / binning.delta,
+                       combined_probability(weights, counts) / binning.delta,
                        binning) if hist.in_range > 0 else None}
     else:
         mmc_cfg = cfg._mmc_config()
@@ -354,7 +358,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             if step_file is not None:
                 step_file.close()
 
-        tables, hists = result.weights, result.histograms
+        weights, counts = result.weights, result.counts
+        totals = counts.sum(axis=1)
         breakdown["start_draws"] = result.start_draws
         # every step by cause, zero counts included; the chain's true
         # evaluations are the causes that are not served predictions
@@ -368,8 +373,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             results["store_size"] = kernel.store.size
             local_models_built = kernel.store.models_built
 
-    _write_histogram_csv(out / "histogram.csv", binning,
-                         [(t.theta, h) for t, h in zip(tables, hists)])
+    _write_histogram_csv(out / "histogram.csv", binning, weights, counts,
+                         totals)
 
     # each breakdown term counts the true evaluations of one cause, so the
     # terms must add up to the ledger

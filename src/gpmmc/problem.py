@@ -15,6 +15,7 @@ several threads must serialize access themselves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -118,9 +119,10 @@ def log_prior_density(model: PerformanceModel, x: np.ndarray) -> float:
 
 def sample_prior(model: PerformanceModel, rng: np.random.Generator,
                  n: int) -> np.ndarray:
-    """Draw n independent prior samples as an (n, d) array."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 prior draws, got n={n}")
+    """Draw n independent prior samples as an (n, d) array. n must be an
+    integer, a Python or a numpy one."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer n >= 1 prior draws, got n={n!r}")
     xs = np.asarray(model.prior_sampler(rng, n), dtype=float)
     if xs.shape != (n, model.dimension):
         raise ValueError(f"prior sampler returned shape {xs.shape}, "

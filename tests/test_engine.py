@@ -9,11 +9,10 @@ import pytest
 
 import gpmmc.engine
 from conftest import engine_steps
-from gpmmc import (Binning, EvalLedger, ExactKernel, Histogram, MmcConfig,
-                   SurrogateError, WeightTable, combined_probability,
-                   estimate_moments, fit_surrogate_kernel, flatness_cv,
-                   gaussian_model, run_mmc, run_plain_mc, tally,
-                   update_weights)
+from gpmmc import (Binning, EvalLedger, ExactKernel, MmcConfig,
+                   SurrogateError, combined_probability, estimate_moments,
+                   fit_surrogate_kernel, flatness_cv, gaussian_model, run_mmc,
+                   run_plain_mc, tally, update_weights)
 from gpmmc.benchmarks import min_distance_model
 from gpmmc.engine import PLAIN_MC_CHUNK
 from gpmmc.mcmc import log_bias_density
@@ -24,16 +23,37 @@ def _identity_model(d=1):
                           np.zeros(d), np.ones(d))
 
 
-class TestWeightTable:
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            WeightTable(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            WeightTable(np.array([1.0, -2.0]))
+class TestCombinedProbabilityInputs:
+    """combined_probability checks the whole record it pools, so every
+    table a run updates from, its final estimate and a histogram.csv read
+    back pass the same checks."""
 
-    def test_flat(self):
-        w = WeightTable.flat(4)
-        np.testing.assert_array_equal(w.theta, np.ones(4))
+    def test_positive_finite_weights_required(self):
+        counts = np.array([[5, 5], [5, 5]])
+        for bad in (0.0, -2.0, math.nan, math.inf):
+            weights = np.array([[1.0, 1.0], [1.0, bad]])
+            with pytest.raises(ValueError, match="positive and finite"):
+                combined_probability(weights, counts)
+            with pytest.raises(ValueError, match="positive and finite"):
+                update_weights(weights, counts)
+
+    @pytest.mark.parametrize("weights, counts", [
+        (np.ones((2, 3)), np.ones((2, 2), dtype=int)),
+        (np.ones(2), np.ones(2, dtype=int)),
+        (np.ones((0, 2)), np.ones((0, 2), dtype=int)),
+    ], ids=["bins", "one_dimensional", "no_iterations"])
+    def test_shape_mismatch_rejected(self, weights, counts):
+        with pytest.raises(ValueError, match="shape"):
+            combined_probability(weights, counts)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            combined_probability(np.ones((2, 2)), np.array([[3, 1], [5, -1]]))
+
+    def test_empty_row_beside_a_filled_one_rejected(self):
+        with pytest.raises(RuntimeError, match="empty"):
+            combined_probability(np.ones((2, 3)),
+                                 np.array([[3, 1, 2], [0, 0, 0]]))
 
 
 def _config(scale):
@@ -119,9 +139,8 @@ class TestLogBiasDensity:
     def test_weight_enters_inversely(self):
         m = _identity_model()
         b = Binning(-1.0, 1.0, 4)
-        w1 = WeightTable(np.array([1.0, 1.0, 1.0, 1.0]))
-        w2 = WeightTable(np.array([1.0, 1.0, 4.0, 1.0]))
-        log1, log2 = ([math.log(t) for t in w.theta] for w in (w1, w2))
+        log1, log2 = ([math.log(t) for t in w]
+                      for w in ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 4.0, 1.0]))
         x = np.array([0.2])  # bin 2
         assert log_bias_density(log2, b, m, x, 0.2) == pytest.approx(
             log_bias_density(log1, b, m, x, 0.2) - math.log(4.0), abs=1e-12)
@@ -166,32 +185,25 @@ class TestLogBiasDensity:
 
 class TestUpdateWeights:
     def test_two_bin_example(self):
-        w = WeightTable(np.array([0.5, 0.5]))
-        h = Histogram(counts=np.array([75, 25]), total=100)
-        w2 = update_weights([w], [h])
-        np.testing.assert_allclose(w2.theta, [0.75, 0.25], rtol=1e-14)
+        w2 = update_weights(np.array([[0.5, 0.5]]), np.array([[75, 25]]))
+        np.testing.assert_allclose(w2, [0.75, 0.25], rtol=1e-14)
 
     def test_empty_bin_drops_to_min_visited(self):
-        w = WeightTable(np.array([1.0, 1.0, 1.0]) / 3.0)
-        h = Histogram(counts=np.array([60, 40, 0]), total=100)
-        w2 = update_weights([w], [h])
+        w2 = update_weights(np.full((1, 3), 1 / 3), np.array([[60, 40, 0]]))
         # visited bins update to (0.2, 2/15); the empty bin takes the
         # smaller of those, and the sum 7/15 rescales back to 1
-        np.testing.assert_allclose(w2.theta, [3 / 7, 2 / 7, 2 / 7],
-                                   rtol=1e-14)
+        np.testing.assert_allclose(w2, [3 / 7, 2 / 7, 2 / 7], rtol=1e-14)
 
     def test_empty_bin_weight_tracks_the_rarest_visited_bin(self):
-        w = WeightTable(np.array([0.25, 0.25, 0.25, 0.25]))
-        h = Histogram(counts=np.array([9000, 990, 10, 0]), total=10000)
-        w2 = update_weights([w], [h])
-        assert w2.theta[3] == pytest.approx(w2.theta[2], rel=1e-14)
-        assert w2.theta[2] < w2.theta[1] < w2.theta[0]
+        w2 = update_weights(np.array([[0.25, 0.25, 0.25, 0.25]]),
+                            np.array([[9000, 990, 10, 0]]))
+        assert w2[3] == pytest.approx(w2[2], rel=1e-14)
+        assert w2[2] < w2[1] < w2[0]
 
     def test_flat_histogram_is_fixed_point(self):
-        w = WeightTable(np.array([0.1, 0.6, 0.3]))
-        h = Histogram(counts=np.array([200, 200, 200]), total=600)
-        w2 = update_weights([w], [h])
-        np.testing.assert_allclose(w2.theta, w.theta, rtol=1e-14)
+        w = np.array([[0.1, 0.6, 0.3]])
+        w2 = update_weights(w, np.array([[200, 200, 200]]))
+        np.testing.assert_allclose(w2, w[0], rtol=1e-14)
 
     def test_sum_preserved(self):
         rng = np.random.default_rng(5)
@@ -200,72 +212,60 @@ class TestUpdateWeights:
             counts = rng.integers(0, 50, size=8)
             if counts.sum() == 0:
                 counts[0] = 1
-            w = WeightTable(theta)
-            h = Histogram(counts=counts, total=int(counts.sum()))
-            w2 = update_weights([w], [h])
-            assert w2.theta.sum() == pytest.approx(theta.sum(), rel=1e-12)
-            assert np.all(w2.theta > 0)
+            w2 = update_weights(np.array([theta]), np.array([counts]))
+            assert w2.sum() == pytest.approx(theta.sum(), rel=1e-12)
+            assert np.all(w2 > 0)
 
     def test_empty_histogram_rejected(self):
-        w = WeightTable.flat(3)
-        h = Histogram(counts=np.zeros(3, dtype=int), total=0)
         with pytest.raises(RuntimeError):
-            update_weights([w], [h])
+            update_weights(np.ones((1, 3)), np.zeros((1, 3), dtype=int))
 
 
 class TestCombinedProbability:
     def test_single_histogram_is_counts_times_weights(self):
-        w = WeightTable(np.array([0.2, 1.0, 3.0, 0.5]))
-        h = Histogram(counts=np.array([40, 10, 0, 50]), total=100)
-        raw = h.counts * w.theta
-        np.testing.assert_allclose(combined_probability([w], [h]),
+        w = np.array([[0.2, 1.0, 3.0, 0.5]])
+        counts = np.array([[40, 10, 0, 50]])
+        raw = (counts * w)[0]
+        np.testing.assert_allclose(combined_probability(w, counts),
                                    raw / raw.sum(), rtol=1e-14)
 
     def test_exact_histograms_recover_the_probabilities(self):
         # counts exactly proportional to P_i / theta_ki in every iteration
         prob = np.array([0.5, 0.3, 0.15, 0.05])
-        tables = [WeightTable(np.ones(4)), WeightTable(prob * 4.0),
-                  WeightTable(np.array([1.0, 0.5, 0.5, 0.25]))]
-        hists = []
-        for t in tables:
-            share = prob / t.theta
-            counts = np.round(share / share.sum() * 8000).astype(int)
-            hists.append(Histogram(counts=counts, total=int(counts.sum())))
-        np.testing.assert_allclose(combined_probability(tables, hists), prob,
-                                   rtol=1e-12)
+        weights = np.array([np.ones(4), prob * 4.0, [1.0, 0.5, 0.5, 0.25]])
+        share = prob / weights
+        counts = np.round(share / share.sum(axis=1, keepdims=True)
+                          * 8000).astype(int)
+        np.testing.assert_allclose(combined_probability(weights, counts),
+                                   prob, rtol=1e-12)
 
     def test_mismatched_history_rejected(self):
         with pytest.raises(ValueError):
-            combined_probability([WeightTable.flat(2)] * 2,
-                                 [Histogram(counts=np.array([1, 1]), total=2)])
+            combined_probability(np.ones((2, 2)), np.array([[1, 1]]))
 
 
 class TestUpdateWeightsFromHistory:
     def test_bin_seen_earlier_is_not_floored(self):
         # iteration 0 put half its samples in bin 2; iteration 1, sampled with
         # the weights that followed, never reached it
-        w0 = WeightTable.flat(3)
-        h0 = Histogram(counts=np.array([10, 40, 50]), total=100)
-        w1 = update_weights([w0], [h0])
-        h1 = Histogram(counts=np.array([70, 30, 0]), total=100)
-        w2 = update_weights([w0, w1], [h0, h1])
-        assert w2.theta[2] > w2.theta[:2].min()
-        prob = combined_probability([w0, w1], [h0, h1])
-        np.testing.assert_allclose(w2.theta / w2.theta.sum(), prob,
-                                   rtol=1e-12)
-        assert w2.theta.sum() == pytest.approx(3.0, rel=1e-12)
+        counts = np.array([[10, 40, 50], [70, 30, 0]])
+        weights = np.ones((2, 3))
+        weights[1] = update_weights(weights[:1], counts[:1])
+        w2 = update_weights(weights, counts)
+        assert w2[2] > w2[:2].min()
+        prob = combined_probability(weights, counts)
+        np.testing.assert_allclose(w2 / w2.sum(), prob, rtol=1e-12)
+        assert w2.sum() == pytest.approx(3.0, rel=1e-12)
         # the one-histogram update would have floored it
-        floored = update_weights([w1], [h1])
-        assert floored.theta[2] == pytest.approx(floored.theta.min(),
-                                                 rel=1e-14)
+        floored = update_weights(weights[1:], counts[1:])
+        assert floored[2] == pytest.approx(floored.min(), rel=1e-14)
 
     def test_bin_never_seen_takes_the_floor(self):
-        w0 = WeightTable.flat(3)
-        h0 = Histogram(counts=np.array([60, 40, 0]), total=100)
-        w1 = update_weights([w0], [h0])
-        h1 = Histogram(counts=np.array([45, 55, 0]), total=100)
-        w2 = update_weights([w0, w1], [h0, h1])
-        assert w2.theta[2] == pytest.approx(w2.theta[:2].min(), rel=1e-14)
+        counts = np.array([[60, 40, 0], [45, 55, 0]])
+        weights = np.ones((2, 3))
+        weights[1] = update_weights(weights[:1], counts[:1])
+        w2 = update_weights(weights, counts)
+        assert w2[2] == pytest.approx(w2[:2].min(), rel=1e-14)
 
     def test_run_density_pools_all_iterations(self):
         model = _identity_model()
@@ -274,10 +274,44 @@ class TestUpdateWeightsFromHistory:
                       MmcConfig(iterations=3, samples_per_iteration=2000,
                                 proposal_scale=1.5, burn_in=100, seed=5))
         np.testing.assert_array_equal(
-            res.pdf, combined_probability(res.weights, res.histograms) / b.delta)
+            res.pdf, combined_probability(res.weights, res.counts) / b.delta)
         np.testing.assert_array_equal(
-            res.weights[-1].theta,
-            update_weights(res.weights[:-1], res.histograms[:-1]).theta)
+            res.weights[-1], update_weights(res.weights[:-1], res.counts[:-1]))
+
+
+class TestRunRecord:
+    """MmcResult.weights and .counts: one (iterations, bins) row per
+    iteration, each weight row the update from the rows before it, bit for
+    bit."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        kernel = ExactKernel(_identity_model(), Binning(-3.0, 3.0, 12),
+                             EvalLedger())
+        return run_mmc(kernel, MmcConfig(iterations=4,
+                                         samples_per_iteration=1500,
+                                         proposal_scale=1.5, burn_in=100,
+                                         seed=8))
+
+    def test_shapes_and_types(self, run):
+        assert run.weights.shape == run.counts.shape == (4, 12)
+        assert run.weights.dtype == float
+        assert np.issubdtype(run.counts.dtype, np.integer)
+
+    def test_first_weights_are_ones(self, run):
+        np.testing.assert_array_equal(run.weights[0], np.ones(12))
+
+    def test_each_row_is_the_update_of_the_rows_before(self, run):
+        for k in range(1, 4):
+            np.testing.assert_array_equal(
+                run.weights[k],
+                update_weights(run.weights[:k], run.counts[:k]))
+
+    def test_counts_sum_to_samples_per_iteration(self, run):
+        np.testing.assert_array_equal(run.counts.sum(axis=1), [1500] * 4)
+
+    def test_flatness_is_per_count_row(self, run):
+        assert run.flatness == [flatness_cv(c) for c in run.counts]
 
 
 class TestEstimatePdf:
@@ -286,25 +320,21 @@ class TestEstimatePdf:
 
     def test_uniform_counts_flat_weights(self):
         b = Binning(0.0, 1.0, 4)
-        w = WeightTable.flat(4)
-        h = Histogram(counts=np.array([25, 25, 25, 25]), total=100)
-        pdf = combined_probability([w], [h]) / b.delta
+        pdf = combined_probability(np.ones((1, 4)),
+                                   np.array([[25, 25, 25, 25]])) / b.delta
         np.testing.assert_allclose(pdf, np.ones(4), rtol=1e-14)
 
     def test_normalization_exact(self):
         b = Binning(-2.0, 2.0, 8)
-        w = WeightTable(np.linspace(0.2, 3.0, 8))
         counts = np.array([5, 0, 7, 1, 0, 3, 2, 9])
-        h = Histogram(counts=counts, total=int(counts.sum()))
-        pdf = combined_probability([w], [h]) / b.delta
+        pdf = combined_probability(np.array([np.linspace(0.2, 3.0, 8)]),
+                                   np.array([counts])) / b.delta
         assert pdf @ np.full(8, b.delta) == pytest.approx(1.0, abs=1e-12)
         assert np.all(pdf[counts == 0] == 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(RuntimeError):
-            combined_probability(
-                [WeightTable.flat(2)],
-                [Histogram(counts=np.zeros(2, dtype=int), total=0)])
+            combined_probability(np.ones((1, 2)), np.zeros((1, 2), dtype=int))
 
 
 class TestEstimateMoments:
@@ -363,12 +393,10 @@ class TestEstimateMoments:
 
 class TestFlatness:
     def test_uniform_counts_have_zero_cv(self):
-        h = Histogram(counts=np.array([10, 10, 10]), total=30)
-        assert flatness_cv(h) == 0.0
+        assert flatness_cv(np.array([10, 10, 10])) == 0.0
 
     def test_zero_bins_ignored(self):
-        h = Histogram(counts=np.array([10, 0, 30]), total=40)
-        assert flatness_cv(h) == pytest.approx(10.0 / 20.0)
+        assert flatness_cv(np.array([10, 0, 30])) == pytest.approx(10.0 / 20.0)
 
 
 class TestRunMmc:
@@ -383,8 +411,8 @@ class TestRunMmc:
             results.append(run_mmc(kernels[-1], cfg))
         a, b = results
         np.testing.assert_array_equal(a.pdf, b.pdf)
-        for ha, hb in zip(a.histograms, b.histograms):
-            np.testing.assert_array_equal(ha.counts, hb.counts)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.weights, b.weights)
         assert kernels[0].ledger == kernels[1].ledger
 
     def test_oracle_weights_give_flat_histogram(self):
@@ -401,7 +429,7 @@ class TestRunMmc:
             pass
 
         kernel = FixedWeightKernel(model, binning, EvalLedger())
-        log_theta = [math.log(t) for t in WeightTable(theta).theta]
+        log_theta = [math.log(t) for t in theta]
         rng = np.random.default_rng(123)
 
         x, y, _, _ = engine_steps(kernel, 2.0, rng, np.zeros(1), 0.0,
@@ -488,8 +516,28 @@ class TestRunMmc:
         res = run_mmc(kernel, cfg)
         assert res.pdf @ np.full(6, binning.delta) == pytest.approx(1.0, abs=1e-12)
         assert (res.pdf * binning.delta).sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(res.weights) == 2
-        assert len(res.histograms) == 2
+        assert res.weights.shape == res.counts.shape == (2, 6)
+
+    @pytest.mark.parametrize("surrogate", [False, True],
+                             ids=["exact", "surrogate"])
+    def test_scale_of_the_wrong_length_rejected_before_any_draw(self,
+                                                                surrogate):
+        """A scale vector that is not one entry per coordinate is refused
+        before the start draw: the ledger holds only the surrogate's
+        design."""
+        model, binning = min_distance_model(), Binning(-1.0, 54.0, 55)
+        ledger = EvalLedger()
+        if surrogate:
+            kernel = fit_surrogate_kernel(model, binning, 3,
+                                          initial_design=20, gamma=0.05,
+                                          beta_max=0.05, p=2, ledger=ledger)
+        else:
+            kernel = ExactKernel(model, binning, ledger)
+        spent = ledger.true_evals
+        with pytest.raises(ValueError, match="proposal_scale has 3 entries, "
+                                             "model dimension is 2"):
+            run_mmc(kernel, _config((1.0, 1.0, 1.0)))
+        assert ledger.true_evals == spent == (20 if surrogate else 0)
 
     def test_sparse_sampling_warns(self):
         model = _identity_model()
@@ -604,8 +652,22 @@ class TestRunPlainMc:
         assert hist.total == 2000
         assert hist.in_range + hist.overflow_low + hist.overflow_high == 2000
         # under the flat table the density is the in-range count density
-        p = combined_probability([WeightTable.flat(4)], [hist])
+        p = combined_probability(np.ones((1, 4)), hist.counts[None])
         np.testing.assert_allclose(p, hist.counts / hist.in_range, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [1000.5, 1000.0, np.float64(1000.0)],
+                             ids=["float", "whole", "numpy_float"])
+    def test_non_integer_draw_count_rejected(self, n):
+        ledger = EvalLedger()
+        with pytest.raises(ValueError, match="integer"):
+            run_plain_mc(_identity_model(), Binning(-1.0, 1.0, 4), n, seed=1,
+                         ledger=ledger)
+        assert ledger.true_evals == 0
+
+    def test_numpy_integer_draw_count_accepted(self):
+        hist = run_plain_mc(_identity_model(), Binning(-1.0, 1.0, 4),
+                            np.int64(100), seed=1, ledger=EvalLedger())
+        assert hist.total == 100
 
     def test_matches_normal_mass(self):
         from scipy.stats import norm

@@ -417,6 +417,7 @@ class TestRunExperimentMmc:
         assert all(0.0 < a < 1.0 for a in summary["acceptance"])
         data = read_histogram_csv(tmp_path / "out" / "histogram.csv")
         assert data["iterations"] == [0, 1]
+        assert data["counts"].shape == data["thetas"].shape == (2, 10)
         assert all(c.sum() == 300 for c in data["counts"])
         # final density integrates to one
         binning = data["binning"]
@@ -655,6 +656,27 @@ def _damaged(lines, damage):
     else:  # "zero_theta"
         rows[13][7] = "0.0"
     return [lines[0]] + [",".join(r) for r in rows]
+
+
+def test_zero_theta_rejected_in_a_file_without_counts(tmp_path,
+                                                     mmc_histogram):
+    """A file with no in-range counts reads as zero density, and its
+    weights are checked all the same."""
+    rows = [line.split(",") for line in mmc_histogram[1:]]
+    for r in rows:
+        r[5] = "0"
+    path = tmp_path / "empty.csv"
+
+    def write():
+        path.write_text("\n".join([mmc_histogram[0]]
+                                  + [",".join(r) for r in rows]) + "\n")
+
+    write()
+    assert not read_histogram_csv(path)["final_pdf"].any()
+    rows[13][7] = "0.0"
+    write()
+    with pytest.raises(ConfigError, match="positive and finite"):
+        read_histogram_csv(path)
 
 
 class TestCli:

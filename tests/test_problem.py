@@ -138,6 +138,17 @@ class TestSamplePrior:
         with pytest.raises(ValueError):
             sample_prior(m, np.random.default_rng(0), 0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), "2"],
+                             ids=["float", "whole", "numpy_float", "str"])
+    def test_non_integer_draw_count_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            sample_prior(_unit_normal_2d(), np.random.default_rng(0), n)
+
+    def test_numpy_integer_draw_count_accepted(self):
+        xs = sample_prior(_unit_normal_2d(), np.random.default_rng(0),
+                          np.int32(3))
+        assert xs.shape == (3, 2)
+
 
 class TestRegistry:
     def test_benchmarks_registered(self):

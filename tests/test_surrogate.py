@@ -665,7 +665,8 @@ class TestFitSurrogateKernel:
         (dict(gamma=2.0), "gamma"),
         (dict(beta_max=1.0), "beta_max"),
         (dict(initial_design=1), "two points"),
-    ], ids=["gamma", "beta_max", "initial_design"])
+        (dict(initial_design=20.5), "integer"),
+    ], ids=["gamma", "beta_max", "initial_design", "fractional_design"])
     def test_settings_checked_before_any_evaluation(self, bad, match):
         ledger = EvalLedger()
         settings = dict(initial_design=20, gamma=0.01, beta_max=0.05) | bad
