@@ -17,7 +17,14 @@ Lengthscales are calibrated once from the initial design by a coordinate-wise
 grid search on the profile marginal likelihood of the trend residuals,
 divided by their largest magnitude so the search does not depend on the
 scale of y, and then frozen; the candidates for one coordinate share its
-distances and those over the others. The amplitude a is recalibrated in
+distances and those over the others. A length divides |x_i - x'_i|^p, so it
+has the units of x_i^p: coordinate i's 13-point grid runs from 0.1 s_i^p to
+1e4 s_i^p, s_i its data standard deviation, and stretching one input by c
+stretches its length by c^p. The span brackets the optimum of every
+coordinate of the 10-D Poisson designs; a length on its top edge means the
+coordinate does not matter at the data's scale (two points 3 s_i apart keep
+a factor exp(-3^p 1e-4) of their correlation along it). Two sweeps score
+1 + 2 * d * 12 likelihoods, 241 in 10-D. The amplitude a is recalibrated in
 closed form for every local model, so the predictive variance tracks the
 local residual scale as the store grows. The EvaluationStore owns the
 frozen lengthscales and exponent: it checks them once, when it is built,
@@ -97,9 +104,10 @@ JITTER_MAX = 1e-4
 # factors.
 MODEL_CACHE_ENTRIES = 2**18
 # Lengthscale calibration: grid points per coordinate, grid span in units of
-# the coordinate's data standard deviation, and full coordinate sweeps.
+# s**p, s the coordinate's data standard deviation, and full coordinate
+# sweeps.
 CALIBRATION_GRID = 13
-CALIBRATION_SPAN = (0.01, 100.0)
+CALIBRATION_SPAN = (0.1, 1e4)
 CALIBRATION_SWEEPS = 2
 
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -476,7 +484,12 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """Lengthscales from the initial design by coordinate-wise grid search.
 
     Each coordinate gets a log-spaced grid of CALIBRATION_GRID points spanning
-    CALIBRATION_SPAN times its data standard deviation. Starting from the grid
+    CALIBRATION_SPAN times s**p, s its data standard deviation: a length
+    divides |x_j - x'_j|^p, so stretching one input by c stretches its grid,
+    and its chosen length, by c**p. The span brackets the optimum on the
+    10-D Poisson designs; a length on the top edge, 1e4 s**p, means the
+    coordinate does not matter at the data's scale, as where the quadratic
+    trend absorbs its effect. Starting from the grid
     centers, coordinates are optimized one at a time against the profile
     marginal likelihood of the trend residuals r, -n log(r' C^{-1} r / n) -
     log det C up to constants, with CALIBRATION_SWEEPS full sweeps rather
@@ -484,7 +497,8 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     largest magnitude first, so the search sees the same numbers whatever
     the scale of y (outputs near 1e170 would otherwise overflow every
     likelihood on the grid). Degenerate data with no residual signal,
-    max|r| <= 1e-12 max|y|, falls back to the per-coordinate data ranges.
+    max|r| <= 1e-12 max|y|, falls back to the per-coordinate data ranges to
+    the power p.
     ValueError unless the kernel exponent p is 1 or 2.
 
     Coordinate j's sweep computes, once, the kernel distance over the other
@@ -492,7 +506,8 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     n(n - 1)/2 pairs; a candidate l_j costs a divide-add, the exp and a
     factorization of C's strict lower triangle. The sweep's starting value
     is the best at its start, so it is not scored again: a search scores
-    1 + CALIBRATION_SWEEPS * d * (CALIBRATION_GRID - 1) likelihoods.
+    1 + CALIBRATION_SWEEPS * d * (CALIBRATION_GRID - 1) likelihoods, 241 on
+    a 10-D design.
     """
     _check_exponent(p)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -505,12 +520,13 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     if r_max <= 1e-12 * np.max(np.abs(y)):
         ranges = X.max(axis=0) - X.min(axis=0)
         ranges[ranges <= 0] = 1.0
-        return ranges
+        return ranges**p
     r = r / r_max
     std = X.std(axis=0)
     std[std <= 0] = 1.0
     lo, hi = CALIBRATION_SPAN
-    grids = [np.geomspace(lo * s, hi * s, CALIBRATION_GRID) for s in std]
+    grids = [np.geomspace(lo * s**p, hi * s**p, CALIBRATION_GRID)
+             for s in std]
     lengths = np.array([g[CALIBRATION_GRID // 2] for g in grids])
     # work.T[upper] is work's strict lower triangle column by column, the
     # order in which pdist lists the pairs i < j

@@ -8,8 +8,10 @@ A run writes into the output directory its caller names:
                   of all iterations (read_histogram_csv recomputes it)
   summary.json    scalar results and diagnostics, among them the moments of
                   the run's density and its steps by cause (every cause the
-                  kernel declares, in its order, zeros kept), deterministic
-                  for a fixed config and seed but for runtime_seconds
+                  kernel declares, in its order, zeros kept), and for a
+                  surrogate run the store's frozen lengthscales
+                  (lengthscales, one per coordinate), deterministic for a
+                  fixed config and seed but for runtime_seconds
   steps.csv       per-step log: step,cause,beta,accepted (on request)
   store.csv       the exact-evaluation store (surrogate runs only)
 
@@ -371,6 +373,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         if cfg.method == "gpmmc":
             kernel.store.save_csv(out / "store.csv")
             results["store_size"] = kernel.store.size
+            results["lengthscales"] = kernel.store.lengths.tolist()
             local_models_built = kernel.store.models_built
 
     _write_histogram_csv(out / "histogram.csv", binning, weights, counts,

@@ -915,7 +915,7 @@ class TestLengthscaleCalibration:
         L = np.linalg.cholesky(C + 1e-12 * np.eye(80))
         y = L @ rng.standard_normal(80)
         lengths = calibrate_lengthscales(X, y, p=2)
-        # grid steps are ~2.15x apart; allow two steps of slack
+        # grid steps are ~2.6x apart; allow under two steps of slack
         assert l_true / 5.0 <= lengths[0] <= l_true * 5.0
 
     def test_degenerate_data_falls_back_to_ranges(self):
@@ -923,6 +923,9 @@ class TestLengthscaleCalibration:
         y = np.full(4, 3.0)
         lengths = calibrate_lengthscales(X, y, p=1)
         np.testing.assert_allclose(lengths, [6.0, 2.0], rtol=1e-12)
+        # a length has the units of |x|^p
+        lengths = calibrate_lengthscales(X, y, p=2)
+        np.testing.assert_allclose(lengths, [36.0, 4.0], rtol=1e-12)
 
     def test_same_lengthscales_at_any_scale_of_y(self):
         # the residuals are divided by their largest magnitude, so outputs
@@ -932,12 +935,31 @@ class TestLengthscaleCalibration:
         X = rng.normal(size=(20, 1))
         y = np.sin(7.0 * X[:, 0])
         lengths = calibrate_lengthscales(X, y, p=2)
-        grid = np.geomspace(0.01 * X.std(), 100.0 * X.std(), 13)
-        assert lengths[0] in grid and lengths[0] != grid[6]
+        lo, hi = CALIBRATION_SPAN
+        grid = np.geomspace(lo * X.std()**2, hi * X.std()**2,
+                            CALIBRATION_GRID)
+        assert lengths[0] in grid
+        assert lengths[0] != grid[CALIBRATION_GRID // 2]
         np.testing.assert_array_equal(lengths, oracle_lengthscales(X, y, 2))
         for scale in (1e170, 1e-170):
             np.testing.assert_array_equal(
                 calibrate_lengthscales(X, scale * y, p=2), lengths)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_lengths_scale_with_the_column_to_the_power_p(self, column):
+        # a p = 2 length has the units of x^2: stretching one coordinate by
+        # 4 stretches its grid, and so its chosen length, by 16, and leaves
+        # the likelihoods and the other lengths as they were
+        rng = np.random.default_rng(26)
+        X = rng.uniform(-1.0, 1.0, size=(40, 3))
+        y = np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1]) + X[:, 2]
+        lengths = calibrate_lengthscales(X, y, p=2)
+        stretched = X.copy()
+        stretched[:, column] *= 4.0
+        want = lengths.copy()
+        want[column] *= 16.0
+        np.testing.assert_allclose(calibrate_lengthscales(stretched, y, p=2),
+                                   want, rtol=1e-9)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -970,7 +992,8 @@ def oracle_lengthscales(X, y, p):
     std = X.std(axis=0)
     std[std <= 0] = 1.0
     lo, hi = CALIBRATION_SPAN
-    grids = [np.geomspace(lo * s, hi * s, CALIBRATION_GRID) for s in std]
+    grids = [np.geomspace(lo * s**p, hi * s**p, CALIBRATION_GRID)
+             for s in std]
     lengths = np.array([g[CALIBRATION_GRID // 2] for g in grids])
 
     def loglik(lengths):
@@ -1082,7 +1105,9 @@ class TestCalibrationSearch:
         factors = count_calls(monkeypatch, "dpotrf")
         solves = count_calls(monkeypatch, "dpotrs")
         lengths = calibrate_lengthscales(X, y, p=1)
-        assert not np.allclose(lengths, X.std(axis=0))  # the grid centers
+        lo, hi = CALIBRATION_SPAN
+        centers = math.sqrt(lo * hi) * X.std(axis=0)
+        assert not np.allclose(lengths, centers)
         want = 1 + CALIBRATION_SWEEPS * 2 * (CALIBRATION_GRID - 1)
         assert factors[0] == solves[0] == want
 
@@ -1092,10 +1117,22 @@ class TestCalibrationSearch:
         # criterion pinned downstream of these lengths
         X, y = poisson_design
         np.testing.assert_array_equal(calibrate_lengthscales(X, y, 2), [
-            4.619618446138654, 47.688371018883686, 98.28151587118835,
-            95.24776993030855, 99.99658297754289, 93.51480787215422,
-            93.13810180610135, 94.55729856513227, 99.73922031710633,
-            97.06655353003329])
+            4.59775205278014, 87.12811307958042, 79.727906277209,
+            195.45328123421245, 215.42874575130466, 188.40572926316784,
+            186.89087549557354, 192.6297876103834, 214.32126855840716,
+            529.8332624788469])
         X, y = prior_design(min_distance_model(), 17, 50)
         np.testing.assert_array_equal(calibrate_lengthscales(X, y, 1),
-                                      [49.14463546309973, 2.308131947382079])
+                                      [87.39289335789901, 4.972719536610803])
+
+    @pytest.mark.parametrize("seed", [20260819, 4271264846])
+    def test_brackets_the_optimum_on_poisson_designs(self, seed):
+        # every coordinate of the 10-D Poisson designs matters at some
+        # scale inside the grid: a length on either edge would be clamped
+        # by the span, not chosen by the likelihood
+        X, y = prior_design(poisson_kl_model(nodes=33), seed, 400)
+        lengths = calibrate_lengthscales(X, y, 2)
+        lo, hi = CALIBRATION_SPAN
+        std = X.std(axis=0)
+        assert np.all(lo * std**2 < lengths)
+        assert np.all(lengths < hi * std**2)

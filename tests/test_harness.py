@@ -527,6 +527,30 @@ class TestRunExperimentGpmmc:
             run_experiment(mmc, out)
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
+    def test_summary_records_the_frozen_lengthscales(self, tmp_path,
+                                                      monkeypatch):
+        kernels = []
+        fit = gpmmc.harness.fit_surrogate_kernel
+
+        def kept(*args, **kwargs):
+            kernels.append(fit(*args, **kwargs))
+            return kernels[-1]
+
+        monkeypatch.setattr(gpmmc.harness, "fit_surrogate_kernel", kept)
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_GPMMC))
+        run_experiment(cfg, tmp_path / "out")
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        lengths = np.array(summary["lengthscales"])
+        assert lengths.shape == (2,)
+        np.testing.assert_array_equal(lengths, kernels[0].store.lengths)
+        for method in ("mmc", "mc"):
+            text = GOOD_MMC.replace("method = mmc", f"method = {method}")
+            cfg = parse_config(_write_cfg(tmp_path / "b.cfg", text))
+            run_experiment(cfg, tmp_path / method)
+            summary = json.loads(
+                (tmp_path / method / "summary.json").read_text())
+            assert "lengthscales" not in summary
+
     def test_small_design_rejected(self, tmp_path):
         text = GOOD_GPMMC.replace("initial_design = 30",
                                   "initial_design = 1")
