@@ -12,7 +12,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .binning import Binning, Histogram, tally
+from .binning import Binning, tally
 from .engine import (MmcConfig, MmcResult, combined_probability,
                      estimate_moments, flatness_cv, run_mmc, run_plain_mc,
                      update_weights)
@@ -33,7 +33,7 @@ from .harness import (ComparisonReport, RunConfig, compare_pdfs, parse_config,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Binning", "Histogram", "tally",
+    "Binning", "tally",
     "MmcConfig", "MmcResult",
     "combined_probability", "update_weights", "estimate_moments",
     "flatness_cv", "run_mmc", "run_plain_mc",

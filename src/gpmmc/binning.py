@@ -1,4 +1,5 @@
-"""Uniform binning of the scalar output range and histogram tallying."""
+"""Uniform binning of the scalar output range and histogram tallying; a
+histogram is the plain counts array tally returns for the in-range values."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Binning", "Histogram", "tally"]
+__all__ = ["Binning", "tally"]
 
 
 @dataclass(frozen=True)
@@ -74,37 +75,12 @@ class Binning:
         return idx
 
 
-@dataclass
-class Histogram:
-    """Per-bin counts plus the out-of-range remainder.
+def tally(binning: Binning, ys: np.ndarray) -> np.ndarray:
+    """Length-m integer counts of the values in [lo, hi], per bin.
 
-    Invariant: counts >= 0 and they add up to total minus the overflows.
+    Values outside the range are not counted, so the counts sum to the
+    number of in-range values; a non-finite value raises ValueError
+    (Binning.indices).
     """
-
-    counts: np.ndarray
-    total: int
-    overflow_low: int = 0
-    overflow_high: int = 0
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if (np.any(self.counts < 0) or self.counts.sum() + self.overflow_low
-                + self.overflow_high != self.total):
-            raise ValueError("histogram counts must be nonnegative and add "
-                             "up to total")
-
-    @property
-    def in_range(self) -> int:
-        return self.total - self.overflow_low - self.overflow_high
-
-
-def tally(binning: Binning, ys: np.ndarray) -> Histogram:
-    """Count samples per bin; out-of-range samples land in the overflows."""
-    ys = np.asarray(ys, dtype=float)
     idx = binning.indices(ys)
-    inside = idx >= 0
-    counts = np.bincount(idx[inside], minlength=binning.m)
-    low = int(np.count_nonzero(ys < binning.lo))
-    high = int(np.count_nonzero(ys > binning.hi))
-    return Histogram(counts=counts, total=int(ys.size),
-                     overflow_low=low, overflow_high=high)
+    return np.bincount(idx[idx >= 0], minlength=binning.m)

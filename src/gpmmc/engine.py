@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .binning import Binning, Histogram, tally
+from .binning import Binning, tally
 from .mcmc import accepts, log_bias_density
 from .problem import EvalLedger, PerformanceModel, evaluate, sample_prior
 
@@ -347,7 +347,7 @@ def run_mmc(kernel, config: MmcConfig,
         # from the start point, or the last state under the new weights
         x, y, accepted = _sample(kernel, scale, rng, x, y, log_theta, burn,
                                  ys, causes, on_step, k * (burn + n))
-        counts[k] = tally(binning, ys).counts
+        counts[k] = tally(binning, ys)
         flatness.append(flatness_cv(counts[k]))
         acceptance.append(accepted / n)
 
@@ -365,23 +365,22 @@ def run_mmc(kernel, config: MmcConfig,
 
 
 def run_plain_mc(model: PerformanceModel, binning: Binning, n: int,
-                 seed: int, ledger: EvalLedger) -> Histogram:
-    """Histogram of n independent prior draws, total n.
+                 seed: int, ledger: EvalLedger) -> np.ndarray:
+    """In-range counts (tally) of n independent prior draws.
 
     Draws, evaluates and tallies PLAIN_MC_CHUNK draws at a time, each chunk
     one block for the true model; the RNG stream [seed, 0] yields the same
-    draws in chunks as in one block, so the summed histogram equals one
-    tally of all n. Its density is combined_probability of its counts under
-    all-one weights over the bin width, the one a run's histogram.csv holds.
+    draws in chunks as in one block, so the summed counts equal one tally
+    of all n. Draws outside the range are not counted; the caller knows n.
+    The density is combined_probability of the counts under all-one
+    weights over the bin width, the one a run's histogram.csv holds.
     n must be an integer, a Python or a numpy one.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"need an integer n >= 1 samples, got {n!r}")
     rng = np.random.default_rng([seed, 0])
-    chunks = []
+    counts = np.zeros(binning.m, dtype=np.int64)
     for start in range(0, n, PLAIN_MC_CHUNK):
         xs = sample_prior(model, rng, min(PLAIN_MC_CHUNK, n - start))
-        chunks.append(tally(binning, evaluate(model, xs, ledger)))
-    return Histogram(counts=sum(h.counts for h in chunks), total=n,
-                     overflow_low=sum(h.overflow_low for h in chunks),
-                     overflow_high=sum(h.overflow_high for h in chunks))
+        counts += tally(binning, evaluate(model, xs, ledger))
+    return counts

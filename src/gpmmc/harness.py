@@ -3,9 +3,12 @@
 A run writes into the output directory its caller names:
 
   histogram.csv   one row per (iteration, bin) with the weights in force,
-                  the tallied counts, and that iteration's own density
-                  estimate; the run's density pools the counts and weights
-                  of all iterations (read_histogram_csv recomputes it)
+                  the tallied in-range counts, H_hat (count over the samples
+                  the row tallied: samples_per_iteration for mmc and gpmmc,
+                  every draw, out of range or not, for mc's one row), and
+                  that iteration's own density estimate; the run's density
+                  pools the counts and weights of all iterations
+                  (read_histogram_csv recomputes it)
   summary.json    scalar results and diagnostics, among them the moments of
                   the run's density and its steps by cause (every cause the
                   kernel declares, in its order, zeros kept), and for a
@@ -15,10 +18,10 @@ A run writes into the output directory its caller names:
   steps.csv       per-step log: step,cause,beta,accepted (on request)
   store.csv       the exact-evaluation store (surrogate runs only)
 
-Config files are flat ``key = value`` text with ``#`` comments. CONFIG_KEYS
-maps each run key to its parser; each model's own keys come from its entry in
-benchmarks.MODELS, and a key the config leaves out takes the default of the
-model's factory. Run keys are checked at parse time by the objects they become
+Config files are flat ``key = value`` text with ``#`` comments, each key at
+most once. CONFIG_KEYS maps each run key to its parser; each model's own keys
+come from its entry in benchmarks.MODELS, and a key the config leaves out
+takes the default of the model's factory. Run keys are checked at parse time by the objects they become
 (Binning, MmcConfig with its proposal scale, the surrogate settings), whatever
 the method, so a bad value is a ConfigError before any true evaluation; a
 model key value its factory rejects is a ConfigError naming the model, before
@@ -149,12 +152,14 @@ def _convert(key: str, raw: str, parse):
 def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read a flat key = value config file into a RunConfig.
 
+    A key given twice in the file is a ConfigError naming both lines.
     overrides (already-typed values keyed like the file) win over the file;
     the CLI uses this for --seed.
     """
     overrides = overrides or {}
     known = set(CONFIG_KEYS).union(*(keys for _, keys in MODELS.values()))
     values: dict = {}
+    line_of: dict = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -166,6 +171,11 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             if key not in known:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r} "
                                   f"(known: {', '.join(sorted(known))})")
+            if key in line_of:
+                raise ConfigError(f"{path}:{line_no}: key {key!r} given "
+                                  f"twice, on lines {line_of[key]} and "
+                                  f"{line_no}")
+            line_of[key] = line_no
             values[key] = raw
     parsers = dict(CONFIG_KEYS)
     model = overrides.get("model", values.get("model"))
@@ -205,16 +215,16 @@ def _fmt(v: float) -> str:
 
 
 def _write_histogram_csv(path: Path, binning: Binning, weights: np.ndarray,
-                         counts: np.ndarray, totals) -> None:
+                         counts: np.ndarray, n: int) -> None:
     """Row k of weights and counts is iteration k's weights and in-range
-    counts, and totals[k] the number of samples it tallied, out-of-range
-    ones included."""
+    counts; n is the number of samples each row tallied, out-of-range ones
+    included, so a row's H_hat is its counts over n."""
     centers = binning.centers
     edges = binning.edges
     with open(path, "w") as fh:
         fh.write(HISTOGRAM_HEADER + "\n")
-        for k, (theta, count, n) in enumerate(zip(weights, counts, totals)):
-            h = count / n if n > 0 else np.zeros(binning.m)
+        for k, (theta, count) in enumerate(zip(weights, counts)):
+            h = count / n
             raw = h * theta
             total = raw.sum()
             p = raw / total if total > 0 else raw
@@ -320,20 +330,20 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
     }
 
     if cfg.method == "mc":
-        n_total = cfg.iterations * cfg.samples_per_iteration
-        hist = run_plain_mc(model, binning, n_total, cfg.seed, ledger)
-        weights, counts, totals = (np.ones((1, binning.m)), hist.counts[None],
-                                   [hist.total])
-        breakdown["samples"] = n_total
+        n = cfg.iterations * cfg.samples_per_iteration
+        weights = np.ones((1, binning.m))
+        counts = run_plain_mc(model, binning, n, cfg.seed, ledger)[None]
+        in_range = int(counts.sum())
+        breakdown["samples"] = n
         burn_in = 0
         # the density read_histogram_csv recomputes from the file
-        results = {"in_range_fraction": hist.in_range / n_total,
+        results = {"in_range_fraction": in_range / n,
                    "moments": estimate_moments(
                        combined_probability(weights, counts) / binning.delta,
-                       binning) if hist.in_range > 0 else None}
+                       binning) if in_range > 0 else None}
     else:
         mmc_cfg = cfg._mmc_config()
-        burn_in = mmc_cfg.burn_in
+        n, burn_in = mmc_cfg.samples_per_iteration, mmc_cfg.burn_in
         if cfg.method == "mmc":
             kernel = ExactKernel(model, binning, ledger)
             breakdown["initial_design"] = 0
@@ -361,7 +371,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
                 step_file.close()
 
         weights, counts = result.weights, result.counts
-        totals = counts.sum(axis=1)
         breakdown["start_draws"] = result.start_draws
         # every step by cause, zero counts included; the chain's true
         # evaluations are the causes that are not served predictions
@@ -376,8 +385,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             results["lengthscales"] = kernel.store.lengths.tolist()
             local_models_built = kernel.store.models_built
 
-    _write_histogram_csv(out / "histogram.csv", binning, weights, counts,
-                         totals)
+    _write_histogram_csv(out / "histogram.csv", binning, weights, counts, n)
 
     # each breakdown term counts the true evaluations of one cause, so the
     # terms must add up to the ledger

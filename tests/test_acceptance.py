@@ -209,7 +209,7 @@ def test_reduced_run_matches_mc_baseline(reduced_two_center_run):
     run = reduced_two_center_run
     baseline = run_plain_mc(run["model"], run["binning"], 1_000_000,
                             seed=BASELINE_SEED, ledger=EvalLedger())
-    base = baseline.counts / (1_000_000 * run["binning"].delta)
+    base = baseline / (1_000_000 * run["binning"].delta)
     mask = base > 0
     rel = np.abs(run["result"].pdf[mask] - base[mask]) / base[mask]
     evals = run["true_evals"]

@@ -435,9 +435,8 @@ class TestRunMmc:
         x, y, _, _ = engine_steps(kernel, 2.0, rng, np.zeros(1), 0.0,
                                   log_theta, 2000)
         _, _, ys, _ = engine_steps(kernel, 2.0, rng, x, y, log_theta, 100_000)
-        h = tally(binning, ys)
         strong = masses >= 1e-6
-        counts = h.counts[strong]
+        counts = tally(binning, ys)[strong]
         assert counts.min() > 0
         assert counts.max() / counts.min() <= 2.0
 
@@ -647,13 +646,14 @@ class TestRunPlainMc:
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 4)
         ledger = EvalLedger()
-        hist = run_plain_mc(model, binning, 2000, seed=5, ledger=ledger)
+        counts = run_plain_mc(model, binning, 2000, seed=5, ledger=ledger)
         assert ledger.true_evals == 2000
-        assert hist.total == 2000
-        assert hist.in_range + hist.overflow_low + hist.overflow_high == 2000
+        assert counts.shape == (4,) and counts.dtype == np.int64
+        # the range [-1, 1] leaves about a third of the N(0, 1) draws out
+        assert 0 < counts.sum() < 2000
         # under the flat table the density is the in-range count density
-        p = combined_probability(np.ones((1, 4)), hist.counts[None])
-        np.testing.assert_allclose(p, hist.counts / hist.in_range, rtol=1e-14)
+        p = combined_probability(np.ones((1, 4)), counts[None])
+        np.testing.assert_allclose(p, counts / counts.sum(), rtol=1e-14)
 
     @pytest.mark.parametrize("n", [1000.5, 1000.0, np.float64(1000.0)],
                              ids=["float", "whole", "numpy_float"])
@@ -665,18 +665,19 @@ class TestRunPlainMc:
         assert ledger.true_evals == 0
 
     def test_numpy_integer_draw_count_accepted(self):
-        hist = run_plain_mc(_identity_model(), Binning(-1.0, 1.0, 4),
-                            np.int64(100), seed=1, ledger=EvalLedger())
-        assert hist.total == 100
+        ledger = EvalLedger()
+        counts = run_plain_mc(_identity_model(), Binning(-1.0, 1.0, 4),
+                              np.int64(100), seed=1, ledger=ledger)
+        assert ledger.true_evals == 100 and counts.sum() <= 100
 
     def test_matches_normal_mass(self):
         from scipy.stats import norm
         model = _identity_model()
         binning = Binning(-1.0, 1.0, 2)
-        hist = run_plain_mc(model, binning, 200_000, seed=8,
-                            ledger=EvalLedger())
+        counts = run_plain_mc(model, binning, 200_000, seed=8,
+                              ledger=EvalLedger())
         want = (norm.cdf(1.0) - norm.cdf(0.0))
-        got = hist.counts[1] / hist.total
+        got = counts[1] / 200_000
         assert got == pytest.approx(want, rel=0.02)
 
     def test_draws_in_chunks(self):
@@ -697,7 +698,7 @@ class TestRunPlainMc:
         binning = Binning(-1.0, 1.0, 4)
         n = 2 * PLAIN_MC_CHUNK + 5
         ledger = EvalLedger()
-        res = run_plain_mc(model, binning, n, seed=3, ledger=ledger)
+        counts = run_plain_mc(model, binning, n, seed=3, ledger=ledger)
         assert sizes == [PLAIN_MC_CHUNK, PLAIN_MC_CHUNK, 5]
         # each chunk goes to the true model as one block
         assert blocks == [PLAIN_MC_CHUNK, PLAIN_MC_CHUNK, 5]
@@ -705,7 +706,4 @@ class TestRunPlainMc:
         # one block from the same stream; the identity model's outputs are
         # the first coordinates
         xs = base.prior_sampler(np.random.default_rng([3, 0]), n)
-        whole = tally(binning, xs[:, 0])
-        np.testing.assert_array_equal(res.counts, whole.counts)
-        assert ((res.total, res.overflow_low, res.overflow_high)
-                == (whole.total, whole.overflow_low, whole.overflow_high))
+        np.testing.assert_array_equal(counts, tally(binning, xs[:, 0]))

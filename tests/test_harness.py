@@ -48,6 +48,12 @@ def _write_cfg(path, text):
     return str(path)
 
 
+def _raw_counts_and_h_hat(path):
+    """The count and H_hat columns of a histogram.csv, as written."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(int(r[5]), float(r[6])) for r in rows]
+
+
 GOOD_MMC = """
 # a tiny but complete run
 model = min_distance
@@ -95,7 +101,9 @@ class TestParseConfig:
         assert cfg.auto_range is False
 
     def test_vector_scale_and_centers(self, tmp_path):
-        text = GOOD_MMC + "proposal_scale = 0.5, 1.5\ncenters = 1,2 ; 3,4\n"
+        text = (GOOD_MMC.replace("proposal_scale = 0.8",
+                                 "proposal_scale = 0.5, 1.5")
+                + "centers = 1,2 ; 3,4\n")
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
         np.testing.assert_array_equal(cfg.proposal_scale, [0.5, 1.5])
         np.testing.assert_array_equal(cfg.model_params["centers"],
@@ -190,6 +198,17 @@ class TestParseConfig:
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC),
                            overrides={"seed": 99})
         assert cfg.seed == 99
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = _write_cfg(tmp_path / "a.cfg", GOOD_MMC + "seed = 2\n")
+        with pytest.raises(ConfigError, match=r"a\.cfg:13: key 'seed' given "
+                                              r"twice, on lines 5 and 13"):
+            parse_config(path)
+        # a repeat in the file is caught even where an override would win
+        text = GOOD_MMC + "dimension = 2\ndimension = 3\n"
+        with pytest.raises(ConfigError, match="'dimension' given twice"):
+            parse_config(_write_cfg(tmp_path / "b.cfg", text),
+                         overrides={"dimension": 4})
 
     def test_malformed_line(self, tmp_path):
         with pytest.raises(ConfigError, match="expected key = value"):
@@ -371,6 +390,18 @@ class TestRunExperimentMc:
         assert data["counts"][-1].sum() == summary["true_evals"] * \
             summary["in_range_fraction"]
 
+    def test_h_hat_counts_out_of_range_draws(self, tmp_path):
+        # H_hat divides by every draw, the ones outside [-1, 10] included
+        text = GOOD_MMC.replace("method = mmc", "method = mc")
+        text = text.replace("range_hi = 34.0", "range_hi = 10.0")
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
+        summary = run_experiment(cfg, tmp_path / "out")
+        assert 0.0 < summary["in_range_fraction"] < 1.0
+        rows = _raw_counts_and_h_hat(tmp_path / "out" / "histogram.csv")
+        assert len(rows) == 10
+        assert sum(count for count, _ in rows) < 2 * 300
+        assert all(h_hat == count / (2 * 300) for count, h_hat in rows)
+
     def test_file_density_is_the_run_density(self, tmp_path):
         """The summary moments are those of the density histogram.csv holds,
         as gpmmc moments and gpmmc compare read it, bit for bit."""
@@ -422,6 +453,13 @@ class TestRunExperimentMmc:
         # final density integrates to one
         binning = data["binning"]
         assert data["final_pdf"].sum() * binning.delta == pytest.approx(1.0)
+
+    def test_h_hat_is_count_over_samples_per_iteration(self, tmp_path):
+        cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC))
+        run_experiment(cfg, tmp_path / "out")
+        rows = _raw_counts_and_h_hat(tmp_path / "out" / "histogram.csv")
+        assert len(rows) == 2 * 10
+        assert all(h_hat == count / 300 for count, h_hat in rows)
 
     def test_file_density_is_the_run_density(self, tmp_path):
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_MMC))
@@ -560,7 +598,8 @@ class TestRunExperimentGpmmc:
     def test_vector_scale_length_checked(self, tmp_path, monkeypatch):
         text = GOOD_GPMMC.replace("range_lo = -1.0\nrange_hi = 34.0\n",
                                   "range = auto\n")
-        text += "proposal_scale = 0.5, 0.5, 0.5\n"
+        text = text.replace("proposal_scale = 0.8",
+                            "proposal_scale = 0.5, 0.5, 0.5")
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", text))
 
         def no_pilot(*args):
