@@ -26,10 +26,12 @@ coordinate does not matter at the data's scale (two points 3 s_i apart keep
 a factor exp(-3^p 1e-4) of their correlation along it). Two sweeps score
 1 + 2 * d * 12 likelihoods, 241 in 10-D. The amplitude a is recalibrated in
 closed form for every local model, so the predictive variance tracks the
-local residual scale as the store grows. The EvaluationStore owns the
-frozen lengthscales and exponent: it checks them once, when it is built,
-and keeps each point also in scaled coordinates, from which distances and
-correlations come.
+local residual scale as the store grows; its floor, AMPLITUDE_FLOOR times
+the largest squared residual, scales with y as the amplitude does, so a
+model on c * y predicts c * mu with variance c^2 var. The EvaluationStore
+owns the frozen lengthscales and exponent: it checks them once, when it is
+built, and keeps each point also in scaled coordinates, from which
+distances and correlations come.
 
 The support size follows a square-root rule between the number of quadratic
 basis terms, t(d) = (d + 1)(d + 2)/2, and the cost of the dense solve:
@@ -38,37 +40,55 @@ basis terms, t(d) = (d + 1)(d + 2)/2, and the cost of the dense solve:
 
 which gives 9 points in 2 dimensions, 47 in 5, and 209 in 10.
 
-A local model depends only on the set of stored evaluations in its support:
-EvaluationStore.nearest reports the support as ascending store indices, and
-build_local_surrogate builds from the rows in that order, never in the
-query's distance order, so two queries with the same support set get the
-same model bit for bit. EvaluationStore.local_model keeps the models it
-built in a least-recently-used cache and serves a query from it in two
-cases. A model whose support is the query's (an exact hit) is the model a
-fresh build would return. Otherwise a cached model may serve the query when
-its support holds the query's t(d) = (d + 1)(d + 2)/2 nearest evaluations
-(the quadratic trend's term count) and every evaluation of the query's
-support that it lacks was already stored when it was built; of the models
-that may, the most recently used serves. Such a model differs from a fresh
-build only in evaluations farther than the query's t(d) nearest, and its
-posterior is still the GP posterior conditioned on true evaluations, at the
-distances from the query to its own rows. A point stored after a model was
-built that enters a query's support rules that model out; this is the
-moving local design of laGP (Gramacy & Apley 2015), with every cached model
-a candidate. The store tests them all at once against a table of which
-stored evaluations each model holds, and remembers which model served a
-support, so a support seen before is again one lookup. A cached model stays
-valid because the store is append-only (a stored row never changes, and a
-near-duplicate is skipped on insert rather than overwriting one) and the
-lengthscales and exponent are fixed when the store is built. The store is
-the only place a model is cached.
+A built model depends only on the set of stored evaluations in its
+support: EvaluationStore.nearest reports the support as ascending store
+indices, and build_local_surrogate builds from the rows in that order, never
+in the query's distance order, so two builds on one support set give the
+same model bit for bit. EvaluationStore.local_model keeps its models in a
+least-recently-used cache and serves a query from it in two cases. A model
+built on the query's support (an exact hit) is the model a fresh build
+would return, unless it has grown since (below). Otherwise a cached model
+may serve the query when its support holds the query's t(d) = (d + 1)(d +
+2)/2 nearest evaluations, its core (the quadratic trend's term count), and
+every evaluation of the query's support that it lacks was already stored
+when it was built or last grown; of the models that may, the most recently
+used serves. Such a model differs from a fresh build only in evaluations
+farther than the query's t(d) nearest, and its posterior is still the GP
+posterior conditioned on true evaluations, at the distances from the query
+to its own rows. A point stored after a model was built that enters a
+query's support rules that model out. The store tests every cached model at
+once against a table of which stored evaluations each one holds, and
+remembers which model served a support, so a support seen before is again
+one lookup. A cached model stays valid because the store is append-only (a
+stored row never changes, and a near-duplicate is skipped on insert rather
+than overwriting one) and the lengthscales and exponent are fixed when the
+store is built. The store is the only place a model is cached.
+
+When no cached model may serve a query, the store grows one rather than
+build, as laGP grows its local designs point by point (Gramacy & Apley
+2015): the most recently used model that lacks between 1 and t(d) // 16 of
+the query's core (4 in 10-D; none for d <= 4, where growth cost more true
+evaluations than it saved) gains those evaluations as its last rows, in
+ascending store order, and serves the query. Its trend stays as fitted, the
+new rows' residuals are y - trend, and the Cholesky factor gains its rows
+from one triangular solve against the old factor and the factor of an m x m
+Schur complement, at the model's own jitter; alpha and the amplitude are
+solved again. That is O(n^2 m) work against a build's O(n^3) and a trend
+fit. The cost is in what a model is: a grown model is still a GP posterior
+on true evaluations with a fixed trend, but no longer a function of its
+support set, since its trend is the one fitted on the support it was built
+on and its rows come in the order the run added them. Runs stay
+deterministic because that order is the run's own. A model grows to at most
+ceil(1.25 n(d)) rows, 262 in 10-D. Past that, or when the Schur complement
+does not factor or the amplitude is not finite, the query builds.
 
 The per-query algebra calls LAPACK and BLAS directly through scipy.linalg
 (dgeqp3, dormqr and dtrtrs for the trend; dpotrf and dpotrs for the
-correlation matrix; dtrsv for the posterior variance): on supports this
-small, the argument checks of the numpy.linalg and scipy.linalg wrappers
-cost more than the factorizations. Calibration calls dpotrf (clean=0:
-the factor is discarded) and dpotrs on the strict lower triangle alone.
+correlation matrix, and dtrtrs to grow its factor; dtrsv for the posterior
+variance): on supports this small, the argument checks of the numpy.linalg
+and scipy.linalg wrappers cost more than the factorizations. Calibration
+calls dpotrf (clean=0: the factor is discarded) and dpotrs on the strict
+lower triangle alone.
 For the same reason the trend at a single query builds no design: it
 fills a row QuadraticMean owns with the floats of the one-row design and
 takes the same product, so mean(x) == mean(x[None, :])[0] bit for bit.
@@ -95,14 +115,22 @@ __all__ = [
 DUPLICATE_TOL = 1e-12
 # Rows an EvaluationStore allocates up front; it doubles when full.
 STORE_CAPACITY = 256
+# A local amplitude is at least this times the largest squared residual.
 AMPLITUDE_FLOOR = 1e-12
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
 # Size of an EvaluationStore's model cache, in correlation-matrix entries: it
 # holds MODEL_CACHE_ENTRIES // n**2 models of support size n, and at least
-# one (3,236 at n = 9 in 2-D, 6 at n = 209 in 10-D), about 2 MB of Cholesky
-# factors.
+# one (3,236 at n = 9 in 2-D, 6 at n = 209 in 10-D). A grown model holds up
+# to GROWTH_CAP * n rows, so in 10-D the six slots hold up to 262**2 entries
+# each, about 3.3 MB of Cholesky factors.
 MODEL_CACHE_ENTRIES = 2**18
+# Growth of a cached model (EvaluationStore.local_model): it may gain up to
+# t(d) // GROWTH_CORE_DIVISOR points of a query's core (4 in 10-D, none for
+# d <= 4, where growth costs true evaluations), up to ceil(GROWTH_CAP * n)
+# rows in all.
+GROWTH_CORE_DIVISOR = 16
+GROWTH_CAP = 1.25
 # Lengthscale calibration: grid points per coordinate, grid span in units of
 # s**p, s the coordinate's data standard deviation, and full coordinate
 # sweeps.
@@ -176,13 +204,15 @@ class EvaluationStore:
     built from any subset never contain an exactly repeated row.
 
     It also serves the local models built on it from a cache (local_model);
-    the module docstring says when a cached model serves a query. The cache
-    has MODEL_CACHE_ENTRIES // n**2 slots for support size n. Per slot the
-    store keeps the model, a column of a boolean table over store rows that
-    is true at the model's support, the store size at the model's build,
-    its last use, and the supports whose queries it serves: the one it was
-    built on and aliases, supports it has served without being built on
-    them. models_built counts the models built and cached.
+    the module docstring says when a cached model serves a query and when
+    one grows. The cache has MODEL_CACHE_ENTRIES // n**2 slots for support
+    size n. Per slot the store keeps the model, a column of a boolean table
+    over store rows that is true at the model's support, the store size at
+    the model's build or last growth, its last use, and the supports whose
+    queries it serves: the one it was built on and aliases, supports it has
+    served without being built on them. A growth keeps the slot's supports,
+    since the grown model holds every row the old one held. models_built
+    counts the models built and cached, models_grown the growths.
     """
 
     def __init__(self, dimension: int, lengths, p: int):
@@ -198,6 +228,8 @@ class EvaluationStore:
         self._n = 0
         self._support_size = local_size(dimension)
         self._core_size = _trend_terms(dimension)
+        self._grow_limit = self._core_size // GROWTH_CORE_DIVISOR
+        self._grow_cap = math.ceil(GROWTH_CAP * self._support_size)
         slots = max(1, MODEL_CACHE_ENTRIES // self._support_size**2)
         self._models: list[LocalGP | None] = [None] * slots
         # slots are columns: gathering a query's core copies one contiguous
@@ -210,6 +242,7 @@ class EvaluationStore:
         self._keys: dict[bytes, tuple[int, bool]] = {}
         self._slot_keys: list[list[bytes]] = [[] for _ in range(slots)]
         self.models_built = 0
+        self.models_grown = 0
 
     @property
     def size(self) -> int:
@@ -282,16 +315,18 @@ class EvaluationStore:
 
     def local_model(self, x: np.ndarray) -> tuple[LocalGP, np.ndarray]:
         """The local model at x and the kernel distances from x to its rows,
-        in store-index order. The model is the cached one built on x's
+        in the order of its idx. The model is the cached one built on x's
         support, the local_size(dimension) nearest evaluations, or else the
         most recently used cached model whose support holds x's core, the
         (d + 1)(d + 2)/2 nearest, and lacks no evaluation of x's support
-        stored after it was built; the module docstring says why. Only
-        otherwise is a model built and cached, least recently used out
-        first; a failed build (SurrogateError, as for an empty store) is
-        not cached. The support is then an alias of the model that serves
-        it: the next query on it checks that one model first, by the same
-        rule, since another query's core may differ."""
+        stored after it was built or last grown; the module docstring says
+        why. Otherwise a cached model that lacks only a few core points is
+        grown by them (_grow_model), and only when none is, a model is
+        built and cached, least recently used out first; a failed build
+        (SurrogateError, as for an empty store) is not cached. The support
+        is then an alias of the model that serves it: the next query on it
+        checks that one model first, by the same rule, since another
+        query's core may differ."""
         idx, dist, radius = self.nearest(x, self._support_size,
                                          self._core_size)
         key = idx.tobytes()
@@ -305,13 +340,47 @@ class EvaluationStore:
                 if fits.any():
                     slot = int(np.where(fits, self._used, -1).argmax())
                 else:
-                    slot, alias = self._build(idx), False
+                    slot = self._grow_model(core)
+                    if slot < 0:
+                        slot, alias = self._build(idx), False
                 self._keys[key] = (slot, alias)
                 self._slot_keys[slot].append(key)
         self._clock += 1
         self._used[slot] = self._clock
         gp = self._models[slot]
         return gp, dist[gp.idx]
+
+    def _grow_model(self, core: np.ndarray) -> int:
+        """Grow the most recently used cached model that lacks between 1
+        and t(d) // 16 of core, the query's t(d) nearest evaluations, and
+        holds at least one, by those it lacks, in ascending store order;
+        returns its slot, or -1 when no model lacks so few, the growth
+        would take its support past ceil(1.25 n(d)), or it fails
+        (SurrogateError). The slot keeps its keys: the grown model holds
+        every row it held."""
+        if self._grow_limit == 0:
+            return -1
+        held = self._held[core]
+        missing = core.size - held.sum(axis=0)
+        # a model holding none of the core, an empty slot's among them, is
+        # not near the query, however small a store makes the core
+        near = ((missing >= 1) & (missing <= self._grow_limit)
+                & (missing < core.size))
+        if not near.any():
+            return -1
+        slot = int(np.where(near, self._used, -1).argmax())
+        gp = self._models[slot]
+        new = core[~held[:, slot]]
+        if gp.idx.size + new.size > self._grow_cap:
+            return -1
+        try:
+            self._models[slot] = _grow_local_surrogate(self, gp, new)
+        except SurrogateError:
+            return -1
+        self._held[new, slot] = True
+        self._born[slot] = self._n
+        self.models_grown += 1
+        return slot
 
     def _build(self, idx: np.ndarray) -> int:
         """Build the model on support idx into an empty slot, else the least
@@ -545,6 +614,7 @@ def calibrate_lengthscales(X: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
             L, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
             if info == 0:
                 alpha, _ = dpotrs(L, r, lower=1)
+                # r is scaled to max |r| = 1, so this is _amplitude's floor
                 a_hat = max(float(r @ alpha) / n, AMPLITUDE_FLOOR)
                 return (-n * math.log(a_hat)
                         - 2.0 * float(np.log(np.diag(L)).sum()))
@@ -574,23 +644,28 @@ class LocalGP:
 
     Holds the fitted trend, the local amplitude a of the kernel K(x, x') =
     a * exp(-sum_i |x_i - x'_i|^p / l_i), the Cholesky factor of the
-    jittered unit-amplitude correlation matrix C, the precomputed weight
-    vector alpha = C^{-1} (y - trend), and its support: idx, the ascending
-    store indices of the rows (X, y) it was built from, which stay in the
-    store. The kernel's lengthscales and exponent stay with the store, whose
-    nearest returns the distances posterior takes, gathered at idx."""
+    unit-amplitude correlation matrix C plus jitter * I, the trend
+    residuals r = y - trend, the precomputed weight vector alpha = C^{-1} r,
+    and its support: idx, the store indices of its rows (X, y), which stay
+    in the store, in the order of the factor's rows. A built model's idx is
+    ascending; a grown one (_grow_local_surrogate) appends its new rows
+    after the old, so its idx need not be. r and jitter are kept so a model
+    can grow. The kernel's lengthscales and exponent stay with the store,
+    whose nearest returns the distances posterior takes, gathered at idx."""
 
     mean: Callable
     a: float
     chol: np.ndarray
     alpha: np.ndarray
     idx: np.ndarray
+    r: np.ndarray
+    jitter: float
 
     def posterior(self, x: np.ndarray,
                   dist: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a single point x, given dist, the
         kernel distances sum_j |x_j - X_ij|^p / l_j from x to each support
-        row X_i, in store-index order: dist[idx] of the distances
+        row X_i, in the order of idx: dist[idx] of the distances
         EvaluationStore.nearest returns, so a query computes them once. The
         variance is a (1 - v.v) with v = L^{-1} c, one triangular solve
         (Rasmussen & Williams 2006, Algorithm 2.1). Raises SurrogateError
@@ -604,6 +679,19 @@ class LocalGP:
         return mu, max(var, 0.0)
 
 
+def _amplitude(r: np.ndarray, alpha: np.ndarray) -> float:
+    """The closed-form amplitude r' C^{-1} r / n of the residuals r, given
+    alpha = C^{-1} r, floored at AMPLITUDE_FLOOR * max(r_i^2) so the floor
+    scales with y as the amplitude does. Raises SurrogateError when it is
+    not finite: residuals near 1e170 overflow here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = float(r @ alpha) / r.size
+    if not math.isfinite(a):
+        raise SurrogateError(f"local kernel amplitude is {a}")
+    r_max = float(np.abs(r).max())
+    return max(a, AMPLITUDE_FLOOR * r_max * r_max)
+
+
 def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
     """Local model on the stored evaluations idx, the ascending store
     indices EvaluationStore.nearest returns as a query's support.
@@ -611,11 +699,10 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
     Fits the trend on the rows in index order, recalibrates the amplitude in
     closed form from the trend residuals, and factors the correlation matrix
     once so a posterior query is one triangular solve. Because the rows
-    come in index order, the model is a function of the support set alone:
-    every query whose support is this set gets the same model, bit for bit,
-    which is what lets EvaluationStore.local_model build it once and reuse
-    it. The model keeps idx. The correlations come from _corr_matrix, as in
-    calibration, in the store's frozen metric.
+    come in index order, a built model is a function of the support set
+    alone: every query whose support is this set gets the same model, bit
+    for bit. The model keeps idx. The correlations come from _corr_matrix,
+    as in calibration, in the store's frozen metric.
     Raises SurrogateError when the correlation matrix cannot be factored at
     the maximum jitter or the amplitude is not finite; callers fall back to
     the true model in that case.
@@ -623,12 +710,42 @@ def build_local_surrogate(store: EvaluationStore, idx: np.ndarray) -> LocalGP:
     Xs = store.points[idx]
     ys = store.values[idx]
     mean, r = fit_quadratic_mean(Xs, ys)
-    L, _ = _chol_with_jitter(_corr_matrix(Xs, store.lengths, store.p))
+    L, jitter = _chol_with_jitter(_corr_matrix(Xs, store.lengths, store.p))
     alpha, _ = dpotrs(L, r, lower=1)
-    # residuals near 1e170 overflow here; the SurrogateError is the signal
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = float(r @ alpha) / r.size
-    if not math.isfinite(a):
-        raise SurrogateError(f"local kernel amplitude is {a}")
-    return LocalGP(mean=mean, a=max(a, AMPLITUDE_FLOOR), chol=L, alpha=alpha,
-                   idx=idx)
+    return LocalGP(mean=mean, a=_amplitude(r, alpha), chol=L, alpha=alpha,
+                   idx=idx, r=r, jitter=jitter)
+
+
+def _grow_local_surrogate(store: EvaluationStore, gp: LocalGP,
+                          new: np.ndarray) -> LocalGP:
+    """gp with the stored evaluations new, ascending store indices it does
+    not hold, appended as its last rows in that order.
+
+    The trend stays as fitted; the new rows' residuals are y - mean(x). The
+    Cholesky factor of the correlation matrix, jittered by gp's own jitter,
+    gains the rows [B', L22]: B = L^{-1} C12 is one triangular solve (n x m)
+    and L22 the factor of the m x m Schur complement C22 + jitter I - B'B.
+    alpha is then one dpotrs and the amplitude follows in closed form. gp
+    itself is left as it was. Raises SurrogateError when the Schur
+    complement does not factor or the amplitude is not finite."""
+    n, m = gp.idx.size, new.size
+    idx = np.concatenate([gp.idx, new])
+    corr = cdist(store._xs[new], store._xs[idx], _metric(store.p))
+    np.negative(corr, out=corr)
+    np.exp(corr, out=corr)
+    B, _ = dtrtrs(gp.chol, corr[:, :n].T, lower=1)
+    schur = corr[:, n:] - B.T @ B
+    schur[np.diag_indices(m)] += gp.jitter
+    L22, info = dpotrf(schur, lower=1, clean=1)
+    if info != 0:
+        raise SurrogateError(f"grown correlation matrix of size {n + m} "
+                             f"not positive definite at jitter {gp.jitter}")
+    L = np.zeros((n + m, n + m), order="F")
+    L[:n, :n] = gp.chol
+    L[n:, :n] = B.T
+    L[n:, n:] = L22
+    r = np.concatenate([gp.r, store.values[new]
+                        - gp.mean(store.points[new])])
+    alpha, _ = dpotrs(L, r, lower=1)
+    return LocalGP(mean=gp.mean, a=_amplitude(r, alpha), chol=L, alpha=alpha,
+                   idx=idx, r=r, jitter=gp.jitter)

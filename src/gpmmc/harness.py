@@ -13,8 +13,10 @@ A run writes into the output directory its caller names:
                   the run's density and its steps by cause (every cause the
                   kernel declares, in its order, zeros kept), and for a
                   surrogate run the store's frozen lengthscales
-                  (lengthscales, one per coordinate), deterministic for a
-                  fixed config and seed but for runtime_seconds
+                  (lengthscales, one per coordinate) and the local models
+                  it built and grew (local_models_built,
+                  local_models_grown), deterministic for a fixed config and
+                  seed but for runtime_seconds
   steps.csv       per-step log: step,cause,beta,accepted (on request)
   store.csv       the exact-evaluation store (surrogate runs only)
 
@@ -318,7 +320,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
         lo, hi = cfg.range_lo, cfg.range_hi
     binning = Binning(lo, hi, cfg.bins)
     breakdown = {"pilot": ledger.true_evals}
-    causes, local_models_built = {}, 0
+    causes, local_models_built, local_models_grown = {}, 0, 0
 
     summary = {
         "method": cfg.method,
@@ -384,6 +386,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             results["store_size"] = kernel.store.size
             results["lengthscales"] = kernel.store.lengths.tolist()
             local_models_built = kernel.store.models_built
+            local_models_grown = kernel.store.models_grown
 
     _write_histogram_csv(out / "histogram.csv", binning, weights, counts, n)
 
@@ -394,7 +397,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path,
             f"ledger mismatch: {ledger.true_evals} true evaluations, "
             f"breakdown accounts for {sum(breakdown.values())}")
     summary.update(burn_in=burn_in, true_evals=ledger.true_evals,
-                   local_models_built=local_models_built, causes=causes,
+                   local_models_built=local_models_built,
+                   local_models_grown=local_models_grown, causes=causes,
                    eval_breakdown=breakdown, **results)
 
     summary["runtime_seconds"] = time.perf_counter() - t0

@@ -28,10 +28,12 @@ SurrogateKernel.CAUSES.
 Chains revisit the same regions, so most candidates share their support set
 with an earlier one (in the 2-D two-center run over 90% of them). In 10-D
 few do, but most candidates' nearest evaluations lie in the support of a
-model already built for an earlier candidate, not always the last one. The
+model already built for an earlier candidate, not always the last one, and
+most of the rest lack only one or two of them from some cached model. The
 kernel asks its store for each local model (EvaluationStore.local_model),
-which caches the models it built and builds one only when no cached model
-serves the candidate; gp.py says which do.
+which caches its models, grows a cached one by the few nearest evaluations
+it lacks when none serves the candidate as it is (in 10-D, not in 2-D), and
+builds one only when neither will do; gp.py says when.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ class SurrogateKernel:
     a run's summary.json lists.
 
     Local models come from the store (EvaluationStore.local_model), which
-    caches them. A build that raises SurrogateError is not cached, so a
-    step that meets it again, with no cached model to serve it, refines
-    with cause refine_fallback.
+    caches them. A growth that raises SurrogateError falls back to a
+    build; a build that raises SurrogateError is not cached, so a step
+    that meets it again, with no cached model to serve it, refines with
+    cause refine_fallback.
     """
 
     CAUSES = ("served", "screened", "refine_random", "refine_beta",

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 import gpmmc.gp
 from gpmmc import (EvalLedger, EvaluationStore, LocalGP, SurrogateError,
                    calibrate_lengthscales, evaluate, fit_quadratic_mean,
-                   sample_prior)
+                   parse_config, run_experiment, sample_prior)
 from gpmmc.benchmarks import min_distance_model, poisson_kl_model
 from gpmmc.gp import (AMPLITUDE_FLOOR, CALIBRATION_GRID, CALIBRATION_SPAN,
                       CALIBRATION_SWEEPS, STORE_CAPACITY, QuadraticMean,
@@ -62,7 +62,8 @@ class TestKernel:
 
     def test_absolute_differences_and_amplitude(self):
         gp = LocalGP(mean=lambda x: 0.0, a=2.0, chol=np.array([[1.0]]),
-                     alpha=np.zeros(1), idx=np.array([0]))
+                     alpha=np.zeros(1), idx=np.array([0]), r=np.zeros(1),
+                     jitter=0.0)
         # one support point at distance 3: c = exp(-1.5), var = a (1 - c^2)
         _, var = posterior_at(gp, np.array([[0.0]]), [3.0], np.array([2.0]),
                               1)
@@ -496,9 +497,10 @@ class TestQuadraticMeanAgainstLstsq:
 
 class TestAmplitude:
     """build_local_surrogate's closed-form amplitude a = r' C^{-1} r / n of
-    the trend residuals r, floored at 1e-12. Four equally spaced points in
-    1-D leave the quadratic trend one residual direction, the third
-    difference v = (-1, 3, -3, 1), so r = (y.v / v.v) v."""
+    the trend residuals r, floored at AMPLITUDE_FLOOR * max(r_i^2). Four
+    equally spaced points in 1-D leave the quadratic trend one residual
+    direction, the third difference v = (-1, 3, -3, 1), so r = (y.v / v.v)
+    v."""
 
     V = np.array([-1.0, 3.0, -3.0, 1.0])
 
@@ -515,9 +517,39 @@ class TestAmplitude:
         assert gp.a == pytest.approx(r @ r / 4, rel=1e-8)
 
     def test_floor_for_zero_residuals(self):
+        # the floor is relative to the residuals: an exact quadratic's
+        # roundoff residuals keep their own roundoff-sized amplitude, not a
+        # fixed 1e-12, and exactly zero residuals a zero one, under which
+        # every prediction is a point prediction
         x = np.arange(4.0)
         gp = self._gp(1.0 + 2.0 * x - 0.5 * x**2, spacing=1.0, length=1.0)
-        assert gp.a == 1e-12
+        assert 0.0 < AMPLITUDE_FLOOR * np.max(gp.r**2) <= gp.a < 1e-24
+        gp = self._gp(np.zeros(4), spacing=1.0, length=1.0)
+        assert gp.a == 0.0
+        assert gp.posterior(np.array([0.5]), np.array([0.25, 0.25, 2.25,
+                                                       6.25]))[1] == 0.0
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4])
+    def test_posterior_scales_with_y(self, c):
+        # a model on c * y predicts c * mu with variance c^2 var: nothing in
+        # the amplitude, its floor included, sets an absolute scale
+        rng = np.random.default_rng(19)
+        X = rng.uniform(-1.0, 1.0, size=(30, 2))
+        y = np.sin(3.0 * X[:, 0]) + np.cos(2.0 * X[:, 1])
+        lengths = np.array([0.5, 0.8])
+        gps = []
+        for scale in (1.0, c):
+            store = EvaluationStore(2, lengths, 2)
+            for xi, yi in zip(X, scale * y):
+                store.insert(xi, float(yi))
+            idx, _, _ = store.nearest(np.zeros(2), local_size(2))
+            gps.append(build_local_surrogate(store, idx))
+        support = X[gps[0].idx]
+        for x in rng.uniform(-0.3, 0.3, size=(5, 2)):
+            mu, var = posterior_at(gps[0], support, x, lengths, 2)
+            mu_c, var_c = posterior_at(gps[1], support, x, lengths, 2)
+            assert mu_c == pytest.approx(c * mu, rel=1e-9, abs=0.0)
+            assert var_c == pytest.approx(c * c * var, rel=1e-9, abs=0.0)
 
     def test_correlated_residuals(self):
         y = np.array([1.0, -2.0, 3.0, 0.5])
@@ -554,7 +586,8 @@ class TestPosterior:
         trend = 1.5
         y0 = 3.0
         gp = LocalGP(mean=lambda x: trend, a=2.0, chol=np.array([[1.0]]),
-                     alpha=np.array([y0 - trend]), idx=np.array([0]))
+                     alpha=np.array([y0 - trend]), idx=np.array([0]),
+                     r=np.array([y0 - trend]), jitter=0.0)
         x = np.array([1.3])
         c = math.exp(-(0.8 ** 2) / 0.8)
         mu, var = posterior_at(gp, np.array([[0.5]]), x, np.array([0.8]), 2)
@@ -563,7 +596,8 @@ class TestPosterior:
 
     def test_non_finite_mean_raises_surrogate_error(self):
         gp = LocalGP(mean=lambda x: 1e308, a=1.0, chol=np.array([[1.0]]),
-                     alpha=np.array([1e308]), idx=np.array([0]))
+                     alpha=np.array([1e308]), idx=np.array([0]),
+                     r=np.array([1e308]), jitter=0.0)
         with pytest.raises(SurrogateError, match="not finite"):
             gp.posterior(np.array([0.0]), np.zeros(1))
 
@@ -765,9 +799,11 @@ class TestModelReuse:
             # bit for bit the posterior at the distances to its own rows
             assert (gp.posterior(q, gp_dist)
                     == posterior_at(gp, store.points[gp.idx], q, lengths, p))
-            # the store's table holds exactly the model's support
+            # the store's table holds exactly the model's support (a grown
+            # model's idx is in factor-row order, not ascending)
             np.testing.assert_array_equal(
-                store._held[:, slot_of(store, gp)].nonzero()[0], gp.idx)
+                store._held[:, slot_of(store, gp)].nonzero()[0],
+                np.sort(gp.idx))
             if not np.array_equal(gp.idx, idx):
                 reused += 1
                 assert fits(store, gp, q)
@@ -904,6 +940,188 @@ class TestModelReuse:
         assert not fits(store, third, q)
         served, _ = store.local_model(q)
         assert served is not third and fits(store, served, q)
+
+
+def walk(store, rng, steps):
+    """A chain-like walk of queries from the origin: yields each query, and
+    when the caller asks for the next one stores a new evaluation near every
+    third, as refinements do."""
+    q = np.zeros(store.dimension)
+    for k in range(steps):
+        q = q + rng.normal(scale=0.05, size=store.dimension)
+        yield q
+        if k % 3 == 0:
+            x = q + rng.normal(scale=0.1, size=store.dimension)
+            store.insert(x, float(np.sin(x).sum()))
+
+
+def growing_store(seed):
+    """A 10-D store of 400 random points, on whose walks models grow."""
+    rng = np.random.default_rng(seed)
+    return random_store(rng, 10, 400, rng.uniform(2.0, 8.0, 10), 2), rng
+
+
+class TestModelGrowth:
+    """A query that no cached model may serve grows the most recently used
+    model lacking between 1 and t(d) // 16 of its core by the points it
+    lacks, up to ceil(1.25 n(d)) rows; only otherwise does it build."""
+
+    def test_grown_model_is_the_dense_model_on_its_rows(self):
+        store, rng = growing_store(40)
+        checked = 0
+        for q in walk(store, rng, 120):
+            grown = store.models_grown
+            gp, dist = store.local_model(q)
+            if store.models_grown == grown:
+                continue
+            checked += 1
+            N = gp.idx.size
+            X, y = store.points[gp.idx], store.values[gp.idx]
+            C = _corr_matrix(X, store.lengths, 2) + gp.jitter * np.eye(N)
+            L, info = dpotrf(C, lower=1, clean=1)
+            assert info == 0
+            np.testing.assert_allclose(gp.chol, L, rtol=1e-10,
+                                       atol=1e-10 * np.abs(L).max())
+            # the trend stays as fitted at build: r = y - mean(X)
+            r = y - gp.mean(X)
+            np.testing.assert_allclose(gp.r, r, rtol=1e-12, atol=1e-14)
+            alpha, _ = dpotrs(L, r, lower=1)
+            a = max(float(r @ alpha) / N, AMPLITUDE_FLOOR * np.max(r**2))
+            c = np.exp(-kernel_distance(X, q, store.lengths, 2))
+            w, _ = dpotrs(L, c, lower=1)
+            mu, var = gp.posterior(q, dist)
+            assert mu == pytest.approx(float(gp.mean(q)) + float(c @ alpha),
+                                       rel=1e-10, abs=1e-12)
+            assert var == pytest.approx(a * (1.0 - float(c @ w)), rel=1e-8,
+                                        abs=1e-12 * a)
+        assert checked > 10
+
+    def test_growth_appends_the_missing_core_in_store_order(self):
+        store, rng = growing_store(41)
+        t = _trend_terms(10)
+        checked = chosen = 0
+        for q in walk(store, rng, 300):
+            models, used = list(store._models), store._used.copy()
+            grown = store.models_grown
+            gp, _ = store.local_model(q)
+            if store.models_grown == grown:
+                continue
+            checked += 1
+            core, _, _ = store.nearest(q, t)
+            lacks = {s: np.setdiff1d(core, m.idx)
+                     for s, m in enumerate(models) if m is not None}
+            near = [s for s in lacks if 1 <= lacks[s].size <= t // 16]
+            slot = max(near, key=lambda s: used[s])
+            chosen += len(near) > 1
+            before = models[slot]
+            assert store._models[slot] is gp
+            np.testing.assert_array_equal(
+                gp.idx, np.concatenate([before.idx, lacks[slot]]))
+            np.testing.assert_array_equal(gp.r[:before.idx.size], before.r)
+            assert gp.mean is before.mean and gp.jitter == before.jitter
+            assert store._born[slot] == store.size
+            assert fits(store, gp, q)
+        # some growths chose the most recent of several models
+        assert checked > 10 and chosen > 0
+
+    def test_grown_support_never_exceeds_the_cap(self):
+        store, rng = growing_store(42)
+        cap = math.ceil(1.25 * local_size(10))
+        assert cap == 262
+        sizes = [store.local_model(q)[0].idx.size
+                 for q in walk(store, rng, 300)]
+        assert max(sizes) <= cap
+        # models come within one growth of the cap
+        assert max(sizes) > cap - _trend_terms(10) // 16
+        assert store.models_grown > 20 and store.models_built > 1
+
+    def test_two_dimensional_store_never_grows(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a 2-D store grew a model")
+
+        monkeypatch.setattr(gpmmc.gp, "_grow_local_surrogate", fail)
+        rng = np.random.default_rng(43)
+        store = random_store(rng, 2, 60, np.ones(2), 2)
+        for q in walk(store, rng, 300):
+            gp, _ = store.local_model(q)
+            assert gp.idx.size == local_size(2)
+            assert np.all(np.diff(gp.idx) > 0)
+        assert store.models_grown == 0 and store.models_built > 10
+
+    def test_failed_growth_falls_back_to_a_build(self, monkeypatch):
+        calls = []
+
+        def fail(store, gp, new):
+            calls.append(new)
+            raise SurrogateError("growth failed")
+
+        monkeypatch.setattr(gpmmc.gp, "_grow_local_surrogate", fail)
+        store, rng = growing_store(40)
+        n = local_size(10)
+        for q in walk(store, rng, 60):
+            failed, built = len(calls), store.models_built
+            gp, _ = store.local_model(q)
+            if len(calls) > failed:
+                # the query built its own model instead
+                assert store.models_built == built + 1
+                np.testing.assert_array_equal(gp.idx, store.nearest(q, n)[0])
+        assert len(calls) > 5 and store.models_grown == 0
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    def test_store_smaller_than_the_growth_limit(self, size):
+        # a core of at most t(d) // 16 points: empty slots and models that
+        # hold none of it are never grown
+        rng = np.random.default_rng(44)
+        store = random_store(rng, 10, size, np.ones(10), 2)
+        first, _ = store.local_model(np.zeros(10))
+        assert np.array_equal(first.idx, np.arange(size))
+        assert store.models_built == 1 and store.models_grown == 0
+        x = rng.normal(size=10)
+        store.insert(x, float(np.sin(x).sum()))
+        grown, _ = store.local_model(x)
+        assert store.models_grown == 1 and store.models_built == 1
+        np.testing.assert_array_equal(grown.idx, np.arange(size + 1))
+
+    def test_ten_dimensional_runs_with_growth_are_reproducible(
+            self, tmp_path, monkeypatch):
+        grows = []
+        grow = gpmmc.gp._grow_local_surrogate
+
+        def counted(store, gp, new):
+            grows.append(new)
+            return grow(store, gp, new)
+
+        monkeypatch.setattr(gpmmc.gp, "_grow_local_surrogate", counted)
+        cfg = tmp_path / "poisson.cfg"
+        cfg.write_text(POISSON_GPMMC)
+        first = run_experiment(parse_config(str(cfg)), tmp_path / "a")
+        assert first["local_models_grown"] == len(grows) > 0
+        second = run_experiment(parse_config(str(cfg)), tmp_path / "b")
+        assert second["local_models_grown"] == first["local_models_grown"]
+        assert second["local_models_built"] == first["local_models_built"]
+        for name in ("histogram.csv", "store.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
+
+# a small 10-D surrogate run on which local models grow
+POISSON_GPMMC = """
+model = poisson_kl
+method = gpmmc
+seed = 3
+bins = 20
+range_lo = -1.2
+range_hi = 0.0
+iterations = 2
+samples_per_iteration = 300
+burn_in = 30
+proposal_scale = 0.5
+gamma = 1e-4
+beta_max = 0.05
+kernel_p = 2
+initial_design = 400
+grid_nodes = 33
+"""
 
 
 class TestLengthscaleCalibration:

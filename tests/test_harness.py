@@ -385,6 +385,7 @@ class TestRunExperimentMc:
         assert summary["eval_breakdown"] == {"pilot": 0, "samples": 600}
         assert summary["causes"] == {}
         assert summary["local_models_built"] == 0
+        assert summary["local_models_grown"] == 0
         assert 0.9 <= summary["in_range_fraction"] <= 1.0
         data = read_histogram_csv(tmp_path / "out" / "histogram.csv")
         assert data["counts"][-1].sum() == summary["true_evals"] * \
@@ -442,6 +443,7 @@ class TestRunExperimentMmc:
         assert bd["chain"] == 2 * (300 + 30)
         assert summary["causes"] == {"chain": bd["chain"]}
         assert summary["local_models_built"] == 0
+        assert summary["local_models_grown"] == 0
         assert summary["burn_in"] == 30
         assert len(summary["flatness"]) == 2
         assert len(summary["acceptance"]) == 2
@@ -505,19 +507,28 @@ class TestRunExperimentMmc:
 
 class TestRunExperimentGpmmc:
     def test_outputs_and_accounting(self, tmp_path, monkeypatch):
-        builds = []
+        builds, grows = [], []
         build = gpmmc.gp.build_local_surrogate
+        grow = gpmmc.gp._grow_local_surrogate
 
         def counted(store, idx):
             gp = build(store, idx)
             builds.append(idx)
             return gp
 
+        def counted_growth(store, gp, new):
+            grown = grow(store, gp, new)
+            grows.append(new)
+            return grown
+
         monkeypatch.setattr(gpmmc.gp, "build_local_surrogate", counted)
+        monkeypatch.setattr(gpmmc.gp, "_grow_local_surrogate", counted_growth)
         cfg = parse_config(_write_cfg(tmp_path / "a.cfg", GOOD_GPMMC))
         summary = run_experiment(cfg, tmp_path / "out")
-        # every model built and cached, and nothing else
+        # every model built and cached, and nothing else; a 2-D store grows
+        # none
         assert summary["local_models_built"] == len(builds) > 0
+        assert summary["local_models_grown"] == len(grows) == 0
         bd = summary["eval_breakdown"]
         assert bd["initial_design"] == 30
         refines = (bd["refine_random"] + bd["refine_beta"]

@@ -593,9 +593,10 @@ class TestModelCache:
         for x in rng.normal(size=(260, d)):
             store.insert(x, float(np.sin(x).sum()))
         bound = 2**18 // 209**2
-        # far out along distinct axes, so no query's nearest evaluations
-        # all lie in the previous query's support and each one misses
-        queries = 5.0 * np.vstack([np.eye(d), -np.eye(d)])[
+        # far out along distinct axes, so every cached model lacks more
+        # than t(d) // 16 = 4 of a query's nearest evaluations: no query is
+        # served or grown from a cached model, and each one builds
+        queries = 8.0 * np.vstack([np.eye(d), -np.eye(d)])[
             [0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 5, 15, 6]]
         models = []
         for q in queries[:12]:
